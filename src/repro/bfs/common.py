@@ -367,133 +367,88 @@ def bottom_up_inspect_scalar(
                            lookups_nocache.astype(np.int64), cache_hits)
 
 
-def _candidate_inspect(
+def _first_hits(
     graph: CSRGraph,
     unvisited: np.ndarray,
     degs: np.ndarray,
-    status: np.ndarray,
-    level: int,
-    cached_parents: np.ndarray | None,
-) -> BottomUpOutcome:
-    """Candidate-driven fast body: the scalar reference's exact math with
-    the (unused) per-edge source array dropped and the position ramp
-    shared — every intermediate value is element-for-element identical."""
-    n_front = unvisited.size
-    neighbors = graph.targets[
-        graph.gather_slots(unvisited, graph.offsets, degs)]
-    seg_start = np.cumsum(degs) - degs
+    marked: np.ndarray,
+) -> np.ndarray:
+    """Within-list position of each candidate's first neighbor set in
+    the vertex mask ``marked`` (``_INT64_MAX`` for none).
 
-    hit = status[neighbors] == level
-    positions = shared_arange(neighbors.size)
-    INF = _INT64_MAX
-    hit_pos = np.where(hit, positions, INF)
-    first_hit = np.full(n_front, INF, dtype=np.int64)
-    nonempty = degs > 0
-    any_nonempty = bool(nonempty.any())
-    if any_nonempty:
-        first_hit[nonempty] = np.minimum.reduceat(hit_pos,
-                                                  seg_start[nonempty])
-
-    lookups_nocache = np.where(first_hit != INF,
-                               first_hit - seg_start + 1, degs)
-
-    cache_hits = 0
-    if cached_parents is not None:
-        cached_hit = hit & cached_parents[neighbors]
-        cached_pos = np.where(cached_hit, positions, INF)
-        first_cached = np.full(n_front, INF, dtype=np.int64)
-        if any_nonempty:
-            first_cached[nonempty] = np.minimum.reduceat(
-                cached_pos, seg_start[nonempty])
-        served_by_cache = first_cached != INF
-        cache_hits = int(np.count_nonzero(served_by_cache))
-        first_hit = np.where(served_by_cache, first_cached, first_hit)
-        lookups = np.where(served_by_cache, 0, lookups_nocache)
-    else:
-        lookups = lookups_nocache
-
-    found_mask = first_hit != INF
-    found = unvisited[found_mask]
-    parents = np.full(found.size, UNVISITED, dtype=np.int64)
-    if found.size:
-        parents = neighbors[first_hit[found_mask]]
-    status[found] = level + 1
-    return BottomUpOutcome(found, parents,
-                           lookups.astype(np.int64, copy=False),
-                           lookups_nocache.astype(np.int64, copy=False),
-                           cache_hits)
-
-
-def _dense_inspect(
-    graph: CSRGraph,
-    unvisited: np.ndarray,
-    degs: np.ndarray,
-    status: np.ndarray,
-    level: int,
-    cached_parents: np.ndarray | None,
-) -> BottomUpOutcome:
-    """Whole-edge-array fast body for near-saturated candidate sets.
-
-    When the candidates own most of the graph's edge slots (the
-    direction-switch level, where almost every vertex is still
-    unvisited), building per-candidate slot ramps costs more than just
-    sweeping the entire ``targets`` array once.  This body reduces the
-    first hit *per vertex* over the graph's own CSR segments and then
-    gathers the candidates' rows.
-
-    Bit-identity with the scalar reference: each candidate's adjacency
-    segment in ``targets`` holds exactly the elements (in the same
-    order) that the gathered concatenation holds, so the first-hit
-    *within-list* position is the same number; the scalar's
-    ``first_hit - seg_start`` is that same within-list position, its
-    parent pick ``neighbors[first_hit]`` is ``targets[first_slot]``,
-    and the cached reduction mirrors it exactly.
+    Two routes give the same positions; the one with less to read runs.
+    When the marked vertices own under half as many incidence-transpose
+    slots as the candidates own adjacency slots, they are walked from
+    their side (:func:`_scatter_first_hits`); otherwise the candidates'
+    lists are scanned with early exit (:func:`_scan_first_hits`).
     """
+    sources = np.flatnonzero(marked)
+    source_slots = int(graph.incidence_transpose.degrees[sources].sum())
+    if source_slots * 2 < int(degs.sum()):
+        return _scatter_first_hits(graph, unvisited, sources)
+    return _scan_first_hits(graph, unvisited, degs, marked)
+
+
+def _scan_first_hits(
+    graph: CSRGraph,
+    unvisited: np.ndarray,
+    degs: np.ndarray,
+    marked: np.ndarray,
+) -> np.ndarray:
+    """Candidate-side route of :func:`_first_hits`: scan the lists in
+    rounds of doubling width, dropping a candidate at its first hit or
+    at the end of its list.
+
+    Every candidate still active has scanned the same prefix, so a round
+    is one rectangular gather: row ``i`` holds the next ``width`` slots
+    of candidate ``i``, clipped to its last slot (a repeated last
+    neighbor cannot move a first hit).  A candidate that stops at its
+    ``s``-th edge has touched fewer than ``2 s`` slots, so host work
+    follows the edges a GPU thread inspects, not whole lists.
+    """
+    first = np.full(unvisited.size, _INT64_MAX, dtype=np.int64)
+    active = np.flatnonzero(degs)
+    starts = graph.offsets[unvisited[active]]
+    last = starts + degs[active] - 1
+    done, width, shift = 0, 1, 0
+    while active.size:
+        slots = starts[:, None] + shared_arange(width)
+        np.minimum(slots, last[:, None], out=slots)
+        hits = np.flatnonzero(marked[graph.targets[slots]])
+        # Hits come in row-major order: a row's first hit is where the
+        # row number changes.
+        rows = hits >> shift
+        lead = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=lead[1:])
+        rows = rows[lead]
+        first[active[rows]] = done + (hits[lead] & (width - 1))
+        starts += width
+        alive = starts <= last
+        alive[rows] = False
+        active, starts, last = active[alive], starts[alive], last[alive]
+        done += width
+        width <<= 1
+        shift += 1
+    return first
+
+
+def _scatter_first_hits(
+    graph: CSRGraph,
+    unvisited: np.ndarray,
+    sources: np.ndarray,
+) -> np.ndarray:
+    """Marked-side route of :func:`_first_hits`: scatter-min the
+    within-list positions of the incidence-transpose pairs of the
+    marked vertices ``sources`` into the candidates.  Vertices that are
+    not candidates land in a spare last cell that is dropped."""
     n_front = unvisited.size
-    targets = graph.targets
-    INF = _INT64_MAX
-    nz_mask, nz_starts = graph.nonempty_adjacency
-    hit = status[targets] == level
-    positions = shared_arange(targets.size)
-    hit_pos = np.where(hit, positions, INF)
-    first_slot = np.full(graph.num_vertices, INF, dtype=np.int64)
-    if nz_starts.size:
-        first_slot[nz_mask] = np.minimum.reduceat(hit_pos, nz_starts)
-
-    offs = graph.offsets[unvisited]
-    fg = first_slot[unvisited]
-    valid = fg != INF
-    # Clamp the no-hit rows before the subtraction so INF never enters
-    # integer arithmetic; the branch value is discarded by the where.
-    safe = np.where(valid, fg, offs)
-    lookups_nocache = np.where(valid, safe - offs + 1, degs)
-
-    cache_hits = 0
-    if cached_parents is not None:
-        cached_hit = hit & cached_parents[targets]
-        cached_pos = np.where(cached_hit, positions, INF)
-        first_cached = np.full(graph.num_vertices, INF, dtype=np.int64)
-        if nz_starts.size:
-            first_cached[nz_mask] = np.minimum.reduceat(cached_pos,
-                                                        nz_starts)
-        fgc = first_cached[unvisited]
-        served_by_cache = fgc != INF
-        cache_hits = int(np.count_nonzero(served_by_cache))
-        # served implies hit, so the found set (`valid`) is unchanged.
-        fg = np.where(served_by_cache, fgc, fg)
-        lookups = np.where(served_by_cache, 0, lookups_nocache)
-    else:
-        lookups = lookups_nocache
-
-    found = unvisited[valid]
-    parents = np.full(found.size, UNVISITED, dtype=np.int64)
-    if found.size:
-        parents = targets[fg[valid]]
-    status[found] = level + 1
-    return BottomUpOutcome(found, parents,
-                           lookups.astype(np.int64, copy=False),
-                           lookups_nocache.astype(np.int64, copy=False),
-                           cache_hits)
+    index = np.full(graph.num_vertices, n_front, dtype=np.int64)
+    index[unvisited] = shared_arange(n_front)
+    tr = graph.incidence_transpose
+    first = np.full(n_front + 1, _INT64_MAX, dtype=np.int64)
+    slots = graph.gather_slots(sources, tr.offsets, tr.degrees[sources])
+    np.minimum.at(first, index[tr.owners[slots]], tr.positions[slots])
+    return first[:n_front]
 
 
 def bottom_up_inspect(
@@ -515,15 +470,15 @@ def bottom_up_inspect(
     level terminates via the cache without any global status lookups
     (§4.3, Fig. 11).  Mutates ``status`` for the discovered vertices.
 
-    The vectorized path is *adaptive*: when the just-visited frontier —
-    the vertices whose status equals ``level`` — owns fewer incidence-
-    transpose slots than the candidates own adjacency slots, it walks the
-    frontier's transpose pairs and scatter-mins their within-list
-    positions into the candidates, which is exactly the first hit the
-    scalar scan finds; otherwise the candidate-driven reference gather is
-    already the cheaper formulation and runs as-is.  ``unvisited`` must
-    not contain duplicate vertex IDs on the frontier-driven path (no
-    caller produces any; the scalar reference tolerates them).
+    The vectorized path answers two questions with :func:`_first_hits`:
+    where each candidate's list first holds a vertex at ``level``, and,
+    for the cache check, where it first holds a *cached* vertex at
+    ``level``.  Each answer comes from an early-exit scan of the
+    candidates' lists or from a scatter-min over the marked vertices'
+    incidence transpose, whichever has fewer slots to read; both give
+    exactly the positions the scalar scan finds.  ``unvisited`` must not
+    contain duplicate vertex IDs (no caller produces any; the scalar
+    reference tolerates them).
     """
     n_front = unvisited.size
     empty = np.empty(0, dtype=np.int64)
@@ -532,72 +487,27 @@ def bottom_up_inspect(
     if accel.scalar_mode():
         return bottom_up_inspect_scalar(graph, unvisited, status, level,
                                         cached_parents=cached_parents)
-    n = graph.num_vertices
     INF = _INT64_MAX
     degs = graph.out_degrees[unvisited]
-    cand_slots = int(degs.sum())
-    # Tiny candidate edge sets are cheap to gather whole — skip even the
-    # status re-scan the frontier-driven dispatch would need.
-    if cand_slots <= 2048:
-        return _candidate_inspect(graph, unvisited, degs, status, level,
-                                  cached_parents)
-    # Near-saturated candidate sets (the direction-switch level): one
-    # sweep over the whole edge array beats per-candidate slot ramps.
-    if cand_slots * 3 >= 2 * graph.num_edges:
-        return _dense_inspect(graph, unvisited, degs, status, level,
-                              cached_parents)
-    tr = graph.incidence_transpose
-    frontier = np.flatnonzero(status == level)
-    tdegs = tr.degrees[frontier]
-    front_slots = int(tdegs.sum())
-    # The scatter-min/compress constant is ~2x the reduceat gather's, so
-    # only drive from the frontier when its edge set is clearly smaller.
-    if front_slots * 2 >= cand_slots:
-        return _candidate_inspect(graph, unvisited, degs, status, level,
-                                  cached_parents)
-    first_hit = np.full(n_front, INF, dtype=np.int64)
-    # Map vertex ID -> index in `unvisited` so results stay aligned with
-    # the caller's candidate order; -1 marks non-candidates.
-    idx_of = np.full(n, -1, dtype=np.int64)
-    idx_of[unvisited] = shared_arange(n_front)
-    cmask = None
-    if front_slots:
-        slots = graph.gather_slots(frontier, tr.offsets, tdegs)
-        own_idx = idx_of[tr.owners[slots]]
-        sel = own_idx >= 0
-        own_idx = own_idx[sel]
-        poss = tr.positions[slots][sel]
-        np.minimum.at(first_hit, own_idx, poss)
-        if cached_parents is not None:
-            # Per-pair mask: the frontier vertex behind each surviving
-            # (owner, position) pair is a cached hub — reuses the gather
-            # above instead of walking the cached subset separately.
-            cmask = cached_parents[np.repeat(frontier, tdegs)[sel]]
-
+    at_level = status == level
+    first_hit = _first_hits(graph, unvisited, degs, at_level)
     lookups_nocache = np.where(first_hit != INF, first_hit + 1, degs)
 
     cache_hits = 0
+    lookups = lookups_nocache
     if cached_parents is not None:
-        # Second scatter-min over the cached pairs only: a cached
-        # neighbor visited at `level` anywhere in a candidate's list
-        # serves it with zero global lookups.
-        first_cached = np.full(n_front, INF, dtype=np.int64)
-        if cmask is not None and cmask.any():
-            np.minimum.at(first_cached, own_idx[cmask], poss[cmask])
+        # A cached neighbor visited at `level` anywhere in a candidate's
+        # list serves it with zero global lookups and becomes its parent.
+        first_cached = _first_hits(graph, unvisited, degs,
+                                   at_level & cached_parents)
         served_by_cache = first_cached != INF
         cache_hits = int(np.count_nonzero(served_by_cache))
         first_hit = np.where(served_by_cache, first_cached, first_hit)
         lookups = np.where(served_by_cache, 0, lookups_nocache)
-    else:
-        lookups = lookups_nocache
 
     found_mask = first_hit != INF
     found = unvisited[found_mask]
-    parents = np.full(found.size, UNVISITED, dtype=np.int64)
-    if found.size:
-        parents = graph.targets[graph.offsets[found] + first_hit[found_mask]]
+    parents = graph.targets[graph.offsets[found] + first_hit[found_mask]]
     status[found] = level + 1
-    return BottomUpOutcome(found, parents,
-                           lookups.astype(np.int64, copy=False),
-                           lookups_nocache.astype(np.int64, copy=False),
+    return BottomUpOutcome(found, parents, lookups, lookups_nocache,
                            cache_hits)

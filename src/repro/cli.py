@@ -71,6 +71,7 @@ from .bfs import (
 )
 from .gpu import FERMI_C2070, GPUDevice, KEPLER_K20, KEPLER_K40
 from .graph import (
+    catalog,
     kronecker_graph,
     load,
     load_csr,
@@ -111,11 +112,29 @@ def _load_graph(args) -> "CSRGraph":
     return load(args.graph, args.profile, args.seed)
 
 
+def _catalog_name(name: str) -> str:
+    """argparse type: a Table-1 abbreviation, else a usage error that
+    lists the catalog."""
+    names = sorted(catalog())
+    if name not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown graph {name!r} (choose from {', '.join(names)})")
+    return name
+
+
+def _existing_file(path: str) -> str:
+    """argparse type: a path to an existing file."""
+    if not Path(path).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {path!r}")
+    return path
+
+
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", default="GO",
+    p.add_argument("--graph", default="GO", type=_catalog_name,
                    help="catalog abbreviation (Table 1), default GO")
-    p.add_argument("--file", help="load a .npz CSR snapshot or edge list "
-                                  "instead of a catalog graph")
+    p.add_argument("--file", type=_existing_file,
+                   help="load a .npz CSR snapshot or edge list "
+                        "instead of a catalog graph")
     p.add_argument("--directed", action="store_true",
                    help="treat an edge-list file as directed")
     p.add_argument("--profile", default="small",
@@ -1218,6 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace",
                        help="export a Chrome/Perfetto trace of one run")
     p.add_argument("graph_arg", nargs="?", metavar="graph",
+                   type=_catalog_name,
                    help="catalog abbreviation (same as --graph)")
     _add_graph_args(p)
     p.add_argument("--algorithm", default="enterprise",
@@ -1241,6 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "ranked bottleneck findings, differential "
                             "GTEPS attribution")
     p.add_argument("graph_arg", nargs="?", metavar="graph",
+                   type=_catalog_name,
                    help="catalog abbreviation (same as --graph)")
     _add_graph_args(p)
     p.add_argument("--config", default="enterprise",

@@ -32,8 +32,10 @@ class IncidenceTranspose(NamedTuple):
     index of that occurrence inside the owner's list — i.e. the graph's
     incidence relation transposed, with within-list positions attached.
     Within one ``u`` the pairs are ordered by (owner, position).  This is
-    what lets bottom-up inspection be driven from the small just-visited
-    frontier instead of gathering every candidate's whole neighbor list.
+    what lets bottom-up inspection answer "where does a list first hold
+    one of these vertices" from the vertices' side: for a small
+    just-visited frontier, and for the hub-cache check over the cached
+    vertices.
     """
 
     offsets: np.ndarray
@@ -153,14 +155,6 @@ class CSRGraph:
         ramp = shared_arange(total)
         resets = np.repeat(np.cumsum(degs) - degs, degs)
         return starts.repeat(degs) + (ramp - resets)
-
-    @cached_property
-    def nonempty_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(mask, starts)`` of the vertices with at least one out-edge:
-        the reduceat segment index for whole-edge-array sweeps.  Built
-        once and cached; read-only by convention."""
-        mask = self.out_degrees > 0
-        return mask, self.offsets[:-1][mask]
 
     @cached_property
     def incidence_transpose(self) -> IncidenceTranspose:

@@ -23,6 +23,37 @@ class TestParser:
                      "mapgraph", "graphbig"):
             assert name in ALGORITHMS
 
+    @pytest.mark.parametrize("argv", [
+        ["bfs", "--graph", "NOPE"],
+        ["app", "sssp", "--graph", "NOPE"],
+        ["trace", "NOPE"],
+        ["trace", "--graph", "NOPE"],
+        ["profile", "NOPE"],
+        ["serve", "--graph", "NOPE"],
+        ["chaos", "--graph", "NOPE"],
+        ["monitor", "--graph", "NOPE"],
+        ["cluster", "bfs", "--graph", "NOPE"],
+        ["summarize", "--graph", "NOPE"],
+        ["report", "--graph", "NOPE"],
+    ])
+    def test_unknown_graph_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error:" in err
+        assert "unknown graph 'NOPE'" in err
+        assert "GO" in err and "KR0" in err and "ROADCA" in err
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.npz"
+        with pytest.raises(SystemExit) as exc:
+            main(["bfs", "--file", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro bfs: error: argument --file: no such file" in err
+        assert str(missing) in err
+
 
 class TestCommands:
     def test_info(self, capsys):

@@ -1,0 +1,93 @@
+"""Metamorphic properties of the Enterprise HC traversal.
+
+Two input changes whose effect on the answer is known without a second
+implementation to compare against:
+
+* relabelling the vertices by a random permutation
+  (:func:`repro.graph.reorder.apply_relabeling`) permutes the levels
+  exactly;
+* adding duplicate edges, self-loops and isolated vertices leaves every
+  original vertex's level unchanged, and the new vertices unvisited.
+
+The graphs are R-MAT-11, large enough that every traversal takes the
+γ switch to bottom-up with the hub cache engaged.  Every traversal's
+parents must also pass :func:`validate_result` and the five Graph 500
+checks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.bfs.common import UNVISITED, validate_result
+from repro.bfs.enterprise import ABLATION_CONFIGS, enterprise_bfs
+from repro.bfs.validate500 import graph500_validate
+from repro.graph.csr import from_edges
+from repro.graph.generators import RMAT_ABC, kronecker_edges
+from repro.graph.reorder import apply_relabeling
+from repro.metrics import random_sources
+
+SCALE = 11
+SEEDS = (1, 2, 3)
+
+
+def _rmat(seed: int, directed: bool):
+    src, dst = kronecker_edges(SCALE, 16, RMAT_ABC, seed)
+    return from_edges(src, dst, 1 << SCALE, directed=directed,
+                      name=f"R-MAT-{SCALE}")
+
+
+def _traverse(graph, source: int):
+    result = enterprise_bfs(graph, source, config=ABLATION_CONFIGS["HC"])
+    validate_result(result, graph)
+    report = graph500_validate(result, graph)
+    assert report.ok, report.messages
+    return result
+
+
+def _switched(result) -> bool:
+    return any(t.direction == "switch" for t in result.traces)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_relabelling_permutes_levels(seed, directed):
+    graph = _rmat(seed, directed)
+    new_id = np.random.default_rng(seed).permutation(graph.num_vertices)
+    relabeled = apply_relabeling(graph, new_id, name_suffix="+shuffled")
+    for source in random_sources(graph, 3, seed):
+        base = _traverse(graph, int(source))
+        assert _switched(base)
+        moved = _traverse(relabeled.graph, relabeled.map_vertex(source))
+        np.testing.assert_array_equal(relabeled.to_old(moved.levels),
+                                      base.levels)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_duplicates_self_loops_and_isolated_vertices_keep_levels(
+        seed, directed):
+    graph = _rmat(seed, directed)
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    src, dst = graph.edges()
+    pick = rng.choice(src.size, size=src.size // 10)
+    loops = rng.choice(n, size=64)
+    extra_src = [src[pick], loops]
+    extra_dst = [dst[pick], loops]
+    if not directed:
+        # edges() lists both orientations; repeat both, so the CSR stays
+        # symmetric.
+        extra_src.append(dst[pick])
+        extra_dst.append(src[pick])
+    noisy = from_edges(np.concatenate([src, *extra_src]),
+                       np.concatenate([dst, *extra_dst]), n + 100,
+                       directed=directed, symmetrize=False)
+    assert noisy.num_edges > graph.num_edges
+    for source in random_sources(graph, 3, seed):
+        base = _traverse(graph, int(source))
+        assert _switched(base)
+        noisy_run = _traverse(noisy, int(source))
+        np.testing.assert_array_equal(noisy_run.levels[:n], base.levels)
+        assert np.all(noisy_run.levels[n:] == UNVISITED)
