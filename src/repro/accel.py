@@ -8,8 +8,8 @@ The simulator keeps two implementations of every per-vertex hot path:
   interned (pooled) cost objects, which is what runs by default.
 
 Both must produce **bit-identical** results: every distance array,
-counter snapshot, GTEPS figure and ``repro.benchtraj`` sim metric is
-the same object-for-object value under either mode.  The differential
+counter snapshot, GTEPS figure and perfbench ``sim_*`` metric is the
+same object-for-object value under either mode.  The differential
 test layer (``tests/test_vectorized_differential.py``) enforces this by
 running both modes on pathological graphs, every BFS variant, MS-BFS
 waves, the chaos fault matrix and the serve stack.

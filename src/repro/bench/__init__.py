@@ -1,5 +1,4 @@
-"""Benchmark harness: per-figure regeneration, report plumbing, and the
-tracked host-performance trajectory (``BENCH_*.json``)."""
+"""Benchmark harness: per-figure regeneration and report plumbing."""
 
 from .figures import (
     DEFAULT_FIGURE_GRAPHS,
@@ -22,23 +21,6 @@ from .runner import (
     format_table,
     run_profiled_bench,
 )
-from .trajectory import (
-    PERF_MATRIX_PROFILES,
-    TRAJECTORY_SCHEMA,
-    TrajectoryComparison,
-    WallStats,
-    WorkloadVerdict,
-    append_entry,
-    compare_records,
-    environment_fingerprint,
-    format_trajectory,
-    load_record,
-    make_entry,
-    make_record,
-    run_perf_matrix,
-    validate_record,
-    write_record,
-)
 
 __all__ = [
     "DEFAULT_FIGURE_GRAPHS",
@@ -58,19 +40,4 @@ __all__ = [
     "fig16_counters",
     "run_weak_scaling",
     "format_table",
-    "PERF_MATRIX_PROFILES",
-    "TRAJECTORY_SCHEMA",
-    "TrajectoryComparison",
-    "WallStats",
-    "WorkloadVerdict",
-    "append_entry",
-    "compare_records",
-    "environment_fingerprint",
-    "format_trajectory",
-    "load_record",
-    "make_entry",
-    "make_record",
-    "run_perf_matrix",
-    "validate_record",
-    "write_record",
 ]

@@ -25,7 +25,6 @@ from .. import accel
 from ..gpu.kernels import Granularity, KernelCost, sweep_kernel
 from ..gpu.memory import sequential_transactions
 from ..gpu.specs import DeviceSpec
-from ..observ.hostprof import scoped
 
 __all__ = [
     "QUEUE_BOUNDS",
@@ -81,7 +80,6 @@ class ClassifiedFrontier:
         return {name: totals[name] / grand for name in QUEUE_ORDER}
 
 
-@scoped("bfs.classify")
 def classify_frontiers_scalar(
     queue: np.ndarray,
     out_degrees: np.ndarray,
@@ -115,7 +113,6 @@ _bounds_arrays: dict[tuple[int, int, int], np.ndarray] = {}
 _CUTS = np.array([1, 2, 3], dtype=np.int64)
 
 
-@scoped("bfs.classify")
 def classify_frontiers(
     queue: np.ndarray,
     out_degrees: np.ndarray,

@@ -50,7 +50,6 @@ from ..gpu.kernels import sweep_kernel
 from ..gpu.memory import sequential_transactions
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
-from ..observ.hostprof import get_hostprof
 from ..observ.registry import get_registry
 from ..observ.tracer import TID_RUN, TID_STREAM, get_tracer
 from ..storage.partitioned import PartitionCache, PartitionedCSR
@@ -310,27 +309,24 @@ def cluster_enterprise_bfs(
                                                    (i + 1) * parts_per_node])
         for i in range(rows)]
 
-    hostprof = get_hostprof()
-
     def _stage(partitioned: PartitionedCSR, caches: list[PartitionCache],
                vertices: np.ndarray) -> tuple[list[float], int]:
         """Page in the partitions a vertex set needs, node-local and
         concurrent across nodes: returns (per-node ms, total bytes)."""
         per_node = [0.0] * rows
         total = 0
-        with hostprof.scope("cluster.stage"):
-            owner = row_of[vertices]
-            for i in range(rows):
-                verts = vertices[owner == i]
-                if verts.size == 0:
-                    continue
-                node_ms = 0.0
-                for p in partitioned.partitions_touched(verts):
-                    read = caches[i].load(p)
-                    if read:
-                        node_ms += storage.read_ms(read)
-                        total += read
-                per_node[i] = node_ms
+        owner = row_of[vertices]
+        for i in range(rows):
+            verts = vertices[owner == i]
+            if verts.size == 0:
+                continue
+            node_ms = 0.0
+            for p in partitioned.partitions_touched(verts):
+                read = caches[i].load(p)
+                if read:
+                    node_ms += storage.read_ms(read)
+                    total += read
+            per_node[i] = node_ms
         return per_node, total
 
     status = np.full(n, UNVISITED, dtype=np.int32)
@@ -410,31 +406,30 @@ def cluster_enterprise_bfs(
         level_col_ms = 0.0
         level_bytes_row = 0
         level_bytes_col = 0
-        with hostprof.scope("cluster.exchange"):
-            if cols > 1:
-                active = [b for b
-                          in _segment_payloads(just_visited, row_bounds)
-                          if b > 0]
-                if active:
-                    level_row_ms = max(ring_ms(fabric.intra, cols, b)
-                                       for b in active)
-                    flat_comm_ms += max(ring_ms(fabric.inter, cols, b)
-                                        for b in active)
-                    level_bytes_row = sum(active)
-                    bytes_intra += level_bytes_row
-                    charged_payloads.extend(active)
-            if rows > 1:
-                active = [b for b
-                          in _segment_payloads(just_visited, col_bounds)
-                          if b > 0]
-                if active:
-                    level_col_ms = max(ring_ms(fabric.inter, rows, b)
-                                       for b in active)
-                    flat_comm_ms += max(ring_ms(fabric.inter, rows, b)
-                                        for b in active)
-                    level_bytes_col = sum(active)
-                    bytes_inter += level_bytes_col
-                    charged_payloads.extend(active)
+        if cols > 1:
+            active = [b for b
+                      in _segment_payloads(just_visited, row_bounds)
+                      if b > 0]
+            if active:
+                level_row_ms = max(ring_ms(fabric.intra, cols, b)
+                                   for b in active)
+                flat_comm_ms += max(ring_ms(fabric.inter, cols, b)
+                                    for b in active)
+                level_bytes_row = sum(active)
+                bytes_intra += level_bytes_row
+                charged_payloads.extend(active)
+        if rows > 1:
+            active = [b for b
+                      in _segment_payloads(just_visited, col_bounds)
+                      if b > 0]
+            if active:
+                level_col_ms = max(ring_ms(fabric.inter, rows, b)
+                                   for b in active)
+                flat_comm_ms += max(ring_ms(fabric.inter, rows, b)
+                                    for b in active)
+                level_bytes_col = sum(active)
+                bytes_inter += level_bytes_col
+                charged_payloads.extend(active)
         level_intra = level_row_ms
         level_inter = level_col_ms
         # Frontier-count consensus: hierarchical 8-byte allreduce,
@@ -519,8 +514,6 @@ def cluster_enterprise_bfs(
                          tier="col-exchange").inc(
                              sum(c.col_ms for c in level_costs))
         registry.counter("repro.cluster.ms", tier="staging").inc(io_ms)
-    if hostprof.enabled:
-        hostprof.add_sim_ms(wall_ms)
 
     result = BFSResult(
         algorithm=f"enterprise-cluster[{rows}n x {cols}g]",

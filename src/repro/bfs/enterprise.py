@@ -43,7 +43,6 @@ from ..gpu.kernels import (
 from ..gpu.memory import sequential_transactions
 from ..gpu.specs import DeviceSpec
 from ..graph.csr import CSRGraph
-from ..observ.hostprof import get_hostprof
 from ..observ.registry import get_registry
 from ..observ.tracer import get_tracer
 from .classify import QUEUE_BOUNDS, QUEUE_GRANULARITY, classify_frontiers
@@ -230,7 +229,6 @@ def enterprise_bfs(
     algo_name = f"enterprise[{config.label()}]"
     tracer = get_tracer()
     registry = get_registry()
-    hostprof = get_hostprof()
     run_labels = {"algorithm": algo_name, "graph": graph.name}
     run_begin_ms = device.elapsed_ms
     # Span/counter emission is only worth the per-level bookkeeping when
@@ -310,9 +308,8 @@ def enterprise_bfs(
             locality = queue_contiguity(frontier)
             workloads = out_degrees[frontier]
 
-            with hostprof.scope("bfs.expand"):
-                newly, their_parents, edges, _ = expand_frontier(
-                    graph, frontier, status, level)
+            newly, their_parents, edges, _ = expand_frontier(
+                graph, frontier, status, level)
             parents[newly] = their_parents
             unexplored -= int(workloads.sum())
 
@@ -414,10 +411,9 @@ def enterprise_bfs(
             level_begin_ms = device.elapsed_ms - queue_gen_ms
             locality = queue_contiguity(candidates)
             cached = hc.cached_mask if hc is not None else None
-            with hostprof.scope("bfs.inspect"):
-                outcome = bottom_up_inspect(inspect_graph, candidates,
-                                            status, level,
-                                            cached_parents=cached)
+            outcome = bottom_up_inspect(inspect_graph, candidates,
+                                        status, level,
+                                        cached_parents=cached)
             parents[outcome.found] = outcome.parents
             unexplored -= outcome.edges_checked
 
@@ -518,10 +514,6 @@ def enterprise_bfs(
         time_ms=device.elapsed_ms,
     )
     result.set_edges_traversed(graph)
-    if hostprof.enabled:
-        # Credit the run's simulated window to the host profiler so the
-        # slowdown factor (host-µs per simulated-ms) has a denominator.
-        hostprof.add_sim_ms(device.elapsed_ms - run_begin_ms)
     result.hub_cache = hc  # type: ignore[attr-defined]
     result.gamma_history = gamma.history  # type: ignore[attr-defined]
     result.alpha_history = alphabeta.history  # type: ignore[attr-defined]

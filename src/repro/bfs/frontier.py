@@ -39,7 +39,6 @@ from ..gpu.kernels import (
 )
 from ..gpu.memory import sequential_transactions, strided_transactions
 from ..gpu.specs import DeviceSpec
-from ..observ.hostprof import scoped
 from .common import UNVISITED
 
 __all__ = [
@@ -105,7 +104,6 @@ def _copy_kernel(frontier_count: int, spec: DeviceSpec) -> KernelCost:
                         name="bin-copy", instr_per_element=3)
 
 
-@scoped("bfs.scan")
 def topdown_workflow(
     status: np.ndarray,
     level: int,
@@ -138,7 +136,6 @@ def topdown_workflow(
     return queue, kernels
 
 
-@scoped("bfs.scan")
 def switch_workflow(
     status: np.ndarray,
     spec: DeviceSpec,
@@ -164,7 +161,6 @@ def switch_workflow(
     return queue, kernels
 
 
-@scoped("bfs.scan")
 def switch_interleaved_workflow(
     status: np.ndarray,
     spec: DeviceSpec,
@@ -190,7 +186,6 @@ def switch_interleaved_workflow(
     return queue, kernels
 
 
-@scoped("bfs.scan")
 def bottomup_filter_workflow(
     prev_queue: np.ndarray,
     status: np.ndarray,

@@ -41,12 +41,6 @@ Subcommands cover the library's day-to-day entry points:
   waterfall (text, or self-contained HTML with a per-node Gantt).
 * ``summarize`` — structural profile (triangles, clustering, ...).
 * ``occupancy`` — the CUDA occupancy calculator behind §4.3.
-* ``perf`` — measure the *simulator itself*: host wall-clock over a
-  fixed workload matrix with per-subsystem attribution, written as a
-  tracked ``BENCH_<context>.json`` trajectory record; ``--compare``/
-  ``--gate`` diff two records with the IQR-overlap regression gate.
-  ``--hostprof`` on ``bench`` and ``serve`` prints the same
-  slowdown-factor table for any ad-hoc run.
 """
 
 from __future__ import annotations
@@ -127,6 +121,34 @@ def _existing_file(path: str) -> str:
     if not Path(path).is_file():
         raise argparse.ArgumentTypeError(f"no such file: {path!r}")
     return path
+
+
+def _positive(kind):
+    """argparse type: a ``kind`` (int or float) greater than zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # "invalid int value" on non-numbers
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
+def _fault_profiles(text: str) -> list[str]:
+    """argparse type: comma-separated fault profile names."""
+    from .faults import PROFILES
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in PROFILES:
+            raise argparse.ArgumentTypeError(
+                f"unknown fault profile {name!r} "
+                f"(choose from {', '.join(sorted(PROFILES))})")
+    return names
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -477,18 +499,6 @@ def _write_serve_trace(path: str, tracer, graph_name: str) -> None:
 
 
 def cmd_serve(args) -> int:
-    if args.hostprof:
-        from .observ.hostprof import format_host_profile, profiling_host
-        with profiling_host() as prof:
-            code = _cmd_serve_inner(args)
-            profile = prof.profile()
-        print("\n-- host profile --")
-        print(format_host_profile(profile))
-        return code
-    return _cmd_serve_inner(args)
-
-
-def _cmd_serve_inner(args) -> int:
     from .graph import rmat_graph
     from .observ import Tracer, set_tracer
     from .serve import (
@@ -569,10 +579,6 @@ def _cmd_serve_inner(args) -> int:
         engine = ServeEngine(g, config)
         replay(engine, synthetic_trace(g, trace_config))
     s = engine.stats()
-    from .observ.hostprof import get_hostprof
-    # Under --hostprof, the replay's simulated makespan is the slowdown
-    # factor's denominator.
-    get_hostprof().add_sim_ms(s.makespan_ms)
     kinds = ", ".join(f"{k} {v}" for k, v in sorted(s.by_kind.items()))
     print(f"served {s.served:,} queries on {g.name} ({kinds})")
     print(f"  {s.dispatch.waves} waves, mean width "
@@ -615,8 +621,8 @@ def cmd_chaos(args) -> int:
         g = rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
     else:
         g = _load_graph(args)
-    names = args.profiles.split(",") if args.profiles else list(PROFILES)
-    plans = [profile(name.strip(), seed=args.seed) for name in names]
+    plans = [profile(name, seed=args.seed)
+             for name in args.profiles or PROFILES]
     config = ServeConfig(
         batch_sources=args.batch,
         deadline_ms=args.deadline_ms,
@@ -943,14 +949,7 @@ def cmd_bench(args) -> int:
         print(f"unknown figure {args.figure!r}; choose from "
               f"{', '.join(names)}", file=sys.stderr)
         return 2
-    if args.hostprof:
-        from .observ.hostprof import profiling_host
-        with profiling_host() as hprof:
-            data = fn(profile=args.profile)
-            host_profile = hprof.profile()
-    else:
-        data = fn(profile=args.profile)
-        host_profile = None
+    data = fn(profile=args.profile)
     if isinstance(data, dict):
         for key, rows in data.items():
             print(f"-- {key}")
@@ -958,10 +957,6 @@ def cmd_bench(args) -> int:
                   else rows)
     else:
         print(format_table(data))
-    if host_profile is not None:
-        from .observ.hostprof import format_host_profile
-        print("\n-- host profile --")
-        print(format_host_profile(host_profile))
     if args.snapshot or args.diff:
         from .observ import (
             bench_snapshot,
@@ -1119,73 +1114,6 @@ def _cmd_cluster_weak(args) -> int:
     return code
 
 
-def cmd_perf(args) -> int:
-    from .bench.trajectory import (
-        compare_records,
-        format_trajectory,
-        load_record,
-        make_record,
-        run_perf_matrix,
-        write_record,
-    )
-    from .observ.hostprof import (
-        deep_profile,
-        format_host_profile,
-        format_hotspots,
-    )
-
-    if args.action == "compare":
-        if len(args.records) != 2:
-            print("perf compare takes exactly two record paths: OLD NEW",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_records(load_record(args.records[0]),
-                                     load_record(args.records[1]),
-                                     min_rel=args.min_rel)
-        print(comparison.format())
-        return 1 if args.gate and not comparison.ok else 0
-    if args.records:
-        print("perf run takes no positional record paths "
-              "(use `perf compare OLD NEW`)", file=sys.stderr)
-        return 2
-
-    def progress(workload: str) -> None:
-        print(f"measuring {workload} "
-              f"({args.trials} trials)...", file=sys.stderr)
-
-    deep = None
-    if args.deep:
-        with deep_profile(top=args.top) as deep:
-            entries, profiles = run_perf_matrix(
-                args.profile, trials=args.trials, seed=args.seed,
-                progress=progress)
-    else:
-        entries, profiles = run_perf_matrix(
-            args.profile, trials=args.trials, seed=args.seed,
-            progress=progress)
-    record = make_record(args.context, entries)
-    out = Path(args.out) if args.out else Path(f"BENCH_{args.context}.json")
-    write_record(out, record)
-
-    print(format_trajectory(record))
-    for workload, host_profile in profiles.items():
-        print(f"\n-- {workload}")
-        print(format_host_profile(host_profile))
-    if deep is not None:
-        print("\n-- deep (cProfile) hotspots --")
-        print(format_hotspots(deep.hotspots))
-    print(f"\nwrote {out}")
-
-    if args.compare:
-        comparison = compare_records(load_record(args.compare), record,
-                                     min_rel=args.min_rel)
-        print(f"\n-- compare (vs {args.compare}) --")
-        print(comparison.format())
-        if args.gate and not comparison.ok:
-            return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     from .faults import PROFILES as _FAULT_PROFILES
 
@@ -1250,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the metrics registry as NDJSON")
     p.add_argument("--snapshot",
                    help="also write a versioned counter snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT",
+    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
                    help="compare counters against a previous snapshot; "
                         "exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.05,
@@ -1275,6 +1203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--html", metavar="PATH",
                    help="write a self-contained HTML flame-style report")
     p.add_argument("--compare", metavar="PROFILE_JSON",
+                   type=_existing_file,
                    help="differential profile against a previous "
                         "artifact (that run is 'before'); exit 1 if "
                         "attribution coverage < --min-coverage")
@@ -1293,7 +1222,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-tier fabric attribution (compute / "
                         "exchanges / allreduce / staging), straggler "
                         "findings, repro.clusterprofile/v1 artifact")
-    p.add_argument("--nodes", type=int, default=4,
+    p.add_argument("--nodes", type=_positive_int, default=4,
                    help="cluster nodes for --cluster (default 4)")
     p.add_argument("--gpus-per-node", type=int, default=2,
                    help="GPUs per node for --cluster (default 2)")
@@ -1311,62 +1240,24 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("tiny", "small", "medium"))
     p.add_argument("--snapshot",
                    help="also write the rows as a versioned snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT",
+    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
                    help="compare against a previous snapshot; "
                         "exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="relative tolerance for --diff (default 0.05)")
-    p.add_argument("--hostprof", action="store_true",
-                   help="also print the host-side (real wall-clock) "
-                        "subsystem attribution table")
-
-    from .bench.trajectory import PERF_MATRIX_PROFILES
-    p = sub.add_parser("perf",
-                       help="measure the simulator's own host "
-                            "performance and track it as a "
-                            "BENCH_<context>.json trajectory record")
-    p.add_argument("action", nargs="?", default="run",
-                   choices=("run", "compare"),
-                   help="run the workload matrix (default), or compare "
-                        "two existing records")
-    p.add_argument("records", nargs="*", metavar="RECORD",
-                   help="with `compare`: OLD NEW record paths")
-    p.add_argument("--profile", default="tiny",
-                   choices=sorted(PERF_MATRIX_PROFILES),
-                   help="workload-matrix scale (default tiny)")
-    p.add_argument("--trials", type=int, default=5,
-                   help="wall-clock trials per workload (default 5)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--context", default="baseline",
-                   help="record context label; names the default "
-                        "output file (default 'baseline')")
-    p.add_argument("-o", "--out",
-                   help="record path (default BENCH_<context>.json)")
-    p.add_argument("--compare", metavar="OLD_RECORD",
-                   help="after running, diff against a previous record")
-    p.add_argument("--gate", action="store_true",
-                   help="exit 1 when --compare finds a regression")
-    p.add_argument("--min-rel", type=float, default=0.05,
-                   help="minimum relative median change the gate flags "
-                        "(default 0.05)")
-    p.add_argument("--deep", action="store_true",
-                   help="also run a cProfile pass (2-4x slower) and "
-                        "print the top functions")
-    p.add_argument("--top", type=int, default=10,
-                   help="deep-mode hotspot count (default 10)")
 
     p = sub.add_parser("serve",
                        help="batched BFS query serving (MS-BFS waves + "
                             "landmark cache)")
     _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=int,
+    p.add_argument("--rmat-scale", type=_positive_int,
                    help="serve an R-MAT graph of this scale instead of "
                         "the catalog graph")
     p.add_argument("--edge-factor", type=int, default=16,
                    help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--queries", type=int, default=1024,
+    p.add_argument("--queries", type=_positive_int, default=1024,
                    help="synthetic trace length (default 1024)")
-    p.add_argument("--rate", type=float, default=512.0,
+    p.add_argument("--rate", type=_positive_float, default=512.0,
                    help="mean arrivals per simulated ms (default 512)")
     p.add_argument("--zipf", type=float, default=1.3,
                    help="source-popularity Zipf exponent (default 1.3)")
@@ -1380,8 +1271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-wave timeout (simulated ms)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="split-retries per timed-out wave (default 2)")
-    p.add_argument("--gpus", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=1,
+    p.add_argument("--gpus", type=_positive_int, default=1)
+    p.add_argument("--nodes", type=_positive_int, default=1,
                    help="simulated nodes the --gpus devices are spread "
                         "over (default 1; --gpus must divide evenly)")
     p.add_argument("--locality", action="store_true",
@@ -1417,31 +1308,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "one-traversal-per-query baseline's, query by "
                         "query (implies the --bench path)")
     p.add_argument("--snapshot",
-                   help="with --bench: write the report as a versioned "
-                        "snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT",
-                   help="with --bench: compare against a previous "
-                        "snapshot; exit 1 on regression")
+                   help="with --bench or --check: write the report as a "
+                        "versioned snapshot JSON")
+    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
+                   help="with --bench or --check: compare against a "
+                        "previous snapshot; exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="relative tolerance for --diff (default 0.05)")
-    p.add_argument("--hostprof", action="store_true",
-                   help="also print the host-side (real wall-clock) "
-                        "subsystem attribution table")
 
     p = sub.add_parser("chaos",
                        help="fault-matrix differential harness: verify "
                             "exact answers under every fault profile")
     _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=int,
+    p.add_argument("--rmat-scale", type=_positive_int,
                    help="run on an R-MAT graph of this scale instead of "
                         "the catalog graph")
     p.add_argument("--edge-factor", type=int, default=16,
                    help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--profiles",
+    p.add_argument("--profiles", type=_fault_profiles,
                    help="comma-separated fault profiles (default: all)")
-    p.add_argument("--queries", type=int, default=1024,
+    p.add_argument("--queries", type=_positive_int, default=1024,
                    help="synthetic trace length (default 1024)")
-    p.add_argument("--rate", type=float, default=512.0,
+    p.add_argument("--rate", type=_positive_float, default=512.0,
                    help="mean arrivals per simulated ms (default 512)")
     p.add_argument("--zipf", type=float, default=1.3,
                    help="source-popularity Zipf exponent (default 1.3)")
@@ -1455,7 +1343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-wave timeout (simulated ms)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="split-retries per timed-out wave (default 2)")
-    p.add_argument("--gpus", type=int, default=3)
+    p.add_argument("--gpus", type=_positive_int, default=3)
     p.add_argument("--landmarks", type=int, default=16,
                    help="landmark count for the distance cache")
     p.add_argument("--no-cache", action="store_true",
@@ -1471,7 +1359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SLO availability target (default 0.999)")
     p.add_argument("--snapshot",
                    help="write the matrix as a versioned snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT",
+    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
                    help="compare against a previous snapshot; "
                         "exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.05,
@@ -1482,14 +1370,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "anomaly detection, text dashboard, HTML "
                             "timeline, findings export")
     _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=int,
+    p.add_argument("--rmat-scale", type=_positive_int,
                    help="run on an R-MAT graph of this scale instead of "
                         "the catalog graph")
     p.add_argument("--edge-factor", type=int, default=16,
                    help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--queries", type=int, default=1024,
+    p.add_argument("--queries", type=_positive_int, default=1024,
                    help="synthetic trace length (default 1024)")
-    p.add_argument("--rate", type=float, default=512.0,
+    p.add_argument("--rate", type=_positive_float, default=512.0,
                    help="mean arrivals per simulated ms (default 512)")
     p.add_argument("--zipf", type=float, default=1.3,
                    help="source-popularity Zipf exponent (default 1.3)")
@@ -1503,7 +1391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-wave timeout (simulated ms)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="split-retries per timed-out wave (default 2)")
-    p.add_argument("--gpus", type=int, default=3)
+    p.add_argument("--gpus", type=_positive_int, default=3)
     p.add_argument("--landmarks", type=int, default=16,
                    help="landmark count for the distance cache")
     p.add_argument("--no-cache", action="store_true",
@@ -1541,7 +1429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot",
                    help="write per-series aggregates as a versioned "
                         "snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT",
+    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
                    help="compare against a previous snapshot; "
                         "exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.05,
@@ -1556,14 +1444,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "cost ledger; weak: the Fig-15-style "
                         "weak-scaling matrix across node counts")
     _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=int,
+    p.add_argument("--rmat-scale", type=_positive_int,
                    help="with bfs: traverse an R-MAT graph of this "
                         "scale instead of the catalog graph")
     p.add_argument("--edge-factor", type=int, default=16,
                    help="R-MAT edge factor (default 16)")
     p.add_argument("--source", type=int,
                    help="with bfs: source vertex (default: random)")
-    p.add_argument("--nodes", type=int, default=2,
+    p.add_argument("--nodes", type=_positive_int, default=2,
                    help="with bfs: simulated node count (default 2)")
     p.add_argument("--node-counts", default="1,2,4,8",
                    help="with weak: comma-separated node counts "
@@ -1583,7 +1471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot",
                    help="with weak: write the matrix as a versioned "
                         "snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT",
+    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
                    help="with weak: compare against a previous "
                         "snapshot; exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.05,
@@ -1646,14 +1534,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --cluster: also write the largest node "
                         "count's repro.clusterprofile/v1 artifact")
     _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=int,
+    p.add_argument("--rmat-scale", type=_positive_int,
                    help="with --serve: run on an R-MAT graph of this "
                         "scale instead of the catalog graph")
     p.add_argument("--edge-factor", type=int, default=16,
                    help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--queries", type=int, default=1024,
+    p.add_argument("--queries", type=_positive_int, default=1024,
                    help="with --serve: synthetic trace length")
-    p.add_argument("--rate", type=float, default=512.0,
+    p.add_argument("--rate", type=_positive_float, default=512.0,
                    help="with --serve: mean arrivals per simulated ms")
     p.add_argument("--batch", type=int, default=64,
                    help="with --serve: max sources per MS-BFS wave")
@@ -1663,7 +1551,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --serve: per-wave timeout (simulated ms)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="with --serve: split-retries per timed-out wave")
-    p.add_argument("--gpus", type=int, default=3,
+    p.add_argument("--gpus", type=_positive_int, default=3,
                    help="with --serve: simulated device count")
     p.add_argument("--hedge-ms", type=float,
                    help="with --serve: hedge waves stuck past this many "
@@ -1699,12 +1587,15 @@ COMMANDS = {
     "report": cmd_report,
     "summarize": cmd_summarize,
     "occupancy": cmd_occupancy,
-    "perf": cmd_perf,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and (args.snapshot or args.diff) \
+            and not (args.bench or args.check):
+        parser.error("serve: --snapshot and --diff need --bench or --check")
     return COMMANDS[args.command](args)
 
 

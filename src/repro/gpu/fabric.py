@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observ.hostprof import get_hostprof
 from ..observ.registry import get_registry
 from ..observ.tracer import TID_RUN, get_tracer
 from .device import GPUDevice
@@ -213,25 +212,23 @@ class Fabric:
         n, g = self.num_nodes, self.gpus_per_node
         if nbytes == 0 or self.size == 1:
             return CollectiveCost(0.0, 0.0, 0, 0)
-        hostprof = get_hostprof()
-        with hostprof.scope("fabric.allreduce"):
-            shard = -(-nbytes // g) if g > 1 else nbytes
-            intra = 0.0
-            bytes_intra = 0
-            if g > 1:
-                # Reduce-scatter + (after the inter phase) allgather: the
-                # payload crosses the fast tier twice in every node.
-                intra = 2 * (g - 1) * self.intra.transfer_ms(shard)
-                bytes_intra = 2 * nbytes * n
-            inter = 0.0
-            bytes_inter = 0
-            if n > 1:
-                chunk = -(-shard // n)
-                inter = 2 * (n - 1) * self.inter.transfer_ms(chunk)
-                bytes_inter = nbytes
-            cost = CollectiveCost(intra, inter, bytes_intra, bytes_inter)
-            self._charge(cost)
-            self._observe(cost, nbytes, at_ms=at_ms, level=level)
+        shard = -(-nbytes // g) if g > 1 else nbytes
+        intra = 0.0
+        bytes_intra = 0
+        if g > 1:
+            # Reduce-scatter + (after the inter phase) allgather: the
+            # payload crosses the fast tier twice in every node.
+            intra = 2 * (g - 1) * self.intra.transfer_ms(shard)
+            bytes_intra = 2 * nbytes * n
+        inter = 0.0
+        bytes_inter = 0
+        if n > 1:
+            chunk = -(-shard // n)
+            inter = 2 * (n - 1) * self.inter.transfer_ms(chunk)
+            bytes_inter = nbytes
+        cost = CollectiveCost(intra, inter, bytes_intra, bytes_inter)
+        self._charge(cost)
+        self._observe(cost, nbytes, at_ms=at_ms, level=level)
         return cost
 
     def flat_ring_ms(self, nbytes: int) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observ.hostprof import scoped
 from ..observ.registry import get_registry
 from .kernels import KernelCost
 from .specs import DeviceSpec
@@ -74,7 +73,6 @@ def _device_fraction(kernel: KernelCost, spec: DeviceSpec) -> float:
     return min(1.0, kernel.threads_launched / spec.max_resident_threads)
 
 
-@scoped("gpu.hyperq")
 def overlap_kernels(kernels: list[KernelCost], spec: DeviceSpec) -> OverlapResult:
     """Elapsed time of kernels launched concurrently under Hyper-Q.
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import accel
-from ..observ.hostprof import scoped
 from ..observ.registry import get_registry
 from .memory import AccessPattern, EMPTY_ACCESS
 from .specs import DeviceSpec
@@ -204,12 +203,12 @@ def _empty_cost(name: str, gran: Granularity | None,
 # Every constructor below is a pure function of its arguments, and the
 # returned KernelCost records are never mutated (the differential and
 # golden suites would catch it), so the vectorized mode memoizes them:
-# the same launch shape returns the same shared record.  The memo probe
-# happens *before* the hostprof scope — a hit costs one dict lookup, not
-# a profiled construction — while misses and the whole scalar reference
-# mode still run the original scoped builders.  The registry observation
-# fires exactly once per call either way (inside the builder on a miss,
-# explicitly on a hit), so Figs. 12/16 launch counters are identical.
+# the same launch shape returns the same shared record.  A memo hit
+# costs one dict lookup instead of a construction, while misses and the
+# whole scalar reference mode still run the original builders.  The
+# registry observation fires exactly once per call either way (inside
+# the builder on a miss, explicitly on a hit), so Figs. 12/16 launch
+# counters are identical.
 # ----------------------------------------------------------------------
 
 _cost_table = accel.intern_table("kernel_cost")
@@ -328,7 +327,6 @@ def _steps_table(g: int, wmax: int) -> np.ndarray:
     return t
 
 
-@scoped("gpu.kernel_cost")
 def _expansion_build_fast(
     workloads: np.ndarray,
     granularity: Granularity,
@@ -400,7 +398,6 @@ def _expansion_build_fast(
     ))
 
 
-@scoped("gpu.kernel_cost")
 def _expansion_build(
     workloads: np.ndarray,
     granularity: Granularity,
@@ -537,7 +534,6 @@ def expansion_kernel(
         shared_hits=shared_hits))
 
 
-@scoped("gpu.kernel_cost")
 def _sweep_build(
     elements: int,
     access: AccessPattern,
@@ -602,7 +598,6 @@ def sweep_kernel(
         useful_elements=useful_elements, group=group))
 
 
-@scoped("gpu.kernel_cost")
 def _prefix_sum_build(bins: int, spec: DeviceSpec,
                       *, name: str = "prefix-sum") -> KernelCost:
     if bins <= 0:
@@ -638,7 +633,6 @@ def prefix_sum_kernel(bins: int, spec: DeviceSpec,
     return _cost_table.put(key, _prefix_sum_build(bins, spec, name=name))
 
 
-@scoped("gpu.kernel_cost")
 def _atomic_enqueue_build(
     attempts: int,
     unique: int,

@@ -26,11 +26,6 @@ reproduction the same toolchain as first-class infrastructure:
 * :mod:`~repro.observ.roofline` — roofline placement against
   :class:`~repro.gpu.specs.DeviceSpec` peaks (memory/compute/latency
   -bound verdicts with % of the attainable roof).
-* :mod:`~repro.observ.hostprof` — *host-side* self-profiling: nestable
-  wall-clock scopes attributing real Python seconds to simulator
-  subsystems, slowdown factors (host-µs per simulated-ms) and an
-  optional cProfile deep mode.  Everything else here measures the
-  simulated machine; this measures the simulator.
 * :mod:`~repro.observ.timeseries` — fixed-cadence ring-buffer series
   sampled on the simulated clock (``repro.timeseries/v1``) with
   windowed aggregates and registry probes.
@@ -110,20 +105,6 @@ from .monitor import (
     render_dashboard,
 )
 from .monitor import render_html as render_monitor_html
-from .hostprof import (
-    HOSTPROF_SCOPES,
-    HostProfile,
-    HostProfiler,
-    HotSpot,
-    NullHostProfiler,
-    ScopeStat,
-    deep_profile,
-    format_host_profile,
-    format_hotspots,
-    get_hostprof,
-    profiling_host,
-    set_hostprof,
-)
 from .profiler import (
     KERNEL_CLASSES,
     PROFILE_SCHEMA,
@@ -317,18 +298,6 @@ __all__ = [
     "run_snapshot",
     "validate_snapshot",
     "write_snapshot",
-    "HOSTPROF_SCOPES",
-    "HostProfile",
-    "HostProfiler",
-    "HotSpot",
-    "NullHostProfiler",
-    "ScopeStat",
-    "deep_profile",
-    "format_host_profile",
-    "format_hotspots",
-    "get_hostprof",
-    "profiling_host",
-    "set_hostprof",
     "SERIES_SCHEMA",
     "WindowStats",
     "Series",

@@ -1,414 +1,22 @@
-"""Host-side self-profiler: where do the *Python* seconds go?
+"""A no-op stand-in for the removed in-code host profiler.
 
-Every number the rest of :mod:`repro.observ` reports is *simulated*
-milliseconds — the cost-model's estimate of what a Kepler would do.  The
-wall-clock that actually gates scaling the simulator (ROADMAP item 4's
-"≥10× simulator speedup") is the host Python time spent computing those
-estimates, and this module is the profiler for it: the same role nvprof
-plays for the modeled GPU, turned on the simulator itself.
-
-Two modes:
-
-* **Scoped** (default, ≤5 % overhead): instrumented subsystems wrap
-  their hot paths in ``get_hostprof().scope("bfs.scan")`` — a nestable
-  wall-clock scope built on ``time.perf_counter_ns``.  Nesting is
-  self-time aware: a child scope's time is subtracted from its parent's
-  *exclusive* time, so the per-subsystem shares of a
-  :class:`HostProfile` are disjoint and sum to ≤ 100 % of the measured
-  wall-clock.
-* **Deep** (:func:`deep_profile`): a cProfile pass over the same run,
-  for chasing a hot subsystem down to individual functions.  Expensive
-  (2–4× slowdown); never enabled implicitly.
-
-Subsystems also attribute *simulated* milliseconds to the profiler
-(:meth:`HostProfiler.add_sim_ms`), which yields each scope's **slowdown
-factor** — host microseconds burned per simulated millisecond produced —
-the metric the ``BENCH_*.json`` trajectory trends across PRs (see
-:mod:`repro.bench.trajectory`).
-
-Like the tracer and the metrics registry, the process-global default is
-a :class:`NullHostProfiler` whose :meth:`~NullHostProfiler.scope`
-returns one shared no-op context manager, so instrumented code pays a
-dict lookup and an attribute check per site when profiling is off.
+Host time is measured from outside the program: ``perfbench/run.py
+--trace 1`` wraps each layer's entry points and reports their self time
+per op, so no module of the simulator carries timing scopes.  This one
+name stays only because ``perfbench/harness.py`` imports it to time its
+``observ.hostprof_overhead`` round, which now reads about 1.0.  Delete
+the module together with that import.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import wraps
-from time import perf_counter_ns
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
-__all__ = [
-    "HOSTPROF_SCOPES",
-    "scoped",
-    "ScopeStat",
-    "HostProfile",
-    "HostProfiler",
-    "NullHostProfiler",
-    "HotSpot",
-    "get_hostprof",
-    "set_hostprof",
-    "profiling_host",
-    "deep_profile",
-    "format_host_profile",
-    "format_hotspots",
-]
-
-#: Scope-name conventions used by the built-in instrumentation, in
-#: pipeline order.  Anything may open ad-hoc scopes; these are the ones
-#: the trajectory records and the docs talk about.
-HOSTPROF_SCOPES = (
-    "bfs.scan",        # status-array scan / frontier-queue generation
-    "bfs.classify",    # WB degree classification into the four queues
-    "bfs.expand",      # top-down frontier expansion (visitation rules)
-    "bfs.inspect",     # bottom-up parent inspection
-    "gpu.kernel_cost", # KernelCost construction (cost-model arithmetic)
-    "gpu.hyperq",      # Hyper-Q concurrent-kernel packing
-    "serve.batch",     # serve intake: cache lookup + batcher bookkeeping
-    "serve.dispatch",  # wave dispatch: placement, MS-BFS sweeps, retries
-    "cluster.stage",   # out-of-core shard page-in (per-node, concurrent)
-    "cluster.exchange",# 2-D row/column exchange pricing and ledgers
-    "fabric.allreduce",# hierarchical collectives on the two-tier fabric
-)
-
-
-@dataclass(frozen=True)
-class ScopeStat:
-    """Accumulated host time of one named scope."""
-
-    name: str
-    calls: int
-    #: Wall time inside the scope, children included.
-    total_ms: float
-    #: Wall time exclusive to this scope (children subtracted) — the
-    #: number the attribution table and the shares are built from.
-    self_ms: float
-
-    def slowdown_us_per_sim_ms(self, sim_ms: float) -> float:
-        """Host µs this subsystem burns per simulated ms produced."""
-        if sim_ms <= 0:
-            return 0.0
-        return self.self_ms * 1e3 / sim_ms
-
-
-@dataclass(frozen=True)
-class HostProfile:
-    """One frozen attribution snapshot (see :meth:`HostProfiler.profile`).
-
-    ``wall_ms`` is the host wall-clock the snapshot covers; scope
-    self-times are disjoint, so ``coverage`` ≤ 1 and the remainder is
-    uninstrumented host time (``other_ms``).
-    """
-
-    wall_ms: float
-    sim_ms: float
-    scopes: tuple[ScopeStat, ...]
-
-    @property
-    def covered_ms(self) -> float:
-        return sum(s.self_ms for s in self.scopes)
-
-    @property
-    def other_ms(self) -> float:
-        return max(0.0, self.wall_ms - self.covered_ms)
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the wall-clock attributed to a named scope."""
-        if self.wall_ms <= 0:
-            return 0.0
-        return min(1.0, self.covered_ms / self.wall_ms)
-
-    def share(self, name: str) -> float:
-        """One scope's fraction of the measured wall-clock."""
-        if self.wall_ms <= 0:
-            return 0.0
-        for s in self.scopes:
-            if s.name == name:
-                return min(1.0, s.self_ms / self.wall_ms)
-        return 0.0
-
-    @property
-    def slowdown_us_per_sim_ms(self) -> float:
-        """Whole-run slowdown factor: host µs per simulated ms."""
-        if self.sim_ms <= 0:
-            return 0.0
-        return self.wall_ms * 1e3 / self.sim_ms
-
-    def top(self, k: int = 5) -> tuple[ScopeStat, ...]:
-        """The ``k`` scopes with the largest exclusive time."""
-        ranked = sorted(self.scopes,
-                        key=lambda s: (-s.self_ms, s.name))
-        return tuple(ranked[:max(0, k)])
-
-
-class _Scope:
-    """Reusable-per-entry scope context manager (one per ``with``)."""
-
-    __slots__ = ("_prof", "_name", "_begin", "_child_ns")
-
-    def __init__(self, prof: "HostProfiler", name: str):
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self) -> "_Scope":
-        self._child_ns = 0
-        self._prof._stack.append(self)
-        self._begin = perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        dur = perf_counter_ns() - self._begin
-        prof = self._prof
-        stack = prof._stack
-        stack.pop()
-        stat = prof._stats.get(self._name)
-        if stat is None:
-            stat = prof._stats[self._name] = [0, 0, 0]
-        stat[0] += 1
-        stat[1] += dur
-        stat[2] += dur - self._child_ns
-        if stack:
-            stack[-1]._child_ns += dur
-
-
-class _NullScope:
-    """Shared no-op context manager — the cost of profiling when off."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class HostProfiler:
-    """Accumulates nestable host wall-clock scopes.
-
-    Not thread-safe by design: the simulator is single-threaded and the
-    profiler sits on its innermost hot paths, so every lock or
-    thread-local lookup would show up in its own measurements.  Install
-    one per measured run (:func:`profiling_host`).
-    """
-
-    enabled = True
-
-    def __init__(self):
-        #: name -> [calls, total_ns, self_ns].
-        self._stats: dict[str, list[int]] = {}
-        self._stack: list[_Scope] = []
-        self._epoch_ns = perf_counter_ns()
-        #: Simulated ms attributed by the runs measured under this
-        #: profiler (fed by run boundaries, e.g. ``enterprise_bfs``).
-        self.sim_ms = 0.0
-
-    def scope(self, name: str) -> _Scope:
-        """Context manager attributing its body's wall time to ``name``."""
-        return _Scope(self, name)
-
-    def add_sim_ms(self, ms: float) -> None:
-        """Attribute ``ms`` of *simulated* time to the measured window."""
-        self.sim_ms += ms
-
-    def reset(self) -> None:
-        self._stats.clear()
-        self._stack.clear()
-        self._epoch_ns = perf_counter_ns()
-        self.sim_ms = 0.0
-
-    @property
-    def elapsed_ms(self) -> float:
-        """Host wall-clock since construction (or :meth:`reset`)."""
-        return (perf_counter_ns() - self._epoch_ns) / 1e6
-
-    def profile(self, *, wall_ms: float | None = None) -> HostProfile:
-        """Freeze the accumulated scopes into a :class:`HostProfile`.
-
-        ``wall_ms`` defaults to the profiler's own elapsed time; pass an
-        externally measured window when the caller timed the run itself.
-        The wall-clock is floored at the covered time so shares stay
-        ≤ 100 % even if the caller's window was measured more tightly
-        than the scopes inside it.
-        """
-        scopes = tuple(sorted(
-            (ScopeStat(name, c[0], c[1] / 1e6, c[2] / 1e6)
-             for name, c in self._stats.items()),
-            key=lambda s: (-s.self_ms, s.name)))
-        wall = self.elapsed_ms if wall_ms is None else wall_ms
-        wall = max(wall, sum(s.self_ms for s in scopes))
-        return HostProfile(wall_ms=wall, sim_ms=self.sim_ms, scopes=scopes)
-
-
-class NullHostProfiler(HostProfiler):
-    """Records nothing — the default when host profiling is off."""
-
-    enabled = False
-
-    def scope(self, name: str):  # noqa: D102
-        return _NULL_SCOPE
-
-    def add_sim_ms(self, ms: float) -> None:  # noqa: D102
-        pass
-
-
-_default_hostprof: HostProfiler = NullHostProfiler()
-
-
-def get_hostprof() -> HostProfiler:
-    """The process-global host profiler (null unless installed)."""
-    return _default_hostprof
-
-
-def set_hostprof(prof: HostProfiler) -> HostProfiler:
-    """Install ``prof`` globally; returns the previous one."""
-    global _default_hostprof
-    previous = _default_hostprof
-    _default_hostprof = prof
-    return previous
+__all__ = ["profiling_host"]
 
 
 @contextmanager
-def profiling_host(prof: HostProfiler | None = None) \
-        -> Iterator[HostProfiler]:
-    """Temporarily install ``prof`` (or a fresh one); restores after."""
-    active = prof or HostProfiler()
-    previous = set_hostprof(active)
-    try:
-        yield active
-    finally:
-        set_hostprof(previous)
-
-
-_F = TypeVar("_F", bound=Callable)
-
-
-def scoped(name: str) -> Callable[[_F], _F]:
-    """Attribute every call of the decorated function to scope ``name``.
-
-    The instrumentation idiom for whole-function hot paths: the global
-    profiler is looked up per call, so the decorated function follows
-    whatever :func:`profiling_host` installs.  With the default
-    :class:`NullHostProfiler` the cost is one global read and a shared
-    no-op context manager — this is what keeps scoped-mode overhead
-    inside the ≤5 % budget.
-    """
-
-    def decorate(fn: _F) -> _F:
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            with _default_hostprof.scope(name):
-                return fn(*args, **kwargs)
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
-
-
-# ----------------------------------------------------------------------
-# Deep mode (cProfile)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HotSpot:
-    """One function from a deep (cProfile) pass."""
-
-    function: str   # "module:lineno(name)"
-    calls: int
-    self_ms: float  # tottime
-    total_ms: float  # cumtime
-
-
-class _DeepResult:
-    """Holder populated when the :func:`deep_profile` block exits."""
-
-    def __init__(self):
-        self.hotspots: tuple[HotSpot, ...] = ()
-
-
-@contextmanager
-def deep_profile(*, top: int = 10) -> Iterator[_DeepResult]:
-    """cProfile the body; ``result.hotspots`` holds the ``top`` functions
-    by exclusive time after the block exits.  Orders deterministically
-    (self time desc, then name) for a deterministic workload, but the
-    times themselves are wall-clock — never feed them into a
-    byte-deterministic artifact.
-    """
-    import cProfile
-    import pstats
-
-    result = _DeepResult()
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        yield result
-    finally:
-        prof.disable()
-        stats = pstats.Stats(prof)
-        spots = []
-        for func, (cc, nc, tt, ct, _callers) in stats.stats.items():
-            filename, lineno, name = func
-            label = (name if filename == "~"
-                     else f"{filename.rsplit('/', 1)[-1]}:{lineno}({name})")
-            spots.append(HotSpot(label, int(nc), tt * 1e3, ct * 1e3))
-        spots.sort(key=lambda h: (-h.self_ms, h.function))
-        result.hotspots = tuple(spots[:max(0, top)])
-
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-
-def format_host_profile(profile: HostProfile, *, top: int = 12) -> str:
-    """The slowdown-factor table: per-subsystem host time, share of
-    wall-clock, and host-µs-per-simulated-ms."""
-    from ..bench.runner import format_table
-
-    rows = []
-    for s in profile.top(top):
-        row = {
-            "scope": s.name,
-            "calls": s.calls,
-            "self_ms": s.self_ms,
-            "total_ms": s.total_ms,
-            "share": f"{profile.share(s.name):.1%}",
-        }
-        if profile.sim_ms > 0:
-            row["us_per_sim_ms"] = s.slowdown_us_per_sim_ms(profile.sim_ms)
-        rows.append(row)
-    other = {
-        "scope": "(uninstrumented)",
-        "calls": "",
-        "self_ms": profile.other_ms,
-        "total_ms": "",
-        "share": f"{1 - profile.coverage:.1%}" if profile.wall_ms > 0
-        else "0.0%",
-    }
-    if profile.sim_ms > 0:
-        other["us_per_sim_ms"] = (profile.other_ms * 1e3 / profile.sim_ms)
-    rows.append(other)
-    head = (f"host wall {profile.wall_ms:.1f} ms for "
-            f"{profile.sim_ms:.3f} simulated ms")
-    if profile.sim_ms > 0:
-        head += (f" — slowdown "
-                 f"{profile.slowdown_us_per_sim_ms:,.0f} host-µs/sim-ms")
-    return head + "\n" + format_table(rows)
-
-
-def format_hotspots(hotspots: tuple[HotSpot, ...]) -> str:
-    """Deep-mode table: the cProfile top functions."""
-    from ..bench.runner import format_table
-
-    if not hotspots:
-        return "(no hotspots recorded)"
-    return format_table([{
-        "function": h.function,
-        "calls": h.calls,
-        "self_ms": h.self_ms,
-        "total_ms": h.total_ms,
-    } for h in hotspots])
+def profiling_host() -> Iterator[None]:
+    """Run the body unchanged; see the module docstring."""
+    yield

@@ -47,7 +47,6 @@ import numpy as np
 from ..bfs.msbfs import ms_bfs
 from ..graph.csr import CSRGraph
 from ..gpu.multi import DeviceGroup
-from ..observ.hostprof import scoped
 from ..observ.registry import get_registry
 from ..observ.tracer import get_tracer
 from .resilience import DeviceHealth, ResilienceConfig
@@ -205,7 +204,6 @@ class WaveDispatcher:
         self._preferred: set[int] | None = None
 
     # ------------------------------------------------------------------
-    @scoped("serve.dispatch")
     def run_wave(self, sources: np.ndarray, now_ms: float, *,
                  flow_ids: Mapping[int, list[int]] | None = None) \
             -> WaveOutcome:

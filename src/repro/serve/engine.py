@@ -50,7 +50,6 @@ from ..faults.plan import FaultPlan, profile
 from ..graph.csr import CSRGraph
 from ..gpu.multi import DeviceGroup
 from ..gpu.specs import DeviceSpec, KEPLER_K40
-from ..observ.hostprof import scoped
 from ..observ.registry import get_registry
 from ..observ.slo import SLOConfig, SLOMonitor, SLOStatus
 from ..observ.tracer import TID_SERVE, get_tracer
@@ -304,7 +303,6 @@ class ServeEngine:
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
-    @scoped("serve.batch")
     def submit(self, query: Query) -> QueryResult | None:
         """Accept one query at its arrival time.
 

@@ -54,6 +54,39 @@ class TestParser:
         assert "repro bfs: error: argument --file: no such file" in err
         assert str(missing) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--rmat-scale", "8", "--queries", "0"],
+        ["serve", "--rmat-scale", "8", "--queries", "64", "--rate", "0"],
+        ["serve", "--rmat-scale", "0", "--queries", "8"],
+        ["serve", "--rmat-scale", "8", "--queries", "64", "--gpus", "0"],
+        ["cluster", "bfs", "--graph", "GO", "--profile", "tiny",
+         "--nodes", "0"],
+        ["monitor", "--rmat-scale", "8", "--queries", "0"],
+        ["chaos", "--rmat-scale", "8", "--queries", "40",
+         "--profiles", "bogus"],
+        ["bench", "fig05_degree_cdf", "--profile", "tiny",
+         "--diff", "MISSING"],
+        ["trace", "KR0", "--profile", "tiny", "--diff", "MISSING"],
+        ["profile", "GO", "--profile", "tiny", "--compare", "MISSING"],
+        ["serve", "--rmat-scale", "8", "--queries", "64",
+         "--snapshot", "OUT"],
+        ["serve", "--rmat-scale", "8", "--queries", "64",
+         "--diff", "EXISTING"],
+        ["perf"],
+    ])
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        existing = tmp_path / "old.snap.json"
+        existing.write_text("{}")
+        paths = {"MISSING": str(tmp_path / "missing.json"),
+                 "OUT": str(tmp_path / "new.snap.json"),
+                 "EXISTING": str(existing)}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(arg, arg) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [err.splitlines()[-1]]
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -223,77 +256,6 @@ class TestTraceCommand:
         _, code = self._trace(tmp_path, "--algorithm", "hybrid")
         assert code == 0
         assert "hybrid" in capsys.readouterr().out
-
-
-class TestPerfCommand:
-    def _run(self, tmp_path, name, *extra):
-        out = tmp_path / name
-        code = main(["perf", "run", "--trials", "2", "-o", str(out),
-                     *extra])
-        return out, code
-
-    def test_run_writes_valid_deterministic_record(self, tmp_path,
-                                                   capsys):
-        from repro.bench.trajectory import load_record, write_record
-        out, code = self._run(tmp_path, "BENCH_a.json")
-        assert code == 0
-        rec = load_record(out)  # validates the schema
-        assert len(rec["entries"]) == 4
-        assert any(e["workload"].startswith("cluster/")
-                   for e in rec["entries"])
-        # Byte-determinism: load -> write round-trips identically.
-        again = write_record(tmp_path / "BENCH_rt.json", rec)
-        assert again.read_bytes() == out.read_bytes()
-        text = capsys.readouterr().out
-        assert "slowdown" in text and "wrote" in text
-
-    def test_compare_back_to_back_passes_gate(self, tmp_path, capsys):
-        a, _ = self._run(tmp_path, "BENCH_a.json")
-        b, _ = self._run(tmp_path, "BENCH_b.json")
-        assert main(["perf", "compare", str(a), str(b), "--gate"]) == 0
-        assert "regression(s)" in capsys.readouterr().out
-
-    def test_run_with_inline_compare(self, tmp_path, capsys):
-        a, _ = self._run(tmp_path, "BENCH_a.json")
-        _, code = self._run(tmp_path, "BENCH_b.json",
-                            "--compare", str(a), "--gate")
-        assert code == 0
-        assert "-- compare" in capsys.readouterr().out
-
-    def test_gate_fails_on_doctored_baseline(self, tmp_path, capsys):
-        import json
-        a, _ = self._run(tmp_path, "BENCH_a.json")
-        doc = json.loads(a.read_text())
-        for entry in doc["entries"]:
-            # The old record claims to have been 100x faster.
-            entry["wall_ms"] = {k: (v if k == "trials" else v / 100)
-                                for k, v in entry["wall_ms"].items()}
-        a.write_text(json.dumps(doc))
-        b, _ = self._run(tmp_path, "BENCH_b.json")
-        assert main(["perf", "compare", str(a), str(b), "--gate"]) == 1
-        assert "[REG]" in capsys.readouterr().out
-
-    def test_compare_wrong_arity(self, capsys):
-        assert main(["perf", "compare"]) == 2
-        assert "OLD NEW" in capsys.readouterr().err
-
-    def test_deep_mode(self, tmp_path, capsys):
-        _, code = self._run(tmp_path, "BENCH_deep.json", "--deep",
-                            "--top", "5")
-        assert code == 0
-        assert "cProfile" in capsys.readouterr().out
-
-    def test_bench_hostprof_flag(self, capsys):
-        assert main(["bench", "fig05_degree_cdf", "--profile", "tiny",
-                     "--hostprof"]) == 0
-        assert "-- host profile --" in capsys.readouterr().out
-
-    def test_serve_hostprof_flag(self, capsys):
-        assert main(["serve", "--rmat-scale", "8", "--queries", "64",
-                     "--hostprof"]) == 0
-        out = capsys.readouterr().out
-        assert "-- host profile --" in out
-        assert "serve.dispatch" in out
 
 
 class TestBenchSnapshot:

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.bfs import reference_bfs_levels
-from repro.bfs.common import UNVISITED
-from repro.graph import powerlaw_graph, rmat_graph
+from repro.bfs.common import UNVISITED, BFSResult
+from repro.bfs.validate500 import graph500_validate
+from repro.graph import (
+    RMAT_ABC,
+    from_edges,
+    kronecker_edges,
+    powerlaw_graph,
+    rmat_graph,
+)
 from repro.gpu.multi import DeviceGroup
 from repro.observ import MetricsRegistry, Tracer, collecting, tracing
 from repro.serve import (
@@ -466,6 +473,49 @@ class TestEngine:
             engine.submit(distance_query(10 ** 9, 0))
         with pytest.raises(ValueError):
             engine.submit(distance_query(0, -5))
+
+
+class TestSPTreeGraph500:
+    """SP-tree answers pass the Graph 500 checks, whether a wave
+    computed them or the row cache replayed them."""
+
+    @pytest.fixture(params=[False, True], ids=["undirected", "directed"])
+    def served(self, request):
+        src, dst = kronecker_edges(10, 8, RMAT_ABC, seed=3)
+        g = from_edges(src, dst, 1 << 10, directed=request.param,
+                       name=f"R-MAT-10 directed={request.param}")
+        trace = synthetic_trace(g, TraceConfig(
+            num_queries=240, mix=(0.1, 0.1, 0.8), rate_per_ms=32.0,
+            seed=5))
+        results = replay(ServeEngine(g, ServeConfig(num_gpus=2)), trace)
+        trees = [r for r in results if r.query.kind is QueryKind.SPTREE]
+        assert {r.served_by for r in trees} == {"wave", "cache:row"}
+        return g, trees
+
+    @staticmethod
+    def _validate(g, r, parents):
+        answer = BFSResult(algorithm=f"serve:{r.served_by}",
+                           graph_name=g.name, source=r.query.source,
+                           levels=r.levels, parents=parents)
+        return graph500_validate(answer, g)
+
+    def test_every_sptree_answer_validates(self, served):
+        g, trees = served
+        for r in trees:
+            report = self._validate(g, r, r.parents)
+            assert report.ok, (r.served_by, r.query.source,
+                               report.messages)
+
+    @pytest.mark.parametrize("served_by", ["wave", "cache:row"])
+    def test_corrupted_parent_is_rejected(self, served, served_by):
+        g, trees = served
+        r = next(r for r in trees if r.served_by == served_by)
+        reached = np.flatnonzero(r.levels > 0)
+        assert reached.size
+        parents = r.parents.copy()
+        v = int(reached[-1])
+        parents[v] = v
+        assert not self._validate(g, r, parents).ok
 
 
 # ----------------------------------------------------------------------
