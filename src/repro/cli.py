@@ -329,8 +329,22 @@ def cmd_occupancy(args) -> int:
     return 0
 
 
-def _print_diff(diff) -> int:
-    """Print a snapshot diff; exit code 1 when the gate fails."""
+def _emit_snapshot(args, label: str, build) -> int:
+    """The shared ``--snapshot``/``--diff`` path: write the snapshot
+    ``build()`` returns, then gate it against ``--diff``'s.  Returns 1
+    when the gate finds a regression, else 0."""
+    if not (args.snapshot or args.diff):
+        return 0
+    from .observ import diff_snapshots, load_snapshot, write_snapshot
+    snap = build()
+    if args.snapshot:
+        write_snapshot(args.snapshot, snap)
+        print(f"wrote {args.snapshot} ({label}, "
+              f"{len(snap['metrics'])} metrics)")
+    if not args.diff:
+        return 0
+    diff = diff_snapshots(load_snapshot(args.diff), snap,
+                          rel_tol=args.tolerance)
     print(diff.format())
     return 0 if diff.ok else 1
 
@@ -339,14 +353,11 @@ def cmd_trace(args) -> int:
     from .observ import (
         MetricsRegistry,
         Tracer,
-        diff_snapshots,
-        load_snapshot,
         run_snapshot,
         set_registry,
         set_tracer,
         to_chrome_trace,
         validate_trace,
-        write_snapshot,
     )
     import json
 
@@ -383,17 +394,8 @@ def cmd_trace(args) -> int:
     if args.metrics:
         path = registry.write_ndjson(args.metrics)
         print(f"wrote {path} ({len(registry)} metric series, NDJSON)")
-
-    snap = run_snapshot(result, device=device, registry=registry)
-    if args.snapshot:
-        write_snapshot(args.snapshot, snap)
-        print(f"wrote {args.snapshot} (counter snapshot, "
-              f"{len(snap['metrics'])} metrics)")
-    if args.diff:
-        old = load_snapshot(args.diff)
-        return _print_diff(diff_snapshots(old, snap,
-                                          rel_tol=args.tolerance))
-    return 0
+    return _emit_snapshot(args, "counter snapshot", lambda: run_snapshot(
+        result, device=device, registry=registry))
 
 
 def _cmd_profile_cluster(args) -> int:
@@ -551,22 +553,8 @@ def cmd_serve(args) -> int:
             print(report.batched.slo.summary())
         if tracer is not None:
             _write_serve_trace(args.trace_out, tracer, g.name)
-        if args.snapshot or args.diff:
-            from .observ import (
-                diff_snapshots,
-                load_snapshot,
-                write_snapshot,
-            )
-            snap = report.snapshot()
-            if args.snapshot:
-                write_snapshot(args.snapshot, snap)
-                print(f"wrote {args.snapshot} (serve bench snapshot, "
-                      f"{len(snap['metrics'])} metrics)")
-            if args.diff:
-                old = load_snapshot(args.diff)
-                return _print_diff(diff_snapshots(old, snap,
-                                                  rel_tol=args.tolerance))
-        return 0
+        return _emit_snapshot(args, "serve bench snapshot",
+                              report.snapshot)
 
     if tracer is not None:
         previous = set_tracer(tracer)
@@ -644,21 +632,8 @@ def cmd_chaos(args) -> int:
     report = run_chaos_matrix(g, plans, trace_config=trace_config,
                               config=config)
     print(report.summary())
-
-    status = 0 if report.ok else 1
-    if args.snapshot or args.diff:
-        from .observ import diff_snapshots, load_snapshot, write_snapshot
-        snap = report.snapshot()
-        if args.snapshot:
-            write_snapshot(args.snapshot, snap)
-            print(f"wrote {args.snapshot} (chaos matrix snapshot, "
-                  f"{len(snap['metrics'])} metrics)")
-        if args.diff:
-            old = load_snapshot(args.diff)
-            diff_status = _print_diff(
-                diff_snapshots(old, snap, rel_tol=args.tolerance))
-            status = max(status, diff_status)
-    return status
+    status = _emit_snapshot(args, "chaos matrix snapshot", report.snapshot)
+    return max(status, 0 if report.ok else 1)
 
 
 def cmd_monitor(args) -> int:
@@ -718,8 +693,7 @@ def cmd_monitor(args) -> int:
     trace = synthetic_trace(g, trace_config)
     monitor_config = MonitorConfig.for_trace(trace, samples=args.samples) \
         if args.cadence_ms is None else \
-        MonitorConfig(cadence_ms=args.cadence_ms,
-                      window_ms=16 * args.cadence_ms)
+        MonitorConfig(cadence_ms=args.cadence_ms)
 
     # Both runs under a scoped registry/tracer: the dashboard must be a
     # pure function of the workload, not of earlier commands.
@@ -770,9 +744,7 @@ def cmd_monitor(args) -> int:
     if args.trace_out:
         _write_serve_trace(args.trace_out, tracer, g.name)
 
-    status = 0
-    if args.snapshot or args.diff:
-        from .observ import diff_snapshots, load_snapshot, write_snapshot
+    def snapshot() -> dict:
         rows = []
         for name in live.board.names():
             series = live.board.series(name)
@@ -786,15 +758,9 @@ def cmd_monitor(args) -> int:
                 "anomalies": sum(1 for a in anomalies
                                  if a.series == name),
             })
-        snap = bench_snapshot("monitor", rows)
-        if args.snapshot:
-            write_snapshot(args.snapshot, snap)
-            print(f"wrote {args.snapshot} (monitor snapshot, "
-                  f"{len(snap['metrics'])} metrics)")
-        if args.diff:
-            old = load_snapshot(args.diff)
-            status = _print_diff(
-                diff_snapshots(old, snap, rel_tol=args.tolerance))
+        return bench_snapshot("monitor", rows)
+
+    status = _emit_snapshot(args, "monitor snapshot", snapshot)
     if args.fail_on_anomaly and anomalies:
         print(f"FAIL: {len(anomalies)} anomalies "
               f"(--fail-on-anomaly)", file=sys.stderr)
@@ -957,23 +923,9 @@ def cmd_bench(args) -> int:
                   else rows)
     else:
         print(format_table(data))
-    if args.snapshot or args.diff:
-        from .observ import (
-            bench_snapshot,
-            diff_snapshots,
-            load_snapshot,
-            write_snapshot,
-        )
-        snap = bench_snapshot(args.figure, data)
-        if args.snapshot:
-            write_snapshot(args.snapshot, snap)
-            print(f"wrote {args.snapshot} (bench snapshot, "
-                  f"{len(snap['metrics'])} metrics)")
-        if args.diff:
-            old = load_snapshot(args.diff)
-            return _print_diff(diff_snapshots(old, snap,
-                                              rel_tol=args.tolerance))
-    return 0
+    from .observ import bench_snapshot
+    return _emit_snapshot(args, "bench snapshot",
+                          lambda: bench_snapshot(args.figure, data))
 
 
 def cmd_cluster(args) -> int:
@@ -1094,24 +1046,10 @@ def _cmd_cluster_weak(args) -> int:
         print("check: FAIL — a cluster run diverged from its "
               "single-GPU reference", file=sys.stderr)
         code = 1
-    if args.snapshot or args.diff:
-        from .observ import (
-            bench_snapshot,
-            diff_snapshots,
-            load_snapshot,
-            write_snapshot,
-        )
-        snap = bench_snapshot("fig15_cluster", {"weak_node": rows})
-        if args.snapshot:
-            write_snapshot(args.snapshot, snap)
-            print(f"wrote {args.snapshot} (cluster snapshot, "
-                  f"{len(snap['metrics'])} metrics)")
-        if args.diff:
-            old = load_snapshot(args.diff)
-            diff_code = _print_diff(diff_snapshots(
-                old, snap, rel_tol=args.tolerance))
-            code = code or diff_code
-    return code
+    from .observ import bench_snapshot
+    return max(code, _emit_snapshot(
+        args, "cluster snapshot",
+        lambda: bench_snapshot("fig15_cluster", {"weak_node": rows})))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1123,6 +1061,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --snapshot/--diff/--tolerance, shared by every verb that writes a
+    # versioned snapshot (see _emit_snapshot).
+    snapshot = argparse.ArgumentParser(add_help=False)
+    snapshot.add_argument("--snapshot",
+                          help="also write the results as a versioned "
+                               "snapshot JSON")
+    snapshot.add_argument("--diff", metavar="OLD_SNAPSHOT",
+                          type=_existing_file,
+                          help="compare against a previous snapshot; "
+                               "exit 1 on regression")
+    snapshot.add_argument("--tolerance", type=float, default=0.05,
+                          help="relative tolerance for --diff "
+                               "(default 0.05)")
 
     sub.add_parser("info", help="package and device summary")
 
@@ -1162,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int)
     p.add_argument("--samples", type=int, default=16)
 
-    p = sub.add_parser("trace",
+    p = sub.add_parser("trace", parents=[snapshot],
                        help="export a Chrome/Perfetto trace of one run")
     p.add_argument("graph_arg", nargs="?", metavar="graph",
                    type=_catalog_name,
@@ -1176,13 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace JSON path (default <graph>.trace.json)")
     p.add_argument("--metrics",
                    help="also write the metrics registry as NDJSON")
-    p.add_argument("--snapshot",
-                   help="also write a versioned counter snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
-                   help="compare counters against a previous snapshot; "
-                        "exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for --diff (default 0.05)")
 
     p = sub.add_parser("profile",
                        help="kernel-level profile: roofline verdicts, "
@@ -1234,21 +1178,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault profile degrading the --cluster fabric "
                         "(default none)")
 
-    p = sub.add_parser("bench", help="regenerate a paper figure")
+    p = sub.add_parser("bench", parents=[snapshot],
+                       help="regenerate a paper figure")
     p.add_argument("figure", help="e.g. fig13_ablation, fig05_degree_cdf")
     p.add_argument("--profile", default="small",
                    choices=("tiny", "small", "medium"))
-    p.add_argument("--snapshot",
-                   help="also write the rows as a versioned snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
-                   help="compare against a previous snapshot; "
-                        "exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for --diff (default 0.05)")
 
-    p = sub.add_parser("serve",
+    p = sub.add_parser("serve", parents=[snapshot],
                        help="batched BFS query serving (MS-BFS waves + "
-                            "landmark cache)")
+                            "landmark cache); --snapshot/--diff need "
+                            "--bench or --check")
     _add_graph_args(p)
     p.add_argument("--rmat-scale", type=_positive_int,
                    help="serve an R-MAT graph of this scale instead of "
@@ -1307,16 +1246,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assert batched answers equal a clean "
                         "one-traversal-per-query baseline's, query by "
                         "query (implies the --bench path)")
-    p.add_argument("--snapshot",
-                   help="with --bench or --check: write the report as a "
-                        "versioned snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
-                   help="with --bench or --check: compare against a "
-                        "previous snapshot; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for --diff (default 0.05)")
 
-    p = sub.add_parser("chaos",
+    p = sub.add_parser("chaos", parents=[snapshot],
                        help="fault-matrix differential harness: verify "
                             "exact answers under every fault profile")
     _add_graph_args(p)
@@ -1357,15 +1288,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "burn-rate alert timelines appear in the summary")
     p.add_argument("--slo-availability", type=float, default=0.999,
                    help="SLO availability target (default 0.999)")
-    p.add_argument("--snapshot",
-                   help="write the matrix as a versioned snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
-                   help="compare against a previous snapshot; "
-                        "exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for --diff (default 0.05)")
 
-    p = sub.add_parser("monitor",
+    p = sub.add_parser("monitor", parents=[snapshot],
                        help="watch a serving run live: calibrated "
                             "anomaly detection, text dashboard, HTML "
                             "timeline, findings export")
@@ -1407,10 +1331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", default="none", choices=_FAULT_PROFILES,
                    help="inject a named fault profile into the watched "
                         "run (the calibration twin is always fault-free)")
-    p.add_argument("--cadence-ms", type=float,
+    p.add_argument("--cadence-ms", type=_positive_float,
                    help="sampling cadence in simulated ms (default: "
                         "scaled so the run spans ~--samples ticks)")
-    p.add_argument("--samples", type=int, default=256,
+    p.add_argument("--samples", type=_positive_int, default=256,
                    help="target tick count when --cadence-ms is unset")
     p.add_argument("--whatif", action="store_true",
                    help="also print predicted knob-impact suggestions")
@@ -1426,19 +1350,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "instant markers")
     p.add_argument("--fail-on-anomaly", action="store_true",
                    help="exit 1 if any anomaly fired (CI gate)")
-    p.add_argument("--snapshot",
-                   help="write per-series aggregates as a versioned "
-                        "snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
-                   help="compare against a previous snapshot; "
-                        "exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for --diff (default 0.05)")
 
-    p = sub.add_parser("cluster",
+    p = sub.add_parser("cluster", parents=[snapshot],
                        help="BFS over a simulated multi-node fabric "
                             "(two-tier NVLink + InfiniBand, out-of-core "
-                            "shards per node)")
+                            "shards per node); --snapshot/--diff need "
+                            "the weak verb")
     p.add_argument("verb", choices=("bfs", "weak"),
                    help="bfs: one cluster traversal with the tiered "
                         "cost ledger; weak: the Fig-15-style "
@@ -1468,14 +1385,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify levels are bit-identical to the "
                         "single-GPU reference and the exchange ledger "
                         "is exact; exit 1 otherwise")
-    p.add_argument("--snapshot",
-                   help="with weak: write the matrix as a versioned "
-                        "snapshot JSON")
-    p.add_argument("--diff", metavar="OLD_SNAPSHOT", type=_existing_file,
-                   help="with weak: compare against a previous "
-                        "snapshot; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for --diff (default 0.05)")
     p.add_argument("--trace-out",
                    help="with bfs: export a validated Chrome/Perfetto "
                         "trace (pid = node, cross-node flow arrows per "
@@ -1593,9 +1502,12 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "serve" and (args.snapshot or args.diff) \
+    snapshot = getattr(args, "snapshot", None) or getattr(args, "diff", None)
+    if snapshot and args.command == "serve" \
             and not (args.bench or args.check):
         parser.error("serve: --snapshot and --diff need --bench or --check")
+    if snapshot and args.command == "cluster" and args.verb != "weak":
+        parser.error("cluster: --snapshot and --diff need the weak verb")
     return COMMANDS[args.command](args)
 
 

@@ -28,13 +28,12 @@ reproduction the same toolchain as first-class infrastructure:
   -bound verdicts with % of the attainable roof).
 * :mod:`~repro.observ.timeseries` — fixed-cadence ring-buffer series
   sampled on the simulated clock (``repro.timeseries/v1``) with
-  windowed aggregates and registry probes.
-* :mod:`~repro.observ.detect` — deterministic online detectors (CUSUM,
-  Page-Hinkley, EWMA bands, threshold/trend rules, reference bands)
-  emitting versioned ``repro.anomaly/v1`` records with attribution.
-* :mod:`~repro.observ.bus` — the ordered ``repro.findings/v1`` event
-  bus unifying profiler findings, SLO alerts, cluster diagnoses and
-  anomalies into one byte-deterministic exportable stream.
+  windowed aggregates.
+* :mod:`~repro.observ.detect` — deterministic reference-band detection
+  calibrated from a fault-free twin run, emitting versioned
+  ``repro.anomaly/v1`` records with attribution.
+* :mod:`~repro.observ.bus` — the ordered findings bus: every live
+  anomaly in one byte-deterministic ``repro.findings/v1`` stream.
 * :mod:`~repro.observ.monitor` — live serve-loop monitor: binds a
   sampling board + detector bank + bus to a
   :class:`~repro.serve.engine.ServeEngine`, renders text dashboards
@@ -51,7 +50,6 @@ snapshots.
 
 from .bus import (
     FINDINGS_SCHEMA,
-    BusEvent,
     FindingsBus,
     load_findings,
     validate_findings,
@@ -83,14 +81,8 @@ from .clusterprof import (
 from .detect import (
     ANOMALY_SCHEMA,
     Anomaly,
-    CusumDetector,
-    Detector,
     DetectorBank,
-    EwmaBandDetector,
-    PageHinkleyDetector,
     ReferenceBandDetector,
-    ThresholdRule,
-    TrendRule,
     reference_band,
 )
 from .events import (
@@ -104,7 +96,6 @@ from .monitor import (
     MonitorConfig,
     render_dashboard,
 )
-from .monitor import render_html as render_monitor_html
 from .profiler import (
     KERNEL_CLASSES,
     PROFILE_SCHEMA,
@@ -170,7 +161,6 @@ from .timeseries import (
     Series,
     WindowStats,
     load_series,
-    registry_probe,
     validate_series,
     write_series,
 )
@@ -302,23 +292,15 @@ __all__ = [
     "WindowStats",
     "Series",
     "Board",
-    "registry_probe",
     "write_series",
     "load_series",
     "validate_series",
     "ANOMALY_SCHEMA",
     "Anomaly",
-    "Detector",
-    "CusumDetector",
-    "PageHinkleyDetector",
-    "EwmaBandDetector",
-    "ThresholdRule",
-    "TrendRule",
     "ReferenceBandDetector",
     "reference_band",
     "DetectorBank",
     "FINDINGS_SCHEMA",
-    "BusEvent",
     "FindingsBus",
     "write_findings",
     "load_findings",
@@ -328,7 +310,6 @@ __all__ = [
     "LiveMonitor",
     "MonitorConfig",
     "render_dashboard",
-    "render_monitor_html",
     "KNOBS",
     "Knob",
     "CANONICAL_GAMMA_THRESHOLDS",

@@ -1,36 +1,29 @@
-"""The unified findings bus — one ordered ``repro.findings/v1`` stream.
+"""The findings bus — one ordered ``repro.findings/v1`` stream.
 
-Every instrument in the repo ends in a different record type: the
-profiler emits ranked :class:`~repro.observ.profiler.Finding`\\ s, the
-SLO monitor emits burn-rate :class:`~repro.observ.slo.Alert`\\ s,
-``diagnose_cluster`` emits cluster findings, and the live detectors emit
-:class:`~repro.observ.detect.Anomaly` records.  The
-:class:`FindingsBus` adapts all four into one event shape, keeps them in
-a single deterministic total order, and exports byte-identical JSON —
-the input contract the future auto-tuning controller (ROADMAP item 1)
-subscribes to.
+The live monitor publishes every :class:`~repro.observ.detect.Anomaly`
+it detects to a :class:`FindingsBus`, which keeps them in one
+deterministic total order and exports byte-identical JSON.  Each
+exported event is rendered from its anomaly: ``source`` is
+``"detect"``, ``seq`` is the event's position in the stream, and
+``data`` carries the full ``repro.anomaly/v1`` record.
 
-Ordering: events sort by ``(ts_ms, seq)`` where ``seq`` is the publish
-sequence number.  Publication order is deterministic (everything
-upstream runs on the simulated clock), so the export is too.
+Ordering: events sort by simulated time, ties by publish order.
+Publication order is deterministic (everything upstream runs on the
+simulated clock), so the export is too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .detect import Anomaly
-from .profiler import Finding
 from .registry import get_registry
-from .slo import Alert
 
 __all__ = [
     "FINDINGS_SCHEMA",
-    "BusEvent",
     "FindingsBus",
     "write_findings",
     "load_findings",
@@ -39,145 +32,56 @@ __all__ = [
 
 FINDINGS_SCHEMA = "repro.findings/v1"
 
-#: Sources a bus event may carry — the four instruments plus ``user``
-#: for ad-hoc injections (tests, future controllers).
+#: Sources a v1 event may carry.  The live monitor publishes ``detect``
+#: events only; the validator accepts the whole v1 vocabulary.
 SOURCES = ("detect", "slo", "profiler", "cluster", "user")
 
 
-@dataclass(frozen=True)
-class BusEvent:
-    """One finding in the unified stream."""
-
-    #: Publish sequence number — the tiebreaker within one timestamp.
-    seq: int
-    #: Simulated time the underlying record fired.
-    ts_ms: float
-    #: Which instrument produced it (one of :data:`SOURCES`).
-    source: str
-    #: Source-specific record kind (anomaly kind, SLO rule, finding
-    #: kind).
-    kind: str
-    #: Bounded ranking score in [0, 1].
-    severity: float
-    title: str
-    detail: str
-    #: Structured payload (the adapted record's fields).
-    data: Mapping[str, object] = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return {
-            "seq": self.seq,
-            "ts_ms": round(self.ts_ms, 6),
-            "source": self.source,
-            "kind": self.kind,
-            "severity": round(self.severity, 6),
-            "title": self.title,
-            "detail": self.detail,
-            "data": dict(self.data),
-        }
-
-    def line(self) -> str:
-        return (f"[{self.ts_ms:9.3f} ms] {self.source}/{self.kind} "
-                f"(sev {self.severity:.2f}): {self.title}")
+def _event_doc(seq: int, anomaly: Anomaly) -> dict:
+    return {
+        "seq": seq,
+        "ts_ms": round(anomaly.ts_ms, 6),
+        "source": "detect",
+        "kind": anomaly.kind,
+        "severity": round(anomaly.severity, 6),
+        "title": anomaly.title,
+        "detail": (f"value {anomaly.value:.6g} vs baseline "
+                   f"{anomaly.baseline:.6g} ({anomaly.detector})"),
+        "data": anomaly.to_doc(),
+    }
 
 
 class FindingsBus:
-    """Ordered, subscribable sink for every finding-shaped record."""
+    """Ordered sink for the anomalies a live monitor detects."""
 
     def __init__(self):
-        self._events: list[BusEvent] = []
-        self._listeners: list[Callable[[BusEvent], None]] = []
-        self._next_seq = 0
+        self._anomalies: list[Anomaly] = []
 
-    # ------------------------------------------------------------------
-    # Core publish
-    # ------------------------------------------------------------------
-    def publish(self, *, ts_ms: float, source: str, kind: str,
-                severity: float, title: str, detail: str = "",
-                data: Mapping[str, object] | None = None) -> BusEvent:
-        if source not in SOURCES:
+    def publish_anomaly(self, anomaly: Anomaly) -> None:
+        if not math.isfinite(anomaly.ts_ms):
             raise ValueError(
-                f"source must be one of {SOURCES}, got {source!r}")
-        if not math.isfinite(ts_ms):
-            raise ValueError(f"event needs a finite ts_ms, got {ts_ms!r}")
-        event = BusEvent(
-            seq=self._next_seq, ts_ms=float(ts_ms), source=source,
-            kind=kind, severity=max(0.0, min(1.0, float(severity))),
-            title=title, detail=detail, data=dict(data or {}))
-        self._next_seq += 1
-        self._events.append(event)
+                f"event needs a finite ts_ms, got {anomaly.ts_ms!r}")
+        self._anomalies.append(anomaly)
         get_registry().counter("repro.findings.published",
-                               source=source).inc()
-        for listener in self._listeners:
-            listener(event)
-        return event
+                               source="detect").inc()
 
-    def subscribe(self, listener: Callable[[BusEvent], None]) -> None:
-        self._listeners.append(listener)
+    def events(self) -> list[Anomaly]:
+        """The stream in its total order: time, then publish order."""
+        return sorted(self._anomalies, key=lambda a: a.ts_ms)
 
-    # ------------------------------------------------------------------
-    # Adapters — one per instrument
-    # ------------------------------------------------------------------
-    def publish_anomaly(self, anomaly: Anomaly) -> BusEvent:
-        return self.publish(
-            ts_ms=anomaly.ts_ms, source="detect", kind=anomaly.kind,
-            severity=anomaly.severity,
-            title=f"{anomaly.series} {anomaly.kind}",
-            detail=(f"value {anomaly.value:.6g} vs baseline "
-                    f"{anomaly.baseline:.6g} ({anomaly.detector})"),
-            data=anomaly.to_doc())
-
-    def publish_alert(self, alert: Alert, *,
-                      severity: float | None = None) -> BusEvent:
-        if severity is None:
-            # Burn rate 1x = on-budget; scale so a 10x burn saturates.
-            severity = min(1.0, max(alert.long_burn, alert.short_burn)
-                           / 10.0)
-        cleared = None if alert.active else round(alert.cleared_ms, 6)
-        return self.publish(
-            ts_ms=alert.fired_ms, source="slo", kind=alert.rule,
-            severity=severity,
-            title=f"SLO burn-rate alert ({alert.rule})",
-            detail=alert.line(),
-            data={"rule": alert.rule,
-                  "fired_ms": round(alert.fired_ms, 6),
-                  "cleared_ms": cleared,
-                  "long_burn": round(alert.long_burn, 6),
-                  "short_burn": round(alert.short_burn, 6)})
-
-    def publish_finding(self, finding: Finding, *, ts_ms: float = 0.0,
-                        source: str = "profiler") -> BusEvent:
-        return self.publish(
-            ts_ms=ts_ms, source=source, kind=finding.kind,
-            severity=min(1.0, max(0.0, finding.severity)),
-            title=finding.title, detail=finding.detail,
-            data={"rank": finding.rank, "level": finding.level,
-                  "severity": round(finding.severity, 6)})
-
-    def publish_cluster_findings(self, findings: Iterable[Finding], *,
-                                 ts_ms: float = 0.0) -> list[BusEvent]:
-        return [self.publish_finding(f, ts_ms=ts_ms, source="cluster")
-                for f in findings]
-
-    # ------------------------------------------------------------------
-    # Introspection / export
-    # ------------------------------------------------------------------
-    def events(self) -> list[BusEvent]:
-        """The stream in its total order: ``(ts_ms, seq)``."""
-        return sorted(self._events, key=lambda e: (e.ts_ms, e.seq))
-
-    def ranked(self, *, limit: int | None = None) -> list[BusEvent]:
-        """Events by descending severity (ties by stream order)."""
-        ordered = sorted(self._events,
-                         key=lambda e: (-e.severity, e.ts_ms, e.seq))
+    def ranked(self, *, limit: int | None = None) -> list[Anomaly]:
+        """Anomalies by descending severity (ties by stream order)."""
+        ordered = sorted(self._anomalies,
+                         key=lambda a: (-a.severity, a.ts_ms))
         return ordered[:limit] if limit is not None else ordered
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._anomalies)
 
     def to_json(self) -> dict:
         return {"schema": FINDINGS_SCHEMA,
-                "events": [e.to_doc() for e in self.events()]}
+                "events": [_event_doc(seq, a)
+                           for seq, a in enumerate(self.events())]}
 
 
 # ----------------------------------------------------------------------

@@ -1,55 +1,46 @@
-"""Deterministic online anomaly detection over streaming series.
+"""Deterministic anomaly detection against a fault-free reference run.
 
-Detectors consume ``(ts_ms, value)`` samples — normally fed from a
-:class:`~repro.observ.timeseries.Board` through a :class:`DetectorBank`
-— and emit versioned :class:`Anomaly` records.  Everything runs on the
-simulated clock with no randomness, so identical runs yield identical
-anomaly timelines (the property the chaos harness and CI smoke rely on).
+A :class:`DetectorBank` consumes ``(series, ts_ms, value)`` samples —
+normally fed from a :class:`~repro.observ.timeseries.Board` — and emits
+versioned :class:`Anomaly` records.  Everything runs on the simulated
+clock with no randomness, so identical runs yield identical anomaly
+timelines (the property the chaos harness and CI smoke rely on).
 
-Two calibration disciplines coexist:
-
-* **self-calibrating** — :class:`CusumDetector`,
-  :class:`PageHinkleyDetector` and :class:`EwmaBandDetector` learn a
-  baseline over a fixed ``warmup`` prefix, then *freeze* it.  A frozen
-  baseline buys the property-test guarantees: a constant stream never
-  fires, an injected step fires deterministically, and detection delay
-  is monotone (non-increasing) in step magnitude.  On firing they
-  re-enter warmup to learn the post-change level, giving one anomaly
-  per change point rather than a saturated stream.
-* **reference-calibrated** — :class:`ReferenceBandDetector` carries a
-  band derived from a *fault-free run of the same workload*
-  (:func:`reference_band`).  A faulted run deviating from its clean
-  twin fires; the clean run replayed against its own band stays inside
-  by construction (the band contains every clean sample with positive
-  slack), which is what guarantees **zero anomalies fault-free**.
-  Self-calibrating detectors cannot see a fault present from t=0 (a
-  straggler device slows the stream before any baseline exists);
-  reference calibration is how the live monitor catches those.
+Detection is **reference-calibrated**: each series carries a
+:class:`ReferenceBandDetector` whose band comes from a *fault-free run
+of the same workload* (:func:`reference_band`).  A faulted run deviating
+from its clean twin fires; the clean run replayed against its own band
+stays inside by construction (the band contains every clean sample with
+positive slack), which is what guarantees **zero anomalies
+fault-free**.  A self-calibrating detector, which learns its baseline
+from the stream itself, cannot see a fault present from t=0 (a
+straggler device slows the stream before any baseline exists);
+reference calibration is how the live monitor catches those.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .registry import get_registry
 
 __all__ = [
     "ANOMALY_SCHEMA",
     "Anomaly",
-    "Detector",
-    "CusumDetector",
-    "PageHinkleyDetector",
-    "EwmaBandDetector",
-    "ThresholdRule",
-    "TrendRule",
     "ReferenceBandDetector",
     "reference_band",
     "DetectorBank",
 ]
 
 ANOMALY_SCHEMA = "repro.anomaly/v1"
+
+#: Reference-band padding as a fraction of the clean span.
+MARGIN = 0.5
+#: Reference-band padding floor as a fraction of magnitude.
+REL_FLOOR = 0.10
+#: Absolute padding floor, so even a constant reference has slack.
+ABS_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,18 +49,15 @@ class Anomaly:
 
     #: Series the detector was watching (e.g. ``serve.p95_ms``).
     series: str
-    #: Detector that fired (e.g. ``cusum``, ``reference-band``).
+    #: Detector that fired (``reference-band``).
     detector: str
-    #: Direction/shape of the deviation: ``step-up``/``step-down``
-    #: (change points), ``band-high``/``band-low`` (band exits),
-    #: ``threshold-high``/``threshold-low``, ``trend-up``/``trend-down``.
+    #: Direction of the band exit: ``band-high`` or ``band-low``.
     kind: str
     #: Simulated time of the sample that fired.
     ts_ms: float
     #: The offending sample value.
     value: float
-    #: The baseline the value was judged against (frozen mean, band
-    #: edge, or rule bound).
+    #: The band edge the value was judged against.
     baseline: float
     #: ``value - baseline`` — signed distance from normal.
     deviation: float
@@ -94,332 +82,26 @@ class Anomaly:
             "attribution": dict(self.attribution),
         }
 
+    @property
+    def title(self) -> str:
+        """The title of this anomaly's event on the findings bus."""
+        return f"{self.series} {self.kind}"
+
     def line(self) -> str:
         return (f"[{self.ts_ms:9.3f} ms] {self.series}: {self.kind} "
                 f"({self.detector}) value {self.value:.4g} vs baseline "
                 f"{self.baseline:.4g}, severity {self.severity:.2f}")
 
 
-def _severity(deviation: float, scale: float) -> float:
-    """Bounded score: |deviation| measured against a positive scale."""
-    if scale <= 0:
-        return 1.0
-    return min(1.0, abs(deviation) / (4.0 * scale))
-
-
-class Detector:
-    """Base class: feed samples to :meth:`observe`, get anomalies back.
-
-    Subclasses implement :meth:`_observe`; the base stamps the detector
-    name into the emitted record.
-    """
-
-    name = "detector"
-
-    def observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        return self._observe(float(ts_ms), float(value))
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        raise NotImplementedError
-
-    def _anomaly(self, kind: str, ts_ms: float, value: float,
-                 baseline: float, scale: float) -> Anomaly:
-        return Anomaly(series="", detector=self.name, kind=kind,
-                       ts_ms=ts_ms, value=value, baseline=baseline,
-                       deviation=value - baseline,
-                       severity=_severity(value - baseline, scale))
-
-
-class _FrozenBaseline:
-    """Warmup-then-freeze mean/σ estimation shared by the
-    self-calibrating detectors (Welford during warmup, frozen after)."""
-
-    def __init__(self, warmup: int, *, rel_floor: float = 0.05,
-                 abs_floor: float = 1e-9):
-        if warmup < 2:
-            raise ValueError("warmup needs at least two samples")
-        self.warmup = warmup
-        self.rel_floor = rel_floor
-        self.abs_floor = abs_floor
-        self.reset()
-
-    def reset(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.mean = 0.0
-        self.sigma = 0.0
-        self.frozen = False
-
-    def feed(self, value: float) -> bool:
-        """Accumulate one warmup sample; True once the baseline froze
-        (the sample was *consumed* by warmup when False is returned
-        before freezing)."""
-        if self.frozen:
-            return True
-        self.n += 1
-        delta = value - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
-        if self.n >= self.warmup:
-            self.mean = self._mean
-            std = math.sqrt(self._m2 / self.n)
-            # σ floor: a constant warmup stream must still yield a
-            # positive scale, or every later z-score is infinite.
-            self.sigma = max(std, self.rel_floor * abs(self.mean),
-                             self.abs_floor)
-            self.frozen = True
-        return False
-
-
-class CusumDetector(Detector):
-    """Two-sided CUSUM change-point detector with a frozen baseline.
-
-    After ``warmup`` samples freeze (mean, σ), each sample's z-score
-    feeds two cumulative sums ``g+ = max(0, g+ + z - drift)`` and
-    ``g- = max(0, g- - z - drift)``; crossing ``threshold`` fires a
-    ``step-up``/``step-down`` anomaly and re-enters warmup.
-
-    Guarantees (the :mod:`tests.test_detect` properties): a constant
-    stream never fires (z = 0 < drift); a post-warmup step of magnitude
-    Δ > drift·σ fires after ``ceil(threshold / (Δ/σ - drift))`` samples
-    — delay non-increasing in Δ.
-    """
-
-    name = "cusum"
-
-    def __init__(self, *, warmup: int = 16, drift: float = 0.5,
-                 threshold: float = 8.0, rel_floor: float = 0.05):
-        if drift <= 0 or threshold <= 0:
-            raise ValueError("drift and threshold must be positive")
-        self.drift = drift
-        self.threshold = threshold
-        self._baseline = _FrozenBaseline(warmup, rel_floor=rel_floor)
-        self._gpos = 0.0
-        self._gneg = 0.0
-
-    def reset(self) -> None:
-        self._baseline.reset()
-        self._gpos = 0.0
-        self._gneg = 0.0
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        if not self._baseline.feed(value):
-            return None
-        z = (value - self._baseline.mean) / self._baseline.sigma
-        self._gpos = max(0.0, self._gpos + z - self.drift)
-        self._gneg = max(0.0, self._gneg - z - self.drift)
-        if self._gpos > self.threshold:
-            a = self._anomaly("step-up", ts_ms, value,
-                              self._baseline.mean, self._baseline.sigma)
-            self.reset()
-            return a
-        if self._gneg > self.threshold:
-            a = self._anomaly("step-down", ts_ms, value,
-                              self._baseline.mean, self._baseline.sigma)
-            self.reset()
-            return a
-        return None
-
-
-class PageHinkleyDetector(Detector):
-    """Page-Hinkley test: cumulative deviation from the frozen mean
-    minus its running minimum (maximum for the downward side); crossing
-    ``lambda_`` (in σ units) fires and re-enters warmup."""
-
-    name = "page-hinkley"
-
-    def __init__(self, *, warmup: int = 16, delta: float = 0.5,
-                 lambda_: float = 8.0, rel_floor: float = 0.05):
-        if delta <= 0 or lambda_ <= 0:
-            raise ValueError("delta and lambda must be positive")
-        self.delta = delta
-        self.lambda_ = lambda_
-        self._baseline = _FrozenBaseline(warmup, rel_floor=rel_floor)
-        self._up = 0.0
-        self._up_min = 0.0
-        self._down = 0.0
-        self._down_max = 0.0
-
-    def reset(self) -> None:
-        self._baseline.reset()
-        self._up = self._up_min = 0.0
-        self._down = self._down_max = 0.0
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        if not self._baseline.feed(value):
-            return None
-        z = (value - self._baseline.mean) / self._baseline.sigma
-        self._up += z - self.delta
-        self._up_min = min(self._up_min, self._up)
-        self._down += z + self.delta
-        self._down_max = max(self._down_max, self._down)
-        if self._up - self._up_min > self.lambda_:
-            a = self._anomaly("step-up", ts_ms, value,
-                              self._baseline.mean, self._baseline.sigma)
-            self.reset()
-            return a
-        if self._down_max - self._down > self.lambda_:
-            a = self._anomaly("step-down", ts_ms, value,
-                              self._baseline.mean, self._baseline.sigma)
-            self.reset()
-            return a
-        return None
-
-
-class EwmaBandDetector(Detector):
-    """EWMA-tracked baseline with frozen-σ control bands.
-
-    The EWMA adapts to slow drift; a sample landing more than
-    ``k``·σ(warmup) away from the current EWMA fires ``band-high``/
-    ``band-low`` and re-enters warmup.  Constant streams never fire;
-    a step larger than k·σ fires on the first post-step sample.
-    """
-
-    name = "ewma-band"
-
-    def __init__(self, *, warmup: int = 16, alpha: float = 0.2,
-                 k: float = 6.0, rel_floor: float = 0.05):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self.alpha = alpha
-        self.k = k
-        self._baseline = _FrozenBaseline(warmup, rel_floor=rel_floor)
-        self._ewma = 0.0
-        self._seeded = False
-
-    def reset(self) -> None:
-        self._baseline.reset()
-        self._ewma = 0.0
-        self._seeded = False
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        if not self._baseline.feed(value):
-            return None
-        if not self._seeded:
-            self._ewma = self._baseline.mean
-            self._seeded = True
-        center = self._ewma
-        band = self.k * self._baseline.sigma
-        if abs(value - center) > band:
-            kind = "band-high" if value > center else "band-low"
-            a = self._anomaly(kind, ts_ms, value, center,
-                              self._baseline.sigma)
-            self.reset()
-            return a
-        self._ewma = self.alpha * value + (1.0 - self.alpha) * self._ewma
-        return None
-
-
-class ThresholdRule(Detector):
-    """Fixed bounds with an optional consecutive-sample debounce; fires
-    once per excursion and re-arms when the value returns in range."""
-
-    name = "threshold"
-
-    def __init__(self, *, upper: float | None = None,
-                 lower: float | None = None, consecutive: int = 1):
-        if upper is None and lower is None:
-            raise ValueError("need at least one bound")
-        if consecutive < 1:
-            raise ValueError("consecutive must be at least 1")
-        self.upper = upper
-        self.lower = lower
-        self.consecutive = consecutive
-        self._streak = 0
-        self._fired = False
-
-    def reset(self) -> None:
-        self._streak = 0
-        self._fired = False
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        high = self.upper is not None and value > self.upper
-        low = self.lower is not None and value < self.lower
-        if not (high or low):
-            self.reset()
-            return None
-        self._streak += 1
-        if self._fired or self._streak < self.consecutive:
-            return None
-        self._fired = True
-        bound = self.upper if high else self.lower
-        scale = max(abs(bound), 1e-9)
-        kind = "threshold-high" if high else "threshold-low"
-        return self._anomaly(kind, ts_ms, value, float(bound),
-                             0.25 * scale)
-
-
-class TrendRule(Detector):
-    """Monotone-run detector: ``window`` strictly monotone samples whose
-    total change exceeds ``min_change`` fire ``trend-up``/``trend-down``
-    (direction selectable); the buffer clears on firing or on any
-    non-monotone step."""
-
-    name = "trend"
-
-    def __init__(self, *, window: int = 8, min_change: float = 0.0,
-                 direction: str = "both"):
-        if window < 3:
-            raise ValueError("trend window needs at least 3 samples")
-        if direction not in ("up", "down", "both"):
-            raise ValueError("direction must be up, down or both")
-        self.window = window
-        self.min_change = min_change
-        self.direction = direction
-        self._buffer: list[float] = []
-        self._ts: list[float] = []
-
-    def reset(self) -> None:
-        self._buffer.clear()
-        self._ts.clear()
-
-    def _run_intact(self, value: float) -> bool:
-        if len(self._buffer) < 2:
-            return True
-        step = self._buffer[-1] - self._buffer[-2]
-        return (value - self._buffer[-1]) * step > 0
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
-        if self._buffer and value == self._buffer[-1]:
-            self.reset()
-        elif not self._run_intact(value):
-            # Keep the last sample: it starts the next candidate run.
-            self._buffer = self._buffer[-1:]
-            self._ts = self._ts[-1:]
-        self._buffer.append(value)
-        self._ts.append(ts_ms)
-        if len(self._buffer) < self.window:
-            return None
-        change = self._buffer[-1] - self._buffer[-self.window]
-        rising = change > 0
-        wanted = self.direction == "both" or \
-            (self.direction == "up") == rising
-        if abs(change) < self.min_change or not wanted:
-            if len(self._buffer) > self.window:
-                del self._buffer[0], self._ts[0]
-            return None
-        kind = "trend-up" if rising else "trend-down"
-        baseline = self._buffer[-self.window]
-        a = self._anomaly(kind, ts_ms, value, baseline,
-                          max(abs(baseline), self.min_change, 1e-9))
-        self.reset()
-        return a
-
-
-class ReferenceBandDetector(Detector):
+class ReferenceBandDetector:
     """Band detector calibrated from a fault-free reference stream.
 
     Fires once per excursion outside ``[lo, hi]`` and re-arms on
     re-entry.  Built via :func:`reference_band`, the band contains every
     reference sample with positive slack, so replaying the reference
     stream itself can never fire — the zero-anomalies-fault-free
-    guarantee.
+    guarantee.  Severity is the distance past the band edge relative to
+    the band's span, saturating at 1.
     """
 
     name = "reference-band"
@@ -431,10 +113,10 @@ class ReferenceBandDetector(Detector):
         self.hi = hi
         self._outside = False
 
-    def reset(self) -> None:
-        self._outside = False
-
-    def _observe(self, ts_ms: float, value: float) -> Anomaly | None:
+    def observe(self, ts_ms: float, value: float) -> Anomaly | None:
+        """The anomaly ``value`` raises at ``ts_ms``, or ``None``; the
+        series field is left for the bank to stamp."""
+        ts_ms, value = float(ts_ms), float(value)
         if self.lo <= value <= self.hi:
             self._outside = False
             return None
@@ -444,50 +126,57 @@ class ReferenceBandDetector(Detector):
         high = value > self.hi
         baseline = self.hi if high else self.lo
         span = max(self.hi - self.lo, abs(baseline) * 0.25, 1e-9)
-        return self._anomaly("band-high" if high else "band-low",
-                             ts_ms, value, baseline, 0.25 * span)
+        deviation = value - baseline
+        return Anomaly(series="", detector=self.name,
+                       kind="band-high" if high else "band-low",
+                       ts_ms=ts_ms, value=value, baseline=baseline,
+                       deviation=deviation,
+                       severity=min(1.0, abs(deviation) / span))
 
 
-def reference_band(samples: Sequence[float], *, margin: float = 0.5,
-                   rel_floor: float = 0.10,
-                   abs_floor: float = 1e-6) -> tuple[float, float]:
+def reference_band(samples: Iterable[float]) -> tuple[float, float]:
     """The ``[lo, hi]`` acceptance band for a clean reference stream.
 
-    Pads ``[min, max]`` of the samples by the largest of ``margin`` ×
-    the observed span, ``rel_floor`` × the magnitude, and ``abs_floor``
-    — so even a constant reference yields a band with positive slack.
+    Pads ``[min, max]`` of the samples by the largest of :data:`MARGIN`
+    × the observed span, :data:`REL_FLOOR` × the magnitude, and
+    :data:`ABS_FLOOR` — so even a constant reference yields a band with
+    positive slack.  Only the extremes matter, so ``(min, max)`` of a
+    stream gives the same band as the stream itself.
     """
+    samples = list(samples)
     if not samples:
-        return (-abs_floor, abs_floor)
+        return (-ABS_FLOOR, ABS_FLOOR)
     lo = min(samples)
     hi = max(samples)
-    pad = max(margin * (hi - lo), rel_floor * max(abs(lo), abs(hi)),
-              abs_floor)
+    pad = max(MARGIN * (hi - lo), REL_FLOOR * max(abs(lo), abs(hi)),
+              ABS_FLOOR)
     return (lo - pad, hi + pad)
 
 
 class DetectorBank:
-    """Routes board samples into per-series detectors and collects the
-    anomaly timeline.
+    """Routes board samples into per-series reference bands and collects
+    the anomaly timeline.
+
+    Every bank tracks each series' running ``[min, max]`` as samples
+    arrive, so a finished fault-free bank can :meth:`calibrate` another
+    from its whole stream, however long.
 
     ``attributor`` — optional ``Callable[[Anomaly], Mapping]`` invoked at
-    firing time; whatever it returns is merged into the anomaly's
-    attribution (the hook the serve engine uses to attach device,
-    dominant phase and trace-id exemplars).  Every firing also bumps the
+    firing time; whatever it returns becomes the anomaly's attribution
+    (the hook the live monitor uses to attach device, dominant phase and
+    trace-id exemplars).  Every firing also bumps the
     ``repro.detect.anomalies`` registry counter (labelled by series and
     kind), which the snapshot gate tracks as lower-is-better.
     """
 
     def __init__(self, *, attributor:
                  Callable[[Anomaly], Mapping[str, object]] | None = None):
-        self._detectors: dict[str, list[Detector]] = {}
+        self._bands: dict[str, ReferenceBandDetector] = {}
+        #: Series name -> running ``[min, max]`` (empty until sampled).
+        self._extents: dict[str, list[float]] = {}
         self._listeners: list[Callable[[Anomaly], None]] = []
         self._attributor = attributor
         self.anomalies: list[Anomaly] = []
-
-    def attach(self, series: str, detector: Detector) -> Detector:
-        self._detectors.setdefault(series, []).append(detector)
-        return detector
 
     def subscribe(self, listener: Callable[[Anomaly], None]) -> None:
         self._listeners.append(listener)
@@ -495,45 +184,40 @@ class DetectorBank:
     def bind(self, board) -> None:
         """Subscribe this bank to a
         :class:`~repro.observ.timeseries.Board`'s sample stream."""
+        for name in board.names():
+            self._extents.setdefault(name, [])
         board.subscribe(self.observe)
 
-    def calibrate(self, reference_board, *, margin: float = 0.5,
-                  rel_floor: float = 0.10,
-                  names: Iterable[str] | None = None) -> None:
-        """Attach one :class:`ReferenceBandDetector` per series of a
-        finished fault-free board run."""
-        for name in (names if names is not None
-                     else reference_board.names()):
-            lo, hi = reference_band(reference_board.series(name).values(),
-                                    margin=margin, rel_floor=rel_floor)
-            self.attach(name, ReferenceBandDetector(lo, hi))
+    def calibrate(self, reference: "DetectorBank") -> None:
+        """Install one :class:`ReferenceBandDetector` per series from the
+        sample ranges of a finished fault-free bank."""
+        for name, extent in reference._extents.items():
+            self._bands[name] = ReferenceBandDetector(
+                *reference_band(extent))
 
     def observe(self, series: str, ts_ms: float, value: float) -> None:
-        for detector in self._detectors.get(series, ()):
-            anomaly = detector.observe(ts_ms, value)
-            if anomaly is None:
-                continue
-            # Stamp the series first: attributors key off it (e.g. the
-            # live monitor's window-aggregate lookup).
-            anomaly = Anomaly(
-                series=series, detector=anomaly.detector,
-                kind=anomaly.kind, ts_ms=anomaly.ts_ms,
-                value=anomaly.value, baseline=anomaly.baseline,
-                deviation=anomaly.deviation, severity=anomaly.severity,
-                attribution=dict(anomaly.attribution))
-            if self._attributor is not None:
-                attribution = dict(anomaly.attribution)
-                attribution.update(self._attributor(anomaly))
-                anomaly = replace(anomaly, attribution=attribution)
-            get_registry().counter("repro.detect.anomalies",
-                                   series=series, kind=anomaly.kind).inc()
-            self.anomalies.append(anomaly)
-            for listener in self._listeners:
-                listener(anomaly)
+        extent = self._extents.get(series)
+        if not extent:
+            self._extents[series] = [value, value]
+        elif value < extent[0]:
+            extent[0] = value
+        elif value > extent[1]:
+            extent[1] = value
+        band = self._bands.get(series)
+        anomaly = band.observe(ts_ms, value) if band is not None else None
+        if anomaly is None:
+            return
+        # Stamp the series first: attributors key off it (e.g. the
+        # live monitor's window-aggregate lookup).
+        anomaly = replace(anomaly, series=series)
+        if self._attributor is not None:
+            anomaly = replace(anomaly,
+                              attribution=dict(self._attributor(anomaly)))
+        get_registry().counter("repro.detect.anomalies",
+                               series=series, kind=anomaly.kind).inc()
+        self.anomalies.append(anomaly)
+        for listener in self._listeners:
+            listener(anomaly)
 
     def timeline(self) -> list[Anomaly]:
         return list(self.anomalies)
-
-    def to_json(self) -> dict:
-        return {"schema": ANOMALY_SCHEMA,
-                "anomalies": [a.to_doc() for a in self.anomalies]}

@@ -2,7 +2,7 @@
 
 :class:`LiveMonitor` is the glue the serve engine drives: it owns a
 :class:`~repro.observ.timeseries.Board` of standard serving probes (QPS,
-latency percentiles, queue depth, device utilization, cache hit rate), a
+p50/p95 latency, queue depth, device utilization, cache hit rate), a
 :class:`~repro.observ.detect.DetectorBank`, and a
 :class:`~repro.observ.bus.FindingsBus` every anomaly is published to.
 The engine calls :meth:`observe_result` per completion and
@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .bus import FindingsBus
 from .detect import Anomaly, DetectorBank
-from .timeseries import Board, registry_probe
+from .timeseries import Board
 from .tracer import TID_SERVE, get_tracer
 
 __all__ = [
@@ -41,12 +41,17 @@ __all__ = [
     "render_html",
 ]
 
+#: Samples each series' ring buffer keeps for display and export.
+CAPACITY = 16384
+#: Completions kept for windowed percentiles and attribution.
+WINDOW_KEEP = 4096
+
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Sampling cadence and calibration slack for a live monitor.
+    """Sampling cadence for a live monitor.
 
-    The defaults suit multi-millisecond serve runs; small simulated
+    The default suits multi-millisecond serve runs; small simulated
     workloads finish in well under a millisecond, so prefer
     :meth:`for_span` / :meth:`for_trace`, which scale the cadence to
     the workload instead of sampling past it.
@@ -54,45 +59,33 @@ class MonitorConfig:
 
     #: Simulated ms between samples.
     cadence_ms: float = 0.5
-    #: Trailing window for QPS / percentile probes (simulated ms).
-    window_ms: float = 8.0
-    #: Ring-buffer capacity per series.
-    capacity: int = 16384
-    #: Reference-band padding as a fraction of the clean span.
-    margin: float = 0.5
-    #: Reference-band padding floor as a fraction of magnitude.
-    rel_floor: float = 0.10
-    #: Completions kept for windowed percentiles and attribution.
-    window_keep: int = 4096
 
     def __post_init__(self) -> None:
-        if self.cadence_ms <= 0:
+        if not self.cadence_ms > 0:
             raise ValueError("cadence must be positive")
-        if self.window_ms < self.cadence_ms:
-            raise ValueError("window must cover at least one tick")
+
+    @property
+    def window_ms(self) -> float:
+        """Trailing window for QPS / percentile probes: 16 ticks."""
+        return 16 * self.cadence_ms
 
     @classmethod
-    def for_span(cls, span_ms: float, *, samples: int = 256,
-                 **overrides) -> "MonitorConfig":
+    def for_span(cls, span_ms: float, *,
+                 samples: int = 256) -> "MonitorConfig":
         """A config whose cadence yields ~``samples`` ticks over a run
         expected to span ``span_ms`` simulated milliseconds."""
-        if span_ms <= 0:
-            raise ValueError("span must be positive")
-        cadence = max(span_ms / samples, 1e-6)
-        overrides.setdefault("cadence_ms", cadence)
-        overrides.setdefault("window_ms", 16 * cadence)
-        return cls(**overrides)
+        if not span_ms > 0 or samples < 1:
+            raise ValueError("span and samples must be positive")
+        return cls(cadence_ms=max(span_ms / samples, 1e-6))
 
     @classmethod
-    def for_trace(cls, trace, *, samples: int = 256,
-                  **overrides) -> "MonitorConfig":
+    def for_trace(cls, trace, *, samples: int = 256) -> "MonitorConfig":
         """A config scaled to a query trace's arrival span (plus slack
         for the trailing waves to drain)."""
         if not trace:
             raise ValueError("trace is empty")
         span = max(q.arrival_ms for q in trace)
-        return cls.for_span(max(span, 1e-3) * 1.25, samples=samples,
-                            **overrides)
+        return cls.for_span(max(span, 1e-3) * 1.25, samples=samples)
 
 
 class _Completion:
@@ -112,10 +105,9 @@ class _Completion:
 class LiveMonitor:
     """Streaming sampler + detector + bus for one serve run."""
 
-    def __init__(self, config: MonitorConfig | None = None, *,
-                 bus: FindingsBus | None = None):
+    def __init__(self, config: MonitorConfig | None = None):
         self.config = config or MonitorConfig()
-        self.bus = bus if bus is not None else FindingsBus()
+        self.bus = FindingsBus()
         self.bank = DetectorBank(attributor=self._attribute)
         self.bank.subscribe(self._on_anomaly)
         self.board: Board | None = None
@@ -138,13 +130,11 @@ class LiveMonitor:
         if self.board is not None:
             raise ValueError("monitor is already bound to an engine")
         self._engine = engine
-        cfg = self.config
         # Busy time accrued before binding (cache warmup) is startup
         # cost, not serving load — utilization reads relative to this.
         self._busy_at_bind = list(engine.group.busy_ms())
-        self.board = Board(cadence_ms=cfg.cadence_ms,
-                           capacity=cfg.capacity,
-                           start_ms=float(engine.now_ms))
+        self.board = Board(cadence_ms=self.config.cadence_ms,
+                           capacity=CAPACITY, start_ms=float(engine.now_ms))
         self.board.add("serve.qps", self._probe_qps, unit="1/s")
         self.board.add("serve.p50_ms", lambda ts: self._probe_pct(50.0),
                        unit="ms")
@@ -158,24 +148,9 @@ class LiveMonitor:
         self.board.add("serve.device_util", self._probe_util)
         self.bank.bind(self.board)
 
-    def add_registry_series(self, name: str, metric: str, *,
-                            stat: str = "value", unit: str = "",
-                            registry=None, **labels: str) -> None:
-        """Sample a registry metric (e.g. per-tier
-        ``repro.fabric.bytes``) alongside the engine probes."""
-        if self.board is None:
-            raise ValueError("bind an engine before adding series")
-        if registry is None:
-            registry = self._engine.registry
-        self.board.add(name, registry_probe(registry, metric, stat=stat,
-                                            **labels), unit=unit)
-
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
-    def _window_slice(self) -> list[_Completion]:
-        return self._window
-
     def _probe_qps(self, ts_ms: float) -> float:
         cutoff = ts_ms - self.config.window_ms
         n = sum(1 for c in self._window
@@ -229,7 +204,7 @@ class LiveMonitor:
         while self._pending and self._pending[0][0] <= up_to_ms:
             self._window.append(heapq.heappop(self._pending)[2])
         cutoff = up_to_ms - self.config.window_ms
-        if len(self._window) > self.config.window_keep or (
+        if len(self._window) > WINDOW_KEEP or (
                 self._window and self._window[0].completed_ms <= cutoff):
             self._window = [c for c in self._window
                             if c.completed_ms > cutoff]
@@ -238,12 +213,11 @@ class LiveMonitor:
     # Calibration
     # ------------------------------------------------------------------
     def calibrate(self, reference: "LiveMonitor") -> None:
-        """Attach reference-band detectors derived from a finished
-        fault-free run of the same workload."""
+        """Install reference bands derived from every sample of a
+        finished fault-free run of the same workload."""
         if reference.board is None:
             raise ValueError("reference monitor was never bound")
-        self.bank.calibrate(reference.board, margin=self.config.margin,
-                            rel_floor=self.config.rel_floor)
+        self.bank.calibrate(reference.bank)
 
     # ------------------------------------------------------------------
     # Anomaly plumbing
@@ -357,7 +331,8 @@ def render_dashboard(monitor: LiveMonitor, *, title: str = "serve",
     if events:
         lines.append(f"  top findings (of {len(monitor.bus)}):")
         for event in events:
-            lines.append("    " + event.line())
+            lines.append(f"    [{event.ts_ms:9.3f} ms] detect/{event.kind} "
+                         f"(sev {event.severity:.2f}): {event.title}")
     return "\n".join(lines)
 
 
@@ -436,7 +411,7 @@ def render_html(monitor: LiveMonitor, *, title: str = "serve run") -> str:
         for event in events:
             parts.append(
                 f"<tr><td>{event.ts_ms:.3f}</td>"
-                f"<td>{escape(event.source)}</td>"
+                "<td>detect</td>"
                 f"<td>{escape(event.kind)}</td>"
                 f"<td>{event.severity:.2f}</td>"
                 f"<td>{escape(event.title)}</td></tr>")

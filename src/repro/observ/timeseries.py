@@ -24,14 +24,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 __all__ = [
     "SERIES_SCHEMA",
     "WindowStats",
     "Series",
     "Board",
-    "registry_probe",
     "write_series",
     "load_series",
     "validate_series",
@@ -225,39 +224,6 @@ class Board:
             "series": {name: s.to_doc() for name, s in
                        self._series.items()},
         }
-
-
-def registry_probe(registry, metric: str, *, stat: str = "value",
-                   **labels: str) -> Callable[[float], float]:
-    """A probe reading one metric from a
-    :class:`~repro.observ.registry.MetricsRegistry`.
-
-    ``stat`` selects the reading for histograms (``"count"``, ``"sum"``,
-    ``"mean"`` or ``"p<q>"`` e.g. ``"p95"``); counters and gauges use
-    their current ``value``.
-    """
-    if stat not in ("value", "count", "sum", "mean") \
-            and not stat.startswith("p"):
-        raise ValueError(f"unknown stat {stat!r}")
-
-    def probe(_ts_ms: float) -> float:
-        # Peek, never materialise: a metric the workload has not touched
-        # yet reads as 0.0 instead of growing the registry.
-        inst = registry.peek(metric, **labels)
-        if inst is None:
-            return 0.0
-        if stat == "value":
-            return float(getattr(inst, "value", 0.0))
-        if stat == "count":
-            return float(getattr(inst, "count", 0))
-        if stat == "sum":
-            return float(getattr(inst, "sum", 0.0))
-        if stat == "mean":
-            return float(getattr(inst, "mean", 0.0))
-        if not hasattr(inst, "quantile"):
-            return 0.0
-        return float(inst.quantile(float(stat[1:]) / 100.0))
-    return probe
 
 
 # ----------------------------------------------------------------------

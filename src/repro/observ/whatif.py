@@ -13,9 +13,8 @@ EXPERIMENTS.md and asserted by the test matrix.
 
 Knobs (see :data:`KNOBS`): the §4.3 direction-switch threshold γ, the
 batcher's wave width and flush deadline, the hedge threshold, and the
-cache admission count.  A mutation outside its knob's bounds raises —
-the contract the future auto-tuning controller relies on to explore
-safely.
+cache admission count.  A mutation outside its knob's bounds raises,
+so a caller exploring mutations can never leave them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The unified findings bus: ordering, adapters, byte-determinism."""
+"""The findings bus: ordering, v1 event rendering, byte-determinism."""
 
 from __future__ import annotations
 
@@ -14,57 +14,40 @@ from repro.observ.bus import (
     write_findings,
 )
 from repro.observ.detect import Anomaly
-from repro.observ.profiler import Finding
 from repro.observ.registry import MetricsRegistry, set_registry
-from repro.observ.slo import Alert
+
+
+def anomaly(ts_ms: float, series: str, severity: float = 0.5,
+            kind: str = "band-high") -> Anomaly:
+    return Anomaly(series=series, detector="reference-band", kind=kind,
+                   ts_ms=ts_ms, value=9.0, baseline=4.0, deviation=5.0,
+                   severity=severity)
 
 
 def _publish_three(bus: FindingsBus) -> None:
-    bus.publish(ts_ms=5.0, source="user", kind="late", severity=0.9,
-                title="late event")
-    bus.publish(ts_ms=1.0, source="user", kind="early", severity=0.2,
-                title="early event")
-    bus.publish(ts_ms=1.0, source="user", kind="tie", severity=0.5,
-                title="same instant, later seq")
+    bus.publish_anomaly(anomaly(5.0, "late", severity=0.9))
+    bus.publish_anomaly(anomaly(1.0, "early", severity=0.2))
+    bus.publish_anomaly(anomaly(1.0, "tie", severity=0.5))
 
 
 class TestPublish:
     def test_events_sorted_by_ts_then_seq(self):
         bus = FindingsBus()
         _publish_three(bus)
-        assert [(e.kind, e.seq) for e in bus.events()] == [
-            ("early", 1), ("tie", 2), ("late", 0)]
+        assert [a.series for a in bus.events()] == ["early", "tie", "late"]
+        assert [(e["seq"], e["title"]) for e in bus.to_json()["events"]] \
+            == [(0, "early band-high"), (1, "tie band-high"),
+                (2, "late band-high")]
 
     def test_ranked_by_severity(self):
         bus = FindingsBus()
         _publish_three(bus)
-        assert [e.kind for e in bus.ranked()] == ["late", "tie", "early"]
-        assert [e.kind for e in bus.ranked(limit=1)] == ["late"]
-
-    def test_severity_clamped_to_unit_interval(self):
-        bus = FindingsBus()
-        high = bus.publish(ts_ms=0.0, source="user", kind="k",
-                           severity=7.0, title="t")
-        low = bus.publish(ts_ms=0.0, source="user", kind="k",
-                          severity=-3.0, title="t")
-        assert high.severity == 1.0 and low.severity == 0.0
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError, match="source"):
-            FindingsBus().publish(ts_ms=0.0, source="martian", kind="k",
-                                  severity=0.5, title="t")
+        assert [a.series for a in bus.ranked()] == ["late", "tie", "early"]
+        assert [a.series for a in bus.ranked(limit=1)] == ["late"]
 
     def test_nonfinite_ts_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            FindingsBus().publish(ts_ms=math.nan, source="user", kind="k",
-                                  severity=0.5, title="t")
-
-    def test_listener_sees_publish_order(self):
-        bus = FindingsBus()
-        seen: list[str] = []
-        bus.subscribe(lambda e: seen.append(e.kind))
-        _publish_three(bus)
-        assert seen == ["late", "early", "tie"]
+            FindingsBus().publish_anomaly(anomaly(math.nan, "x"))
 
     def test_publish_bumps_registry_counter(self):
         registry = MetricsRegistry()
@@ -73,46 +56,27 @@ class TestPublish:
             _publish_three(FindingsBus())
         finally:
             set_registry(previous)
-        metric = registry.peek("repro.findings.published", source="user")
+        metric = registry.peek("repro.findings.published", source="detect")
         assert metric is not None and metric.value == 3.0
 
 
 class TestAdapters:
     def test_anomaly(self):
-        anomaly = Anomaly(series="serve.p95_ms", detector="cusum",
-                          kind="step-up", ts_ms=3.5, value=9.0,
-                          baseline=4.0, deviation=5.0, severity=0.8)
-        event = FindingsBus().publish_anomaly(anomaly)
-        assert event.source == "detect"
-        assert event.kind == "step-up"
-        assert event.ts_ms == 3.5
-        assert event.data["series"] == "serve.p95_ms"
-
-    def test_alert(self):
-        alert = Alert(rule="fast-burn", fired_ms=2.0, cleared_ms=6.0,
-                      long_burn=14.0, short_burn=20.0)
-        event = FindingsBus().publish_alert(alert)
-        assert event.source == "slo"
-        assert event.kind == "fast-burn"
-        assert event.severity == 1.0  # 20x burn saturates the 10x scale
-        assert event.data["cleared_ms"] == 6.0
-
-    def test_active_alert_has_null_cleared(self):
-        alert = Alert(rule="slow-burn", fired_ms=2.0,
-                      cleared_ms=math.nan, long_burn=2.0, short_burn=3.0)
-        event = FindingsBus().publish_alert(alert)
-        assert event.data["cleared_ms"] is None
-        assert event.severity == 0.3
-
-    def test_profiler_finding_and_cluster(self):
-        finding = Finding(rank=1, severity=0.4, level=3, kind="bottleneck",
-                          title="level 3 dominates", detail="...")
         bus = FindingsBus()
-        one = bus.publish_finding(finding)
-        assert one.source == "profiler" and one.data["rank"] == 1
-        two = bus.publish_cluster_findings([finding], ts_ms=9.0)
-        assert [e.source for e in two] == ["cluster"]
-        assert two[0].ts_ms == 9.0
+        bus.publish_anomaly(Anomaly(
+            series="serve.p95_ms", detector="reference-band",
+            kind="band-high", ts_ms=3.5, value=9.0, baseline=4.0,
+            deviation=5.0, severity=0.8))
+        (event,) = bus.to_json()["events"]
+        assert event["seq"] == 0
+        assert event["source"] == "detect"
+        assert event["kind"] == "band-high"
+        assert event["ts_ms"] == 3.5
+        assert event["severity"] == 0.8
+        assert event["title"] == "serve.p95_ms band-high"
+        assert event["detail"] == "value 9 vs baseline 4 (reference-band)"
+        assert event["data"]["schema"] == "repro.anomaly/v1"
+        assert event["data"]["series"] == "serve.p95_ms"
 
 
 class TestSerialization:
@@ -125,7 +89,7 @@ class TestSerialization:
         path = write_findings(tmp_path / "f.json", self._bus())
         doc = load_findings(path)
         assert doc["schema"] == FINDINGS_SCHEMA
-        assert [e["kind"] for e in doc["events"]] == [
+        assert [e["data"]["series"] for e in doc["events"]] == [
             "early", "tie", "late"]
 
     def test_export_is_byte_deterministic(self, tmp_path):

@@ -62,6 +62,16 @@ class TestParser:
         ["cluster", "bfs", "--graph", "GO", "--profile", "tiny",
          "--nodes", "0"],
         ["monitor", "--rmat-scale", "8", "--queries", "0"],
+        ["monitor", "--rmat-scale", "8", "--queries", "40",
+         "--cadence-ms", "0"],
+        ["monitor", "--rmat-scale", "8", "--queries", "40",
+         "--cadence-ms", "-1"],
+        ["monitor", "--rmat-scale", "8", "--queries", "40",
+         "--cadence-ms", "nan"],
+        ["monitor", "--rmat-scale", "8", "--queries", "40",
+         "--samples", "0"],
+        ["monitor", "--rmat-scale", "8", "--queries", "40",
+         "--samples", "-5"],
         ["chaos", "--rmat-scale", "8", "--queries", "40",
          "--profiles", "bogus"],
         ["bench", "fig05_degree_cdf", "--profile", "tiny",
@@ -71,6 +81,10 @@ class TestParser:
         ["serve", "--rmat-scale", "8", "--queries", "64",
          "--snapshot", "OUT"],
         ["serve", "--rmat-scale", "8", "--queries", "64",
+         "--diff", "EXISTING"],
+        ["cluster", "bfs", "--graph", "GO", "--profile", "tiny",
+         "--snapshot", "OUT"],
+        ["cluster", "bfs", "--graph", "GO", "--profile", "tiny",
          "--diff", "EXISTING"],
         ["perf"],
     ])
@@ -430,47 +444,6 @@ class TestMonitor:
                                  "--fail-on-anomaly"]) == 1
         err = capsys.readouterr().err
         assert "FAIL" in err
-
-    def test_artifacts_and_determinism(self, tmp_path, capsys):
-        import json
-
-        from repro.observ import (
-            load_findings,
-            load_series,
-            load_snapshot,
-            validate_trace,
-        )
-
-        def run(tag: str) -> dict:
-            paths = {kind: tmp_path / f"{tag}.{kind}"
-                     for kind in ("findings", "series", "html", "trace",
-                                  "snap")}
-            assert main(self.ARGS + [
-                "--faults", "straggler", "--whatif",
-                "--out", str(paths["findings"]),
-                "--series-out", str(paths["series"]),
-                "--html", str(paths["html"]),
-                "--trace-out", str(paths["trace"]),
-                "--snapshot", str(paths["snap"])]) == 0
-            return paths
-
-        a, b = run("a"), run("b")
-        out = capsys.readouterr().out
-        assert "what-if: predicted knob impacts" in out
-
-        findings = load_findings(a["findings"])
-        assert findings["events"], "straggler produced no findings"
-        assert a["findings"].read_bytes() == b["findings"].read_bytes()
-        assert a["series"].read_bytes() == b["series"].read_bytes()
-
-        series = load_series(a["series"])
-        assert "serve.device_util" in series["series"]
-        page = a["html"].read_text()
-        assert page.startswith("<!DOCTYPE html>") and "<svg" in page
-        assert validate_trace(json.loads(a["trace"].read_text())) > 0
-        snap = load_snapshot(a["snap"])
-        assert any(key.endswith(".anomalies")
-                   for key in snap["metrics"])
 
     def test_snapshot_then_clean_diff(self, tmp_path, capsys):
         snap = str(tmp_path / "monitor.json")

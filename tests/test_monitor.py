@@ -3,18 +3,22 @@
 The acceptance contract: a fault-free run monitored against its clean
 twin yields **zero** anomalies, a straggler profile yields a
 deterministic non-empty timeline, and identical runs export identical
-bytes.
+bytes.  :class:`TestMonitorVerb` is the ``monitor-smoke`` CI job's
+artifact contract.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from repro.cli import main
 from repro.faults.harness import run_chaos_matrix
 from repro.faults.plan import profile
 from repro.graph import rmat_graph
+from repro.observ.bus import load_findings
 from repro.observ.events import to_chrome_trace, validate_trace
 from repro.observ.monitor import (
     LiveMonitor,
@@ -22,6 +26,8 @@ from repro.observ.monitor import (
     render_dashboard,
     render_html,
 )
+from repro.observ.snapshot import load_snapshot
+from repro.observ.timeseries import load_series
 from repro.observ.tracer import Tracer, set_tracer
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.loadgen import TraceConfig, replay, synthetic_trace
@@ -57,10 +63,14 @@ def monitored_run(graph, trace, *, faults="none",
 
 class TestMonitorConfig:
     def test_validation(self):
+        for cadence in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                MonitorConfig(cadence_ms=cadence)
         with pytest.raises(ValueError):
-            MonitorConfig(cadence_ms=0.0)
-        with pytest.raises(ValueError):
-            MonitorConfig(cadence_ms=1.0, window_ms=0.5)
+            MonitorConfig.for_span(1.0, samples=0)
+
+    def test_window_spans_sixteen_ticks(self):
+        assert MonitorConfig(cadence_ms=0.25).window_ms == 4.0
 
     def test_for_span_scales_cadence(self):
         config = MonitorConfig.for_span(10.0, samples=100)
@@ -97,8 +107,8 @@ class TestEngineWiring:
         b = monitored_run(graph, trace, faults="straggler")
         assert json.dumps(a.board.to_json(), sort_keys=True) == \
             json.dumps(b.board.to_json(), sort_keys=True)
-        assert json.dumps(a.bank.to_json(), sort_keys=True) == \
-            json.dumps(b.bank.to_json(), sort_keys=True)
+        assert json.dumps(a.bus.to_json(), sort_keys=True) == \
+            json.dumps(b.bus.to_json(), sort_keys=True)
 
     def test_double_bind_rejected(self, graph, trace):
         monitor = monitored_run(graph, trace)
@@ -127,10 +137,11 @@ class TestCalibratedDetection:
         second = monitored_run(graph, trace, faults="straggler",
                                reference=reference, monitor_config=config)
         assert first.anomalies(), "straggler produced no anomalies"
-        assert first.bank.to_json() == second.bank.to_json()
+        assert first.anomalies() == second.anomalies()
         # Every anomaly reaches the bus with source "detect".
-        assert len(first.bus) == len(first.anomalies())
-        assert {e.source for e in first.bus.events()} == {"detect"}
+        assert first.bus.events() == first.anomalies()
+        assert {e["source"] for e in first.bus.to_json()["events"]} == \
+            {"detect"}
 
     def test_anomalies_carry_attribution(self, graph, trace):
         config = MonitorConfig.for_trace(trace)
@@ -207,3 +218,65 @@ class TestRendering:
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html and "straggler run" in html
         assert "http://" not in html and "https://" not in html
+
+
+class TestMonitorVerb:
+    """``python -m repro monitor`` end to end: the artifacts the
+    ``monitor-smoke`` CI job uploads, validated, and unchanged by
+    tracing, what-if and HTML output."""
+
+    ARGS = ["monitor", "--rmat-scale", "8", "--edge-factor", "8",
+            "--queries", "200", "--rate", "64", "--gpus", "4",
+            "--seed", "5"]
+
+    def test_straggler_artifacts_validate_and_repeat(self, tmp_path,
+                                                     capsys):
+        a = {kind: tmp_path / f"a.{kind}"
+             for kind in ("findings", "series", "html", "trace", "snap")}
+        assert main(self.ARGS + [
+            "--faults", "straggler", "--whatif",
+            "--out", str(a["findings"]),
+            "--series-out", str(a["series"]),
+            "--html", str(a["html"]),
+            "--trace-out", str(a["trace"]),
+            "--snapshot", str(a["snap"])]) == 0
+        assert "what-if: predicted knob impacts" in capsys.readouterr().out
+        # The bare run: no tracer, no what-if, no HTML, no snapshot.  The
+        # extras must not change what the monitor finds or samples.
+        b = {kind: tmp_path / f"b.{kind}" for kind in ("findings", "series")}
+        assert main(self.ARGS + [
+            "--faults", "straggler",
+            "--out", str(b["findings"]),
+            "--series-out", str(b["series"])]) == 0
+        assert "what-if" not in capsys.readouterr().out
+        assert a["findings"].read_bytes() == b["findings"].read_bytes()
+        assert a["series"].read_bytes() == b["series"].read_bytes()
+
+        events = load_findings(a["findings"])["events"]
+        assert events, "straggler run published no findings"
+        assert {e["source"] for e in events} == {"detect"}
+
+        series = load_series(a["series"])["series"]
+        assert "serve.device_util" in series
+
+        trace = json.loads(a["trace"].read_text())
+        assert validate_trace(trace) > 0
+        marks = [e for e in trace["traceEvents"]
+                 if e.get("ph") == "i" and e.get("cat") == "detect"]
+        assert len(marks) == len(events)
+
+        page = a["html"].read_text()
+        assert page.startswith("<!DOCTYPE html>") and "<svg" in page
+
+        snap = load_snapshot(a["snap"])
+        assert any(key.endswith(".anomalies") for key in snap["metrics"])
+
+    def test_long_run_calibrates_from_every_reference_sample(self,
+                                                              capsys):
+        # 32,396 ticks: twice the per-series ring buffer.  The reference
+        # band must cover the samples the ring evicted, or the clean run
+        # trips over its own early cache-hit rate.
+        assert main(self.ARGS + ["--cadence-ms", "0.0001",
+                                 "--fail-on-anomaly"]) == 0
+        out = capsys.readouterr().out
+        assert "32396 ticks" in out and "anomalies: 0" in out

@@ -6,14 +6,12 @@ import math
 
 import pytest
 
-from repro.observ.registry import MetricsRegistry
 from repro.observ.timeseries import (
     SERIES_SCHEMA,
     Board,
     Series,
     WindowStats,
     load_series,
-    registry_probe,
     validate_series,
     write_series,
 )
@@ -121,33 +119,6 @@ class TestBoard:
         board.add("a", lambda ts: 0.0)
         assert "a" in board and "b" not in board
         assert board.names() == ["a"]
-
-
-class TestRegistryProbe:
-    def test_counter_value(self):
-        reg = MetricsRegistry()
-        reg.counter("hits", tier="row").inc(3)
-        probe = registry_probe(reg, "hits", tier="row")
-        assert probe(0.0) == 3.0
-
-    def test_histogram_stats(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert registry_probe(reg, "lat", stat="count")(0.0) == 4.0
-        assert registry_probe(reg, "lat", stat="sum")(0.0) == 10.0
-        assert registry_probe(reg, "lat", stat="mean")(0.0) == 2.5
-
-    def test_untouched_metric_reads_zero_without_materializing(self):
-        reg = MetricsRegistry()
-        probe = registry_probe(reg, "never.touched")
-        assert probe(0.0) == 0.0
-        assert len(reg) == 0
-
-    def test_unknown_stat_rejected(self):
-        with pytest.raises(ValueError, match="unknown stat"):
-            registry_probe(MetricsRegistry(), "x", stat="median")
 
 
 class TestSerialization:
