@@ -36,7 +36,9 @@ Traversal math is shared with :mod:`repro.bfs.partition2d` (the same
 ``_expand_topdown_blocks`` / ``_inspect_bottomup_blocks`` helpers), so
 cluster levels and parents are bit-identical to the single-node grid —
 and therefore to the single-GPU reference — by construction;
-:mod:`tests.test_differential` checks it anyway.
+:mod:`tests.test_differential` checks it anyway.  Bottom-up inspection
+scans the inspect graph's column blocks, which are cached on the graph:
+repeated traversals of one graph, each on a fresh fabric, split it once.
 """
 
 from __future__ import annotations
@@ -271,6 +273,8 @@ def cluster_enterprise_bfs(
     if num_nodes > n:
         raise ValueError(f"{num_nodes} nodes for {n} vertices: every node "
                          "needs a non-empty shard")
+    if parts_per_node < 1:
+        raise ValueError(f"parts_per_node must be >= 1, got {parts_per_node}")
 
     rows, cols = num_nodes, gpus_per_node
     inspect_graph = graph.reverse if graph.directed else graph
@@ -285,8 +289,7 @@ def cluster_enterprise_bfs(
               ).astype(np.int64)
 
     # --- out-of-core sharding: node i stores only its row's adjacency.
-    parts_per_node = max(1, min(parts_per_node,
-                                int(np.min(np.diff(row_bounds))) or 1))
+    parts_per_node = min(parts_per_node, int(np.min(np.diff(row_bounds))))
     pbounds = shard_bounds(row_bounds, parts_per_node)
     parts_fwd = PartitionedCSR(graph, rows * parts_per_node, bounds=pbounds)
     parts_bu = (parts_fwd if inspect_graph is graph else
@@ -380,7 +383,7 @@ def cluster_enterprise_bfs(
             node_io, staged = _stage(parts_bu, bu_caches, candidates)
             level_edges, blocks = _inspect_bottomup_blocks(
                 inspect_graph, candidates, status, level, just_visited,
-                parents, row_of, col_of, rows, cols, spec)
+                parents, row_of, col_bounds, rows, spec)
         bytes_read += staged
         for i, j, k in blocks:
             fabric.device(i, j).launch(k)

@@ -28,11 +28,16 @@ ships 0 bytes and is skipped.  The byte ledger records exactly the
 payloads charged (``bytes_exchanged == sum(charged_payloads)``).
 
 Bottom-up levels are row-parallel: a row's unvisited candidates are
-inspected by all GPUs of that row, each scanning only the in-edges whose
-sources fall in its column group; a candidate is discovered if *any*
-column finds a parent (resolved in the row exchange).  Early termination
-is per-column, so a 2-D grid inspects somewhat more edges than the 1-D
-scheme — the known cost of the layout, visible in the traces.
+inspected by all GPUs of that row, and a candidate is discovered if
+*any* column finds a parent (resolved in the row exchange).  GPU (i, j)
+scans only its column block of each list, the in-edges whose sources
+fall in column group j (:meth:`~repro.graph.csr.CSRGraph.column_blocks`),
+with early exit (:func:`~repro.bfs.common._scan_first_hits`).  The
+scatter route of single-GPU inspection is not used: it needs each
+block's incidence transpose, one stable argsort per block, which costs
+more set-up time than it saves.  Early termination is per-column, so a
+2-D grid inspects somewhat more edges than the 1-D scheme — the known
+cost of the layout, visible in the traces.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..accel import shared_arange
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import Granularity, KernelCost, expansion_kernel, sweep_kernel
 from ..gpu.memory import sequential_transactions
@@ -51,7 +57,13 @@ from ..gpu.multi import (
 )
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
-from .common import BFSResult, LevelTrace, UNVISITED
+from .common import (
+    BFSResult,
+    LevelTrace,
+    UNVISITED,
+    _INT64_MAX,
+    _scan_first_hits,
+)
 from .direction import GammaPolicy
 from .enterprise import EnterpriseConfig
 
@@ -142,7 +154,9 @@ def _expand_topdown_blocks(
     Mutates ``just_visited``/``parents`` in place and returns the level's
     edges checked plus the per-block kernels to launch — the exact
     traversal math shared by the single-node grid and the cluster layer,
-    so the two stay bit-identical by construction.
+    so the two stay bit-identical by construction.  A vertex reached
+    more than once takes the last writer in (column, frontier, list)
+    order as its parent, as in :func:`~repro.bfs.common.expand_frontier`.
     """
     level_edges = 0
     blocks: list[tuple[int, int, KernelCost]] = []
@@ -150,32 +164,26 @@ def _expand_topdown_blocks(
         seg = frontier[col_of[frontier] == j]
         if seg.size == 0:
             continue
-        srcs, nbrs = graph.gather_neighbors(seg)
+        degs = graph.out_degrees[seg]
+        nbrs = graph.targets[graph.gather_slots(seg, graph.offsets, degs)]
         level_edges += int(nbrs.size)
-        target_rows = row_of[nbrs]
-        unv = status[nbrs] == UNVISITED
+        owner = np.repeat(shared_arange(seg.size), degs)
+        new = status[nbrs] == UNVISITED
+        cand = nbrs[new]
+        # Rows own disjoint target ranges, so one store per column is
+        # every block's store.
+        just_visited[cand] = True
+        parents[cand] = seg[owner[new]]
+        # Cost: each GPU's share — its block's edges per frontier
+        # vertex, charged like a WB thread/warp mix (summarised as WARP
+        # here; the block is a subset of the level's frontier edges).
+        loads = np.bincount(row_of[nbrs] * seg.size + owner,
+                            minlength=rows * seg.size).reshape(rows, -1)
         for i in range(rows):
-            mine = target_rows == i
-            block_edges = int(np.count_nonzero(mine))
-            if block_edges == 0:
+            if not loads[i].any():
                 continue
-            # Discoveries in this block.
-            cand = nbrs[mine & unv]
-            csrc = srcs[mine & unv]
-            if cand.size:
-                uniq = np.unique(cand)
-                last = cand.size - 1 - np.unique(
-                    cand[::-1], return_index=True)[1]
-                just_visited[uniq] = True
-                parents[uniq] = csrc[last]
-            # Cost: this GPU's share — the block's edges, charged
-            # like a WB thread/warp mix (summarised as WARP here;
-            # the block is a subset of the level's frontier edges).
-            per_block_loads = np.bincount(
-                np.searchsorted(seg, srcs[mine]),
-                minlength=seg.size)
             k = expansion_kernel(
-                np.maximum(per_block_loads, 1), Granularity.WARP,
+                np.maximum(loads[i], 1), Granularity.WARP,
                 spec, name=f"td-block-{i}-{j}")
             blocks.append((i, j, k))
     return level_edges, blocks
@@ -189,54 +197,39 @@ def _inspect_bottomup_blocks(
     just_visited: np.ndarray,
     parents: np.ndarray,
     row_of: np.ndarray,
-    col_of: np.ndarray,
+    col_bounds: np.ndarray,
     rows: int,
-    cols: int,
     spec: DeviceSpec,
 ) -> tuple[int, list[tuple[int, int, KernelCost]]]:
     """Inspect one bottom-up level, row-parallel across the grid.
 
-    Per-column early termination counts only the *column's own* slice of
-    each candidate's adjacency up to that column's first hit — columns
-    whose hit comes late no longer get billed for other columns' edges.
+    GPU (i, j) scans only its column block of each row-``i`` candidate's
+    list (:meth:`~repro.graph.csr.CSRGraph.column_blocks` over
+    ``col_bounds``) and stops at the block's first hit, so a column
+    whose hit comes late is billed for its own entries only: the hit
+    position + 1, or the block degree when there is no hit.  A candidate
+    is found if any column hits; its parent is the first hit of the
+    highest such column.
     """
+    col_blocks = inspect_graph.column_blocks(col_bounds)
+    at_level = status == level
     level_edges = 0
     blocks: list[tuple[int, int, KernelCost]] = []
     for i in range(rows):
         row_cand = candidates[row_of[candidates] == i]
         if row_cand.size == 0:
             continue
-        srcs, nbrs = inspect_graph.gather_neighbors(row_cand)
-        src_cols = col_of[nbrs]
-        hit = status[nbrs] == level
-        degs = inspect_graph.out_degrees[row_cand]
-        starts = np.cumsum(degs) - degs
-        positions = np.arange(nbrs.size, dtype=np.int64)
-        INF = np.iinfo(np.int64).max
-        for j in range(cols):
-            mine = src_cols == j
-            if not np.any(mine):
+        for j, block in enumerate(col_blocks):
+            degs = block.out_degrees[row_cand]
+            if not degs.any():
                 continue
-            # Per-column early termination: scan this column's
-            # slice of each candidate's list until a hit.
-            col_pos = np.where(mine & hit, positions, INF)
-            first = np.full(row_cand.size, INF, dtype=np.int64)
-            nonempty = degs > 0
-            if np.any(nonempty):
-                first[nonempty] = np.minimum.reduceat(
-                    col_pos, starts[nonempty])
-            cand_idx = np.searchsorted(row_cand, srcs[mine])
-            # Entries of *this column's slice* at or before the
-            # column's first hit (everything, when there is no hit).
-            scanned = positions[mine] <= first[cand_idx]
-            lookups = np.bincount(cand_idx[scanned],
-                                  minlength=row_cand.size)
+            first = _scan_first_hits(block, row_cand, degs, at_level)
+            hit = first != _INT64_MAX
+            lookups = np.where(hit, first + 1, degs)
             level_edges += int(lookups.sum())
-            found_mask = first != INF
-            if np.any(found_mask):
-                found = row_cand[found_mask]
-                just_visited[found] = True
-                parents[found] = nbrs[first[found_mask]]
+            found = row_cand[hit]
+            just_visited[found] = True
+            parents[found] = block.targets[block.offsets[found] + first[hit]]
             k = expansion_kernel(
                 np.maximum(lookups, 1), Granularity.THREAD, spec,
                 name=f"bu-block-{i}-{j}")
@@ -320,7 +313,7 @@ def multigpu2d_enterprise_bfs(
             frontier_count = int(candidates.size)
             level_edges, blocks = _inspect_bottomup_blocks(
                 inspect_graph, candidates, status, level, just_visited,
-                parents, row_of, col_of, rows, cols, spec)
+                parents, row_of, col_bounds, rows, spec)
         for i, j, k in blocks:
             devices[i][j].launch(k)
             per_device_ms[i, j] += k.time_ms

@@ -139,6 +139,16 @@ _positive_int = _positive(int)
 _positive_float = _positive(float)
 
 
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated positive ints, e.g. ``1,2,4,8``."""
+    try:
+        return tuple(_positive_int(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive integers, got {text!r}"
+        ) from None
+
+
 def _fault_profiles(text: str) -> list[str]:
     """argparse type: comma-separated fault profile names."""
     from .faults import PROFILES
@@ -797,7 +807,7 @@ def _cmd_report_cluster(args) -> int:
         write_cluster_profile,
     )
 
-    counts = tuple(int(c) for c in args.node_counts.split(","))
+    counts = args.node_counts
     rows, results = run_weak_scaling(
         counts, gpus_per_node=args.gpus_per_node,
         base_scale=args.base_scale, edge_factor=args.edge_factor,
@@ -1032,8 +1042,7 @@ def _cmd_cluster_bfs(args) -> int:
 def _cmd_cluster_weak(args) -> int:
     from .bench import format_table, run_weak_scaling
 
-    counts = tuple(int(c) for c in args.node_counts.split(","))
-    rows = run_weak_scaling(counts,
+    rows = run_weak_scaling(args.node_counts,
                             gpus_per_node=args.gpus_per_node,
                             base_scale=args.base_scale,
                             edge_factor=args.edge_factor,
@@ -1168,9 +1177,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "findings, repro.clusterprofile/v1 artifact")
     p.add_argument("--nodes", type=_positive_int, default=4,
                    help="cluster nodes for --cluster (default 4)")
-    p.add_argument("--gpus-per-node", type=int, default=2,
+    p.add_argument("--gpus-per-node", type=_positive_int, default=2,
                    help="GPUs per node for --cluster (default 2)")
-    p.add_argument("--parts-per-node", type=int, default=32,
+    p.add_argument("--parts-per-node", type=_positive_int, default=32,
                    help="out-of-core partitions per node for --cluster "
                         "(default 32)")
     p.add_argument("--faults", default="none",
@@ -1364,21 +1373,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmat-scale", type=_positive_int,
                    help="with bfs: traverse an R-MAT graph of this "
                         "scale instead of the catalog graph")
-    p.add_argument("--edge-factor", type=int, default=16,
+    p.add_argument("--edge-factor", type=_positive_int, default=16,
                    help="R-MAT edge factor (default 16)")
     p.add_argument("--source", type=int,
                    help="with bfs: source vertex (default: random)")
     p.add_argument("--nodes", type=_positive_int, default=2,
                    help="with bfs: simulated node count (default 2)")
-    p.add_argument("--node-counts", default="1,2,4,8",
+    p.add_argument("--node-counts", type=_positive_ints, default="1,2,4,8",
                    help="with weak: comma-separated node counts "
                         "(default 1,2,4,8)")
-    p.add_argument("--gpus-per-node", type=int, default=2,
+    p.add_argument("--gpus-per-node", type=_positive_int, default=2,
                    help="GPUs per simulated node (default 2)")
-    p.add_argument("--base-scale", type=int, default=15,
+    p.add_argument("--base-scale", type=_positive_int, default=15,
                    help="with weak: R-MAT scale at 1 node; grows "
                         "log2(nodes) with the node count (default 15)")
-    p.add_argument("--parts-per-node", type=int, default=32,
+    p.add_argument("--parts-per-node", type=_positive_int, default=32,
                    help="out-of-core partitions per node shard "
                         "(default 32)")
     p.add_argument("--check", action="store_true",
@@ -1427,16 +1436,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster report: weak-scaling sweep, per-tier "
                         "time attribution, efficiency-gap waterfall, "
                         "ranked findings")
-    p.add_argument("--node-counts", default="1,2,4,8",
+    p.add_argument("--node-counts", type=_positive_ints, default="1,2,4,8",
                    help="with --cluster: comma-separated node counts "
                         "(default 1,2,4,8)")
-    p.add_argument("--base-scale", type=int, default=12,
+    p.add_argument("--base-scale", type=_positive_int, default=12,
                    help="with --cluster: R-MAT scale at 1 node; grows "
                         "log2(nodes) with the node count (default 12)")
-    p.add_argument("--gpus-per-node", type=int, default=2,
+    p.add_argument("--gpus-per-node", type=_positive_int, default=2,
                    help="with --cluster: GPUs per simulated node "
                         "(default 2)")
-    p.add_argument("--parts-per-node", type=int, default=32,
+    p.add_argument("--parts-per-node", type=_positive_int, default=32,
                    help="with --cluster: out-of-core partitions per "
                         "node shard (default 32)")
     p.add_argument("--profile-out",
@@ -1446,7 +1455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmat-scale", type=_positive_int,
                    help="with --serve: run on an R-MAT graph of this "
                         "scale instead of the catalog graph")
-    p.add_argument("--edge-factor", type=int, default=16,
+    p.add_argument("--edge-factor", type=_positive_int, default=16,
                    help="edge factor for --rmat-scale (default 16)")
     p.add_argument("--queries", type=_positive_int, default=1024,
                    help="with --serve: synthetic trace length")

@@ -380,8 +380,11 @@ def _expansion_build_fast(
         scattered = global_lookups - coalesced
         coal_tx = -(-coalesced * element_bytes // seg)
         status_tx = min(global_lookups, scattered + coal_tx)
+        full_lines, tail = divmod(coalesced * element_bytes, seg)
         status_bytes = min(global_lookups * small_seg,
-                           coal_tx * seg + scattered * small_seg)
+                           full_lines * seg
+                           + min(seg, -(-tail // element_bytes) * small_seg)
+                           + scattered * small_seg)
         tx = adj_tx + status_tx
         bytes_moved = adj_bytes + status_bytes
         edge_access = AccessPattern(useful + global_lookups, tx, bytes_moved)
@@ -464,10 +467,16 @@ def _expansion_build(
         scattered = global_lookups - coalesced
         coal_tx = -(-coalesced * element_bytes // seg)
         # Same bound as adjacency: coalescing a handful of lookups into a
-        # full line must not cost more than leaving them scattered.
+        # full line must not cost more than leaving them scattered.  The
+        # byte bound holds line by line: a trailing partial line is
+        # charged a full line or its lookups' scattered transactions,
+        # whichever is less, so more locality never moves more bytes.
         status_tx = min(global_lookups, scattered + coal_tx)
+        full_lines, tail = divmod(coalesced * element_bytes, seg)
         status_bytes = min(global_lookups * small_seg,
-                           coal_tx * seg + scattered * small_seg)
+                           full_lines * seg
+                           + min(seg, -(-tail // element_bytes) * small_seg)
+                           + scattered * small_seg)
         tx = adj_tx + status_tx
         bytes_moved = adj_bytes + status_bytes
         edge_access = AccessPattern(useful + global_lookups, tx, bytes_moved)

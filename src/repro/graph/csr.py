@@ -179,6 +179,33 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
+    def column_blocks(self, bounds: np.ndarray) -> tuple["CSRGraph", ...]:
+        """The graph split by target range, one block per range.
+
+        Block ``j`` keeps, for every vertex, the entries of its list
+        whose target lies in ``[bounds[j], bounds[j + 1])``, in list
+        order: the edge block a 2-D grid column stores.  Built once per
+        ``bounds`` and cached on the graph, like :attr:`reverse`.
+        """
+        key = tuple(int(b) for b in bounds)
+        blocks = self._column_blocks.get(key)
+        if blocks is None:
+            built = []
+            for lo, hi in zip(key[:-1], key[1:]):
+                slots = np.flatnonzero((self.targets >= lo)
+                                       & (self.targets < hi))
+                # A block offset counts the kept slots before the list.
+                built.append(CSRGraph(np.searchsorted(slots, self.offsets),
+                                      self.targets[slots],
+                                      directed=self.directed,
+                                      name=f"{self.name}[{lo}:{hi}]"))
+            blocks = self._column_blocks[key] = tuple(built)
+        return blocks
+
+    @cached_property
+    def _column_blocks(self) -> dict[tuple[int, ...], tuple["CSRGraph", ...]]:
+        return {}
+
     @cached_property
     def reverse(self) -> "CSRGraph":
         """The transpose graph (in-edges); identity for undirected CSR."""

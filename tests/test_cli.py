@@ -87,6 +87,24 @@ class TestParser:
         ["cluster", "bfs", "--graph", "GO", "--profile", "tiny",
          "--diff", "EXISTING"],
         ["perf"],
+        ["cluster", "bfs", "--rmat-scale", "8", "--gpus-per-node", "0"],
+        ["cluster", "bfs", "--rmat-scale", "8", "--edge-factor", "0"],
+        ["cluster", "bfs", "--rmat-scale", "8", "--parts-per-node", "0"],
+        ["cluster", "bfs", "--rmat-scale", "8", "--parts-per-node", "-5"],
+        ["cluster", "weak", "--base-scale", "0"],
+        ["cluster", "weak", "--base-scale", "8", "--node-counts", "1,0"],
+        ["cluster", "weak", "--base-scale", "8", "--node-counts", "a"],
+        ["report", "--cluster", "--base-scale", "0"],
+        ["report", "--cluster", "--base-scale", "8", "--node-counts", "1,0"],
+        ["report", "--cluster", "--base-scale", "8", "--node-counts", "a"],
+        ["report", "--cluster", "--base-scale", "8", "--gpus-per-node", "0"],
+        ["report", "--cluster", "--base-scale", "8", "--edge-factor", "0"],
+        ["report", "--cluster", "--base-scale", "8",
+         "--parts-per-node", "0"],
+        ["profile", "--cluster", "--graph", "GO", "--profile", "tiny",
+         "--gpus-per-node", "0"],
+        ["profile", "--cluster", "--graph", "GO", "--profile", "tiny",
+         "--parts-per-node", "0"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         existing = tmp_path / "old.snap.json"

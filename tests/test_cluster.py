@@ -68,6 +68,9 @@ def test_rejects_bad_shapes(skewed_graph):
         cluster_enterprise_bfs(g, g.num_vertices, 2)
     with pytest.raises(ValueError):
         cluster_enterprise_bfs(g, 0, 2, 2, fabric=Fabric(4, 2))
+    for parts in (0, -5):
+        with pytest.raises(ValueError, match="parts_per_node"):
+            cluster_enterprise_bfs(g, 0, 2, 2, parts_per_node=parts)
 
 
 # ----------------------------------------------------------------------
@@ -226,3 +229,28 @@ def test_weak_scaling_efficiency_bar():
             f"{row['nodes']} nodes: efficiency {row['efficiency']:.3f}")
     # Weak scaling: the problem actually grows with the node count.
     assert rows[-1]["scale"] == rows[0]["scale"] + 3
+
+
+def test_weak_verb_snapshot_contract(tmp_path):
+    """``cluster weak`` as CI's cluster-smoke job runs it: a
+    ``fig15_cluster`` snapshot whose rows are the node counts, each
+    exact, with >= 0.7 efficiency and inter-node traffic at 8 nodes, and
+    a clean ``--diff`` re-run."""
+    from repro.cli import main
+    from repro.observ import load_snapshot
+
+    path = str(tmp_path / "cluster.snap.json")
+    argv = ["cluster", "weak", "--node-counts", "1,2,4,8",
+            "--base-scale", "12", "--check"]
+    assert main(argv + ["--snapshot", path]) == 0
+    snap = load_snapshot(path)
+    assert snap["kind"] == "bench"
+    assert snap["meta"]["figure"] == "fig15_cluster"
+    m = snap["metrics"]
+    for row, nodes in enumerate((1, 2, 4, 8)):
+        assert m[f"weak_node.{row}.nodes"] == nodes, row
+        assert m[f"weak_node.{row}.exact"] == 1, nodes
+    eff = m["weak_node.3.efficiency"]
+    assert eff >= 0.7, f"weak-scaling efficiency {eff:.3f} < 0.7"
+    assert m["weak_node.3.bytes_inter"] > 0
+    assert main(argv + ["--diff", path]) == 0

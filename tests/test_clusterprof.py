@@ -298,3 +298,59 @@ def test_html_render_smoke(skewed_graph):
         assert tier in html
     # Without a decomposition the waterfall section is simply absent.
     assert "waterfall" not in render_cluster_html(prof)
+
+
+# ----------------------------------------------------------------------
+# CLI artifacts, as CI's cluster-report-smoke job produces them
+# ----------------------------------------------------------------------
+
+def test_traced_four_node_run_artifacts(tmp_path):
+    """``cluster bfs --trace-out --profile-out`` on 4 nodes: one trace
+    pid per node, allreduce flow chains, a valid 4-node profile."""
+    from repro.cli import main
+    from repro.observ import validate_trace
+
+    trace = tmp_path / "cluster.trace.json"
+    prof_path = tmp_path / "cluster.profile.json"
+    assert main(["cluster", "bfs", "--rmat-scale", "12", "--nodes", "4",
+                 "--gpus-per-node", "2", "--check",
+                 "--trace-out", str(trace),
+                 "--profile-out", str(prof_path)]) == 0
+    doc = json.loads(trace.read_text())
+    validate_trace(doc, expect_cluster=4)
+    pids = {e["pid"] for e in doc["traceEvents"] if e.get("ph") == "X"}
+    assert pids == {0, 1, 2, 3}, pids
+    chains = {e["id"] for e in doc["traceEvents"]
+              if e.get("ph") in ("s", "t", "f")}
+    assert chains, "no collective flow chains in the trace"
+    # load_cluster_profile re-validates the exact per-level partition.
+    prof = load_cluster_profile(prof_path)
+    assert prof.num_nodes == 4
+    assert prof.levels, "profile has no levels"
+
+
+def test_profile_built_twice_from_a_fresh_fabric_is_identical():
+    g = rmat_graph(12, 8, seed=7, name="rmat12")
+    dumps = [_dump(profile_cluster_run(g, 0, 4, 2)) for _ in range(2)]
+    assert dumps[0] == dumps[1], "cluster profile not deterministic"
+
+
+def test_report_verb_sections(tmp_path, capsys):
+    """``report --cluster`` to 8 nodes: the waterfall and tier sections
+    on stdout, and an HTML page with the waterfall and the first and
+    last node's Gantt tracks."""
+    from repro.cli import main
+
+    html_path = tmp_path / "cluster-report.html"
+    assert main(["report", "--cluster", "--node-counts", "1,2,4,8",
+                 "--base-scale", "12", "-o", str(html_path),
+                 "--profile-out",
+                 str(tmp_path / "focus.clusterprofile.json")]) == 0
+    text = capsys.readouterr().out
+    for section in ("weak scaling waterfall", "tiers (whole run)",
+                    "worst tier"):
+        assert section in text, section
+    html = html_path.read_text()
+    assert html.startswith("<!DOCTYPE html>")
+    assert "waterfall" in html.lower()
+    assert "node 0" in html and "node 3" in html

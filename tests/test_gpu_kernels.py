@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import accel
 from repro.gpu import (
     CTA_THREADS,
     GRID_THREADS,
@@ -87,6 +90,20 @@ class TestExpansionKernel:
                                  neighbor_locality=0.9)
         assert local.access.transactions < scattered.access.transactions
         assert local.time_ms <= scattered.time_ms
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_traffic_never_grows_with_locality(self, scalar):
+        """One more coalesced lookup at a time, across every line edge."""
+        w = np.array([68])
+        mode = accel.scalar_reference() if scalar else contextlib.nullcontext()
+        with mode:
+            ks = [expansion_kernel(w, Granularity.WARP, SPEC,
+                                   neighbor_locality=c / 68)
+                  for c in range(69)]
+        tx = [k.access.transactions for k in ks]
+        moved = [k.access.bytes_moved for k in ks]
+        assert tx == sorted(tx, reverse=True)
+        assert moved == sorted(moved, reverse=True)
 
     def test_shared_hits_reduce_global_traffic(self):
         """HC's mechanism: cache-served lookups leave global memory."""

@@ -8,7 +8,7 @@ hits never add traffic, and the counters stay in their physical ranges.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import (
@@ -37,6 +37,8 @@ def test_more_work_never_cheaper(w, gran):
 
 @given(w=workload_lists,
        loc=st.floats(0.0, 1.0), loc2=st.floats(0.0, 1.0))
+# 14 vs 17 coalesced lookups: the 17th opens a second, mostly empty line.
+@example(w=[68], loc=0.25, loc2=0.21875)
 @settings(max_examples=50, deadline=None)
 def test_locality_monotone(w, loc, loc2):
     lo, hi = sorted((loc, loc2))

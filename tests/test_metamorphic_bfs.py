@@ -1,4 +1,5 @@
-"""Metamorphic properties of the Enterprise HC traversal.
+"""Metamorphic properties of three traversals: single-GPU Enterprise
+(HC), the 2-D grid at 2x2 and the cluster at 4 nodes x 2 GPUs.
 
 Two input changes whose effect on the answer is known without a second
 implementation to compare against:
@@ -10,7 +11,7 @@ implementation to compare against:
   original vertex's level unchanged, and the new vertices unvisited.
 
 The graphs are R-MAT-11, large enough that every traversal takes the
-γ switch to bottom-up with the hub cache engaged.  Every traversal's
+γ switch to bottom-up (HC with the hub cache engaged).  Every traversal's
 parents must also pass :func:`validate_result` and the five Graph 500
 checks.
 """
@@ -20,8 +21,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bfs.cluster import cluster_enterprise_bfs
 from repro.bfs.common import UNVISITED, validate_result
 from repro.bfs.enterprise import ABLATION_CONFIGS, enterprise_bfs
+from repro.bfs.partition2d import multigpu2d_enterprise_bfs
 from repro.bfs.validate500 import graph500_validate
 from repro.graph.csr import from_edges
 from repro.graph.generators import RMAT_ABC, kronecker_edges
@@ -31,6 +34,22 @@ from repro.metrics import random_sources
 SCALE = 11
 SEEDS = (1, 2, 3)
 
+TRAVERSALS = {
+    "hc": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["HC"]),
+    "grid-2x2": lambda g, s: multigpu2d_enterprise_bfs(g, s, 2, 2).result,
+    "cluster-4x2": lambda g, s: cluster_enterprise_bfs(g, s, 4, 2).result,
+}
+
+#: (traversal, seed, directed); an HC case is named by seed and
+#: directedness alone.
+CASES = [
+    pytest.param(traversal, seed, directed,
+                 id=(f"{seed}-{directed}" if traversal == "hc"
+                     else f"{traversal}-{seed}-{directed}"))
+    for traversal in TRAVERSALS for seed in SEEDS
+    for directed in (False, True)
+]
+
 
 def _rmat(seed: int, directed: bool):
     src, dst = kronecker_edges(SCALE, 16, RMAT_ABC, seed)
@@ -38,8 +57,8 @@ def _rmat(seed: int, directed: bool):
                       name=f"R-MAT-{SCALE}")
 
 
-def _traverse(graph, source: int):
-    result = enterprise_bfs(graph, source, config=ABLATION_CONFIGS["HC"])
+def _traverse(traversal: str, graph, source: int):
+    result = TRAVERSALS[traversal](graph, source)
     validate_result(result, graph)
     report = graph500_validate(result, graph)
     assert report.ok, report.messages
@@ -50,24 +69,23 @@ def _switched(result) -> bool:
     return any(t.direction == "switch" for t in result.traces)
 
 
-@pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_relabelling_permutes_levels(seed, directed):
+@pytest.mark.parametrize("traversal,seed,directed", CASES)
+def test_relabelling_permutes_levels(traversal, seed, directed):
     graph = _rmat(seed, directed)
     new_id = np.random.default_rng(seed).permutation(graph.num_vertices)
     relabeled = apply_relabeling(graph, new_id, name_suffix="+shuffled")
     for source in random_sources(graph, 3, seed):
-        base = _traverse(graph, int(source))
+        base = _traverse(traversal, graph, int(source))
         assert _switched(base)
-        moved = _traverse(relabeled.graph, relabeled.map_vertex(source))
+        moved = _traverse(traversal, relabeled.graph,
+                          relabeled.map_vertex(source))
         np.testing.assert_array_equal(relabeled.to_old(moved.levels),
                                       base.levels)
 
 
-@pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("traversal,seed,directed", CASES)
 def test_duplicates_self_loops_and_isolated_vertices_keep_levels(
-        seed, directed):
+        traversal, seed, directed):
     graph = _rmat(seed, directed)
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
@@ -86,8 +104,8 @@ def test_duplicates_self_loops_and_isolated_vertices_keep_levels(
                        directed=directed, symmetrize=False)
     assert noisy.num_edges > graph.num_edges
     for source in random_sources(graph, 3, seed):
-        base = _traverse(graph, int(source))
+        base = _traverse(traversal, graph, int(source))
         assert _switched(base)
-        noisy_run = _traverse(noisy, int(source))
+        noisy_run = _traverse(traversal, noisy, int(source))
         np.testing.assert_array_equal(noisy_run.levels[:n], base.levels)
         assert np.all(noisy_run.levels[n:] == UNVISITED)

@@ -181,7 +181,7 @@ class TestBottomUpLookups:
 
         edges, blocks = _inspect_bottomup_blocks(
             g, candidates, status, 0, just_visited, parents,
-            row_of, col_of, 1, 2, KEPLER_K40)
+            row_of, np.searchsorted(col_of, np.arange(3)), 1, KEPLER_K40)
 
         # Column 0 scans: candidate 6 stops at its hit on vertex 0
         # (1 edge, vertex 1 never touched); candidate 7 scans its lone
