@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """CI gate over two perfbench records.
 
-    python3 .github/perfbench_gate.py A.json B.json [METRIC ...]
+    python3 .github/perfbench_gate.py A.json B.json
 
 Prints every row of ``perfbench/compare.py A.json B.json``, then exits
-1 when a named METRIC (``failed_frac`` or an end-to-end metric) reads
-``worse``, when a simulated metric (``sim_*``) differs between A and B
-in any bit, or when a BENCHMARK.json workload is missing from either
-record.  Every other row is printed, not gated.
+1 when ``failed_frac`` reads ``worse``, when a simulated metric
+(``sim_*``) differs between A and B in any bit, or when a BENCHMARK.json
+workload is missing from either record.  Every other row is printed,
+not gated.
 """
 
 from __future__ import annotations
@@ -21,16 +21,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import compare  # noqa: E402
 
+#: The one metric gated on its ``worse`` verdict.
+GATED = "failed_frac"
+
 
 def main(argv: list[str]) -> int:
-    a, b, *gated = argv
+    a, b = argv
     compare.main([a, b])
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = compare.compare(json.loads(Path(a).read_text()),
                            json.loads(Path(b).read_text()), spec)
     blocking = [f"{workload} {metric}: {verdict}, {va!r} -> {vb!r}"
                 for workload, metric, va, vb, verdict in rows
-                if (metric in gated and verdict == "worse")
+                if (metric == GATED and verdict == "worse")
                 or (metric.startswith("sim_") and va != vb)]
     missing = sorted({w["name"] for w in spec["workloads"]}
                      - {row[0] for row in rows})

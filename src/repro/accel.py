@@ -1,47 +1,29 @@
-"""Vectorized fast paths: the mode switch and the interning caches.
+"""Vectorized fast paths: the interning caches and shared read-only ramps.
 
-The simulator keeps two implementations of every per-vertex hot path:
-
-* the **scalar reference** — the original, straight-line NumPy code,
-  kept verbatim as ``*_scalar`` functions next to each fast path; and
-* the **vectorized** path — batched whole-frontier formulations plus
-  interned (pooled) cost objects, which is what runs by default.
-
-Both must produce **bit-identical** results: every distance array,
-counter snapshot, GTEPS figure and perfbench ``sim_*`` metric is the
-same object-for-object value under either mode.  The differential
-test layer (``tests/test_vectorized_differential.py``) enforces this by
-running both modes on pathological graphs, every BFS variant, MS-BFS
-waves, the chaos fault matrix and the serve stack.
-
-Selecting the scalar reference:
-
-* environment — ``REPRO_SCALAR=1`` before interpreter start;
-* runtime — :func:`set_scalar_mode` / the :func:`scalar_reference`
-  context manager (what the differential tests use).
+Every per-vertex hot path in the simulator has one implementation: a
+batched whole-frontier NumPy formulation.  Golden digests pin each one
+to the output of the seed code it replaced — every distance array,
+counter snapshot, GTEPS figure and simulated millisecond, byte for byte
+(``tests/test_golden_runs.py``; ``python -m tests.test_golden_runs``
+regenerates the digests).  Single-function references (the list-walk
+inspection, the masked-compress classification, the two-key ``lexsort``
+bin order) live on as oracles in the property tests.
 
 Interning: the cost constructors in :mod:`repro.gpu.kernels` and the
 transaction counters in :mod:`repro.gpu.memory` are referentially
-transparent, so the vectorized mode memoizes them in bounded
-:class:`InternTable` caches.  Cached objects are shared — callers must
-treat :class:`~repro.gpu.kernels.KernelCost` records as frozen (the
-code base already does; the golden and differential suites would catch
-a mutation).  Scalar mode bypasses every table, so the reference path
-constructs each object from scratch exactly as the seed code did.
+transparent, so they are memoized in bounded :class:`InternTable`
+caches, as are the per-graph hub-set and hub-cache set-ups of
+:mod:`repro.bfs.direction` and :mod:`repro.bfs.hubcache`.  Cached
+objects are shared — callers must treat
+:class:`~repro.gpu.kernels.KernelCost` records as frozen (the code base
+already does; the golden suites would catch a mutation).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 
 __all__ = [
-    "scalar_mode",
-    "set_scalar_mode",
-    "scalar_reference",
     "InternTable",
     "intern_table",
     "clear_intern_tables",
@@ -49,33 +31,6 @@ __all__ = [
     "instance_token",
     "shared_arange",
 ]
-
-_scalar = os.environ.get("REPRO_SCALAR", "").strip() not in ("", "0")
-
-
-def scalar_mode() -> bool:
-    """True when the scalar reference implementations are selected."""
-    return _scalar
-
-
-def set_scalar_mode(enabled: bool) -> bool:
-    """Select scalar (True) or vectorized (False) mode; returns the
-    previous setting.  Takes effect on the next hot-path call — there is
-    no per-run state to invalidate."""
-    global _scalar
-    previous = _scalar
-    _scalar = bool(enabled)
-    return previous
-
-
-@contextmanager
-def scalar_reference(enabled: bool = True) -> Iterator[None]:
-    """Run the body under the scalar reference implementations."""
-    previous = set_scalar_mode(enabled)
-    try:
-        yield
-    finally:
-        set_scalar_mode(previous)
 
 
 # ----------------------------------------------------------------------

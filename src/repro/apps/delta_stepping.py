@@ -39,6 +39,8 @@ class WeightedGraph:
         object.__setattr__(self, "weights", w)
         if w.shape != (self.graph.num_edges,):
             raise ValueError("need exactly one weight per directed edge")
+        if not np.isfinite(w).all():
+            raise ValueError("delta-stepping requires finite weights")
         if w.size and w.min() < 0:
             raise ValueError("delta-stepping requires non-negative weights")
 
@@ -166,8 +168,8 @@ def delta_stepping(
     spec = device.spec
     if delta is None:
         delta = max(wg.mean_weight(), 1e-9)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
 
     dist = np.full(n, np.inf)
     parents = np.full(n, -1, dtype=np.int64)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import accel
 from ..gpu.kernels import Granularity, KernelCost, sweep_kernel
 from ..gpu.memory import sequential_transactions
 from ..gpu.specs import DeviceSpec
@@ -31,7 +30,6 @@ __all__ = [
     "QUEUE_GRANULARITY",
     "ClassifiedFrontier",
     "classify_frontiers",
-    "classify_frontiers_scalar",
 ]
 
 #: Out-degree boundaries (small < 32 <= middle < 256 <= large < 65536
@@ -80,33 +78,6 @@ class ClassifiedFrontier:
         return {name: totals[name] / grand for name in QUEUE_ORDER}
 
 
-def classify_frontiers_scalar(
-    queue: np.ndarray,
-    out_degrees: np.ndarray,
-    spec: DeviceSpec,
-    *,
-    bounds: tuple[int, int, int] = QUEUE_BOUNDS,
-) -> ClassifiedFrontier:
-    """Scalar reference for :func:`classify_frontiers` (original seed
-    code): one boolean mask pair per class."""
-    if len(bounds) != 3 or not (0 < bounds[0] < bounds[1] < bounds[2]):
-        raise ValueError("bounds must be three increasing positive ints")
-    small_b, middle_b, large_b = bounds
-    queue = np.asarray(queue, dtype=np.int64)
-    degs = out_degrees[queue] if queue.size else np.empty(0, dtype=np.int64)
-    queues = {
-        "small": queue[degs < small_b],
-        "middle": queue[(degs >= small_b) & (degs < middle_b)],
-        "large": queue[(degs >= middle_b) & (degs < large_b)],
-        "extreme": queue[degs >= large_b],
-    }
-    # One classification pass over the queue: read the degree, bin the ID.
-    access = sequential_transactions(2 * max(queue.size, 1), 8, spec)
-    cost = sweep_kernel(max(queue.size, 1), access, spec,
-                        name="classify", instr_per_element=4)
-    return ClassifiedFrontier(queues=queues, classify_cost=cost)
-
-
 _bounds_arrays: dict[tuple[int, int, int], np.ndarray] = {}
 
 #: Label boundaries the sorted-label array is cut at (labels are 0..3).
@@ -126,13 +97,10 @@ def classify_frontiers(
     appends to its per-class bin in discovery order), so the sortedness
     the switch workflow established survives classification.
 
-    The vectorized path bins by one ``searchsorted`` against the bounds
-    instead of four mask pairs; stable compression per label keeps the
-    queues identical to the scalar reference.
+    Binning is one ``searchsorted`` against the bounds followed by one
+    stable sort by label, so each queue equals the masked compress of the
+    queue by its degree band.
     """
-    if accel.scalar_mode():
-        return classify_frontiers_scalar(queue, out_degrees, spec,
-                                         bounds=bounds)
     if len(bounds) != 3 or not (0 < bounds[0] < bounds[1] < bounds[2]):
         raise ValueError("bounds must be three increasing positive ints")
     queue = np.asarray(queue, dtype=np.int64)
@@ -144,7 +112,7 @@ def classify_frontiers(
         labels = np.searchsorted(edges, degs, side="right")
         # Stable sort by label, then slice at the class boundaries: the
         # relative order within each class is the input order, so each
-        # slice equals the scalar reference's masked compress.
+        # slice equals a masked compress of the queue.
         order = np.argsort(labels, kind="stable")
         sorted_queue = queue[order]
         cuts = np.searchsorted(labels[order], _CUTS)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import accel
 from ..accel import shared_arange
 from ..graph.csr import CSRGraph
 from ..graph.stats import FrontierLevel
@@ -33,9 +32,7 @@ __all__ = [
     "reference_bfs_levels",
     "validate_result",
     "expand_frontier",
-    "expand_frontier_scalar",
     "bottom_up_inspect",
-    "bottom_up_inspect_scalar",
 ]
 
 #: Status-array value for a vertex not yet visited.
@@ -201,33 +198,6 @@ def validate_result(result: BFSResult, graph: CSRGraph,
 # Level primitives shared by the variants
 # ----------------------------------------------------------------------
 
-def expand_frontier_scalar(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    status: np.ndarray,
-    level: int,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Scalar reference for :func:`expand_frontier` (original seed code)."""
-    if frontier.size == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                0, 0)
-    sources, neighbors = graph.gather_neighbors(frontier)
-    edges_checked = int(neighbors.size)
-    unvisited = status[neighbors] == UNVISITED
-    cand = neighbors[unvisited]
-    cand_src = sources[unvisited]
-    if cand.size == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                edges_checked, 0)
-    # Deduplicate, keeping the *last* writer as parent (reverse trick:
-    # np.unique returns first occurrences, so scan the reversed array).
-    uniq = np.unique(cand)
-    rev_last = cand.size - 1 - np.unique(cand[::-1], return_index=True)[1]
-    parents = cand_src[rev_last]
-    status[uniq] = level + 1
-    return uniq, parents, edges_checked, int(cand.size)
-
-
 def expand_frontier(
     graph: CSRGraph,
     frontier: np.ndarray,
@@ -246,8 +216,6 @@ def expand_frontier(
     enqueue attempts an atomic-queue implementation would issue, of which
     ``attempts - len(newly_visited)`` are duplicates.
     """
-    if accel.scalar_mode():
-        return expand_frontier_scalar(graph, frontier, status, level)
     if frontier.size == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 0, 0)
@@ -261,12 +229,13 @@ def expand_frontier(
                 edges_checked, 0)
     # Dedup by marking: level+1 has never been assigned, so after the
     # fancy store the marked positions are exactly np.unique(cand), and
-    # a scratch fancy-assignment of the sources reproduces the scalar
-    # path's last-write-wins parent choice.
+    # a scratch fancy-assignment of the sources keeps the last writer of
+    # each vertex as its parent.
     n = status.size
     if cand.size * 8 < n:
         # Tiny candidate set on a big status array: scanning all n
-        # vertices would dominate; the scalar dedup is already cheap.
+        # vertices would dominate, so dedup by sorting instead (the
+        # reversed unique keeps each vertex's last writer).
         uniq = np.unique(cand)
         rev_last = (cand.size - 1
                     - np.unique(cand[::-1], return_index=True)[1])
@@ -303,68 +272,6 @@ class BottomUpOutcome:
     @property
     def lookups_saved(self) -> int:
         return int(self.lookups_nocache.sum() - self.lookups.sum())
-
-
-def bottom_up_inspect_scalar(
-    graph: CSRGraph,
-    unvisited: np.ndarray,
-    status: np.ndarray,
-    level: int,
-    *,
-    cached_parents: np.ndarray | None = None,
-) -> BottomUpOutcome:
-    """Scalar reference for :func:`bottom_up_inspect` (original seed
-    code): gathers every candidate's whole neighbor list and reduces
-    per segment."""
-    n_front = unvisited.size
-    empty = np.empty(0, dtype=np.int64)
-    if n_front == 0:
-        return BottomUpOutcome(empty, empty, empty.copy(), empty.copy(), 0)
-    sources, neighbors = graph.gather_neighbors(unvisited)
-    degs = graph.out_degrees[unvisited]
-    seg_start = np.cumsum(degs) - degs
-
-    # Hit positions: neighbor visited at exactly `level`.
-    hit = status[neighbors] == level
-    positions = np.arange(neighbors.size, dtype=np.int64)
-    INF = np.iinfo(np.int64).max
-    hit_pos = np.where(hit, positions, INF)
-    # First hit per frontier segment.
-    first_hit = np.full(n_front, INF, dtype=np.int64)
-    nonempty = degs > 0
-    if np.any(nonempty):
-        reduced = np.minimum.reduceat(hit_pos, seg_start[nonempty])
-        first_hit[nonempty] = reduced
-
-    lookups_nocache = np.where(first_hit != INF,
-                               first_hit - seg_start + 1, degs)
-
-    cache_hits = 0
-    if cached_parents is not None:
-        # A cached neighbor visited at `level` anywhere in the list ends
-        # the inspection with zero global lookups.
-        cached_hit = hit & cached_parents[neighbors]
-        cached_pos = np.where(cached_hit, positions, INF)
-        first_cached = np.full(n_front, INF, dtype=np.int64)
-        if np.any(nonempty):
-            first_cached[nonempty] = np.minimum.reduceat(
-                cached_pos, seg_start[nonempty])
-        served_by_cache = first_cached != INF
-        cache_hits = int(np.count_nonzero(served_by_cache))
-        # Cache-served frontiers adopt the cached neighbor as parent.
-        first_hit = np.where(served_by_cache, first_cached, first_hit)
-        lookups = np.where(served_by_cache, 0, lookups_nocache)
-    else:
-        lookups = lookups_nocache
-
-    found_mask = first_hit != INF
-    found = unvisited[found_mask]
-    parents = np.full(found.size, UNVISITED, dtype=np.int64)
-    if found.size:
-        parents = neighbors[first_hit[found_mask]]
-    status[found] = level + 1
-    return BottomUpOutcome(found, parents, lookups.astype(np.int64),
-                           lookups_nocache.astype(np.int64), cache_hits)
 
 
 def _first_hits(
@@ -470,23 +377,20 @@ def bottom_up_inspect(
     level terminates via the cache without any global status lookups
     (§4.3, Fig. 11).  Mutates ``status`` for the discovered vertices.
 
-    The vectorized path answers two questions with :func:`_first_hits`:
-    where each candidate's list first holds a vertex at ``level``, and,
-    for the cache check, where it first holds a *cached* vertex at
-    ``level``.  Each answer comes from an early-exit scan of the
-    candidates' lists or from a scatter-min over the marked vertices'
-    incidence transpose, whichever has fewer slots to read; both give
-    exactly the positions the scalar scan finds.  ``unvisited`` must not
-    contain duplicate vertex IDs (no caller produces any; the scalar
-    reference tolerates them).
+    Two questions are answered with :func:`_first_hits`: where each
+    candidate's list first holds a vertex at ``level``, and, for the
+    cache check, where it first holds a *cached* vertex at ``level``.
+    Each answer comes from an early-exit scan of the candidates' lists
+    or from a scatter-min over the marked vertices' incidence transpose,
+    whichever has fewer slots to read; both give exactly the positions a
+    list-by-list walk finds, so every output equals that walk's.
+    ``unvisited`` must not contain duplicate vertex IDs (no caller
+    produces any).
     """
     n_front = unvisited.size
     empty = np.empty(0, dtype=np.int64)
     if n_front == 0:
         return BottomUpOutcome(empty, empty, empty.copy(), empty.copy(), 0)
-    if accel.scalar_mode():
-        return bottom_up_inspect_scalar(graph, unvisited, status, level,
-                                        cached_parents=cached_parents)
     INF = _INT64_MAX
     degs = graph.out_degrees[unvisited]
     at_level = status == level

@@ -33,7 +33,7 @@ __all__ = ["AlphaBetaPolicy", "GammaPolicy", "DEFAULT_GAMMA_THRESHOLD"]
 # (graph, target_hubs) -> (tau, hub_mask, total_hubs).  The hub set is a
 # pure function of the immutable graph that every traversal re-derives
 # (a degree partition plus a full-n mask); the memoized mask is shared
-# across runs and only ever read.  Scalar mode recomputes from scratch.
+# across runs and only ever read.
 _gamma_setup_table = accel.intern_table("gamma_setup")
 
 #: §4.3: "we set the direction-switching condition as γ being larger
@@ -105,19 +105,14 @@ class GammaPolicy:
     def setup(self, graph: CSRGraph) -> None:
         hubs = min(self.target_hubs,
                    max(32, graph.num_vertices // 256))
-        if not accel.scalar_mode():
-            key = (accel.instance_token(graph), hubs)
-            memo = _gamma_setup_table.get(key)
-            if memo is None:
-                tau = hub_threshold(graph, hubs)
-                mask = graph.out_degrees > tau
-                memo = _gamma_setup_table.put(
-                    key, (tau, mask, max(1, int(np.count_nonzero(mask)))))
-            self.tau, self.hub_mask, self.total_hubs = memo
-            return
-        self.tau = hub_threshold(graph, hubs)
-        self.hub_mask = graph.out_degrees > self.tau
-        self.total_hubs = max(1, int(np.count_nonzero(self.hub_mask)))
+        key = (accel.instance_token(graph), hubs)
+        memo = _gamma_setup_table.get(key)
+        if memo is None:
+            tau = hub_threshold(graph, hubs)
+            mask = graph.out_degrees > tau
+            memo = _gamma_setup_table.put(
+                key, (tau, mask, max(1, int(np.count_nonzero(mask)))))
+        self.tau, self.hub_mask, self.total_hubs = memo
 
     def observe(self, frontier: np.ndarray) -> float:
         """γ for this level's frontier queue, in percent."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import accel
 from ..gpu.kernels import (
     GRID_THREADS,
     KernelCost,
@@ -47,7 +46,6 @@ __all__ = [
     "switch_interleaved_workflow",
     "bottomup_filter_workflow",
     "bin_order",
-    "bin_order_scalar",
     "queue_contiguity",
 ]
 
@@ -75,24 +73,14 @@ def _prefix_bins(threads: int) -> int:
     return max(1, -(-threads // 256))
 
 
-def bin_order_scalar(frontiers: np.ndarray, threads: int) -> np.ndarray:
-    """Scalar reference: interleaved-scan bin permutation by lexsort.
-
-    Thread id = v % T is the major key, position within the thread's bin
-    (v // T) the minor key.
-    """
-    return np.lexsort((frontiers // threads, frontiers % threads))
-
-
 def bin_order(frontiers: np.ndarray, threads: int) -> np.ndarray:
     """Interleaved-scan bin permutation of an *ascending* frontier array.
 
-    For ascending input the ``v // T`` tiebreak of the scalar lexsort is
-    exactly the input order, so one stable sort on ``v % T`` yields the
-    identical permutation at half the key passes.
+    Thread id ``v % T`` is the major key and the position within the
+    thread's bin, ``v // T``, the minor one.  For ascending input the
+    minor key is exactly the input order, so one stable sort on
+    ``v % T`` yields the two-key ``lexsort`` permutation.
     """
-    if accel.scalar_mode():
-        return bin_order_scalar(frontiers, threads)
     return np.argsort(frontiers % threads, kind="stable")
 
 

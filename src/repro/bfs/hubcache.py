@@ -37,8 +37,7 @@ __all__ = ["HubCachePolicy"]
 
 # (graph, spec, shared split) -> (capacity, tau).  Both derivations are
 # pure functions of immutable inputs (occupancy arithmetic and a degree
-# partition) that every traversal of the same graph repeats verbatim;
-# scalar reference mode recomputes them from scratch.
+# partition) that every traversal of the same graph repeats verbatim.
 _setup_table = accel.intern_table("hubcache_setup")
 
 
@@ -83,22 +82,16 @@ class HubCachePolicy:
         shared_config_bytes: int | None = None,
         ctas_per_sm: int = 8,
     ):
-        if accel.scalar_mode():
+        key = (accel.instance_token(graph), accel.instance_token(spec),
+               shared_config_bytes, ctas_per_sm)
+        memo = _setup_table.get(key)
+        if memo is None:
             capacity = cache_capacity(
                 spec, shared_config_bytes=shared_config_bytes,
                 ctas_per_sm=ctas_per_sm)
-            tau = hub_threshold(graph, capacity)
-        else:
-            key = (accel.instance_token(graph), accel.instance_token(spec),
-                   shared_config_bytes, ctas_per_sm)
-            memo = _setup_table.get(key)
-            if memo is None:
-                capacity = cache_capacity(
-                    spec, shared_config_bytes=shared_config_bytes,
-                    ctas_per_sm=ctas_per_sm)
-                memo = _setup_table.put(
-                    key, (capacity, hub_threshold(graph, capacity)))
-            capacity, tau = memo
+            memo = _setup_table.put(
+                key, (capacity, hub_threshold(graph, capacity)))
+        capacity, tau = memo
         self.cache = HubCache(capacity)
         self.tau = tau
         self._degrees = graph.out_degrees
@@ -122,21 +115,11 @@ class HubCachePolicy:
             # Keep the highest-degree hubs when over budget.
             order = np.argsort(self._degrees[hubs])[::-1]
             hubs = hubs[order[: self.capacity]]
-        if accel.scalar_mode():
-            self.cache.clear()
-            self._cached_mask[:] = False
-            if hubs.size:
-                self.cache.insert(hubs)
-                # The effective cached set is what survives hash collisions.
-                survived = hubs[self.cache.peek(hubs)]
-                self._cached_mask[survived] = True
-        else:
-            # Fused clear+insert+peek (statistics parity documented on
-            # HubCache.refill).
-            survived = self.cache.refill(hubs)
-            self._cached_mask[:] = False
-            if survived.size:
-                self._cached_mask[survived] = True
+        # The effective cached set is what survives hash collisions.
+        survived = self.cache.refill(hubs)
+        self._cached_mask[:] = False
+        if survived.size:
+            self._cached_mask[survived] = True
         self._last_cached = int(np.count_nonzero(self._cached_mask))
         return self._last_cached
 

@@ -201,14 +201,12 @@ def _empty_cost(name: str, gran: Granularity | None,
 # Cost-object interning
 #
 # Every constructor below is a pure function of its arguments, and the
-# returned KernelCost records are never mutated (the differential and
-# golden suites would catch it), so the vectorized mode memoizes them:
-# the same launch shape returns the same shared record.  A memo hit
-# costs one dict lookup instead of a construction, while misses and the
-# whole scalar reference mode still run the original builders.  The
-# registry observation fires exactly once per call either way (inside
-# the builder on a miss, explicitly on a hit), so Figs. 12/16 launch
-# counters are identical.
+# returned KernelCost records are never mutated (the golden suites would
+# catch it), so they are memoized: the same launch shape returns the
+# same shared record.  A memo hit costs one dict lookup instead of a
+# construction; a miss runs the builder.  The registry observation fires
+# exactly once per call either way (inside the builder on a miss,
+# explicitly on a hit), so Figs. 12/16 launch counters count calls.
 # ----------------------------------------------------------------------
 
 _cost_table = accel.intern_table("kernel_cost")
@@ -288,11 +286,10 @@ def _thread_granularity_steps(
 
 
 # Per-(spec, element_bytes) lookup tables of the per-workload adjacency
-# figures, and per-group-size tables of the loop-step counts.  Each entry
-# w holds exactly what the scalar builder computes elementwise for a
-# workload of w, so a gather + sum reproduces its reductions bit for bit
-# (all-integer arithmetic); the tables grow geometrically with the
-# largest workload seen.
+# figures, and per-group-size tables of the loop-step counts.  Entry w
+# holds the figure for a workload of w, so a gather + sum gives the
+# per-frontier reductions (all-integer arithmetic, so exact); the tables
+# grow geometrically with the largest workload seen.
 _adj_tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _steps_tables: dict[int, np.ndarray] = {}
 
@@ -327,7 +324,7 @@ def _steps_table(g: int, wmax: int) -> np.ndarray:
     return t
 
 
-def _expansion_build_fast(
+def _expansion_build(
     workloads: np.ndarray,
     granularity: Granularity,
     spec: DeviceSpec,
@@ -338,10 +335,9 @@ def _expansion_build_fast(
     neighbor_locality: float = 0.0,
     shared_hits: int = 0,
 ) -> KernelCost:
-    """Miss-path twin of :func:`_expansion_build`: identical integer
-    arithmetic with the per-workload array passes replaced by lookup-table
-    gathers (``ceil`` and ``max`` are monotonic, so the critical path is
-    the table entry at the largest workload)."""
+    """Builder behind :func:`expansion_kernel`.  Per-workload figures
+    come from lookup-table gathers (``ceil`` and ``max`` are monotonic,
+    so the critical path is the table entry at the largest workload)."""
     groups = int(workloads.size)
     if groups == 0:
         return _empty_cost(name, granularity, spec)
@@ -364,91 +360,17 @@ def _expansion_build_fast(
     if edge_access is None:
         seg = spec.max_transaction_bytes
         small_seg = min(spec.transaction_bytes)
-        tx_t, bytes_t = _adj_table(spec, element_bytes, wmax)
-        indep_tx = int(tx_t[workloads].sum())
-        indep_bytes = int(bytes_t[workloads].sum())
-        total_adj = useful * element_bytes
-        merged_tx = max(1, -(-total_adj // seg)) if total_adj else 0
-        merged_bytes = merged_tx * seg
-        adj_tx = min(indep_tx,
-                     int((1.0 - neighbor_locality) * indep_tx
-                         + neighbor_locality * merged_tx))
-        adj_bytes = min(indep_bytes,
-                        int((1.0 - neighbor_locality) * indep_bytes
-                            + neighbor_locality * merged_bytes))
-        coalesced = int(global_lookups * neighbor_locality)
-        scattered = global_lookups - coalesced
-        coal_tx = -(-coalesced * element_bytes // seg)
-        status_tx = min(global_lookups, scattered + coal_tx)
-        full_lines, tail = divmod(coalesced * element_bytes, seg)
-        status_bytes = min(global_lookups * small_seg,
-                           full_lines * seg
-                           + min(seg, -(-tail // element_bytes) * small_seg)
-                           + scattered * small_seg)
-        tx = adj_tx + status_tx
-        bytes_moved = adj_bytes + status_bytes
-        edge_access = AccessPattern(useful + global_lookups, tx, bytes_moved)
-
-    instructions = useful * INSTR_PER_EDGE + wasted
-    time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
-        spec, instructions, edge_access, lane_steps, threads_launched,
-        critical, INSTR_PER_EDGE, shared_accesses=shared_hits,
-    )
-    return _observe_cost(KernelCost(
-        name, granularity, groups, threads_launched, useful, wasted,
-        instructions, edge_access, time_ms, mem_ms, stall_ms,
-        issue_ms, dram_ms, lat_ms, _spec_clock_mhz=spec.clock_mhz,
-    ))
-
-
-def _expansion_build(
-    workloads: np.ndarray,
-    granularity: Granularity,
-    spec: DeviceSpec,
-    *,
-    name: str = "expand",
-    edge_access: AccessPattern | None = None,
-    element_bytes: int = 8,
-    neighbor_locality: float = 0.0,
-    shared_hits: int = 0,
-) -> KernelCost:
-    groups = int(workloads.size)
-    if groups == 0:
-        return _empty_cost(name, granularity, spec)
-    g = group_size(granularity, spec)
-    useful = int(workloads.sum())
-    if granularity is Granularity.THREAD:
-        lane_steps, critical = _thread_granularity_steps(
-            workloads, spec.warp_size)
-        threads_launched = groups
-    else:
-        steps = np.maximum(1, -(-workloads // g))
-        lane_steps = int((steps * g).sum())
-        critical = int(steps.max())
-        threads_launched = groups * g
-    wasted = lane_steps - useful
-
-    shared_hits = int(min(shared_hits, useful))
-    global_lookups = useful - shared_hits
-    if edge_access is None:
-        seg = spec.max_transaction_bytes
-        small_seg = min(spec.transaction_bytes)
         # Adjacency-list reads: contiguous per list.  A list (or the
         # early-terminated prefix of one) shorter than a full line is
         # served at the minimum transaction size.
-        adj_bytes_needed = workloads * element_bytes
-        adj_tx_per = np.maximum(1, -(-adj_bytes_needed // seg))
-        adj_bytes_per = np.minimum(
-            adj_tx_per * seg,
-            -(-np.maximum(adj_bytes_needed, 1) // small_seg) * small_seg,
-        )
-        indep_tx = int(adj_tx_per.sum())
-        indep_bytes = int(adj_bytes_per.sum())
+        tx_t, bytes_t = _adj_table(spec, element_bytes, wmax)
+        indep_tx = int(tx_t[workloads].sum())
+        indep_bytes = int(bytes_t[workloads].sum())
         # Queue sortedness (the §4.1 direction-switching workflow's win):
         # consecutive queue entries with consecutive vertex IDs read
         # adjacent CSR ranges, so their list loads merge into shared
         # full-line transactions instead of one small transaction each.
-        total_adj = int(adj_bytes_needed.sum())
+        total_adj = useful * element_bytes
         merged_tx = max(1, -(-total_adj // seg)) if total_adj else 0
         merged_bytes = merged_tx * seg
         # Merging can only help: the independent small-transaction path
@@ -527,17 +449,12 @@ def expansion_kernel(
         global-access pattern and charged at shared-memory latency.
     """
     workloads = np.asarray(workloads, dtype=np.int64)
-    if accel.scalar_mode():
-        return _expansion_build(
-            workloads, granularity, spec, name=name, edge_access=edge_access,
-            element_bytes=element_bytes, neighbor_locality=neighbor_locality,
-            shared_hits=shared_hits)
     key = ("x", _spec_token(spec), name, granularity, workloads.tobytes(),
            edge_access, element_bytes, neighbor_locality, shared_hits)
     cached = _cost_table.get(key)
     if cached is not None:
         return _observe_cost(cached)
-    return _cost_table.put(key, _expansion_build_fast(
+    return _cost_table.put(key, _expansion_build(
         workloads, granularity, spec, name=name, edge_access=edge_access,
         element_bytes=element_bytes, neighbor_locality=neighbor_locality,
         shared_hits=shared_hits))
@@ -591,10 +508,6 @@ def sweep_kernel(
     picture where "the gray threads that are assigned to non-frontier
     vertices would idle with no work".
     """
-    if accel.scalar_mode():
-        return _sweep_build(elements, access, spec, name=name,
-                            instr_per_element=instr_per_element,
-                            useful_elements=useful_elements, group=group)
     key = ("s", _spec_token(spec), name, elements,
            access.requests, access.transactions, access.bytes_moved,
            instr_per_element, useful_elements, group)
@@ -633,8 +546,6 @@ def prefix_sum_kernel(bins: int, spec: DeviceSpec,
                       *, name: str = "prefix-sum") -> KernelCost:
     """Cost of the work-efficient parallel prefix sum over thread bins
     (§4.1, citing [34, 22]): O(n) work over 2*log2(n) sweeps."""
-    if accel.scalar_mode():
-        return _prefix_sum_build(bins, spec, name=name)
     key = ("p", _spec_token(spec), name, bins)
     cached = _cost_table.get(key)
     if cached is not None:
@@ -686,8 +597,6 @@ def atomic_enqueue_kernel(
     reject.  §2.1: "for GPUs such operations can lead to expensive
     overhead among a large quantity of GPU threads."
     """
-    if accel.scalar_mode():
-        return _atomic_enqueue_build(attempts, unique, spec, name=name)
     key = ("a", _spec_token(spec), name, attempts, unique)
     cached = _cost_table.get(key)
     if cached is not None:

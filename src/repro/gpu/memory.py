@@ -70,10 +70,9 @@ class AccessPattern:
 EMPTY_ACCESS = AccessPattern(0, 0, 0)
 
 # The closed-form counters below are pure functions of (shape, spec) and
-# AccessPattern is frozen, so the vectorized mode interns their results —
-# every BFS level re-requests the same handful of patterns.  Scalar
-# reference mode recomputes from scratch (the arithmetic is identical
-# either way; the memo only skips object churn).
+# AccessPattern is frozen, so their results are interned — every BFS
+# level re-requests the same handful of patterns, and the memo skips
+# the object churn.
 _access_table = accel.intern_table("access_pattern")
 
 
@@ -122,19 +121,14 @@ def sequential_transactions(
     """
     if count <= 0:
         return EMPTY_ACCESS
-    if not accel.scalar_mode():
-        key = ("seq", accel.instance_token(spec), count, element_bytes)
-        cached = _access_table.get(key)
-        if cached is not None:
-            return cached
-        seg_bytes = spec.max_transaction_bytes
-        transactions = int(-(-count * element_bytes // seg_bytes))
-        return _access_table.put(
-            key, AccessPattern(count, transactions, transactions * seg_bytes))
+    key = ("seq", accel.instance_token(spec), count, element_bytes)
+    cached = _access_table.get(key)
+    if cached is not None:
+        return cached
     seg_bytes = spec.max_transaction_bytes
-    total_bytes = count * element_bytes
-    transactions = -(-total_bytes // seg_bytes)  # ceil
-    return AccessPattern(count, int(transactions), int(transactions) * seg_bytes)
+    transactions = int(-(-count * element_bytes // seg_bytes))  # ceil
+    return _access_table.put(
+        key, AccessPattern(count, transactions, transactions * seg_bytes))
 
 
 def random_transactions(
@@ -150,16 +144,13 @@ def random_transactions(
     """
     if count <= 0:
         return EMPTY_ACCESS
-    if not accel.scalar_mode():
-        key = ("rnd", accel.instance_token(spec), count, element_bytes)
-        cached = _access_table.get(key)
-        if cached is not None:
-            return cached
-        seg_bytes = max(min(spec.transaction_bytes), element_bytes)
-        return _access_table.put(
-            key, AccessPattern(count, count, count * seg_bytes))
+    key = ("rnd", accel.instance_token(spec), count, element_bytes)
+    cached = _access_table.get(key)
+    if cached is not None:
+        return cached
     seg_bytes = max(min(spec.transaction_bytes), element_bytes)
-    return AccessPattern(count, count, count * seg_bytes)
+    return _access_table.put(
+        key, AccessPattern(count, count, count * seg_bytes))
 
 
 def strided_transactions(
@@ -174,15 +165,13 @@ def strided_transactions(
     """
     if count <= 0:
         return EMPTY_ACCESS
-    if not accel.scalar_mode():
-        key = ("str", accel.instance_token(spec), count, stride_elements,
-               element_bytes)
-        cached = _access_table.get(key)
-        if cached is not None:
-            return cached
-        return _access_table.put(
-            key, _strided_build(count, stride_elements, element_bytes, spec))
-    return _strided_build(count, stride_elements, element_bytes, spec)
+    key = ("str", accel.instance_token(spec), count, stride_elements,
+           element_bytes)
+    cached = _access_table.get(key)
+    if cached is not None:
+        return cached
+    return _access_table.put(
+        key, _strided_build(count, stride_elements, element_bytes, spec))
 
 
 def _strided_build(

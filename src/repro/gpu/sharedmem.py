@@ -9,13 +9,11 @@ configuration — "a cache holding around 1,000 hub vertices".
 
 The cache is a direct-mapped, collision-overwrite hash table exactly as in
 the paper (whoever hashes last wins; a miss is always safe because the
-table stores the IDs themselves and lookups compare for equality).  All
-operations are vectorised over NumPy arrays of vertex IDs.
+table stores the IDs themselves and lookups compare for equality).  A
+refill is vectorised over a NumPy array of vertex IDs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +65,6 @@ def cache_capacity(
     return (shared // ctas_per_sm) // ENTRY_BYTES
 
 
-@dataclass
-class HubCacheStats:
-    """Hit accounting for Fig. 12 (global transactions saved)."""
-
-    lookups: int = 0
-    hits: int = 0
-    insertions: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class HubCache:
     """Direct-mapped shared-memory cache of recently visited hub vertices.
 
@@ -96,69 +80,22 @@ class HubCache:
             raise SharedMemoryError("hub cache needs a positive capacity")
         self.capacity = int(capacity)
         self._slots = np.full(self.capacity, EMPTY, dtype=np.int64)
-        self.stats = HubCacheStats()
-
-    def clear(self) -> None:
-        self._slots.fill(EMPTY)
-
-    def _hash(self, ids: np.ndarray) -> np.ndarray:
-        return ids % self.capacity
-
-    def insert(self, ids: np.ndarray) -> int:
-        """Insert vertex IDs; later IDs overwrite colliding earlier ones
-        (the paper's HC[hash(ID)] = ID store).  Returns insert count."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return 0
-        if np.any(ids < 0):
-            raise ValueError("vertex IDs must be non-negative")
-        idx = self._hash(ids)
-        occupied = self._slots[idx] != EMPTY
-        displaced = occupied & (self._slots[idx] != ids)
-        self.stats.evictions += int(np.count_nonzero(displaced))
-        self._slots[idx] = ids
-        self.stats.insertions += int(ids.size)
-        return int(ids.size)
 
     def refill(self, ids: np.ndarray) -> np.ndarray:
-        """Fused ``clear`` + ``insert`` + ``peek``: wipe the table, store
-        ``ids`` (later colliders win, as in ``insert``) and return the ids
+        """Replace the cache contents with ``ids`` and return the ids
         that survived the hash collisions.
 
-        Statistics parity with the unfused sequence: a just-cleared table
-        displaces nothing, so evictions gain 0 and insertions gain
-        ``ids.size``.  ``ids`` must be non-negative (callers pass vertex
-        IDs; the unfused path's check lives in :meth:`insert`).
+        Each ID is stored at ``HC[hash(ID)] = ID`` in order, so a later
+        ID overwrites an earlier one that hashes to the same slot (the
+        paper's store); a lookup compares the stored ID for equality, so
+        a collision can only lose an entry, never alias one.
         """
         self._slots.fill(EMPTY)
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return ids
+        if ids.min() < 0:
+            raise ValueError("vertex IDs must be non-negative")
         idx = ids % self.capacity
         self._slots[idx] = ids
-        self.stats.insertions += int(ids.size)
         return ids[self._slots[idx] == ids]
-
-    def contains(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorised membership probe; records lookup/hit statistics."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.zeros(0, dtype=bool)
-        hit = self._slots[self._hash(ids)] == ids
-        self.stats.lookups += int(ids.size)
-        self.stats.hits += int(np.count_nonzero(hit))
-        return hit
-
-    def peek(self, ids: np.ndarray) -> np.ndarray:
-        """Membership probe without touching statistics (for tests)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self._slots[self._hash(ids)] == ids
-
-    @property
-    def occupancy(self) -> float:
-        return float(np.count_nonzero(self._slots != EMPTY)) / self.capacity
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._slots != EMPTY))

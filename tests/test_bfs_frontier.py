@@ -142,14 +142,15 @@ class TestQueueContiguity:
 )
 @settings(max_examples=200, deadline=None)
 def test_bin_order_equals_scalar_lexsort(frontier, threads):
-    """The single-key stable argsort must reproduce the scalar two-key
-    lexsort permutation exactly for any ascending frontier and thread
-    count (the Fig. 7(a) interleaved bin order)."""
-    from repro.bfs.frontier import bin_order, bin_order_scalar
+    """The single-key stable argsort must reproduce the two-key lexsort
+    permutation exactly (thread id ``v % T`` major, position in the bin
+    ``v // T`` minor) for any ascending frontier and thread count (the
+    Fig. 7(a) interleaved bin order)."""
+    from repro.bfs.frontier import bin_order
 
     frontiers = np.array(sorted(frontier), dtype=np.int64)
     fast = bin_order(frontiers, threads)
-    ref = bin_order_scalar(frontiers, threads)
+    ref = np.lexsort((frontiers // threads, frontiers % threads))
     assert np.array_equal(fast, ref)
     # And the permuted queue is the bin concatenation the figure shows.
     q = frontiers[fast]

@@ -52,6 +52,17 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(g, np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        """A NaN or infinite weight would make the default delta (the
+        mean weight) non-finite, and the distances wrong."""
+        g = from_edges([0, 1], [1, 2], 3)
+        src, dst = g.edges()
+        weights = np.ones(g.num_edges)
+        weights[(src == 1) & (dst == 2)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph(g, weights)
+
     def test_random_weights_range(self, weighted):
         assert weighted.weights.min() >= 1.0
         assert weighted.weights.max() <= 10.0
@@ -134,6 +145,16 @@ class TestDeltaStepping:
             delta_stepping(weighted, -1)
         with pytest.raises(ValueError):
             delta_stepping(weighted, 0, delta=0.0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        """On the unit-weight path 0-1-2, a NaN or infinite delta would
+        leave vertices 1 and 2 at inf."""
+        g = from_edges([0, 1], [1, 2], 3)
+        wg = WeightedGraph(g, np.ones(g.num_edges))
+        assert delta_stepping(wg, 0).distances.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="finite"):
+            delta_stepping(wg, 0, delta=delta)
 
     def test_time_charged(self, weighted):
         r = delta_stepping(weighted, 5)

@@ -16,6 +16,8 @@ from repro.graph import load
 from repro.metrics import graph500_stats, run_trials
 from repro.storage import ooc_enterprise_bfs
 
+from .test_differential import chain
+
 
 def test_enterprise_bit_identical():
     g = load("GO", "tiny")
@@ -76,3 +78,16 @@ def test_no_wall_clock_in_results():
     time.sleep(0.05)
     b = enterprise_bfs(g, 7)
     assert a.time_ms == b.time_ms
+
+
+def test_vectorized_structures_are_pooled_not_shared_mutably():
+    """The interning layer must never let one run's result alias another
+    run's mutable state: two identical runs return equal-but-independent
+    level arrays."""
+    graph = chain(30)
+    a = enterprise_bfs(graph, 0)
+    b = enterprise_bfs(graph, 0)
+    assert np.array_equal(a.levels, b.levels)
+    assert a.levels is not b.levels
+    a.levels[5] = 99
+    assert b.levels[5] != 99

@@ -222,52 +222,48 @@ def test_serve_batched_answers_bit_identical(graph):
 
 
 # ----------------------------------------------------------------------
-# Chaos fault matrix (vectorized path) vs fault-free scalar ground truth
+# Chaos fault matrix vs fault-free reference levels
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("graph", [CORPUS[0], CORPUS[5], fuzzed(42)],
                          ids=lambda g: g.name)
 def test_chaos_matrix_vectorized_vs_scalar_truth(graph):
     """The full fault matrix — stragglers, device loss, wave failures,
-    degraded interconnect — runs on the default *vectorized* hot paths,
-    while ground truth is computed on the *scalar reference* with no
-    faults injected.  Faults may slow queries down or reroute them, but
-    every answered query must still match the fault-free scalar answer
-    exactly: corruption anywhere in the vectorized layer (or a fault
-    leaking into answers) fails here.
+    degraded interconnect — runs on the default hot paths, while ground
+    truth comes from :func:`reference_bfs_levels` of each query's
+    source, with no faults and no simulator involved.  Faults may slow
+    queries down or reroute them, but every answered query must still
+    match the reference exactly: corruption anywhere in the hot paths
+    (or a fault leaking into answers) fails here.
     """
-    from repro import accel
     from repro.faults import PROFILES, profile
     from repro.serve import QueryKind, ServeConfig, ServeEngine, \
         TraceConfig, replay, synthetic_trace
 
     trace = synthetic_trace(graph, TraceConfig(num_queries=80, seed=17))
+    truth = {s: reference_bfs_levels(graph, s)
+             for s in {q.source for q in trace}}
 
-    with accel.scalar_reference():
-        clean = ServeConfig(batch_sources=1, deadline_ms=0.0,
-                            timeout_ms=None, max_retries=0, num_gpus=2,
-                            cache=False)
-        truth = {r.query.qid: r
-                 for r in replay(ServeEngine(graph, clean), trace)
-                 if r.ok}
-
-    with accel.scalar_reference(False):  # force the vectorized path
-        for name in sorted(PROFILES):
-            plan = profile(name)
-            engine = ServeEngine(graph,
-                                 ServeConfig(num_gpus=2, deadline_ms=0.4,
-                                             cache_capacity=4),
-                                 fault_plan=plan)
-            compared = 0
-            for r in replay(engine, trace):
-                if not r.ok or r.query.qid not in truth:
-                    continue
-                compared += 1
-                t = truth[r.query.qid]
-                if r.query.kind is QueryKind.SPTREE:
-                    assert np.array_equal(r.levels, t.levels), (
-                        f"plan {name}: levels diverge on {graph.name}")
-                else:
-                    assert r.distance == t.distance, f"plan {name}"
-                    assert r.reachable == t.reachable, f"plan {name}"
-            assert compared > 0, f"plan {name} answered nothing comparable"
+    for name in sorted(PROFILES):
+        plan = profile(name)
+        engine = ServeEngine(graph,
+                             ServeConfig(num_gpus=2, deadline_ms=0.4,
+                                         cache_capacity=4),
+                             fault_plan=plan)
+        compared = 0
+        for r in replay(engine, trace):
+            if not r.ok:
+                continue
+            compared += 1
+            expected = truth[r.query.source]
+            if r.query.kind is QueryKind.SPTREE:
+                assert np.array_equal(r.levels, expected), (
+                    f"plan {name}: levels diverge on {graph.name}")
+            else:
+                d = int(expected[r.query.target])
+                want = None  # reachability answers carry no distance
+                if r.query.kind is QueryKind.DISTANCE:
+                    want = d if d != UNVISITED else -1
+                assert r.distance == want, f"plan {name}"
+                assert r.reachable == (d != UNVISITED), f"plan {name}"
+        assert compared > 0, f"plan {name} answered nothing comparable"

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import accel
 from repro.gpu import (
     CTA_THREADS,
     GRID_THREADS,
@@ -91,15 +88,12 @@ class TestExpansionKernel:
         assert local.access.transactions < scattered.access.transactions
         assert local.time_ms <= scattered.time_ms
 
-    @pytest.mark.parametrize("scalar", [False, True])
-    def test_traffic_never_grows_with_locality(self, scalar):
+    def test_traffic_never_grows_with_locality(self):
         """One more coalesced lookup at a time, across every line edge."""
         w = np.array([68])
-        mode = accel.scalar_reference() if scalar else contextlib.nullcontext()
-        with mode:
-            ks = [expansion_kernel(w, Granularity.WARP, SPEC,
-                                   neighbor_locality=c / 68)
-                  for c in range(69)]
+        ks = [expansion_kernel(w, Granularity.WARP, SPEC,
+                               neighbor_locality=c / 68)
+              for c in range(69)]
         tx = [k.access.transactions for k in ks]
         moved = [k.access.bytes_moved for k in ks]
         assert tx == sorted(tx, reverse=True)

@@ -35,57 +35,30 @@ class TestCapacity:
 class TestHubCache:
     def test_insert_and_hit(self):
         hc = HubCache(64)
-        hc.insert(np.array([5, 10, 70]))
-        hit = hc.peek(np.array([5, 10, 70, 3]))
-        # 5 and 70 collide at index 5 (70 % 64 = 6? no: 70 % 64 = 6) —
-        # all three hash distinctly here.
-        assert hit[1]  # 10 present
-        assert not hit[3]
+        # 5, 10 and 70 hash to slots 5, 10 and 6: all three survive.
+        survived = hc.refill(np.array([5, 10, 70]))
+        assert survived.tolist() == [5, 10, 70]
 
     def test_collision_overwrite(self):
         """HC[hash(ID)] = ID: the later writer wins the slot (§4.3)."""
         hc = HubCache(16)
-        hc.insert(np.array([3]))
-        hc.insert(np.array([19]))  # 19 % 16 == 3
-        assert not hc.peek(np.array([3]))[0]
-        assert hc.peek(np.array([19]))[0]
-        assert hc.stats.evictions == 1
+        survived = hc.refill(np.array([3, 19]))  # 19 % 16 == 3
+        assert survived.tolist() == [19]
 
     def test_miss_is_safe(self):
-        """A colliding probe compares IDs, never false-positives."""
+        """A collision loses an entry; the loser is never reported as
+        cached."""
         hc = HubCache(16)
-        hc.insert(np.array([3]))
-        assert not hc.peek(np.array([19]))[0]
-
-    def test_contains_records_stats(self):
-        hc = HubCache(32)
-        hc.insert(np.array([1, 2, 3]))
-        hc.contains(np.array([1, 2, 99, 98]))
-        assert hc.stats.lookups == 4
-        assert hc.stats.hits == 2
-        assert hc.stats.hit_rate == pytest.approx(0.5)
-
-    def test_clear(self):
-        hc = HubCache(8)
-        hc.insert(np.array([1]))
-        hc.clear()
-        assert len(hc) == 0
-        assert not hc.peek(np.array([1]))[0]
-
-    def test_occupancy(self):
-        hc = HubCache(10)
-        hc.insert(np.arange(5))
-        assert hc.occupancy == pytest.approx(0.5)
+        assert hc.refill(np.array([19, 3])).tolist() == [3]
 
     def test_empty_arrays(self):
         hc = HubCache(8)
-        assert hc.insert(np.array([], dtype=np.int64)) == 0
-        assert hc.contains(np.array([], dtype=np.int64)).size == 0
+        assert hc.refill(np.array([], dtype=np.int64)).size == 0
 
     def test_negative_ids_rejected(self):
         hc = HubCache(8)
         with pytest.raises(ValueError):
-            hc.insert(np.array([-1]))
+            hc.refill(np.array([-1]))
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SharedMemoryError):
@@ -99,29 +72,22 @@ class TestHubCache:
 )
 @settings(max_examples=60, deadline=None)
 def test_cache_soundness(ids, capacity):
-    """Every hit is a truly inserted ID; survivors are exactly the last
-    writers of their slots."""
+    """Every survivor is a refilled ID, and the survivors are exactly the
+    last writers of their slots, in refill order."""
     hc = HubCache(capacity)
-    arr = np.array(ids, dtype=np.int64)
-    hc.insert(arr)
-    hits = hc.peek(arr)
-    inserted = set(ids)
-    # soundness: a probe for a never-inserted ID never hits
-    probes = np.arange(10_001, 10_100)
-    assert not hc.peek(probes).any()
-    # last-writer-wins: for each slot, the last ID hashed there survives
-    expected_survivors = {}
+    # A previous level's contents never leak into the next refill.
+    hc.refill(np.arange(10_001, 10_100))
+    survived = hc.refill(np.array(ids, dtype=np.int64))
+    last_writer = {}
     for v in ids:
-        expected_survivors[v % capacity] = v
-    surviving = {v for v, h in zip(ids, hits) if h}
-    assert surviving == set(expected_survivors.values())
+        last_writer[v % capacity] = v
+    assert survived.tolist() == [v for v in ids
+                                 if last_writer[v % capacity] == v]
 
 
 @given(ids=st.lists(st.integers(0, 1000), min_size=0, max_size=100))
 @settings(max_examples=40, deadline=None)
 def test_cache_length_bounded_by_capacity(ids):
     hc = HubCache(32)
-    if ids:
-        hc.insert(np.array(ids, dtype=np.int64))
-    assert 0 <= len(hc) <= 32
-    assert 0.0 <= hc.occupancy <= 1.0
+    survived = hc.refill(np.array(ids, dtype=np.int64))
+    assert 0 <= np.unique(survived).size <= 32

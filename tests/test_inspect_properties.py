@@ -5,9 +5,9 @@ list first holds a vertex visited at ``level`` and, for the hub-cache
 check, where it first holds a cached one.  Each answer comes from one of
 two routes: an early-exit scan of the candidates' lists, or a
 scatter-min over the marked vertices' incidence transpose.  Every output
-must equal what :func:`bottom_up_inspect_scalar`, the whole-list
-reference, returns: the found set and its order, the parents, both
-lookup arrays, the cache hits and the mutated status array.
+must equal what a list-by-list walk of the definition returns: the found
+set and its order, the parents, both lookup arrays, the cache hits and
+the mutated status array.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import accel
 from repro.bfs import common
-from repro.bfs.common import (
-    UNVISITED,
-    bottom_up_inspect,
-    bottom_up_inspect_scalar,
-)
+from repro.bfs.common import UNVISITED, bottom_up_inspect
 from repro.graph.csr import from_edges
 
 INF = np.iinfo(np.int64).max
@@ -65,20 +60,53 @@ def inspect_cases(draw):
             cached)
 
 
-def _assert_same_as_scalar(graph, candidates, status, level, cached):
-    """Run both implementations on copies; return the vectorized
-    outcome after asserting every output field agrees."""
-    want_status = status.copy()
-    want = bottom_up_inspect_scalar(graph, candidates, want_status, level,
-                                    cached_parents=cached)
+def _list_walk(graph, candidates, status, level, cached):
+    """Bottom-up inspection by definition, one list at a time (§2.1,
+    §4.3).  A candidate reads its list up to its first neighbor at
+    ``level``; that neighbor is its parent and the slots read are its
+    lookups.  With a cache, a cached neighbor at ``level`` anywhere in
+    the list serves the candidate with no global lookup and becomes its
+    parent instead.  Returns the outcome's array fields, its cache hits
+    and the status array the inspection leaves behind."""
+    found, parents, lookups, nocache, hits = [], [], [], [], 0
+    after = status.copy()
+    for v in candidates:
+        parent, cost = None, graph.out_degrees[v]
+        for i, u in enumerate(graph.neighbors(v)):
+            if status[u] == level:
+                parent, cost = u, i + 1
+                break
+        nocache.append(cost)
+        if cached is not None:
+            for u in graph.neighbors(v):
+                if status[u] == level and cached[u]:
+                    parent, cost = u, 0
+                    hits += 1
+                    break
+        lookups.append(cost)
+        if parent is not None:
+            found.append(v)
+            parents.append(parent)
+            after[v] = level + 1
+    fields = {"found": found, "parents": parents, "lookups": lookups,
+              "lookups_nocache": nocache}
+    return ({name: np.array(values, dtype=np.int64)
+             for name, values in fields.items()}, hits, after)
+
+
+def _assert_same_as_list_walk(graph, candidates, status, level, cached):
+    """Inspect a copy of ``status``; assert every outcome field and the
+    status left behind equal the list walk's, and return the outcome."""
+    want, want_hits, want_status = _list_walk(graph, candidates, status,
+                                              level, cached)
     got_status = status.copy()
     got = bottom_up_inspect(graph, candidates, got_status, level,
                             cached_parents=cached)
-    for name in ("found", "parents", "lookups", "lookups_nocache"):
-        a, b = getattr(got, name), getattr(want, name)
+    for name, b in want.items():
+        a = getattr(got, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert got.cache_hits == want.cache_hits
+    assert got.cache_hits == want_hits
     np.testing.assert_array_equal(got_status, want_status)
     return got
 
@@ -96,7 +124,8 @@ def _first_marked(graph, candidates, marked):
 @settings(max_examples=300, deadline=None)
 @given(inspect_cases())
 def test_vectorized_matches_scalar(case):
-    _assert_same_as_scalar(*case)
+    """Every output equals the list-by-list walk's."""
+    _assert_same_as_list_walk(*case)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,10 +165,7 @@ def route_calls(monkeypatch):
 
 
 def _expect_routes(calls, **counts):
-    """The vectorized path ran exactly these routes; the scalar
-    reference (``REPRO_SCALAR=1``) runs neither."""
-    if accel.scalar_mode():
-        counts = dict.fromkeys(counts, 0)
+    """The inspection ran exactly these routes."""
     assert calls == counts
 
 
@@ -169,7 +195,7 @@ class TestPinnedRoutes:
         status[:deg - 1] = 0
         status[deg - 1] = 1
         status[far] = 1
-        got = _assert_same_as_scalar(graph, np.array([hub]), status, 1,
+        got = _assert_same_as_list_walk(graph, np.array([hub]), status, 1,
                                      None)
         _expect_routes(route_calls, scan=1, scatter=0)
         assert got.found.tolist() == [hub]
@@ -192,7 +218,7 @@ class TestPinnedRoutes:
         cached = np.zeros(graph.num_vertices, dtype=bool)
         cached[[5, 40]] = True
         for mask in (None, cached):
-            got = _assert_same_as_scalar(graph, candidates, status, 2, mask)
+            got = _assert_same_as_list_walk(graph, candidates, status, 2, mask)
             assert got.found.size == 0
             np.testing.assert_array_equal(
                 got.lookups, graph.out_degrees[candidates])
@@ -211,7 +237,7 @@ class TestPinnedRoutes:
         status[[2, 3]] = 1
         cached = np.zeros(14, dtype=bool)
         cached[3] = True
-        got = _assert_same_as_scalar(graph, np.array([0]), status, 1,
+        got = _assert_same_as_list_walk(graph, np.array([0]), status, 1,
                                      cached)
         _expect_routes(route_calls, scan=1, scatter=1)
         assert got.parents.tolist() == [3]
@@ -234,7 +260,7 @@ class TestPinnedRoutes:
         cached = np.zeros(n, dtype=bool)
         cached[[source, 11]] = True
         for mask in (None, cached):
-            got = _assert_same_as_scalar(graph, candidates, status, 0, mask)
+            got = _assert_same_as_list_walk(graph, candidates, status, 0, mask)
             assert np.all(got.parents == source)
             assert got.found.size == np.unique(
                 graph.neighbors(source)[graph.neighbors(source)

@@ -1,5 +1,6 @@
-"""Metamorphic properties of three traversals: single-GPU Enterprise
-(HC), the 2-D grid at 2x2 and the cluster at 4 nodes x 2 GPUs.
+"""Metamorphic properties of seven traversals: single-GPU Enterprise in
+each ablation configuration (BL, TS, WB and HC), 1-D multi-GPU Enterprise
+on two devices, the 2-D grid at 2x2 and the cluster at 4 nodes x 2 GPUs.
 
 Two input changes whose effect on the answer is known without a second
 implementation to compare against:
@@ -11,7 +12,7 @@ implementation to compare against:
   original vertex's level unchanged, and the new vertices unvisited.
 
 The graphs are R-MAT-11, large enough that every traversal takes the
-γ switch to bottom-up (HC with the hub cache engaged).  Every traversal's
+γ switch to bottom-up (with the hub cache engaged where it is on).  Every traversal's
 parents must also pass :func:`validate_result` and the five Graph 500
 checks.
 """
@@ -24,6 +25,7 @@ import pytest
 from repro.bfs.cluster import cluster_enterprise_bfs
 from repro.bfs.common import UNVISITED, validate_result
 from repro.bfs.enterprise import ABLATION_CONFIGS, enterprise_bfs
+from repro.bfs.multigpu import multigpu_enterprise_bfs
 from repro.bfs.partition2d import multigpu2d_enterprise_bfs
 from repro.bfs.validate500 import graph500_validate
 from repro.graph.csr import from_edges
@@ -38,6 +40,10 @@ TRAVERSALS = {
     "hc": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["HC"]),
     "grid-2x2": lambda g, s: multigpu2d_enterprise_bfs(g, s, 2, 2).result,
     "cluster-4x2": lambda g, s: cluster_enterprise_bfs(g, s, 4, 2).result,
+    "bl": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["BL"]),
+    "ts": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["TS"]),
+    "wb": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["WB"]),
+    "multigpu-2": lambda g, s: multigpu_enterprise_bfs(g, s, 2).result,
 }
 
 #: (traversal, seed, directed); an HC case is named by seed and

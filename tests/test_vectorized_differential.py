@@ -1,18 +1,21 @@
-"""Scalar-vs-vectorized differential gate (the vectorization contract).
+"""Golden digests of every traversal the simulator runs (the
+bit-identity gate).
 
-Every hot path in the simulator ships two implementations: the original
-scalar seed code (kept alive behind ``REPRO_SCALAR=1`` /
-``accel.scalar_reference()``) and the batched NumPy fast path that is on
-by default.  The contract is *bit-identity*: not "close", but the same
-distance arrays, the same parents, the same simulated milliseconds, the
-same counter snapshots and the same GTEPS figures, byte for byte.
+Each case runs one workload — every BFS variant over the pathological
+corpus, the BL/TS/WB/HC ablation matrix, the switch configurations,
+MS-BFS waves, the counter and TEPS figures, the chaos fault matrix,
+cluster runs and the serving stack — and compares the SHA-256 of
+everything it observes with the digest recorded for it in
+:data:`tests.test_golden_runs.DIGESTS`.  The contract is *bit-identity*:
+not "close", but the same distance arrays, the same parents, the same
+simulated milliseconds, the same counter snapshots and the same GTEPS
+figures, byte for byte.  Any divergence — a reordered float reduction, a
+different parent pick, a dropped kernel launch — fails here by name
+before it can become a silently wrong figure.
 
-This module is the enforcement layer.  It replays the pathological
-corpus, every BFS variant, the ablation matrix, MS-BFS waves, the chaos
-fault matrix and the serving stack under both modes and compares full
-result snapshots with exact equality.  Any divergence — a reordered
-float reduction, a different parent pick, a dropped kernel launch — is
-a test failure here before it can ever become a silently-wrong figure.
+The digests were recorded while the seed's scalar implementations still
+ran beside the vectorized hot paths, and both gave the same digest on
+every case.  Regenerate them with ``python -m tests.test_golden_runs``.
 """
 
 from __future__ import annotations
@@ -20,21 +23,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import accel
 from repro.bfs import enterprise_bfs, hybrid_bfs, ms_bfs
 from repro.bfs.bottomup import bottomup_bfs
+from repro.bfs.cluster import cluster_enterprise_bfs
 from repro.bfs.enterprise import ABLATION_CONFIGS, EnterpriseConfig
 from repro.bfs.statusarray import status_array_bfs
 from repro.bfs.topdown import topdown_atomic_bfs
-from repro.graph import from_edges, rmat_graph
+from repro.graph import rmat_graph
 
-from .test_differential import (
-    CORPUS,
-    chain,
-    disconnected,
-    fuzzed,
-    star,
-)
+from .test_differential import CORPUS, disconnected, fuzzed, star
+from .test_golden_runs import check_digest, run_snapshot, snapshot
 
 VARIANTS = {
     "topdown": topdown_atomic_bfs,
@@ -50,67 +48,27 @@ SMALL_CORPUS = [CORPUS[0], CORPUS[1], CORPUS[2], CORPUS[5],
                 fuzzed(31), fuzzed(32)]
 
 
-@pytest.fixture(autouse=True)
-def _vectorized_default():
-    """Each test starts (and ends) in the default vectorized mode."""
-    accel.set_scalar_mode(False)
-    yield
-    accel.set_scalar_mode(False)
-
-
-def snapshot(result) -> tuple:
-    """Everything observable about a BFS result, hashable and exact."""
-    return (
-        result.levels.tobytes(),
-        result.parents.tobytes(),
-        result.time_ms,
-        result.edges_traversed,
-        result.teps,
-        tuple(
-            (t.level, t.direction, t.frontier_count, t.newly_visited,
-             t.edges_checked, t.queue_gen_ms, t.expand_ms,
-             t.gld_transactions, t.hub_cache_hits, t.hub_cache_lookups,
-             t.kernel_names, t.alpha, t.gamma)
-            for t in result.traces),
-        tuple(result.gamma_history),
-        tuple(result.alpha_history),
-    )
-
-
-def both_modes(fn):
-    """Run ``fn`` under the scalar reference and the vectorized path."""
-    with accel.scalar_reference():
-        scalar = fn()
-    vectorized = fn()
-    return scalar, vectorized
-
-
 # ----------------------------------------------------------------------
 # Single-source variants over the pathological corpus
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("graph", CORPUS, ids=lambda g: g.name)
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_variant_bit_identical_on_corpus(graph, variant):
+def test_variant_bit_identical_on_corpus(graph, variant, request):
     fn = VARIANTS[variant]
-    for source in (0, graph.num_vertices - 1):
-        scalar, vectorized = both_modes(lambda: snapshot(fn(graph, source)))
-        assert scalar == vectorized, (
-            f"{variant} diverges from its scalar reference on "
-            f"{graph.name} from {source}")
+    check_digest(request, [snapshot(fn(graph, source))
+                           for source in (0, graph.num_vertices - 1)])
 
 
 @pytest.mark.parametrize("config", sorted(ABLATION_CONFIGS))
-def test_ablation_matrix_bit_identical(config):
-    """BL/TS/WB/HC all agree with the scalar reference on an R-MAT graph
-    big enough to exercise every direction and queue class."""
+def test_ablation_matrix_bit_identical(config, request):
+    """BL/TS/WB/HC on an R-MAT graph big enough to exercise every
+    direction and queue class."""
     graph = rmat_graph(9, edge_factor=8, seed=5)
     cfg = ABLATION_CONFIGS[config]
-    for source in (0, 33, graph.num_vertices - 1):
-        scalar, vectorized = both_modes(
-            lambda: snapshot(enterprise_bfs(graph, source, config=cfg)))
-        assert scalar == vectorized, (
-            f"{config} diverges from scalar reference from {source}")
+    check_digest(request, [
+        snapshot(enterprise_bfs(graph, source, config=cfg))
+        for source in (0, 33, graph.num_vertices - 1)])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -118,13 +76,12 @@ def test_ablation_matrix_bit_identical(config):
     {"switch_scan": "interleaved"},
     {"switch_policy": "alpha", "switch_scan": "interleaved"},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-def test_switch_configs_bit_identical(kwargs):
+def test_switch_configs_bit_identical(kwargs, request):
     graph = rmat_graph(9, edge_factor=10, seed=8)
     cfg = EnterpriseConfig(**kwargs)
-    for source in (1, 200):
-        scalar, vectorized = both_modes(
-            lambda: snapshot(enterprise_bfs(graph, source, config=cfg)))
-        assert scalar == vectorized
+    check_digest(request, [
+        snapshot(enterprise_bfs(graph, source, config=cfg))
+        for source in (1, 200)])
 
 
 # ----------------------------------------------------------------------
@@ -132,115 +89,83 @@ def test_switch_configs_bit_identical(kwargs):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("graph", SMALL_CORPUS, ids=lambda g: g.name)
-def test_msbfs_waves_bit_identical(graph):
+def test_msbfs_waves_bit_identical(graph, request):
     sources = np.array([0, graph.num_vertices // 2,
                         graph.num_vertices - 1], dtype=np.int64)
-
-    def run():
-        r = ms_bfs(graph, sources)
-        return (r.sources.tobytes(), r.levels.tobytes(), r.time_ms,
-                tuple(r.union_frontiers))
-
-    scalar, vectorized = both_modes(run)
-    assert scalar == vectorized, f"MS-BFS diverges on {graph.name}"
+    r = ms_bfs(graph, sources)
+    check_digest(request, (r.sources, r.levels, r.time_ms,
+                           tuple(r.union_frontiers)))
 
 
 # ----------------------------------------------------------------------
 # Counters / GTEPS figures
 # ----------------------------------------------------------------------
 
-def test_counters_and_teps_bit_identical():
+def test_counters_and_teps_bit_identical(request):
     """The Fig. 16 counter aggregates and the headline TEPS number are
-    float-exact across modes, not merely approximately equal."""
+    float-exact, not merely approximately equal."""
     from repro.gpu.counters import aggregate_counters
     from repro.gpu.kernels import sweep_kernel
     from repro.gpu.memory import sequential_transactions
     from repro.gpu.specs import KEPLER_K40
 
-    def run():
-        kernels = []
-        for size in (1, 17, 300, 4096, 65536):
-            access = sequential_transactions(2 * size, 8, KEPLER_K40)
-            kernels.append(sweep_kernel(size, access, KEPLER_K40,
-                                        name=f"k{size}",
-                                        instr_per_element=4))
-        counters = aggregate_counters(kernels, KEPLER_K40)
-        return (counters.gld_transactions, counters.ldst_fu_utilization,
-                counters.stall_data_request, counters.ipc,
-                counters.power_w, counters.elapsed_ms,
-                counters.instructions, counters.useful_lane_steps,
-                counters.wasted_lane_steps, counters.energy_j)
-
-    scalar, vectorized = both_modes(run)
-    assert scalar == vectorized
-
+    kernels = []
+    for size in (1, 17, 300, 4096, 65536):
+        access = sequential_transactions(2 * size, 8, KEPLER_K40)
+        kernels.append(sweep_kernel(size, access, KEPLER_K40,
+                                    name=f"k{size}", instr_per_element=4))
+    counters = aggregate_counters(kernels, KEPLER_K40)
     graph = rmat_graph(9, edge_factor=8, seed=5)
-    scalar, vectorized = both_modes(
-        lambda: enterprise_bfs(graph, 3).teps)
-    assert scalar == vectorized  # exact float equality, no tolerance
+    check_digest(request, (
+        (counters.gld_transactions, counters.ldst_fu_utilization,
+         counters.stall_data_request, counters.ipc, counters.power_w,
+         counters.elapsed_ms, counters.instructions,
+         counters.useful_lane_steps, counters.wasted_lane_steps,
+         counters.energy_j),
+        enterprise_bfs(graph, 3).teps))
 
 
 # ----------------------------------------------------------------------
-# Chaos fault matrix through the vectorized path
+# Chaos fault matrix
 # ----------------------------------------------------------------------
 
-def test_chaos_matrix_bit_identical():
+def test_chaos_matrix_bit_identical(request):
     """The full fault matrix — stragglers, device loss, wave failures —
-    produces byte-identical reports under both modes."""
+    stays exact and produces the recorded report."""
     from repro.faults import PROFILES, profile
     from repro.faults.harness import run_chaos_matrix
     from repro.serve import ServeConfig, TraceConfig
 
-    graph = fuzzed(77)
-    plans = [profile(name) for name in sorted(PROFILES)]
-
-    def run():
-        report = run_chaos_matrix(
-            graph, plans,
-            trace_config=TraceConfig(num_queries=60, seed=9),
-            config=ServeConfig(num_gpus=2, deadline_ms=0.4,
-                               cache_capacity=4))
-        return (report.ok, tuple(tuple(sorted(row.items()))
-                                 for row in report.rows()))
-
-    scalar, vectorized = both_modes(run)
-    assert scalar[0] and vectorized[0], "chaos matrix must stay exact"
-    assert scalar == vectorized
+    report = run_chaos_matrix(
+        fuzzed(77), [profile(name) for name in sorted(PROFILES)],
+        trace_config=TraceConfig(num_queries=60, seed=9),
+        config=ServeConfig(num_gpus=2, deadline_ms=0.4, cache_capacity=4))
+    assert report.ok, "chaos matrix must stay exact"
+    check_digest(request, [sorted(row.items()) for row in report.rows()])
 
 
 # ----------------------------------------------------------------------
-# Cluster profiler
+# Cluster runs
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("graph", SMALL_CORPUS, ids=lambda g: g.name)
-def test_cluster_profile_bit_identical(graph):
-    """The full ``repro.clusterprofile/v1`` document — per-level tier
-    attribution, node compute/staging ledgers, exchange byte counters,
-    tier totals — serializes byte-identically across modes."""
-    import json
-
-    from repro.observ.clusterprof import (cluster_to_json,
-                                          profile_cluster_run)
-
-    def run():
-        prof = profile_cluster_run(graph, 0, 2, 2, parts_per_node=4)
-        return json.dumps(cluster_to_json(prof), indent=2, sort_keys=True)
-
-    scalar, vectorized = both_modes(run)
-    assert scalar == vectorized, f"cluster profile diverges on {graph.name}"
+def test_cluster_profile_bit_identical(graph, request):
+    """The run behind the ``repro.clusterprofile/v1`` document: levels,
+    parents, per-level tier costs, node compute/staging ledgers and
+    exchange byte counters.  The document itself is not digested: its
+    tier attribution sums floats with ``sum()``, which Python 3.12
+    rounds differently."""
+    check_digest(request, run_snapshot(
+        cluster_enterprise_bfs(graph, 0, 2, 2, parts_per_node=4)))
 
 
-def test_weak_scaling_rows_bit_identical():
-    """The bench rows feeding ``report --cluster`` — including the six
-    attributed tier columns — are exactly equal across modes."""
+def test_weak_scaling_rows_bit_identical(request):
+    """The cluster runs behind the rows of ``report --cluster``."""
     from repro.bench.cluster import run_weak_scaling
 
-    def run():
-        rows = run_weak_scaling((1, 2), base_scale=8, parts_per_node=4)
-        return tuple(tuple(sorted(r.items())) for r in rows)
-
-    scalar, vectorized = both_modes(run)
-    assert scalar == vectorized
+    _, runs = run_weak_scaling((1, 2), base_scale=8, parts_per_node=4,
+                               return_results=True)
+    check_digest(request, [run_snapshot(run) for run in runs])
 
 
 # ----------------------------------------------------------------------
@@ -249,73 +174,17 @@ def test_weak_scaling_rows_bit_identical():
 
 @pytest.mark.parametrize("graph", [star(48), disconnected(45), fuzzed(55)],
                          ids=lambda g: g.name)
-def test_serve_stack_bit_identical(graph):
-    """Every replayed query answer — including serving metadata and the
-    tail-latency phase attribution — matches across modes."""
+def test_serve_stack_bit_identical(graph, request):
+    """Every replayed query answer, including serving metadata and the
+    tail-latency phase attribution."""
     from repro.serve import ServeConfig, ServeEngine, TraceConfig, replay, \
         synthetic_trace
 
     trace = synthetic_trace(graph, TraceConfig(num_queries=80, seed=13))
-
-    def run():
-        engine = ServeEngine(graph, ServeConfig(num_gpus=2,
-                                                deadline_ms=0.5,
-                                                cache_capacity=8))
-        rows = []
-        for r in replay(engine, trace):
-            rows.append((
-                r.query.qid, r.ok, r.served_by, r.wave_id, r.completed_ms,
-                r.distance, r.reachable,
-                None if r.levels is None else r.levels.tobytes(),
-                None if r.parents is None else r.parents.tobytes(),
-                None if r.phases is None else tuple(sorted(r.phases.items())),
-            ))
-        return tuple(rows)
-
-    scalar, vectorized = both_modes(run)
-    assert scalar == vectorized, f"serve answers diverge on {graph.name}"
-
-
-# ----------------------------------------------------------------------
-# The switch itself
-# ----------------------------------------------------------------------
-
-def test_scalar_mode_switch_round_trips():
-    assert not accel.scalar_mode()
-    with accel.scalar_reference():
-        assert accel.scalar_mode()
-        with accel.scalar_reference(False):
-            assert not accel.scalar_mode()
-        assert accel.scalar_mode()
-    assert not accel.scalar_mode()
-
-
-def test_repro_scalar_env_is_honoured(tmp_path):
-    """``REPRO_SCALAR=1`` at interpreter start selects the scalar
-    reference globally (the documented escape hatch)."""
-    import os
-    import subprocess
-    import sys
-
-    code = ("import repro.accel as a; "
-            "print(int(a.scalar_mode()))")
-    for env_value, expected in (("1", "1"), ("0", "0"), ("", "0")):
-        env = dict(os.environ, REPRO_SCALAR=env_value,
-                   PYTHONPATH="src")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             cwd=os.getcwd())
-        assert out.stdout.strip() == expected, f"REPRO_SCALAR={env_value!r}"
-
-
-def test_vectorized_structures_are_pooled_not_shared_mutably():
-    """The interning layer must never let one run's result alias another
-    run's mutable state: two identical runs return equal-but-independent
-    level arrays."""
-    graph = chain(30)
-    a = enterprise_bfs(graph, 0)
-    b = enterprise_bfs(graph, 0)
-    assert np.array_equal(a.levels, b.levels)
-    assert a.levels is not b.levels
-    a.levels[5] = 99
-    assert b.levels[5] != 99
+    engine = ServeEngine(graph, ServeConfig(num_gpus=2, deadline_ms=0.5,
+                                            cache_capacity=8))
+    check_digest(request, [
+        (r.query.qid, r.ok, r.served_by, r.wave_id, r.completed_ms,
+         r.distance, r.reachable, r.levels, r.parents,
+         None if r.phases is None else sorted(r.phases.items()))
+        for r in replay(engine, trace)])
