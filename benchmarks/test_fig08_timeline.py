@@ -63,4 +63,5 @@ def test_fig08(benchmark, report):
         "~11% of the overall BFS runtime",
         f"{share:.1%}",
         0.005 < share < 0.45,
+        deviation=1,
     ))

@@ -50,7 +50,9 @@ class PaperClaim:
 
     ``holds`` is evaluated by the bench that produced the record; the
     claim text quotes the paper, ``measured`` summarises what this
-    reproduction observed.
+    reproduction observed.  ``deviation`` is the number of the
+    EXPERIMENTS.md "Known deviations" entry that explains a claim which
+    does not hold; the benchmark suite fails on any other such claim.
     """
 
     experiment: str
@@ -58,11 +60,15 @@ class PaperClaim:
     paper_value: str
     measured: str
     holds: bool
+    deviation: int | None = None
 
     def line(self) -> str:
         mark = "OK " if self.holds else "DEV"
+        tag = (f" | EXPERIMENTS.md deviation {self.deviation}"
+               if self.deviation is not None else "")
         return (f"[{mark}] {self.experiment}: {self.claim} | "
-                f"paper: {self.paper_value} | measured: {self.measured}")
+                f"paper: {self.paper_value} | measured: {self.measured}"
+                f"{tag}")
 
 
 def claims_report(claims: Iterable[PaperClaim]) -> str:

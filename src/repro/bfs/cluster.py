@@ -32,24 +32,34 @@ budgeted at its shard size, and pages them from simulated NVMe before
 expanding or inspecting — no single simulated node ever holds the whole
 adjacency once ``num_nodes > 1``.
 
-Traversal math is shared with :mod:`repro.bfs.partition2d` (the same
-``_expand_topdown_blocks`` / ``_inspect_bottomup_blocks`` helpers), so
-cluster levels and parents are bit-identical to the single-node grid —
-and therefore to the single-GPU reference — by construction;
-:mod:`tests.test_differential` checks it anyway.  Bottom-up inspection
-scans the inspect graph's column blocks, which are cached on the graph:
-repeated traversals of one graph, each on a fresh fabric, split it once.
+``_grid_bfs`` is the one level loop of every device grid: it takes the
+device grid, the row and column bounds and the link each exchange runs
+on, plus two optional hooks — staging before a level's kernels and an
+allreduce after its exchanges.  The cluster runs it over the fabric's
+devices with the row exchange on ``fabric.intra``, the column exchange
+on ``fabric.inter`` and both hooks; the single-node 2-D grid
+(:func:`~repro.bfs.partition2d.multigpu2d_enterprise_bfs`) runs it on
+one link with neither.  The per-block traversal math is
+:mod:`repro.bfs.partition2d`'s, so cluster levels and parents are
+bit-identical to the single-node grid — and so to the single-GPU
+reference — by construction; :mod:`tests.test_differential` checks it
+anyway.  Bottom-up inspection scans the inspect graph's column blocks,
+which are cached on the graph: repeated traversals of one graph, each on
+a fresh fabric, split it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from ..gpu.device import GPUDevice
 from ..gpu.fabric import Fabric, ring_ms
 from ..gpu.kernels import sweep_kernel
 from ..gpu.memory import sequential_transactions
+from ..gpu.multi import InterconnectSpec
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
 from ..observ.registry import get_registry
@@ -59,9 +69,9 @@ from ..storage.specs import NVME_SSD, StorageSpec
 from .common import BFSResult, LevelTrace, UNVISITED
 from .direction import GammaPolicy
 from .enterprise import EnterpriseConfig
+from .multigpu import partition_bounds
 from .partition2d import (
     _expand_topdown_blocks,
-    _group_bounds,
     _inspect_bottomup_blocks,
     _segment_payloads,
 )
@@ -205,6 +215,27 @@ class ClusterBFSResult:
         return self.flat_communication_ms / self.communication_ms
 
 
+def _exchange(
+    just_visited: np.ndarray,
+    bounds: np.ndarray,
+    group: int,
+    link: InterconnectSpec,
+    flat_link: InterconnectSpec,
+) -> tuple[float, float, list[int]]:
+    """One exchange phase: a ring of ``group`` devices per segment of
+    ``bounds``, all rings concurrent, each charged its own segment's
+    payload; empty rings ship nothing.  Returns the slowest ring's time
+    on ``link``, the same on ``flat_link`` (the single-tier comparator)
+    and the payloads charged."""
+    if group <= 1:
+        return 0.0, 0.0, []
+    active = [b for b in _segment_payloads(just_visited, bounds) if b > 0]
+    if not active:
+        return 0.0, 0.0, []
+    return (max(ring_ms(link, group, b) for b in active),
+            max(ring_ms(flat_link, group, b) for b in active), active)
+
+
 def _trace_level(tracer, level: int, direction: str, base: float,
                  level_total: float, level_io: float, level_compute: float,
                  row_ms: float, col_ms: float, node_io: list,
@@ -248,6 +279,188 @@ def _trace_level(tracer, level: int, direction: str, base: float,
                                args={"tier": "inter"})
 
 
+def _ltr_sum(values) -> float:
+    """Left-to-right float sum, the order the level loop charged in
+    (``sum()`` rounds differently from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _grid_bfs(
+    graph: CSRGraph,
+    source: int,
+    config: EnterpriseConfig,
+    algorithm: str,
+    devices: list[list[GPUDevice]],
+    row_bounds: np.ndarray,
+    col_bounds: np.ndarray,
+    row_link: InterconnectSpec,
+    col_link: InterconnectSpec,
+    *,
+    stage: Callable[[np.ndarray, bool], tuple[list[float], int]] | None = None,
+    allreduce: Callable[[int, float], tuple[float, float, float]]
+    | None = None,
+) -> tuple[BFSResult, list[ClusterLevelCost], list[int], float]:
+    """The direction-optimizing level loop over a device grid: staging,
+    block expansion or inspection, the private status scan, the row
+    exchange, the column exchange and the allreduce, then the γ switch.
+
+    ``devices[i][j]`` is GPU (i, j); ``row_bounds``/``col_bounds`` cut
+    the vertices into the grid's row and column groups; the row
+    exchange runs on ``row_link`` and the column exchange on
+    ``col_link``.  The hooks are the cluster's:
+
+    * ``stage(queue, bottom_up)`` pages in the adjacency the level's
+      queue reads, before the level's kernels, and returns each row's
+      page-in ms and the bytes read;
+    * ``allreduce(level, at_ms)`` charges the per-level frontier-count
+      consensus at simulated time ``at_ms`` and returns its intra-tier,
+      inter-tier and single-tier-comparator ms.
+
+    Returns the BFS result (``time_ms`` is the wall clock), the
+    per-level costs, every ring payload charged, in charge order, and
+    the exchange time had every ring run on ``col_link`` (with the
+    allreduce's comparator).  Only γ switching is modelled; the
+    per-device kernels are warp/thread blocks whatever the config.
+    """
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range for {n} vertices")
+    rows, cols = len(row_bounds) - 1, len(col_bounds) - 1
+    spec = devices[0][0].spec
+    inspect_graph = graph.reverse if graph.directed else graph
+    row_of = (np.searchsorted(row_bounds, np.arange(n), side="right") - 1
+              ).astype(np.int64)
+    col_of = (np.searchsorted(col_bounds, np.arange(n), side="right") - 1
+              ).astype(np.int64)
+    # Queue generation: every device scans its private status share.
+    share = max(1, n // (rows * cols))
+    scan = sweep_kernel(share, sequential_transactions(share, 1, spec), spec,
+                        name="scan-private")
+
+    status = np.full(n, UNVISITED, dtype=np.int32)
+    parents = np.full(n, UNVISITED, dtype=np.int64)
+    status[source] = 0
+    gamma = GammaPolicy(threshold_pct=config.gamma_threshold)
+    gamma.setup(graph)
+    tracer = get_tracer()
+
+    traces: list[LevelTrace] = []
+    costs: list[ClusterLevelCost] = []
+    payloads: list[int] = []
+    wall_ms = 0.0
+    flat_ms = 0.0
+    direction = "top-down"
+    level = 0
+
+    for _ in range(config.max_levels):
+        bottom_up = direction != "top-down"
+        queue = np.flatnonzero(
+            status == (UNVISITED if bottom_up else level)).astype(np.int64)
+        if queue.size == 0:
+            break
+        node_io, staged = (stage(queue, bottom_up) if stage is not None
+                           else ([0.0] * rows, 0))
+        per_device_ms = np.zeros((rows, cols))
+        just_visited = np.zeros(n, dtype=bool)
+        if bottom_up:
+            level_edges, blocks = _inspect_bottomup_blocks(
+                inspect_graph, queue, status, level, just_visited,
+                parents, row_of, col_bounds, rows, spec)
+        else:
+            level_edges, blocks = _expand_topdown_blocks(
+                graph, queue, status, just_visited, parents,
+                row_of, col_of, rows, cols, spec)
+        for i, j, k in blocks:
+            devices[i][j].launch(k)
+            per_device_ms[i, j] += k.time_ms
+        status[just_visited] = level + 1
+        for i in range(rows):
+            for j in range(cols):
+                devices[i][j].launch(scan)
+                per_device_ms[i, j] += scan.time_ms
+
+        # Row exchange (one ring of ``cols`` GPUs per row), then column
+        # exchange (one ring of ``rows`` GPUs per column); each phase
+        # pays its slowest concurrent ring.
+        level_io = max(node_io)
+        level_compute = float(per_device_ms.max())
+        row_ms, row_flat, row_bytes = _exchange(
+            just_visited, row_bounds, cols, row_link, col_link)
+        col_ms, col_flat, col_bytes = _exchange(
+            just_visited, col_bounds, rows, col_link, col_link)
+        payloads += row_bytes + col_bytes
+        flat_ms += row_flat
+        flat_ms += col_flat
+        level_intra, level_inter = row_ms, col_ms
+        ar_intra = ar_inter = 0.0
+        if allreduce is not None:
+            ar_intra, ar_inter, ar_flat = allreduce(
+                level, wall_ms + level_io + level_compute + row_ms + col_ms)
+            level_intra += ar_intra
+            level_inter += ar_inter
+            flat_ms += ar_flat
+        level_total = level_compute + (level_intra + level_inter) + level_io
+        if tracer.enabled:
+            _trace_level(tracer, level, direction, wall_ms, level_total,
+                         level_io, level_compute, row_ms, col_ms, node_io,
+                         per_device_ms, rows, cols)
+        wall_ms += level_total
+
+        newly = np.flatnonzero(just_visited).astype(np.int64)
+        gamma_value = gamma.observe(newly) if newly.size else 0.0
+        traces.append(LevelTrace(
+            level=level, direction=direction,
+            frontier_count=int(queue.size),
+            newly_visited=int(newly.size),
+            edges_checked=level_edges,
+            expand_ms=level_compute,
+            gamma=gamma_value,
+        ))
+        costs.append(ClusterLevelCost(
+            level=level, direction=direction,
+            frontier_count=int(queue.size),
+            newly_visited=int(newly.size),
+            compute_ms=level_compute,
+            row_ms=row_ms,
+            col_ms=col_ms,
+            allreduce_intra_ms=ar_intra,
+            allreduce_inter_ms=ar_inter,
+            staging_ms=level_io,
+            total_ms=level_total,
+            node_compute_ms=tuple(float(per_device_ms[i].max())
+                                  for i in range(rows)),
+            node_staging_ms=tuple(node_io),
+            bytes_row=sum(row_bytes),
+            bytes_col=sum(col_bytes),
+            bytes_staged=staged,
+        ))
+        if newly.size == 0:
+            break
+        if direction == "top-down" and not gamma.switched \
+                and gamma_value > gamma.threshold_pct:
+            gamma.switched = True
+            direction = "switch"
+        elif direction == "switch":
+            direction = "bottom-up"
+        level += 1
+
+    result = BFSResult(
+        algorithm=algorithm,
+        graph_name=graph.name,
+        source=source,
+        levels=status,
+        parents=parents,
+        traces=traces,
+        time_ms=wall_ms,
+        gamma_history=gamma.history,
+    )
+    result.set_edges_traversed(graph)
+    return result, costs, payloads, flat_ms
+
+
 def cluster_enterprise_bfs(
     graph: CSRGraph,
     source: int,
@@ -259,14 +472,12 @@ def cluster_enterprise_bfs(
     storage: StorageSpec = NVME_SSD,
     parts_per_node: int = 32,
     config: EnterpriseConfig | None = None,
-    max_levels: int = 100_000,
 ) -> ClusterBFSResult:
     """Direction-optimizing BFS sharded over a multi-node fabric."""
     config = config or EnterpriseConfig()
     fabric = fabric or Fabric(num_nodes, gpus_per_node, spec)
     if (fabric.num_nodes, fabric.gpus_per_node) != (num_nodes, gpus_per_node):
         raise ValueError("fabric shape does not match num_nodes/gpus_per_node")
-    spec = fabric.spec
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
@@ -282,11 +493,6 @@ def cluster_enterprise_bfs(
     if inspect_graph is not graph:
         weights = weights + inspect_graph.out_degrees.astype(np.int64)
     row_bounds = balanced_bounds(weights, rows)
-    col_bounds = _group_bounds(n, cols)
-    row_of = (np.searchsorted(row_bounds, np.arange(n), side="right") - 1
-              ).astype(np.int64)
-    col_of = (np.searchsorted(col_bounds, np.arange(n), side="right") - 1
-              ).astype(np.int64)
 
     # --- out-of-core sharding: node i stores only its row's adjacency.
     parts_per_node = min(parts_per_node, int(np.min(np.diff(row_bounds))))
@@ -312,15 +518,16 @@ def cluster_enterprise_bfs(
                                                    (i + 1) * parts_per_node])
         for i in range(rows)]
 
-    def _stage(partitioned: PartitionedCSR, caches: list[PartitionCache],
-               vertices: np.ndarray) -> tuple[list[float], int]:
-        """Page in the partitions a vertex set needs, node-local and
+    def stage(queue: np.ndarray, bottom_up: bool) -> tuple[list[float], int]:
+        """Page in the partitions the level's queue needs, node-local and
         concurrent across nodes: returns (per-node ms, total bytes)."""
+        partitioned, caches = ((parts_bu, bu_caches) if bottom_up
+                               else (parts_fwd, fwd_caches))
         per_node = [0.0] * rows
         total = 0
-        owner = row_of[vertices]
+        owner = np.searchsorted(row_bounds, queue, side="right") - 1
         for i in range(rows):
-            verts = vertices[owner == i]
+            verts = queue[owner == i]
             if verts.size == 0:
                 continue
             node_ms = 0.0
@@ -332,218 +539,53 @@ def cluster_enterprise_bfs(
             per_node[i] = node_ms
         return per_node, total
 
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
+    def allreduce(level: int, at_ms: float) -> tuple[float, float, float]:
+        """Frontier-count consensus: a hierarchical 8-byte allreduce,
+        charged after staging, compute and the exchange rings."""
+        cost = fabric.allreduce_ms(8, at_ms=at_ms, level=level)
+        return cost.intra_ms, cost.inter_ms, fabric.flat_ring_ms(8)
 
-    gamma = GammaPolicy(threshold_pct=config.gamma_threshold)
-    gamma.setup(graph)
-
-    tracer = get_tracer()
-    registry = get_registry()
-    observing = tracer.enabled or registry.enabled
     # Per-run ledger scoping: a reused fabric must not report the
     # previous traversal's traffic on top of this one's.
     fabric.reset_ledgers()
+    result, costs, payloads, flat_ms = _grid_bfs(
+        graph, source, config, f"enterprise-cluster[{rows}n x {cols}g]",
+        fabric.device_grid(), row_bounds, partition_bounds(n, cols),
+        fabric.intra, fabric.inter, stage=stage,
+        allreduce=allreduce if fabric.size > 1 else None)
 
-    traces: list[LevelTrace] = []
-    level_costs: list[ClusterLevelCost] = []
-    compute_ms = 0.0
-    intra_ms = 0.0
-    inter_ms = 0.0
-    io_ms = 0.0
-    collective_ms = 0.0
-    flat_comm_ms = 0.0
-    bytes_intra = 0
-    bytes_inter = 0
-    bytes_read = 0
-    charged_payloads: list[int] = []
-    wall_ms = 0.0
-    direction = "top-down"
-    level = 0
-
-    for _ in range(max_levels):
-        per_device_ms = np.zeros((rows, cols))
-        just_visited = np.zeros(n, dtype=bool)
-
-        if direction == "top-down":
-            frontier = np.flatnonzero(status == level).astype(np.int64)
-            if frontier.size == 0:
-                break
-            frontier_count = int(frontier.size)
-            node_io, staged = _stage(parts_fwd, fwd_caches, frontier)
-            level_edges, blocks = _expand_topdown_blocks(
-                graph, frontier, status, just_visited, parents,
-                row_of, col_of, rows, cols, spec)
-        else:
-            candidates = np.flatnonzero(status == UNVISITED).astype(np.int64)
-            if candidates.size == 0:
-                break
-            frontier_count = int(candidates.size)
-            node_io, staged = _stage(parts_bu, bu_caches, candidates)
-            level_edges, blocks = _inspect_bottomup_blocks(
-                inspect_graph, candidates, status, level, just_visited,
-                parents, row_of, col_bounds, rows, spec)
-        bytes_read += staged
-        for i, j, k in blocks:
-            fabric.device(i, j).launch(k)
-            per_device_ms[i, j] += k.time_ms
-        status[just_visited] = level + 1
-
-        # Queue generation: every device scans its private status share.
-        share = max(1, n // fabric.size)
-        for i in range(rows):
-            for j in range(cols):
-                k = sweep_kernel(share,
-                                 sequential_transactions(share, 1, spec),
-                                 spec, name="scan-private")
-                fabric.device(i, j).launch(k)
-                per_device_ms[i, j] += k.time_ms
-
-        # Exchanges, priced per tier (same content-aware ledger rules as
-        # partition2d: per-ring payloads, max over concurrent rings,
-        # empty rings skipped).
-        level_io = max(node_io)
-        level_compute = float(per_device_ms.max())
-        level_row_ms = 0.0
-        level_col_ms = 0.0
-        level_bytes_row = 0
-        level_bytes_col = 0
-        if cols > 1:
-            active = [b for b
-                      in _segment_payloads(just_visited, row_bounds)
-                      if b > 0]
-            if active:
-                level_row_ms = max(ring_ms(fabric.intra, cols, b)
-                                   for b in active)
-                flat_comm_ms += max(ring_ms(fabric.inter, cols, b)
-                                    for b in active)
-                level_bytes_row = sum(active)
-                bytes_intra += level_bytes_row
-                charged_payloads.extend(active)
-        if rows > 1:
-            active = [b for b
-                      in _segment_payloads(just_visited, col_bounds)
-                      if b > 0]
-            if active:
-                level_col_ms = max(ring_ms(fabric.inter, rows, b)
-                                   for b in active)
-                flat_comm_ms += max(ring_ms(fabric.inter, rows, b)
-                                    for b in active)
-                level_bytes_col = sum(active)
-                bytes_inter += level_bytes_col
-                charged_payloads.extend(active)
-        level_intra = level_row_ms
-        level_inter = level_col_ms
-        # Frontier-count consensus: hierarchical 8-byte allreduce,
-        # charged to the simulated clock after staging, compute and the
-        # exchange rings.
-        ar_intra = 0.0
-        ar_inter = 0.0
-        if fabric.size > 1:
-            t_ar = (wall_ms + level_io + level_compute
-                    + level_row_ms + level_col_ms)
-            cost = fabric.allreduce_ms(8, at_ms=t_ar, level=level)
-            ar_intra, ar_inter = cost.intra_ms, cost.inter_ms
-            level_intra += cost.intra_ms
-            level_inter += cost.inter_ms
-            collective_ms += cost.total_ms
-            flat_comm_ms += fabric.flat_ring_ms(8)
-
-        level_comm = level_intra + level_inter
-        compute_ms += level_compute
-        intra_ms += level_intra
-        inter_ms += level_inter
-        io_ms += level_io
-        level_total = level_compute + level_comm + level_io
-        node_compute = [float(per_device_ms[i].max()) for i in range(rows)]
-        if tracer.enabled:
-            _trace_level(tracer, level, direction, wall_ms, level_total,
-                         level_io, level_compute, level_row_ms,
-                         level_col_ms, node_io, per_device_ms, rows, cols)
-        wall_ms += level_total
-
-        newly = np.flatnonzero(just_visited).astype(np.int64)
-        gamma_value = gamma.observe(newly) if newly.size else 0.0
-        traces.append(LevelTrace(
-            level=level, direction=direction,
-            frontier_count=frontier_count,
-            newly_visited=int(newly.size),
-            edges_checked=level_edges,
-            expand_ms=level_compute,
-            gamma=gamma_value,
-        ))
-        level_costs.append(ClusterLevelCost(
-            level=level, direction=direction,
-            frontier_count=frontier_count,
-            newly_visited=int(newly.size),
-            compute_ms=level_compute,
-            row_ms=level_row_ms,
-            col_ms=level_col_ms,
-            allreduce_intra_ms=ar_intra,
-            allreduce_inter_ms=ar_inter,
-            staging_ms=level_io,
-            total_ms=level_total,
-            node_compute_ms=tuple(node_compute),
-            node_staging_ms=tuple(node_io),
-            bytes_row=level_bytes_row,
-            bytes_col=level_bytes_col,
-            bytes_staged=staged,
-        ))
-        if newly.size == 0:
-            break
-        if direction == "top-down" and not gamma.switched \
-                and gamma_value > gamma.threshold_pct:
-            gamma.switched = True
-            direction = "switch"
-        elif direction == "switch":
-            direction = "bottom-up"
-        level += 1
-
-    if observing:
-        registry.counter("repro.cluster.bytes",
-                         tier="intra").inc(float(bytes_intra))
-        registry.counter("repro.cluster.bytes",
-                         tier="inter").inc(float(bytes_inter))
-        registry.counter("repro.cluster.bytes",
-                         tier="storage").inc(float(bytes_read))
-        registry.counter("repro.cluster.levels").inc(float(len(traces)))
-        registry.counter("repro.cluster.ms",
-                         tier="compute").inc(compute_ms)
-        registry.counter("repro.cluster.ms",
-                         tier="row-exchange").inc(
-                             sum(c.row_ms for c in level_costs))
-        registry.counter("repro.cluster.ms",
-                         tier="col-exchange").inc(
-                             sum(c.col_ms for c in level_costs))
-        registry.counter("repro.cluster.ms", tier="staging").inc(io_ms)
-
-    result = BFSResult(
-        algorithm=f"enterprise-cluster[{rows}n x {cols}g]",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=wall_ms,
-        gamma_history=gamma.history,
-    )
-    result.set_edges_traversed(graph)
-    return ClusterBFSResult(
+    run = ClusterBFSResult(
         result=result,
         num_nodes=rows,
         gpus_per_node=cols,
-        computation_ms=compute_ms,
-        intra_ms=intra_ms,
-        inter_ms=inter_ms,
-        io_ms=io_ms,
-        collective_ms=collective_ms,
-        bytes_intra=bytes_intra,
-        bytes_inter=bytes_inter,
-        bytes_read=bytes_read,
+        computation_ms=_ltr_sum(c.compute_ms for c in costs),
+        intra_ms=_ltr_sum(c.row_ms + c.allreduce_intra_ms for c in costs),
+        inter_ms=_ltr_sum(c.col_ms + c.allreduce_inter_ms for c in costs),
+        io_ms=_ltr_sum(c.staging_ms for c in costs),
+        collective_ms=_ltr_sum(c.allreduce_intra_ms + c.allreduce_inter_ms
+                               for c in costs),
+        bytes_intra=sum(c.bytes_row for c in costs),
+        bytes_inter=sum(c.bytes_col for c in costs),
+        bytes_read=sum(c.bytes_staged for c in costs),
         shard_bytes=shard_sizes,
         total_adjacency_bytes=parts_fwd.total_bytes,
-        flat_communication_ms=flat_comm_ms,
-        charged_payloads=charged_payloads,
-        level_costs=level_costs,
+        flat_communication_ms=flat_ms,
+        charged_payloads=payloads,
+        level_costs=costs,
     )
+    registry = get_registry()
+    if registry.enabled:
+        for tier, nbytes in (("intra", run.bytes_intra),
+                             ("inter", run.bytes_inter),
+                             ("storage", run.bytes_read)):
+            registry.counter("repro.cluster.bytes",
+                             tier=tier).inc(float(nbytes))
+        registry.counter("repro.cluster.levels").inc(float(len(costs)))
+        registry.counter("repro.cluster.ms",
+                         tier="compute").inc(run.computation_ms)
+        registry.counter("repro.cluster.ms", tier="row-exchange").inc(
+            sum(c.row_ms for c in costs))
+        registry.counter("repro.cluster.ms", tier="col-exchange").inc(
+            sum(c.col_ms for c in costs))
+        registry.counter("repro.cluster.ms", tier="staging").inc(run.io_ms)
+    return run

@@ -19,15 +19,18 @@ yields exactly the four configurations of Fig. 13:
 The traversal logic is identical across configurations (same status
 array, same visitation rules); the configurations differ in which kernels
 are launched and therefore in simulated time and counters — as on real
-hardware.  BL/TS/WB switch directions with the prior-work α/β heuristic
-[10]; the HC configuration switches once on γ (§4.3).  Both indicator
-series are recorded every level regardless, feeding Fig. 10.
+hardware.  Every configuration switches once on γ (§4.3) unless
+``switch_policy="alpha"`` selects the prior-work α/β heuristic [10].
+Both indicator series are recorded every level regardless, feeding
+Fig. 10.  Out-of-core traversal (:mod:`repro.storage.ooc`) runs the same
+level loop with a staging step before each level's kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,7 +94,8 @@ class EnterpriseConfig:
     #: "interleaved" (reuse the top-down scan — cheaper scan, unsorted
     #: queue).  An ablation knob for the Fig. 7(b) design decision.
     switch_scan: str = "blocked"
-    #: Hard cap on levels, a guard against malformed graphs.
+    #: Hard cap on levels, a guard against malformed graphs; every
+    #: topology (single-GPU, out-of-core, 1-D, 2-D, cluster) stops there.
     max_levels: int = 100_000
 
     def __post_init__(self) -> None:
@@ -184,6 +188,48 @@ def _wb_kernels(
     return kernels
 
 
+def _level_kernels(
+    queue: np.ndarray,
+    workloads: np.ndarray,
+    classify_degrees: np.ndarray,
+    vertex_workloads: np.ndarray,
+    config: EnterpriseConfig,
+    spec: DeviceSpec,
+    *,
+    locality: float,
+    shared_hits: int,
+    phase: str,
+    metric_labels: dict[str, str],
+) -> tuple[list[KernelCost], bool]:
+    """One level's expansion (``phase="td"``) or inspection (``"bu"``)
+    kernels under ``config``, and whether they run concurrently.
+
+    ``workloads`` is aligned with ``queue``; ``vertex_workloads`` holds
+    the same numbers indexed by vertex, as :func:`_wb_kernels` wants.
+    """
+    if not config.thread_scheduling:
+        n = vertex_workloads.size  # BL sweeps the whole status array
+        return [
+            sweep_kernel(n, sequential_transactions(n, 1, spec), spec,
+                         name="bl-sweep", useful_elements=queue.size,
+                         group=CTA_THREADS),
+            expansion_kernel(workloads, Granularity.CTA, spec,
+                             name=f"{phase}-cta", neighbor_locality=locality,
+                             shared_hits=shared_hits),
+        ], False
+    if config.workload_balancing:
+        return _wb_kernels(queue, classify_degrees, vertex_workloads, config,
+                           spec, locality=locality, shared_hits=shared_hits,
+                           phase=phase, metric_labels=metric_labels), True
+    # TS without WB: queue-driven scheduling, but the same static
+    # CTA-per-frontier granularity as the baseline (granularity matching
+    # is WB's contribution, §4.2).
+    return [expansion_kernel(workloads, Granularity.CTA, spec,
+                             name=f"{phase}-static",
+                             neighbor_locality=locality,
+                             shared_hits=shared_hits)], False
+
+
 def _launch_level(
     device: GPUDevice,
     kernels: list[KernelCost],
@@ -219,8 +265,24 @@ def enterprise_bfs(
     ``gamma_history``, ``alpha_history`` and (when HC is on) ``hub_cache``
     attributes.
     """
-    config = config or EnterpriseConfig()
-    device = device or GPUDevice()
+    return _traverse(graph, source, device or GPUDevice(),
+                     config or EnterpriseConfig())
+
+
+def _traverse(
+    graph: CSRGraph,
+    source: int,
+    device: GPUDevice,
+    config: EnterpriseConfig,
+    stage: Callable[[np.ndarray, bool], None] | None = None,
+) -> BFSResult:
+    """The level loop of :func:`enterprise_bfs`.
+
+    ``stage(queue, bottom_up)``, when given, runs once per level before
+    the level's kernels; out-of-core traversal
+    (:func:`repro.storage.ooc.ooc_enterprise_bfs`) charges the partition
+    reads of the level's queue to ``device`` there.
+    """
     spec = device.spec
     n = graph.num_vertices
     if not 0 <= source < n:
@@ -298,58 +360,70 @@ def enterprise_bfs(
     workload_scratch = np.zeros(n, dtype=np.int64)
 
     for _ in range(config.max_levels):
-        if direction == "top-down":
-            frontier = queue
-            if frontier.size == 0:
-                break
-            # The level's simulated window opens when its queue
-            # generation started (no device activity in between).
-            level_begin_ms = device.elapsed_ms - queue_gen_ms
-            locality = queue_contiguity(frontier)
-            workloads = out_degrees[frontier]
-
+        # ``queue`` is the frontier top-down and the unvisited candidates
+        # at the switch ("switch") and later bottom-up levels.
+        if queue.size == 0:
+            break
+        bottom_up = direction != "top-down"
+        # The level's simulated window opens when its queue generation
+        # started (no device activity in between).
+        level_begin_ms = device.elapsed_ms - queue_gen_ms
+        if stage is not None:
+            stage(queue, bottom_up)
+        locality = queue_contiguity(queue)
+        if bottom_up:
+            cached = hc.cached_mask if hc is not None else None
+            outcome = bottom_up_inspect(inspect_graph, queue, status, level,
+                                        cached_parents=cached)
+            newly, edges = outcome.found, outcome.edges_checked
+            hits = outcome.cache_hits
+            parents[newly] = outcome.parents
+            unexplored -= edges
+            if hc is not None:
+                hc.record_level(
+                    level, int(queue.size), hits,
+                    lookups_without_cache=int(outcome.lookups_nocache.sum()),
+                    lookups_with_cache=int(outcome.lookups.sum()),
+                )
+            workloads = np.maximum(outcome.lookups, 1)
+            workload_scratch[queue] = workloads
+            kernels, concurrent = _level_kernels(
+                queue, workloads, in_degrees, workload_scratch, config, spec,
+                locality=locality, shared_hits=hits, phase="bu",
+                metric_labels=run_labels)
+            workload_scratch[queue] = 0
+        else:
+            workloads = out_degrees[queue]
             newly, their_parents, edges, _ = expand_frontier(
-                graph, frontier, status, level)
+                graph, queue, status, level)
             parents[newly] = their_parents
             unexplored -= int(workloads.sum())
+            hits = 0
+            kernels, concurrent = _level_kernels(
+                queue, workloads, out_degrees, out_degrees, config, spec,
+                locality=locality, shared_hits=0, phase="td",
+                metric_labels=run_labels)
+        expand_ms = _launch_level(
+            device, kernels, concurrent=concurrent,
+            label=f"L{level}:{direction if bottom_up else 'td'}")
 
-            if not config.thread_scheduling:
-                kernels = [
-                    sweep_kernel(n, sequential_transactions(n, 1, spec), spec,
-                                 name="bl-sweep",
-                                 useful_elements=frontier.size,
-                                 group=CTA_THREADS),
-                    expansion_kernel(workloads, Granularity.CTA, spec,
-                                     name="td-cta",
-                                     neighbor_locality=locality),
-                ]
-                concurrent = False
-            elif config.workload_balancing:
-                kernels = _wb_kernels(frontier, out_degrees, out_degrees,
-                                      config, spec, locality=locality,
-                                      shared_hits=0, phase="td",
-                                      metric_labels=run_labels)
-                concurrent = True
-            else:
-                # TS without WB: queue-driven scheduling, but the same
-                # static CTA-per-frontier granularity as the baseline
-                # (granularity matching is WB's contribution, §4.2).
-                kernels = [expansion_kernel(workloads, Granularity.CTA,
-                                            spec, name="td-static",
-                                            neighbor_locality=locality)]
-                concurrent = False
-            expand_ms = _launch_level(device, kernels, concurrent=concurrent,
-                                      label=f"L{level}:td")
-
-            # Direction indicators for the *next* level's frontier.
-            gamma_value = gamma.observe(newly) if newly.size else 0.0
+        # Direction indicators for the *next* level's frontier.  All
+        # ablation stages traverse identically (default: the one-time γ
+        # switch of §4.3), so each Fig. 13 bar isolates exactly one
+        # technique's cost effect.  Both indicator series are recorded
+        # for Fig. 10 regardless.
+        gamma_value = gamma.observe(newly) if newly.size else 0.0
+        if bottom_up:
+            # γ switches once (§4.3); the α/β policy may return to
+            # top-down for the long tail, comparing n against the next
+            # frontier's size (the vertices just visited).
+            alpha_value = 0.0
+            switch = (config.switch_policy == "alpha"
+                      and alphabeta.should_switch_up_down(n, int(newly.size)))
+        else:
             m_f_next = int(out_degrees[newly].sum()) if newly.size else 0
             alpha_value = unexplored / m_f_next if m_f_next else float("inf")
             alphabeta.history.append(alpha_value)
-            # All ablation stages traverse identically (default: the
-            # one-time γ switch of §4.3), so each Fig. 13 bar isolates
-            # exactly one technique's cost effect.  Both indicator
-            # series are recorded for Fig. 10 regardless.
             if config.switch_policy == "alpha":
                 switch = (math.isfinite(alpha_value)
                           and alpha_value < config.alpha)
@@ -359,150 +433,62 @@ def enterprise_bfs(
                 if switch:
                     gamma.switched = True
 
-            traces.append(LevelTrace(
-                level=level, direction="top-down",
-                frontier_count=int(frontier.size),
-                newly_visited=int(newly.size),
-                edges_checked=edges,
-                queue_gen_ms=queue_gen_ms, expand_ms=expand_ms,
-                gld_transactions=sum(k.access.transactions for k in kernels),
-                kernel_names=tuple(k.name for k in kernels),
-                alpha=alpha_value if math.isfinite(alpha_value) else 0.0,
-                gamma=gamma_value,
-            ))
-            if observing:
-                _emit_level(traces[-1], level_begin_ms, kernels)
+        traces.append(LevelTrace(
+            level=level, direction=direction,
+            frontier_count=int(queue.size),
+            newly_visited=int(newly.size),
+            edges_checked=edges,
+            queue_gen_ms=queue_gen_ms, expand_ms=expand_ms,
+            gld_transactions=sum(k.access.transactions for k in kernels),
+            hub_cache_hits=hits,
+            hub_cache_lookups=int(queue.size) if bottom_up else 0,
+            kernel_names=tuple(k.name for k in kernels),
+            alpha=alpha_value if math.isfinite(alpha_value) else 0.0,
+            gamma=gamma_value,
+        ))
+        if observing:
+            _emit_level(traces[-1], level_begin_ms, kernels)
 
-            if newly.size == 0:
-                break
-            if hc is not None and switch:
-                hc.refresh(newly, level + 1)
-            if switch:
-                direction = "switch"
-                if config.thread_scheduling and config.switch_scan == "blocked":
-                    queue, gen_kernels = switch_workflow(status, spec)
-                elif config.thread_scheduling:
-                    queue, gen_kernels = switch_interleaved_workflow(
-                        status, spec)
-                else:
-                    queue = np.flatnonzero(status == UNVISITED).astype(np.int64)
-                    gen_kernels = []
+        if newly.size == 0:
+            break  # the rest is unreachable
+        if hc is not None and (bottom_up or switch):
+            hc.refresh(newly, level + 1)
+        ts = config.thread_scheduling
+        if bottom_up and not switch:
+            direction = "bottom-up"
+            if ts:
+                queue, gen_kernels = bottomup_filter_workflow(queue, status,
+                                                              spec)
             else:
-                # `newly` is exactly the ascending unique set now carrying
-                # level + 1, i.e. what a flatnonzero re-scan of the status
-                # array would return; the simulated scan is still charged
-                # by the workflow.
-                if config.thread_scheduling:
-                    queue, gen_kernels = topdown_workflow(status, level + 1,
-                                                          spec,
-                                                          frontiers=newly)
-                else:
-                    queue = newly
-                    gen_kernels = []
-            queue_gen_ms = _launch_level(device, gen_kernels,
-                                         concurrent=False,
-                                         label=f"L{level + 1}:qgen")
-            level += 1
-
-        else:  # "switch" (first bottom-up level) or "bottom-up"
-            candidates = queue
-            if candidates.size == 0:
-                break
-            level_begin_ms = device.elapsed_ms - queue_gen_ms
-            locality = queue_contiguity(candidates)
-            cached = hc.cached_mask if hc is not None else None
-            outcome = bottom_up_inspect(inspect_graph, candidates,
-                                        status, level,
-                                        cached_parents=cached)
-            parents[outcome.found] = outcome.parents
-            unexplored -= outcome.edges_checked
-
-            if hc is not None:
-                hc.record_level(
-                    level, int(candidates.size), outcome.cache_hits,
-                    lookups_without_cache=int(outcome.lookups_nocache.sum()),
-                    lookups_with_cache=int(outcome.lookups.sum()),
-                )
-
-            workloads = np.maximum(outcome.lookups, 1)
-            if not config.thread_scheduling:
-                kernels = [
-                    sweep_kernel(n, sequential_transactions(n, 1, spec), spec,
-                                 name="bl-sweep",
-                                 useful_elements=candidates.size,
-                                 group=CTA_THREADS),
-                    expansion_kernel(workloads, Granularity.CTA, spec,
-                                     name="bu-cta", neighbor_locality=locality,
-                                     shared_hits=outcome.cache_hits),
-                ]
-                concurrent = False
-            elif config.workload_balancing:
-                workload_scratch[candidates] = workloads
-                kernels = _wb_kernels(candidates, in_degrees,
-                                      workload_scratch, config, spec,
-                                      locality=locality,
-                                      shared_hits=outcome.cache_hits,
-                                      phase="bu",
-                                      metric_labels=run_labels)
-                workload_scratch[candidates] = 0
-                concurrent = True
+                queue, gen_kernels = queue[status[queue] == UNVISITED], []
+        elif bottom_up:  # α/β back to top-down
+            direction = "top-down"
+            if ts:
+                queue, gen_kernels = topdown_workflow(status, level + 1, spec)
             else:
-                kernels = [expansion_kernel(workloads, Granularity.CTA, spec,
-                                            name="bu-static",
-                                            neighbor_locality=locality,
-                                            shared_hits=outcome.cache_hits)]
-                concurrent = False
-            expand_ms = _launch_level(device, kernels, concurrent=concurrent,
-                                      label=f"L{level}:{direction}")
-
-            gamma_value = gamma.observe(outcome.found) \
-                if outcome.found.size else 0.0
-            traces.append(LevelTrace(
-                level=level, direction=direction,
-                frontier_count=int(candidates.size),
-                newly_visited=int(outcome.found.size),
-                edges_checked=outcome.edges_checked,
-                queue_gen_ms=queue_gen_ms, expand_ms=expand_ms,
-                gld_transactions=sum(k.access.transactions for k in kernels),
-                hub_cache_hits=outcome.cache_hits,
-                hub_cache_lookups=int(candidates.size),
-                kernel_names=tuple(k.name for k in kernels),
-                gamma=gamma_value,
-            ))
-            if observing:
-                _emit_level(traces[-1], level_begin_ms, kernels)
-
-            if outcome.found.size == 0:
-                break  # the rest is unreachable
-            # γ switches once (§4.3); the α/β policy may return to
-            # top-down for the long tail, comparing n against the next
-            # frontier's size (the vertices just visited).
-            switch_back = (config.switch_policy == "alpha"
-                           and alphabeta.should_switch_up_down(
-                               n, int(outcome.found.size)))
-            if hc is not None:
-                hc.refresh(outcome.found, level + 1)
-
-            if switch_back:
-                direction = "top-down"
-                if config.thread_scheduling:
-                    queue, gen_kernels = topdown_workflow(status, level + 1,
-                                                          spec)
-                else:
-                    queue = np.flatnonzero(status == level + 1).astype(np.int64)
-                    gen_kernels = []
+                queue = np.flatnonzero(status == level + 1).astype(np.int64)
+                gen_kernels = []
+        elif switch:
+            direction = "switch"
+            if ts and config.switch_scan == "blocked":
+                queue, gen_kernels = switch_workflow(status, spec)
+            elif ts:
+                queue, gen_kernels = switch_interleaved_workflow(status, spec)
             else:
-                direction = "bottom-up"
-                if config.thread_scheduling:
-                    queue, gen_kernels = bottomup_filter_workflow(
-                        candidates, status, spec)
-                else:
-                    queue = candidates[status[candidates] == UNVISITED]
-                    gen_kernels = []
-            queue_gen_ms = _launch_level(device, gen_kernels,
-                                         concurrent=False,
-                                         label=f"L{level + 1}:qgen")
-            level += 1
+                queue = np.flatnonzero(status == UNVISITED).astype(np.int64)
+                gen_kernels = []
+        elif ts:
+            # `newly` is exactly the ascending unique set now carrying
+            # level + 1, i.e. what a flatnonzero re-scan of the status
+            # array would return; the simulated scan is still charged by
+            # the workflow.
+            queue, gen_kernels = topdown_workflow(status, level + 1, spec,
+                                                  frontiers=newly)
+        else:
+            queue, gen_kernels = newly, []
+        queue_gen_ms = _launch_level(device, gen_kernels, concurrent=False,
+                                     label=f"L{level + 1}:qgen")
+        level += 1
 
     result = BFSResult(
         algorithm=algo_name,

@@ -31,10 +31,15 @@ from ..gpu.memory import sequential_transactions
 from ..gpu.multi import DeviceGroup, ballot_compress, ballot_decompress
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
-from .classify import QUEUE_GRANULARITY, classify_frontiers
-from .common import BFSResult, LevelTrace, UNVISITED, bottom_up_inspect
+from .common import (
+    BFSResult,
+    LevelTrace,
+    UNVISITED,
+    bottom_up_inspect,
+    expand_frontier,
+)
 from .direction import GammaPolicy
-from .enterprise import EnterpriseConfig
+from .enterprise import EnterpriseConfig, _wb_kernels
 from .frontier import queue_contiguity
 from .hubcache import HubCachePolicy
 
@@ -75,43 +80,44 @@ def partition_bounds(num_vertices: int, num_gpus: int) -> np.ndarray:
     return np.linspace(0, num_vertices, num_gpus + 1).astype(np.int64)
 
 
-def _device_kernels(
+def _local_kernels(
     local_queue: np.ndarray,
     classify_degrees: np.ndarray,
-    workloads: np.ndarray,
+    vertex_workloads: np.ndarray,
     spec: DeviceSpec,
     config: EnterpriseConfig,
     *,
-    locality: float,
     shared_hits: int,
     phase: str,
 ) -> list[KernelCost]:
+    """One device's kernels for its local queue: WB's classify pass and
+    queue kernels, or one warp-granularity kernel without WB; nothing
+    for an empty queue.  ``vertex_workloads`` is indexed by vertex."""
     if local_queue.size == 0:
         return []
+    locality = queue_contiguity(local_queue)
     if config.workload_balancing:
-        classified = classify_frontiers(local_queue, classify_degrees, spec,
-                                        bounds=config.queue_bounds)
-        kernels = [classified.classify_cost]
-        total = int(workloads.sum())
-        remaining = shared_hits
-        for name, members in classified.queues.items():
-            if members.size == 0:
-                continue
-            # members are vertex IDs; map to their workloads via position.
-            mask = np.isin(local_queue, members)
-            loads = workloads[mask]
-            share = loads.sum() / max(total, 1)
-            hits = int(min(remaining, round(shared_hits * share)))
-            remaining -= hits
-            kernels.append(expansion_kernel(
-                loads, QUEUE_GRANULARITY[name], spec,
-                name=f"{phase}-{name}", neighbor_locality=locality,
-                shared_hits=hits))
-        return kernels
-    return [expansion_kernel(workloads, Granularity.WARP, spec,
-                             name=f"{phase}-warp",
+        return _wb_kernels(local_queue, classify_degrees, vertex_workloads,
+                           config, spec, locality=locality,
+                           shared_hits=shared_hits, phase=phase)
+    return [expansion_kernel(vertex_workloads[local_queue], Granularity.WARP,
+                             spec, name=f"{phase}-warp",
                              neighbor_locality=locality,
                              shared_hits=shared_hits)]
+
+
+def _launch(device: GPUDevice, kernels: list[KernelCost],
+            config: EnterpriseConfig, label: str) -> float:
+    """Run the queue scan or filter, then the WB kernels concurrently
+    (or every kernel in turn); returns the device's level time."""
+    if config.workload_balancing and len(kernels) > 1:
+        return (device.launch(kernels[0]).time_ms
+                + device.launch_concurrent(kernels[1:],
+                                           label=label).elapsed_ms)
+    ms = 0.0
+    for k in kernels:
+        ms += device.launch(k).time_ms
+    return ms
 
 
 def multigpu_enterprise_bfs(
@@ -122,7 +128,6 @@ def multigpu_enterprise_bfs(
     group: DeviceGroup | None = None,
     spec: DeviceSpec = KEPLER_K40,
     config: EnterpriseConfig | None = None,
-    max_levels: int = 100_000,
 ) -> MultiGPUResult:
     """Enterprise BFS over a 1-D partitioned graph on ``num_gpus`` devices.
 
@@ -164,14 +169,15 @@ def multigpu_enterprise_bfs(
     bytes_exchanged = 0
     bytes_uncompressed = 0
     compute_ms_total = 0.0
+    # Scratch for bottom-up per-vertex workloads.
+    workload_scratch = np.zeros(n, dtype=np.int64)
 
     # Bottom-up private queues (per device, §4.1 subset property).
     bu_queues: list[np.ndarray] | None = None
 
-    for _ in range(max_levels):
+    for _ in range(config.max_levels):
         just_visited = np.zeros(n, dtype=bool)
         per_device_ms: list[float] = []
-        level_frontier = 0
         level_edges = 0
         level_hits = 0
 
@@ -182,43 +188,23 @@ def multigpu_enterprise_bfs(
                 break
             level_frontier = int(global_frontier.size)
             for k in range(num_gpus):
-                dev = group.devices[k]
-                st = private_status[k]
-                local = global_frontier[
-                    owner_of[global_frontier] == k]
+                local = global_frontier[owner_of[global_frontier] == k]
                 # Step 1: expand the private frontier queue.
-                newly_local = np.empty(0, dtype=np.int64)
-                if local.size:
-                    srcs, nbrs = graph.gather_neighbors(local)
-                    level_edges += int(nbrs.size)
-                    unv = st[nbrs] == UNVISITED
-                    cand, cand_src = nbrs[unv], srcs[unv]
-                    if cand.size:
-                        uniq = np.unique(cand)
-                        last = cand.size - 1 - np.unique(
-                            cand[::-1], return_index=True)[1]
-                        st[uniq] = level + 1
-                        parents[uniq] = cand_src[last]
-                        newly_local = uniq
+                newly_local, their_parents, edges, _ = expand_frontier(
+                    graph, local, private_status[k], level)
+                parents[newly_local] = their_parents
+                level_edges += edges
                 just_visited[newly_local] = True
                 # Cost: queue scan over the owned range + expansion.
                 owned = int(bounds[k + 1] - bounds[k])
                 kernels = [sweep_kernel(
                     owned, sequential_transactions(owned, 1, spec), spec,
                     name="scan-private")]
-                kernels += _device_kernels(
-                    local, out_degrees, out_degrees[local], spec, config,
-                    locality=queue_contiguity(local), shared_hits=0,
-                    phase="td")
-                ms = 0.0
-                if config.workload_balancing and len(kernels) > 1:
-                    ms += dev.launch(kernels[0]).time_ms
-                    ms += dev.launch_concurrent(kernels[1:],
-                                                label=f"L{level}:td").elapsed_ms
-                else:
-                    for kn in kernels:
-                        ms += dev.launch(kn).time_ms
-                per_device_ms.append(ms)
+                kernels += _local_kernels(local, out_degrees, out_degrees,
+                                           spec, config, shared_hits=0,
+                                           phase="td")
+                per_device_ms.append(_launch(group.devices[k], kernels,
+                                             config, f"L{level}:td"))
         else:
             if bu_queues is None:
                 bu_queues = [
@@ -226,13 +212,10 @@ def multigpu_enterprise_bfs(
                     .astype(np.int64) for k in range(num_gpus)]
                 bu_queues = [q[owner_of[q] == k]
                              for k, q in enumerate(bu_queues)]
-            total_candidates = sum(q.size for q in bu_queues)
-            if total_candidates == 0:
+            level_frontier = int(sum(q.size for q in bu_queues))
+            if level_frontier == 0:
                 break
-            level_frontier = int(total_candidates)
-            new_bu_queues: list[np.ndarray] = []
             for k in range(num_gpus):
-                dev = group.devices[k]
                 st = private_status[k]
                 cand = bu_queues[k]
                 cached = hc.cached_mask if hc is not None else None
@@ -242,26 +225,19 @@ def multigpu_enterprise_bfs(
                 just_visited[outcome.found] = True
                 level_edges += outcome.edges_checked
                 level_hits += outcome.cache_hits
-                workloads = np.maximum(outcome.lookups, 1)
                 kernels = [sweep_kernel(
                     max(cand.size, 1),
                     sequential_transactions(cand.size, 8, spec), spec,
                     name="queue-filter", instr_per_element=4)]
-                kernels += _device_kernels(
-                    cand, in_degrees, workloads, spec, config,
-                    locality=queue_contiguity(cand),
-                    shared_hits=outcome.cache_hits, phase="bu")
-                ms = 0.0
-                if config.workload_balancing and len(kernels) > 1:
-                    ms += dev.launch(kernels[0]).time_ms
-                    ms += dev.launch_concurrent(kernels[1:],
-                                                label=f"L{level}:bu").elapsed_ms
-                else:
-                    for kn in kernels:
-                        ms += dev.launch(kn).time_ms
-                per_device_ms.append(ms)
-                new_bu_queues.append(cand[st[cand] == UNVISITED])
-            bu_queues = new_bu_queues
+                workload_scratch[cand] = np.maximum(outcome.lookups, 1)
+                kernels += _local_kernels(cand, in_degrees, workload_scratch,
+                                           spec, config,
+                                           shared_hits=outcome.cache_hits,
+                                           phase="bu")
+                workload_scratch[cand] = 0
+                per_device_ms.append(_launch(group.devices[k], kernels,
+                                             config, f"L{level}:bu"))
+                bu_queues[k] = cand[st[cand] == UNVISITED]
 
         # Step 2: ballot-compress and allgather the just-visited view.
         compute_ms = group.barrier_level(per_device_ms)
@@ -277,20 +253,19 @@ def multigpu_enterprise_bfs(
             merged = restored & (st == UNVISITED)
             st[merged] = level + 1
 
-        newly_count = int(np.count_nonzero(restored))
         newly = np.flatnonzero(restored).astype(np.int64)
         gamma_value = gamma.observe(newly) if newly.size else 0.0
         traces.append(LevelTrace(
             level=level, direction=direction,
             frontier_count=level_frontier,
-            newly_visited=newly_count,
+            newly_visited=int(newly.size),
             edges_checked=level_edges,
             expand_ms=compute_ms,
             hub_cache_hits=level_hits,
             gamma=gamma_value,
         ))
 
-        if newly_count == 0:
+        if newly.size == 0:
             break
         if direction == "top-down" and not gamma.switched \
                 and gamma_value > gamma.threshold_pct:

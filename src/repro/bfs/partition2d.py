@@ -5,7 +5,12 @@ supplies it, following the classic Buluç–Madduri / Graph 500 blocked
 decomposition: a ``rows x cols`` GPU grid where GPU (i, j) owns the edge
 block with *sources* in column group j and *targets* in row group i.
 
-Per level the grid runs three phases:
+The level loop is the grid loop of :mod:`repro.bfs.cluster`
+(``_grid_bfs``), which the multi-node cluster runs too; this module
+holds the per-block traversal math it calls and runs it on one tier:
+both exchanges on ``Grid2D.interconnect``, with neither of the
+cluster's hooks (shard staging, frontier-count allreduce).  Per level
+the grid runs three phases:
 
 1. **block expansion** — every GPU expands its column's frontier segment
    through its edge block, discovering candidates in its row's vertex
@@ -48,8 +53,7 @@ import numpy as np
 
 from ..accel import shared_arange
 from ..gpu.device import GPUDevice
-from ..gpu.kernels import Granularity, KernelCost, expansion_kernel, sweep_kernel
-from ..gpu.memory import sequential_transactions
+from ..gpu.kernels import Granularity, KernelCost, expansion_kernel
 from ..gpu.multi import (
     InterconnectSpec,
     PCIE_GEN3_X16,
@@ -57,22 +61,17 @@ from ..gpu.multi import (
 )
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
-from .common import (
-    BFSResult,
-    LevelTrace,
-    UNVISITED,
-    _INT64_MAX,
-    _scan_first_hits,
-)
-from .direction import GammaPolicy
+from .common import BFSResult, UNVISITED, _INT64_MAX, _scan_first_hits
 from .enterprise import EnterpriseConfig
+from .multigpu import partition_bounds
 
 __all__ = ["Grid2D", "MultiGPU2DResult", "multigpu2d_enterprise_bfs"]
 
 
 @dataclass(frozen=True)
 class Grid2D:
-    """A rows x cols GPU grid with its two communicators."""
+    """A rows x cols GPU grid with its two communicators, both on
+    ``interconnect`` (:func:`~repro.gpu.fabric.ring_ms` prices a ring)."""
 
     rows: int
     cols: int
@@ -85,14 +84,6 @@ class Grid2D:
     @property
     def size(self) -> int:
         return self.rows * self.cols
-
-    def ring_exchange_ms(self, group: int, nbytes: int) -> float:
-        """Ring allreduce of ``nbytes`` within a communicator of
-        ``group`` devices (0 when the group or payload is trivial)."""
-        if group <= 1 or nbytes <= 0:
-            return 0.0
-        per_link = -(-nbytes // group)
-        return 2 * (group - 1) * self.interconnect.transfer_ms(per_link)
 
 
 @dataclass
@@ -131,10 +122,6 @@ class MultiGPU2DResult:
         if self.bytes_exchanged == 0:
             return float("inf") if self.bytes_exchanged_1d > 0 else 1.0
         return self.bytes_exchanged_1d / self.bytes_exchanged
-
-
-def _group_bounds(n: int, parts: int) -> np.ndarray:
-    return np.linspace(0, n, parts + 1).astype(np.int64)
 
 
 def _expand_topdown_blocks(
@@ -257,146 +244,30 @@ def multigpu2d_enterprise_bfs(
     spec: DeviceSpec = KEPLER_K40,
     grid: Grid2D | None = None,
     config: EnterpriseConfig | None = None,
-    max_levels: int = 100_000,
 ) -> MultiGPU2DResult:
-    """Direction-optimizing BFS over a rows x cols blocked partition."""
+    """Direction-optimizing BFS over a rows x cols blocked partition: the
+    grid loop with both exchanges on ``grid.interconnect``."""
+    # The grid loop's module imports this one's block helpers.
+    from .cluster import _grid_bfs, _ltr_sum
+
     config = config or EnterpriseConfig()
     grid = grid or Grid2D(rows, cols)
     if (grid.rows, grid.cols) != (rows, cols):
         raise ValueError("grid object does not match rows/cols")
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-
-    inspect_graph = graph.reverse if graph.directed else graph
-    row_bounds = _group_bounds(n, rows)
-    col_bounds = _group_bounds(n, cols)
-    row_of = (np.searchsorted(row_bounds, np.arange(n), side="right") - 1
-              ).astype(np.int64)
-    col_of = (np.searchsorted(col_bounds, np.arange(n), side="right") - 1
-              ).astype(np.int64)
-
     devices = [[GPUDevice(spec) for _ in range(cols)] for _ in range(rows)]
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
-
-    gamma = GammaPolicy(threshold_pct=config.gamma_threshold)
-    gamma.setup(graph)
-
-    traces: list[LevelTrace] = []
-    comm_ms = 0.0
-    compute_ms = 0.0
-    bytes_2d = 0
-    bytes_1d = 0
-    charged_payloads: list[int] = []
-    wall_ms = 0.0
-    direction = "top-down"
-    level = 0
-
-    for _ in range(max_levels):
-        per_device_ms = np.zeros((rows, cols))
-        just_visited = np.zeros(n, dtype=bool)
-
-        if direction == "top-down":
-            frontier = np.flatnonzero(status == level).astype(np.int64)
-            if frontier.size == 0:
-                break
-            frontier_count = int(frontier.size)
-            level_edges, blocks = _expand_topdown_blocks(
-                graph, frontier, status, just_visited, parents,
-                row_of, col_of, rows, cols, spec)
-        else:
-            candidates = np.flatnonzero(status == UNVISITED).astype(np.int64)
-            if candidates.size == 0:
-                break
-            frontier_count = int(candidates.size)
-            level_edges, blocks = _inspect_bottomup_blocks(
-                inspect_graph, candidates, status, level, just_visited,
-                parents, row_of, col_bounds, rows, spec)
-        for i, j, k in blocks:
-            devices[i][j].launch(k)
-            per_device_ms[i, j] += k.time_ms
-        status[just_visited] = level + 1
-
-        # Queue-generation cost: every GPU scans its own (n/rows x 1/cols)
-        # share of the status range.
-        share = max(1, n // grid.size)
-        for i in range(rows):
-            for j in range(cols):
-                k = sweep_kernel(share,
-                                 sequential_transactions(share, 1, spec),
-                                 spec, name="scan-private")
-                devices[i][j].launch(k)
-                per_device_ms[i, j] += k.time_ms
-
-        # Exchanges: row-wise OR of the row's discovery bits (one ring of
-        # ``cols`` GPUs per row, all rows concurrent), then column-wise
-        # frontier-segment propagation (one ring of ``rows`` GPUs per
-        # column).  Each ring is charged its own payload; the level pays
-        # the slowest concurrent ring; empty rings ship nothing.
-        level_comm = 0.0
-        if cols > 1:
-            active = [b for b in _segment_payloads(just_visited, row_bounds)
-                      if b > 0]
-            if active:
-                level_comm += max(grid.ring_exchange_ms(cols, b)
-                                  for b in active)
-                bytes_2d += sum(active)
-                charged_payloads.extend(active)
-        if rows > 1:
-            active = [b for b in _segment_payloads(just_visited, col_bounds)
-                      if b > 0]
-            if active:
-                level_comm += max(grid.ring_exchange_ms(rows, b)
-                                  for b in active)
-                bytes_2d += sum(active)
-                charged_payloads.extend(active)
-        # The 1-D comparator ships the full n-bit view from each device.
-        bytes_1d += (-(-n // 8)) * grid.size if grid.size > 1 else 0
-
-        level_compute = float(per_device_ms.max())
-        compute_ms += level_compute
-        comm_ms += level_comm
-        wall_ms += level_compute + level_comm
-
-        newly = np.flatnonzero(just_visited).astype(np.int64)
-        gamma_value = gamma.observe(newly) if newly.size else 0.0
-        traces.append(LevelTrace(
-            level=level, direction=direction,
-            frontier_count=frontier_count,
-            newly_visited=int(newly.size),
-            edges_checked=level_edges,
-            expand_ms=level_compute,
-            gamma=gamma_value,
-        ))
-        if newly.size == 0:
-            break
-        if direction == "top-down" and not gamma.switched \
-                and gamma_value > gamma.threshold_pct:
-            gamma.switched = True
-            direction = "switch"
-        elif direction == "switch":
-            direction = "bottom-up"
-        level += 1
-
-    result = BFSResult(
-        algorithm=f"enterprise-2d[{rows}x{cols}]",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=wall_ms,
-        gamma_history=gamma.history,
-    )
-    result.set_edges_traversed(graph)
+    result, costs, payloads, _ = _grid_bfs(
+        graph, source, config, f"enterprise-2d[{rows}x{cols}]", devices,
+        partition_bounds(n, rows), partition_bounds(n, cols),
+        grid.interconnect, grid.interconnect)
+    # The 1-D comparator ships the full n-bit view from each device.
+    view_bytes = (-(-n // 8)) * grid.size if grid.size > 1 else 0
     return MultiGPU2DResult(
         result=result,
         grid=grid,
-        communication_ms=comm_ms,
-        computation_ms=compute_ms,
-        bytes_exchanged=bytes_2d,
-        bytes_exchanged_1d=bytes_1d,
-        charged_payloads=charged_payloads,
+        communication_ms=_ltr_sum(c.row_ms + c.col_ms for c in costs),
+        computation_ms=_ltr_sum(c.compute_ms for c in costs),
+        bytes_exchanged=sum(payloads),
+        bytes_exchanged_1d=view_bytes * len(costs),
+        charged_payloads=payloads,
     )

@@ -107,7 +107,9 @@ class DeviceGroup:
         self.fault_plan = fault_plan
         self.interconnect = interconnect
         self._comm_ms = 0.0
-        self._level_ms: list[float] = []
+        # A running total, added left to right: sum() over a list rounds
+        # differently from Python 3.12 on.
+        self._elapsed_ms = 0.0
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -121,7 +123,7 @@ class DeviceGroup:
         if len(per_device_ms) != len(self.devices):
             raise ValueError("need one time per device")
         wall = max(per_device_ms) if per_device_ms else 0.0
-        self._level_ms.append(wall)
+        self._elapsed_ms += wall
         return wall
 
     def allgather_ms(self, total_bytes: int) -> float:
@@ -135,12 +137,12 @@ class DeviceGroup:
         per_link = -(-total_bytes // n)
         ms = 2 * (n - 1) * self.interconnect.transfer_ms(per_link)
         self._comm_ms += ms
-        self._level_ms.append(ms)
+        self._elapsed_ms += ms
         return ms
 
     @property
     def elapsed_ms(self) -> float:
-        return sum(self._level_ms)
+        return self._elapsed_ms
 
     @property
     def communication_ms(self) -> float:
@@ -173,4 +175,4 @@ class DeviceGroup:
         for d in self.devices:
             d.reset()
         self._comm_ms = 0.0
-        self._level_ms.clear()
+        self._elapsed_ms = 0.0

@@ -2,18 +2,21 @@
 
 The adjacency structure lives on a :class:`~repro.storage.specs.StorageSpec`
 device and streams into a fixed GPU-memory budget partition-by-partition;
-per-vertex state (status array, degrees, parents) stays resident.  Each
-level the traversal:
+per-vertex state (status array, degrees, parents) stays resident.  The
+traversal is :func:`~repro.bfs.enterprise.enterprise_bfs`'s own level
+loop, so every :class:`~repro.bfs.enterprise.EnterpriseConfig` field
+means what it means in memory.  Before each level's kernels a staging
+hook
 
-1. determines which partitions its frontier (top-down) or candidate set
-   (bottom-up) touches,
+1. determines which partitions the level's queue touches (the frontier
+   top-down, the candidates bottom-up), and
 2. loads the missing ones through an LRU :class:`PartitionCache`,
-   charging the storage device's read time to the GPU timeline,
-3. runs the normal Enterprise level (TS + WB + HC with γ switching) on
-   the now-resident data.
+   charging the storage device's read time (and, for compressed
+   partitions, a decompression sweep) to the GPU timeline.
 
-The traversal result is identical to the in-memory run — only the cost
-accounting gains an I/O component — which the tests assert.
+The traversal result and every kernel are identical to the in-memory
+run; each level's ``expand_ms`` gains the level's I/O time, and
+``io_ms`` is their sum, which the tests assert.
 """
 
 from __future__ import annotations
@@ -22,23 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bfs.common import (
-    BFSResult,
-    LevelTrace,
-    UNVISITED,
-    bottom_up_inspect,
-    expand_frontier,
-)
-from ..bfs.direction import GammaPolicy
-from ..bfs.enterprise import EnterpriseConfig, _wb_kernels
-from ..bfs.frontier import (
-    bottomup_filter_workflow,
-    queue_contiguity,
-    switch_workflow,
-    topdown_workflow,
-)
-from ..bfs.hubcache import HubCachePolicy
+from ..bfs.common import BFSResult
+from ..bfs.enterprise import EnterpriseConfig, _traverse
 from ..gpu.device import GPUDevice
+from ..gpu.kernels import sweep_kernel
+from ..gpu.memory import sequential_transactions
 from ..graph.csr import CSRGraph
 from .partitioned import PartitionCache, PartitionedCSR
 from .specs import NVME_SSD, StorageSpec
@@ -86,7 +77,6 @@ def ooc_enterprise_bfs(
     config: EnterpriseConfig | None = None,
     compression: str | None = None,
     prefetch: bool = False,
-    max_levels: int = 100_000,
 ) -> OOCResult:
     """Enterprise BFS over a storage-resident graph.
 
@@ -100,13 +90,8 @@ def ooc_enterprise_bfs(
     level's partition loads with its kernels (double-buffering), so the
     level costs ``max(io, compute)`` instead of their sum.
     """
-    config = config or EnterpriseConfig()
     device = device or GPUDevice()
     spec = device.spec
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-
     inspect_graph = graph.reverse if graph.directed else graph
     parts_fwd = PartitionedCSR(graph, num_partitions,
                                compression=compression)
@@ -120,158 +105,42 @@ def ooc_enterprise_bfs(
             max(p.nbytes for p in parts_bwd.partitions),
         )
     cache = PartitionCache(memory_budget_bytes)
+    level_io_ms: list[float] = []
 
-    out_degrees = graph.out_degrees
-    in_degrees = inspect_graph.out_degrees
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
-
-    gamma = GammaPolicy(threshold_pct=config.gamma_threshold)
-    gamma.setup(graph)
-    hc = HubCachePolicy(graph, spec,
-                        shared_config_bytes=config.shared_config_bytes) \
-        if config.hub_cache else None
-
-    traces: list[LevelTrace] = []
-    io_ms_total = 0.0
-    wall_ms = 0.0
-    direction = "top-down"
-    level = 0
-    queue = np.array([source], dtype=np.int64)
-    queue_gen_ms = 0.0
-    workload_scratch = np.zeros(n, dtype=np.int64)
-
-    def stage_in(partitioned: PartitionedCSR,
-                 vertices: np.ndarray) -> float:
-        """Load the partitions a vertex set touches; returns I/O ms
-        (including the decompression pass for compressed partitions)."""
-        from ..gpu.kernels import sweep_kernel as _sweep
-        from ..gpu.memory import sequential_transactions as _seq
+    def stage(queue: np.ndarray, bottom_up: bool) -> None:
+        """Load the partitions the level's queue touches (out-edges
+        top-down, in-edges bottom-up) and record the level's I/O ms,
+        including the decompression pass of compressed partitions."""
+        partitioned = parts_bwd if bottom_up else parts_fwd
         ms = 0.0
-        for p in partitioned.partitions_touched(vertices):
+        for p in partitioned.partitions_touched(queue):
             read = cache.load(p)
             if read:
                 t = storage.read_ms(read)
                 device.charge(f"io:p{p.index}", t)
                 ms += t
                 if partitioned.compression is not None:
-                    k = _sweep(max(p.num_edges, 1),
-                               _seq(2 * p.num_edges, 8, spec), spec,
-                               name=f"decompress:p{p.index}",
-                               instr_per_element=6)
+                    k = sweep_kernel(max(p.num_edges, 1),
+                                     sequential_transactions(
+                                         2 * p.num_edges, 8, spec),
+                                     spec, name=f"decompress:p{p.index}",
+                                     instr_per_element=6)
                     device.launch(k)
                     ms += k.time_ms
-        return ms
+        level_io_ms.append(ms)
 
-    for _ in range(max_levels):
-        if direction == "top-down":
-            frontier = queue
-            if frontier.size == 0:
-                break
-            io_ms = stage_in(parts_fwd, frontier)
-            io_ms_total += io_ms
-            locality = queue_contiguity(frontier)
-            newly, their_parents, edges, _ = expand_frontier(
-                graph, frontier, status, level)
-            parents[newly] = their_parents
-
-            kernels = _wb_kernels(frontier, out_degrees, out_degrees,
-                                  config, spec, locality=locality,
-                                  shared_hits=0, phase="td")
-            expand_ms = device.launch_concurrent(
-                kernels, label=f"L{level}:td").elapsed_ms
-
-            gamma_value = gamma.observe(newly) if newly.size else 0.0
-            switch = (not gamma.switched
-                      and gamma_value > gamma.threshold_pct)
-            if switch:
-                gamma.switched = True
-            wall_ms += queue_gen_ms + (max(io_ms, expand_ms) if prefetch
-                                       else io_ms + expand_ms)
-            traces.append(LevelTrace(
-                level=level, direction="top-down",
-                frontier_count=int(frontier.size),
-                newly_visited=int(newly.size), edges_checked=edges,
-                queue_gen_ms=queue_gen_ms, expand_ms=expand_ms + io_ms,
-                gamma=gamma_value,
-            ))
-            if newly.size == 0:
-                break
-            if hc is not None and switch:
-                hc.refresh(newly, level + 1)
-            if switch:
-                direction = "switch"
-                queue, gen_kernels = switch_workflow(status, spec)
-            else:
-                queue, gen_kernels = topdown_workflow(status, level + 1, spec)
-            queue_gen_ms = 0.0
-            for k in gen_kernels:
-                device.launch(k, label=f"L{level + 1}:qgen")
-                queue_gen_ms += k.time_ms
-            level += 1
-
-        else:
-            candidates = queue
-            if candidates.size == 0:
-                break
-            io_ms = stage_in(parts_bwd, candidates)
-            io_ms_total += io_ms
-            locality = queue_contiguity(candidates)
-            cached = hc.cached_mask if hc is not None else None
-            outcome = bottom_up_inspect(inspect_graph, candidates, status,
-                                        level, cached_parents=cached)
-            parents[outcome.found] = outcome.parents
-            if hc is not None:
-                hc.record_level(
-                    level, int(candidates.size), outcome.cache_hits,
-                    lookups_without_cache=int(outcome.lookups_nocache.sum()),
-                    lookups_with_cache=int(outcome.lookups.sum()))
-
-            workloads = np.maximum(outcome.lookups, 1)
-            workload_scratch[candidates] = workloads
-            kernels = _wb_kernels(candidates, in_degrees, workload_scratch,
-                                  config, spec, locality=locality,
-                                  shared_hits=outcome.cache_hits, phase="bu")
-            workload_scratch[candidates] = 0
-            expand_ms = device.launch_concurrent(
-                kernels, label=f"L{level}:bu").elapsed_ms
-
-            wall_ms += queue_gen_ms + (max(io_ms, expand_ms) if prefetch
-                                       else io_ms + expand_ms)
-            traces.append(LevelTrace(
-                level=level, direction=direction,
-                frontier_count=int(candidates.size),
-                newly_visited=int(outcome.found.size),
-                edges_checked=outcome.edges_checked,
-                queue_gen_ms=queue_gen_ms, expand_ms=expand_ms + io_ms,
-                hub_cache_hits=outcome.cache_hits,
-            ))
-            if outcome.found.size == 0:
-                break
-            if hc is not None:
-                hc.refresh(outcome.found, level + 1)
-            direction = "bottom-up"
-            queue, gen_kernels = bottomup_filter_workflow(candidates,
-                                                          status, spec)
-            queue_gen_ms = 0.0
-            for k in gen_kernels:
-                device.launch(k, label=f"L{level + 1}:qgen")
-                queue_gen_ms += k.time_ms
-            level += 1
-
-    result = BFSResult(
-        algorithm=f"enterprise-ooc[{num_partitions}p]",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=wall_ms if prefetch else device.elapsed_ms,
-        hub_cache=hc,
-        gamma_history=gamma.history,
-    )
-    result.set_edges_traversed(graph)
+    result = _traverse(graph, source, device, config or EnterpriseConfig(),
+                       stage)
+    result.algorithm = f"enterprise-ooc[{num_partitions}p]"
+    # Every traced level staged once, before its kernels.
+    io_ms = 0.0
+    wall_ms = 0.0
+    for trace, level_io in zip(result.traces, level_io_ms):
+        io_ms += level_io
+        wall_ms += trace.queue_gen_ms + max(level_io, trace.expand_ms)
+        trace.expand_ms += level_io
+    if prefetch:
+        result.time_ms = wall_ms
     return OOCResult(
         result=result,
         num_partitions=num_partitions,
@@ -279,5 +148,5 @@ def ooc_enterprise_bfs(
         partition_loads=cache.loads,
         cache_hits=cache.hits,
         bytes_read=cache.bytes_read,
-        io_ms=io_ms_total,
+        io_ms=io_ms,
     )

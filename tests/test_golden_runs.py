@@ -11,9 +11,9 @@ Two kinds of record pin the simulator to history:
   pathological corpus, the BL/TS/WB/HC matrix, the switch
   configurations, MS-BFS waves, counters and TEPS, the chaos fault
   matrix, cluster runs and serve answers) and per run of the four
-  Fig. 14 comparison systems and the 1-D multi-GPU traversal below.  A
-  digest covers the :func:`canonical` encoding of everything its case
-  observes.
+  Fig. 14 comparison systems, the 1-D multi-GPU traversal and the
+  out-of-core traversals below.  A digest covers the :func:`canonical`
+  encoding of everything its case observes.
 
 If any future change shifts a single byte of any of these, the diff
 shows up here by name rather than as a silent drift in a figure.
@@ -33,8 +33,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import COMPARISON_SYSTEMS
-from repro.bfs import enterprise_bfs, multigpu_enterprise_bfs
-from repro.graph import rmat_graph
+from repro.bfs import ABLATION_CONFIGS, enterprise_bfs, multigpu_enterprise_bfs
+from repro.gpu import GPUDevice
+from repro.graph import powerlaw_graph, rmat_graph
+from repro.storage import ooc_enterprise_bfs
 
 from .test_differential import chain, disconnected, star
 
@@ -219,13 +221,66 @@ def test_golden_comparison_system(system, request):
 
 
 def test_golden_multigpu_run(request):
-    """1-D multi-GPU Enterprise, without its total time and TEPS:
-    ``DeviceGroup.elapsed_ms`` adds the level times with ``sum()``, which
-    Python 3.12 rounds differently.  The level times it adds (each
-    trace's ``expand_ms`` and the exchange total) stay pinned."""
-    snap = run_snapshot(multigpu_enterprise_bfs(_comparison_graph(), 0, 2))
-    del snap["result"]["time_ms"], snap["result"]["teps"]
-    check_digest(request, snap)
+    """1-D multi-GPU Enterprise on two devices."""
+    check_digest(request, run_snapshot(
+        multigpu_enterprise_bfs(_comparison_graph(), 0, 2)))
+
+
+OOC_GRAPHS = {
+    "powerlaw": lambda: powerlaw_graph(2048, 8.0, 2.1, 200, seed=8,
+                                       name="ooc"),
+    "powerlaw-directed": lambda: powerlaw_graph(
+        1024, 5.0, 2.2, 100, directed=True, seed=3, name="ooc-dir"),
+    "rmat10": lambda: rmat_graph(10, 16, seed=3),
+}
+
+#: (graph, config, compression, prefetch): WB and HC, raw and varint
+#: partitions, serial and overlapped staging.
+OOC_CASES = [
+    pytest.param(graph, config, compression, prefetch,
+                 id=(f"{graph}-{config}-{compression or 'raw'}-"
+                     f"{'prefetch' if prefetch else 'serial'}"))
+    for graph in OOC_GRAPHS for config in ("WB", "HC")
+    for compression in (None, "varint") for prefetch in (False, True)
+]
+
+
+def ooc_snapshot(run, device: GPUDevice) -> dict:
+    """An out-of-core run: the result, the I/O ledger, the device
+    timeline and, per level, the counts, both time columns, the hub
+    cache hits and γ on top-down levels (γ after the switch, the
+    indicator series, transactions, kernel names and α are left out)."""
+    result = run.result
+    return {
+        "levels": result.levels,
+        "parents": result.parents,
+        "time_ms": result.time_ms,
+        "edges_traversed": result.edges_traversed,
+        "ledger": [getattr(run, f.name) for f in dataclasses.fields(run)
+                   if f.name != "result"],
+        "timeline": [ms for _, ms in device.timeline()],
+        "traces": [
+            (t.level, t.direction, t.frontier_count, t.newly_visited,
+             t.edges_checked, t.queue_gen_ms, t.expand_ms,
+             t.hub_cache_hits,
+             t.gamma if t.direction == "top-down" else None)
+            for t in result.traces],
+    }
+
+
+@pytest.mark.parametrize("graph_name,config,compression,prefetch",
+                         OOC_CASES)
+def test_golden_ooc_run(graph_name, config, compression, prefetch,
+                        request):
+    """Out-of-core Enterprise over 8 partitions from the highest-degree
+    source."""
+    graph = OOC_GRAPHS[graph_name]()
+    device = GPUDevice()
+    run = ooc_enterprise_bfs(
+        graph, int(np.argmax(graph.out_degrees)), num_partitions=8,
+        device=device, config=ABLATION_CONFIGS[config],
+        compression=compression, prefetch=prefetch)
+    check_digest(request, ooc_snapshot(run, device))
 
 
 #: Recorded 2026-10, when the seed's scalar implementations still ran
@@ -265,7 +320,55 @@ DIGESTS: dict[str, str] = {
     "test_golden_comparison_system[MapGraph]":
         "acf9c66be3d74a69a8040069aab2960dca3b1ab94620535abeb016506783abf7",
     "test_golden_multigpu_run":
-        "ec1d4c0d45bf9bb036edb72361985b3be4fb0ca3287c65679e62ca808099f184",
+        "ba59c6eb4731dad824c8b021290c57886ce73f8220ae8b34c4459c20aade37d6",
+    "test_golden_ooc_run[powerlaw-HC-raw-prefetch]":
+        "563a130a22186e678c2819e0c8d9206a59d62b221653c0bb9b8c1018819f2a48",
+    "test_golden_ooc_run[powerlaw-HC-raw-serial]":
+        "0f6cc59e1bc3e426631ae0da4f942c13486bdeaa83d27efe12b101877e52e04f",
+    "test_golden_ooc_run[powerlaw-HC-varint-prefetch]":
+        "5a29aee418170cbef8962d12567cb2909ef958964273f7f93cdf9a6bfc7c95b5",
+    "test_golden_ooc_run[powerlaw-HC-varint-serial]":
+        "8863a36083ff9fbf532aad6845a110790da65f7a127d93bb942acded565d4124",
+    "test_golden_ooc_run[powerlaw-WB-raw-prefetch]":
+        "9f6759e447f3b7be79bdb49ef8ffe83f699352606d9a7852e02443c519c024ef",
+    "test_golden_ooc_run[powerlaw-WB-raw-serial]":
+        "ca9db9bc1b0cc9e78a1802658012056d8839a3e119507746a69987e3a1498e85",
+    "test_golden_ooc_run[powerlaw-WB-varint-prefetch]":
+        "3aa64bdf700a0058579533e2e8f68e1ee81fa9192cd1f600927e17f431f5f0f3",
+    "test_golden_ooc_run[powerlaw-WB-varint-serial]":
+        "885c2cd80c92789ca17666e71232a3baa144a6da9e0a5e93312b5a862f5c9f7f",
+    "test_golden_ooc_run[powerlaw-directed-HC-raw-prefetch]":
+        "0738cac972ed43f7dba38c532ee9f8f047f5720ec77a18394a1a02df6281db3e",
+    "test_golden_ooc_run[powerlaw-directed-HC-raw-serial]":
+        "678b9e1274b16fb9b2d01f926c8545cc8a8439c1dc8bff1679b0e2c06f9cd14a",
+    "test_golden_ooc_run[powerlaw-directed-HC-varint-prefetch]":
+        "0aa0231a7d4c2cb2bec67a8fc6deda6484c7a289afa4af57550b0c8b0e266739",
+    "test_golden_ooc_run[powerlaw-directed-HC-varint-serial]":
+        "1f9c450791faf4a30660e77bee600ddd377efd1f41af135da5f32f9a991adffd",
+    "test_golden_ooc_run[powerlaw-directed-WB-raw-prefetch]":
+        "51bed1887e282429b2b31803f91e49da1eda57663acfef3040a2972f8b24c2a9",
+    "test_golden_ooc_run[powerlaw-directed-WB-raw-serial]":
+        "01e3c1461a02addc124aea3cdab41edae195137989121cae47b49b889ac215ca",
+    "test_golden_ooc_run[powerlaw-directed-WB-varint-prefetch]":
+        "1a65eec392a230e934ebfaf34175971feb9425bdef1e02f2880181bac5db8cc2",
+    "test_golden_ooc_run[powerlaw-directed-WB-varint-serial]":
+        "c537906bcb8c6da01fbbfe9e195a65964b7aae0efcec28f6d1622b25c745b795",
+    "test_golden_ooc_run[rmat10-HC-raw-prefetch]":
+        "c8a0993a2c711aab4aee189b822834f453a77fda7faa31e1dd90fbfc5a64771b",
+    "test_golden_ooc_run[rmat10-HC-raw-serial]":
+        "9d0f76d5a2fcab127b0a882af01a573c362358b023142dd99b58020933f95063",
+    "test_golden_ooc_run[rmat10-HC-varint-prefetch]":
+        "419f0a04daffcb47e3c6266003e9996fd263faa6bb1a1d78a21e3c36935d9a71",
+    "test_golden_ooc_run[rmat10-HC-varint-serial]":
+        "fbf8097ba03fdb5acfe98bac6cbd0ba11d0fa3f84078e510f88c4563988c158d",
+    "test_golden_ooc_run[rmat10-WB-raw-prefetch]":
+        "845cb4ed31818a2836140a791acd1a81177123a2b56cdfdd43d8494d1ac17c96",
+    "test_golden_ooc_run[rmat10-WB-raw-serial]":
+        "8390ffffb98636eec556599fa966e48dbc5c2252ea5ff7325a343d208bd881c1",
+    "test_golden_ooc_run[rmat10-WB-varint-prefetch]":
+        "cd161441458a8775eb44cd076683e9d6bc2c8566d16c3a099c5125c286ad1cca",
+    "test_golden_ooc_run[rmat10-WB-varint-serial]":
+        "6c92eeb6660d9adb4965f3f0fd69a99bf655a32125b6840d44313dd64eeef6fd",
     "test_msbfs_waves_bit_identical[chain]":
         "3f0f3fbd445ef1e17068e37d213bfe08d0ae20d6dd8c447c398274cf311c6785",
     "test_msbfs_waves_bit_identical[fuzz-31]":

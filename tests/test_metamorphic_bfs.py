@@ -1,6 +1,7 @@
-"""Metamorphic properties of seven traversals: single-GPU Enterprise in
-each ablation configuration (BL, TS, WB and HC), 1-D multi-GPU Enterprise
-on two devices, the 2-D grid at 2x2 and the cluster at 4 nodes x 2 GPUs.
+"""Metamorphic properties of nine traversals: single-GPU Enterprise in
+each ablation configuration (BL, TS, WB and HC), out-of-core Enterprise
+in BL and HC over 8 partitions, 1-D multi-GPU Enterprise on two devices,
+the 2-D grid at 2x2 and the cluster at 4 nodes x 2 GPUs.
 
 Two input changes whose effect on the answer is known without a second
 implementation to compare against:
@@ -32,6 +33,7 @@ from repro.graph.csr import from_edges
 from repro.graph.generators import RMAT_ABC, kronecker_edges
 from repro.graph.reorder import apply_relabeling
 from repro.metrics import random_sources
+from repro.storage import ooc_enterprise_bfs
 
 SCALE = 11
 SEEDS = (1, 2, 3)
@@ -44,6 +46,10 @@ TRAVERSALS = {
     "ts": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["TS"]),
     "wb": lambda g, s: enterprise_bfs(g, s, config=ABLATION_CONFIGS["WB"]),
     "multigpu-2": lambda g, s: multigpu_enterprise_bfs(g, s, 2).result,
+    "ooc-bl": lambda g, s: ooc_enterprise_bfs(
+        g, s, num_partitions=8, config=ABLATION_CONFIGS["BL"]).result,
+    "ooc-hc": lambda g, s: ooc_enterprise_bfs(
+        g, s, num_partitions=8, config=ABLATION_CONFIGS["HC"]).result,
 }
 
 #: (traversal, seed, directed); an HC case is named by seed and

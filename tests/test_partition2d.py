@@ -14,6 +14,7 @@ from repro.bfs import (
     multigpu_enterprise_bfs,
     validate_result,
 )
+from repro.gpu.fabric import ring_ms
 from repro.graph import from_edges, load, powerlaw_graph
 from repro.metrics import random_sources
 
@@ -33,11 +34,12 @@ class TestGrid:
 
     def test_trivial_exchange_free(self):
         g = Grid2D(1, 1)
-        assert g.ring_exchange_ms(1, 1024) == 0.0
+        assert ring_ms(g.interconnect, 1, 1024) == 0.0
 
     def test_exchange_scales_with_bytes(self):
         g = Grid2D(2, 2)
-        assert g.ring_exchange_ms(2, 1 << 20) > g.ring_exchange_ms(2, 1024)
+        assert ring_ms(g.interconnect, 2, 1 << 20) > \
+            ring_ms(g.interconnect, 2, 1024)
 
 
 class TestCorrectness:
@@ -110,18 +112,18 @@ class TestExchangeLedger:
 
     def test_zero_byte_rings_cost_nothing(self):
         g = Grid2D(2, 4)
-        assert g.ring_exchange_ms(4, 0) == 0.0
-        assert g.ring_exchange_ms(4, -8) == 0.0
+        assert ring_ms(g.interconnect, 4, 0) == 0.0
+        assert ring_ms(g.interconnect, 4, -8) == 0.0
 
     def test_each_ring_charged_its_own_bytes(self):
         """A 2-GPU ring shipping 100 bytes must cost what *its* payload
         implies — not an average over rings that shipped nothing (the
         old ``row_bits // rows`` flooring)."""
         g = Grid2D(2, 2)
-        lone = g.ring_exchange_ms(2, 100)
+        lone = ring_ms(g.interconnect, 2, 100)
         assert lone == pytest.approx(
             2 * 1 * g.interconnect.transfer_ms(50))
-        assert lone > g.ring_exchange_ms(2, 1)
+        assert lone > ring_ms(g.interconnect, 2, 1)
 
 
 class TestDegenerateGrids:
