@@ -5,7 +5,7 @@ Simulates the workflow the profiler exists for: a "known-good" run
 (full Enterprise) against a "regressed" build (here: workload balancing
 accidentally disabled — a realistic one-flag regression).  The script
 
-1. profiles both runs into ``repro.profile/v1`` artifacts,
+1. profiles both runs into ``repro.profile/v2`` artifacts,
 2. prints the ranked bottleneck findings for the regressed run, and
 3. uses ``diff_profiles`` to attribute the whole GTEPS drop to named
    levels / kernel classes / counters — no eyeballing of raw traces.

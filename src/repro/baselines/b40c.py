@@ -89,16 +89,16 @@ def b40c_bfs(
                          sequential_transactions(newly.size + dups, 8, spec),
                          spec, name="b40c-contract", instr_per_element=6),
         ]
-        expand_ms = 0.0
+        expand_ps = 0
         for k in kernels:
             device.launch(k, label=f"L{level}:{k.name}")
-            expand_ms += k.time_ms
+            expand_ps += k.time_ps
 
         traces.append(LevelTrace(
             level=level, direction="top-down",
             frontier_count=int(frontier.size),
             newly_visited=int(newly.size), edges_checked=work,
-            expand_ms=expand_ms,
+            expand_ps=expand_ps,
             gld_transactions=sum(k.access.transactions for k in kernels),
             kernel_names=tuple(k.name for k in kernels),
         ))

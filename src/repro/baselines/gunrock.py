@@ -83,16 +83,16 @@ def gunrock_bfs(
             sweep_kernel(max(attempts, 1), filter_access, spec,
                          name="gr-filter", instr_per_element=8),
         ]
-        expand_ms = 0.0
+        expand_ps = 0
         for k in kernels:
             device.launch(k, label=f"L{level}:{k.name}")
-            expand_ms += k.time_ms
+            expand_ps += k.time_ps
 
         traces.append(LevelTrace(
             level=level, direction="top-down",
             frontier_count=int(frontier.size),
             newly_visited=int(newly.size), edges_checked=edges,
-            expand_ms=expand_ms,
+            expand_ps=expand_ps,
             gld_transactions=sum(k.access.transactions for k in kernels),
             kernel_names=tuple(k.name for k in kernels),
         ))

@@ -85,7 +85,7 @@ def run_profiled_bench(
     out_dir: str | Path = "profiles",
 ) -> tuple[list[dict], list[Path]]:
     """Continuous profiling: run a graph x config matrix and emit one
-    ``repro.profile/v1`` artifact per bench row.
+    ``repro.profile/v2`` artifact per bench row.
 
     ``configs`` defaults to the Fig. 13 ablation ladder
     (:data:`~repro.bfs.enterprise.ABLATION_CONFIGS`).  Returns the bench

@@ -57,17 +57,17 @@ def bottomup_bfs(
             expansion_kernel(np.maximum(outcome.lookups, 1),
                              Granularity.CTA, spec, name="pb-inspect"),
         ]
-        expand_ms = 0.0
+        expand_ps = 0
         for k in kernels:
             device.launch(k, label=f"L{level}:{k.name}")
-            expand_ms += k.time_ms
+            expand_ps += k.time_ps
 
         traces.append(LevelTrace(
             level=level, direction="bottom-up",
             frontier_count=int(candidates.size),
             newly_visited=int(outcome.found.size),
             edges_checked=outcome.edges_checked,
-            expand_ms=expand_ms,
+            expand_ps=expand_ps,
             gld_transactions=sum(k.access.transactions for k in kernels),
             kernel_names=tuple(k.name for k in kernels),
         ))

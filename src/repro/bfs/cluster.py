@@ -50,11 +50,12 @@ a fresh fabric, split it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
+from ..gpu.clock import PS_PER_MS, ticks
 from ..gpu.device import GPUDevice
 from ..gpu.fabric import Fabric, ring_ms
 from ..gpu.kernels import sweep_kernel
@@ -119,13 +120,14 @@ def shard_bounds(row_bounds: np.ndarray, parts_per_node: int) -> np.ndarray:
 class ClusterLevelCost:
     """One level's wall time, decomposed by tier at charge time.
 
-    ``total_ms`` is the exact amount the level added to the run's wall
-    clock; the tier components sum to it up to float associativity (the
-    cluster profiler's largest-remainder attribution makes the partition
-    exact — see :mod:`repro.observ.clusterprof`).  Per-node vectors keep
-    the straggler structure the scalars throw away: ``node_compute_ms``
-    is each node's critical-path kernel time (the level pays the max),
-    ``node_staging_ms`` each node's concurrent page-in time.
+    Every time is a whole number of picosecond ticks shown in ms
+    (``ticks / PS_PER_MS``, which :func:`~repro.gpu.clock.ticks`
+    inverts exactly): ``total_ms`` is what the level added to the run's
+    wall clock, and the six tier components' ticks sum to its ticks.
+    Per-node vectors keep the straggler structure the scalars throw
+    away: ``node_compute_ms`` is each node's critical-path kernel time
+    (the level pays the max), ``node_staging_ms`` each node's
+    concurrent page-in time.
     """
 
     level: int
@@ -143,7 +145,7 @@ class ClusterLevelCost:
     allreduce_inter_ms: float
     #: slowest node's out-of-core page-in time.
     staging_ms: float
-    #: exactly what the level added to ``wall_ms``.
+    #: exactly what the level added to the wall clock.
     total_ms: float
     node_compute_ms: tuple[float, ...]
     node_staging_ms: tuple[float, ...]
@@ -221,26 +223,26 @@ def _exchange(
     group: int,
     link: InterconnectSpec,
     flat_link: InterconnectSpec,
-) -> tuple[float, float, list[int]]:
+) -> tuple[int, int, list[int]]:
     """One exchange phase: a ring of ``group`` devices per segment of
     ``bounds``, all rings concurrent, each charged its own segment's
-    payload; empty rings ship nothing.  Returns the slowest ring's time
+    payload; empty rings ship nothing.  Returns the slowest ring's ticks
     on ``link``, the same on ``flat_link`` (the single-tier comparator)
     and the payloads charged."""
     if group <= 1:
-        return 0.0, 0.0, []
+        return 0, 0, []
     active = [b for b in _segment_payloads(just_visited, bounds) if b > 0]
     if not active:
-        return 0.0, 0.0, []
-    return (max(ring_ms(link, group, b) for b in active),
-            max(ring_ms(flat_link, group, b) for b in active), active)
+        return 0, 0, []
+    return (ticks(max(ring_ms(link, group, b) for b in active)),
+            ticks(max(ring_ms(flat_link, group, b) for b in active)), active)
 
 
-def _trace_level(tracer, level: int, direction: str, base: float,
-                 level_total: float, level_io: float, level_compute: float,
-                 row_ms: float, col_ms: float, node_io: list,
-                 per_device_ms, rows: int, cols: int) -> None:
-    """Emit one level's per-node Perfetto tracks.
+def _trace_level(tracer, level: int, direction: str, base: int,
+                 level_total: int, level_io: int, level_compute: int,
+                 row_ps: int, col_ps: int, node_io: list,
+                 per_device_ps, rows: int, cols: int) -> None:
+    """Emit one level's per-node Perfetto tracks (arguments in ticks).
 
     Track conventions: **pid = node index**, ``tid = TID_RUN`` for the
     node-level phases (staging, exchanges, the enclosing level span on
@@ -249,43 +251,43 @@ def _trace_level(tracer, level: int, direction: str, base: float,
     row exchange → column exchange → allreduce (the allreduce span and
     its cross-node flow chain are recorded by
     :meth:`~repro.gpu.fabric.Fabric.allreduce_ms`)."""
-    tracer.record_span(f"cluster:L{level}:{direction}", base,
-                       level_total, cat="cluster")
+    def span(name: str, begin: int, dur: int, **kwargs) -> None:
+        tracer.record_span(name, begin / PS_PER_MS, dur / PS_PER_MS,
+                           cat="cluster", **kwargs)
+
+    span(f"cluster:L{level}:{direction}", base, level_total)
     for i in range(rows):
         if node_io[i] > 0:
-            tracer.record_span(f"cluster:L{level}:stage", base,
-                               node_io[i], cat="cluster", pid=i,
-                               tid=TID_RUN, args={"node": i})
+            span(f"cluster:L{level}:stage", base, node_io[i], pid=i,
+                 tid=TID_RUN, args={"node": i})
     t_compute = base + level_io
     for i in range(rows):
         for j in range(cols):
-            dur = float(per_device_ms[i, j])
+            dur = int(per_device_ps[i, j])
             if dur > 0:
-                tracer.record_span(f"cluster:L{level}:compute",
-                                   t_compute, dur, cat="cluster",
-                                   pid=i, tid=TID_STREAM + j,
-                                   args={"node": i, "slot": j})
+                span(f"cluster:L{level}:compute", t_compute, dur, pid=i,
+                     tid=TID_STREAM + j, args={"node": i, "slot": j})
     t_row = t_compute + level_compute
-    if row_ms > 0:
+    if row_ps > 0:
         for i in range(rows):
-            tracer.record_span(f"cluster:L{level}:row-exchange", t_row,
-                               row_ms, cat="cluster", pid=i, tid=TID_RUN,
-                               args={"tier": "intra"})
-    if col_ms > 0:
-        t_col = t_row + row_ms
+            span(f"cluster:L{level}:row-exchange", t_row, row_ps, pid=i,
+                 tid=TID_RUN, args={"tier": "intra"})
+    if col_ps > 0:
         for i in range(rows):
-            tracer.record_span(f"cluster:L{level}:col-exchange", t_col,
-                               col_ms, cat="cluster", pid=i, tid=TID_RUN,
-                               args={"tier": "inter"})
+            span(f"cluster:L{level}:col-exchange", t_row + row_ps, col_ps,
+                 pid=i, tid=TID_RUN, args={"tier": "inter"})
 
 
-def _ltr_sum(values) -> float:
-    """Left-to-right float sum, the order the level loop charged in
-    (``sum()`` rounds differently from Python 3.12 on)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def _clocks(devices: list[list[GPUDevice]]) -> np.ndarray:
+    """The grid's device clocks, in ticks."""
+    return np.array([[d.elapsed_ps for d in row] for row in devices],
+                    dtype=np.int64)
+
+
+def _total_ms(costs: list[ClusterLevelCost], *names: str) -> float:
+    """Run total of the named per-level fields, summed as ticks."""
+    return sum(ticks(getattr(c, name))
+               for c in costs for name in names) / PS_PER_MS
 
 
 def _grid_bfs(
@@ -299,10 +301,9 @@ def _grid_bfs(
     row_link: InterconnectSpec,
     col_link: InterconnectSpec,
     *,
-    stage: Callable[[np.ndarray, bool], tuple[list[float], int]] | None = None,
-    allreduce: Callable[[int, float], tuple[float, float, float]]
-    | None = None,
-) -> tuple[BFSResult, list[ClusterLevelCost], list[int], float]:
+    stage: Callable[[np.ndarray, bool], tuple[list[int], int]] | None = None,
+    allreduce: Callable[[int, float], tuple[int, int, int]] | None = None,
+) -> tuple[BFSResult, list[ClusterLevelCost], list[int], int]:
     """The direction-optimizing level loop over a device grid: staging,
     block expansion or inspection, the private status scan, the row
     exchange, the column exchange and the allreduce, then the γ switch.
@@ -314,17 +315,23 @@ def _grid_bfs(
 
     * ``stage(queue, bottom_up)`` pages in the adjacency the level's
       queue reads, before the level's kernels, and returns each row's
-      page-in ms and the bytes read;
+      page-in ticks and the bytes read;
     * ``allreduce(level, at_ms)`` charges the per-level frontier-count
       consensus at simulated time ``at_ms`` and returns its intra-tier,
-      inter-tier and single-tier-comparator ms.
+      inter-tier and single-tier-comparator ticks.
 
+    Each device's level time is the delta of its clock across the
+    level's launches, so a straggler's slowdown reaches the wall clock.
     Returns the BFS result (``time_ms`` is the wall clock), the
     per-level costs, every ring payload charged, in charge order, and
-    the exchange time had every ring run on ``col_link`` (with the
-    allreduce's comparator).  Only γ switching is modelled; the
-    per-device kernels are warp/thread blocks whatever the config.
+    the exchange ticks had every ring run on ``col_link`` (with the
+    allreduce's comparator).  Only γ switching is modelled: any other
+    config field away from its default raises ``ValueError``.
     """
+    config.reject_unmodelled(
+        [f.name for f in fields(config)
+         if f.name not in ("gamma_threshold", "max_levels")],
+        "grid traversal")
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
@@ -350,8 +357,8 @@ def _grid_bfs(
     traces: list[LevelTrace] = []
     costs: list[ClusterLevelCost] = []
     payloads: list[int] = []
-    wall_ms = 0.0
-    flat_ms = 0.0
+    wall_ps = 0
+    flat_ps = 0
     direction = "top-down"
     level = 0
 
@@ -362,8 +369,8 @@ def _grid_bfs(
         if queue.size == 0:
             break
         node_io, staged = (stage(queue, bottom_up) if stage is not None
-                           else ([0.0] * rows, 0))
-        per_device_ms = np.zeros((rows, cols))
+                           else ([0] * rows, 0))
+        begin = _clocks(devices)
         just_visited = np.zeros(n, dtype=bool)
         if bottom_up:
             level_edges, blocks = _inspect_bottomup_blocks(
@@ -375,39 +382,36 @@ def _grid_bfs(
                 row_of, col_of, rows, cols, spec)
         for i, j, k in blocks:
             devices[i][j].launch(k)
-            per_device_ms[i, j] += k.time_ms
         status[just_visited] = level + 1
-        for i in range(rows):
-            for j in range(cols):
-                devices[i][j].launch(scan)
-                per_device_ms[i, j] += scan.time_ms
+        for row in devices:
+            for device in row:
+                device.launch(scan)
+        per_device_ps = _clocks(devices) - begin
 
         # Row exchange (one ring of ``cols`` GPUs per row), then column
         # exchange (one ring of ``rows`` GPUs per column); each phase
         # pays its slowest concurrent ring.
         level_io = max(node_io)
-        level_compute = float(per_device_ms.max())
-        row_ms, row_flat, row_bytes = _exchange(
+        level_compute = int(per_device_ps.max())
+        row_ps, row_flat, row_bytes = _exchange(
             just_visited, row_bounds, cols, row_link, col_link)
-        col_ms, col_flat, col_bytes = _exchange(
+        col_ps, col_flat, col_bytes = _exchange(
             just_visited, col_bounds, rows, col_link, col_link)
         payloads += row_bytes + col_bytes
-        flat_ms += row_flat
-        flat_ms += col_flat
-        level_intra, level_inter = row_ms, col_ms
-        ar_intra = ar_inter = 0.0
+        flat_ps += row_flat + col_flat
+        ar_intra = ar_inter = 0
         if allreduce is not None:
             ar_intra, ar_inter, ar_flat = allreduce(
-                level, wall_ms + level_io + level_compute + row_ms + col_ms)
-            level_intra += ar_intra
-            level_inter += ar_inter
-            flat_ms += ar_flat
-        level_total = level_compute + (level_intra + level_inter) + level_io
+                level, (wall_ps + level_io + level_compute + row_ps
+                        + col_ps) / PS_PER_MS)
+            flat_ps += ar_flat
+        level_total = (level_compute + row_ps + col_ps + ar_intra + ar_inter
+                       + level_io)
         if tracer.enabled:
-            _trace_level(tracer, level, direction, wall_ms, level_total,
-                         level_io, level_compute, row_ms, col_ms, node_io,
-                         per_device_ms, rows, cols)
-        wall_ms += level_total
+            _trace_level(tracer, level, direction, wall_ps, level_total,
+                         level_io, level_compute, row_ps, col_ps, node_io,
+                         per_device_ps, rows, cols)
+        wall_ps += level_total
 
         newly = np.flatnonzero(just_visited).astype(np.int64)
         gamma_value = gamma.observe(newly) if newly.size else 0.0
@@ -416,23 +420,23 @@ def _grid_bfs(
             frontier_count=int(queue.size),
             newly_visited=int(newly.size),
             edges_checked=level_edges,
-            expand_ms=level_compute,
+            expand_ps=level_compute,
             gamma=gamma_value,
         ))
         costs.append(ClusterLevelCost(
             level=level, direction=direction,
             frontier_count=int(queue.size),
             newly_visited=int(newly.size),
-            compute_ms=level_compute,
-            row_ms=row_ms,
-            col_ms=col_ms,
-            allreduce_intra_ms=ar_intra,
-            allreduce_inter_ms=ar_inter,
-            staging_ms=level_io,
-            total_ms=level_total,
-            node_compute_ms=tuple(float(per_device_ms[i].max())
-                                  for i in range(rows)),
-            node_staging_ms=tuple(node_io),
+            compute_ms=level_compute / PS_PER_MS,
+            row_ms=row_ps / PS_PER_MS,
+            col_ms=col_ps / PS_PER_MS,
+            allreduce_intra_ms=ar_intra / PS_PER_MS,
+            allreduce_inter_ms=ar_inter / PS_PER_MS,
+            staging_ms=level_io / PS_PER_MS,
+            total_ms=level_total / PS_PER_MS,
+            node_compute_ms=tuple(int(ps) / PS_PER_MS
+                                  for ps in per_device_ps.max(axis=1)),
+            node_staging_ms=tuple(ps / PS_PER_MS for ps in node_io),
             bytes_row=sum(row_bytes),
             bytes_col=sum(col_bytes),
             bytes_staged=staged,
@@ -454,11 +458,11 @@ def _grid_bfs(
         levels=status,
         parents=parents,
         traces=traces,
-        time_ms=wall_ms,
+        time_ms=wall_ps / PS_PER_MS,
         gamma_history=gamma.history,
     )
     result.set_edges_traversed(graph)
-    return result, costs, payloads, flat_ms
+    return result, costs, payloads, flat_ps
 
 
 def cluster_enterprise_bfs(
@@ -518,37 +522,35 @@ def cluster_enterprise_bfs(
                                                    (i + 1) * parts_per_node])
         for i in range(rows)]
 
-    def stage(queue: np.ndarray, bottom_up: bool) -> tuple[list[float], int]:
+    def stage(queue: np.ndarray, bottom_up: bool) -> tuple[list[int], int]:
         """Page in the partitions the level's queue needs, node-local and
-        concurrent across nodes: returns (per-node ms, total bytes)."""
+        concurrent across nodes: returns (per-node ticks, total bytes)."""
         partitioned, caches = ((parts_bu, bu_caches) if bottom_up
                                else (parts_fwd, fwd_caches))
-        per_node = [0.0] * rows
+        per_node = [0] * rows
         total = 0
         owner = np.searchsorted(row_bounds, queue, side="right") - 1
         for i in range(rows):
             verts = queue[owner == i]
             if verts.size == 0:
                 continue
-            node_ms = 0.0
             for p in partitioned.partitions_touched(verts):
                 read = caches[i].load(p)
                 if read:
-                    node_ms += storage.read_ms(read)
+                    per_node[i] += ticks(storage.read_ms(read))
                     total += read
-            per_node[i] = node_ms
         return per_node, total
 
-    def allreduce(level: int, at_ms: float) -> tuple[float, float, float]:
+    def allreduce(level: int, at_ms: float) -> tuple[int, int, int]:
         """Frontier-count consensus: a hierarchical 8-byte allreduce,
         charged after staging, compute and the exchange rings."""
         cost = fabric.allreduce_ms(8, at_ms=at_ms, level=level)
-        return cost.intra_ms, cost.inter_ms, fabric.flat_ring_ms(8)
+        return cost.intra_ps, cost.inter_ps, ticks(fabric.flat_ring_ms(8))
 
     # Per-run ledger scoping: a reused fabric must not report the
     # previous traversal's traffic on top of this one's.
     fabric.reset_ledgers()
-    result, costs, payloads, flat_ms = _grid_bfs(
+    result, costs, payloads, flat_ps = _grid_bfs(
         graph, source, config, f"enterprise-cluster[{rows}n x {cols}g]",
         fabric.device_grid(), row_bounds, partition_bounds(n, cols),
         fabric.intra, fabric.inter, stage=stage,
@@ -558,18 +560,18 @@ def cluster_enterprise_bfs(
         result=result,
         num_nodes=rows,
         gpus_per_node=cols,
-        computation_ms=_ltr_sum(c.compute_ms for c in costs),
-        intra_ms=_ltr_sum(c.row_ms + c.allreduce_intra_ms for c in costs),
-        inter_ms=_ltr_sum(c.col_ms + c.allreduce_inter_ms for c in costs),
-        io_ms=_ltr_sum(c.staging_ms for c in costs),
-        collective_ms=_ltr_sum(c.allreduce_intra_ms + c.allreduce_inter_ms
-                               for c in costs),
+        computation_ms=_total_ms(costs, "compute_ms"),
+        intra_ms=_total_ms(costs, "row_ms", "allreduce_intra_ms"),
+        inter_ms=_total_ms(costs, "col_ms", "allreduce_inter_ms"),
+        io_ms=_total_ms(costs, "staging_ms"),
+        collective_ms=_total_ms(costs, "allreduce_intra_ms",
+                                "allreduce_inter_ms"),
         bytes_intra=sum(c.bytes_row for c in costs),
         bytes_inter=sum(c.bytes_col for c in costs),
         bytes_read=sum(c.bytes_staged for c in costs),
         shard_bytes=shard_sizes,
         total_adjacency_bytes=parts_fwd.total_bytes,
-        flat_communication_ms=flat_ms,
+        flat_communication_ms=flat_ps / PS_PER_MS,
         charged_payloads=payloads,
         level_costs=costs,
     )
@@ -584,8 +586,8 @@ def cluster_enterprise_bfs(
         registry.counter("repro.cluster.ms",
                          tier="compute").inc(run.computation_ms)
         registry.counter("repro.cluster.ms", tier="row-exchange").inc(
-            sum(c.row_ms for c in costs))
+            _total_ms(costs, "row_ms"))
         registry.counter("repro.cluster.ms", tier="col-exchange").inc(
-            sum(c.col_ms for c in costs))
+            _total_ms(costs, "col_ms"))
         registry.counter("repro.cluster.ms", tier="staging").inc(run.io_ms)
     return run

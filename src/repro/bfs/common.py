@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..accel import shared_arange
+from ..gpu.clock import PS_PER_MS
 from ..graph.csr import CSRGraph
 from ..graph.stats import FrontierLevel
 
@@ -52,8 +53,9 @@ class LevelTrace:
     frontier_count: int
     newly_visited: int
     edges_checked: int
-    queue_gen_ms: float = 0.0
-    expand_ms: float = 0.0
+    #: Queue generation and expansion time, in picosecond ticks.
+    queue_gen_ps: int = 0
+    expand_ps: int = 0
     gld_transactions: int = 0
     hub_cache_hits: int = 0
     hub_cache_lookups: int = 0
@@ -64,8 +66,16 @@ class LevelTrace:
     gamma: float = 0.0
 
     @property
+    def queue_gen_ms(self) -> float:
+        return self.queue_gen_ps / PS_PER_MS
+
+    @property
+    def expand_ms(self) -> float:
+        return self.expand_ps / PS_PER_MS
+
+    @property
     def time_ms(self) -> float:
-        return self.queue_gen_ms + self.expand_ms
+        return (self.queue_gen_ps + self.expand_ps) / PS_PER_MS
 
 
 @dataclass
@@ -268,10 +278,6 @@ class BottomUpOutcome:
     @property
     def edges_checked(self) -> int:
         return int(self.lookups.sum()) + self.cache_hits
-
-    @property
-    def lookups_saved(self) -> int:
-        return int(self.lookups_nocache.sum() - self.lookups.sum())
 
 
 def _first_hits(

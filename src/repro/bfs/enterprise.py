@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..gpu.clock import PS_PER_MS
 from ..gpu.counters import aggregate_counters
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import (
@@ -116,6 +117,17 @@ class EnterpriseConfig:
             raise ValueError("alpha and beta must be positive")
         if self.max_levels <= 0:
             raise ValueError("max_levels must be positive")
+
+    def reject_unmodelled(self, names, traversal: str) -> None:
+        """Raise ``ValueError`` naming the first of ``names`` set away
+        from its default: ``traversal`` does not model those fields, and
+        running it anyway would silently ignore them."""
+        default = EnterpriseConfig()
+        for name in names:
+            value = getattr(self, name)
+            if value != getattr(default, name):
+                raise ValueError(
+                    f"{traversal} does not model {name}={value!r}")
 
     def label(self) -> str:
         parts = ["BL"]
@@ -236,17 +248,13 @@ def _launch_level(
     *,
     concurrent: bool,
     label: str,
-) -> float:
-    """Submit a level's kernels; returns the level's elapsed time."""
-    if not kernels:
-        return 0.0
-    if concurrent:
-        return device.launch_concurrent(kernels, label=label).elapsed_ms
-    total = 0.0
+) -> None:
+    """Submit a level's kernels: together under Hyper-Q, or in turn."""
+    if concurrent and kernels:
+        device.launch_concurrent(kernels, label=label)
+        return
     for k in kernels:
         device.launch(k, label=f"{label}:{k.name}")
-        total += k.time_ms
-    return total
 
 
 def enterprise_bfs(
@@ -281,7 +289,9 @@ def _traverse(
     ``stage(queue, bottom_up)``, when given, runs once per level before
     the level's kernels; out-of-core traversal
     (:func:`repro.storage.ooc.ooc_enterprise_bfs`) charges the partition
-    reads of the level's queue to ``device`` there.
+    reads of the level's queue to ``device`` there.  Each level's queue
+    generation and expansion (staging included) times are deltas of the
+    device clock across their launches.
     """
     spec = device.spec
     n = graph.num_vertices
@@ -354,7 +364,7 @@ def _traverse(
     direction = "top-down"
     level = 0
     queue = np.array([source], dtype=np.int64)
-    queue_gen_ms = 0.0  # building the level-0 queue is free
+    queue_gen_ps = 0  # building the level-0 queue is free
 
     # Scratch reused for bottom-up per-vertex workloads.
     workload_scratch = np.zeros(n, dtype=np.int64)
@@ -365,9 +375,7 @@ def _traverse(
         if queue.size == 0:
             break
         bottom_up = direction != "top-down"
-        # The level's simulated window opens when its queue generation
-        # started (no device activity in between).
-        level_begin_ms = device.elapsed_ms - queue_gen_ms
+        expand_begin = device.elapsed_ps
         if stage is not None:
             stage(queue, bottom_up)
         locality = queue_contiguity(queue)
@@ -403,9 +411,9 @@ def _traverse(
                 queue, workloads, out_degrees, out_degrees, config, spec,
                 locality=locality, shared_hits=0, phase="td",
                 metric_labels=run_labels)
-        expand_ms = _launch_level(
-            device, kernels, concurrent=concurrent,
-            label=f"L{level}:{direction if bottom_up else 'td'}")
+        _launch_level(device, kernels, concurrent=concurrent,
+                      label=f"L{level}:{direction if bottom_up else 'td'}")
+        expand_ps = device.elapsed_ps - expand_begin
 
         # Direction indicators for the *next* level's frontier.  All
         # ablation stages traverse identically (default: the one-time γ
@@ -438,7 +446,7 @@ def _traverse(
             frontier_count=int(queue.size),
             newly_visited=int(newly.size),
             edges_checked=edges,
-            queue_gen_ms=queue_gen_ms, expand_ms=expand_ms,
+            queue_gen_ps=queue_gen_ps, expand_ps=expand_ps,
             gld_transactions=sum(k.access.transactions for k in kernels),
             hub_cache_hits=hits,
             hub_cache_lookups=int(queue.size) if bottom_up else 0,
@@ -447,7 +455,10 @@ def _traverse(
             gamma=gamma_value,
         ))
         if observing:
-            _emit_level(traces[-1], level_begin_ms, kernels)
+            # The level's window opens when its queue generation started
+            # (no device activity in between).
+            _emit_level(traces[-1],
+                        (expand_begin - queue_gen_ps) / PS_PER_MS, kernels)
 
         if newly.size == 0:
             break  # the rest is unreachable
@@ -486,8 +497,10 @@ def _traverse(
                                                   frontiers=newly)
         else:
             queue, gen_kernels = newly, []
-        queue_gen_ms = _launch_level(device, gen_kernels, concurrent=False,
-                                     label=f"L{level + 1}:qgen")
+        gen_begin = device.elapsed_ps
+        _launch_level(device, gen_kernels, concurrent=False,
+                      label=f"L{level + 1}:qgen")
+        queue_gen_ps = device.elapsed_ps - gen_begin
         level += 1
 
     result = BFSResult(

@@ -112,10 +112,10 @@ def hybrid_bfs(
                                  spec, name="hy-td-expand"),
                 atomic_enqueue_kernel(attempts, int(newly.size), spec),
             ]
-            expand_ms = 0.0
+            expand_ps = 0
             for k in kernels:
                 device.launch(k, label=f"L{level}:{k.name}")
-                expand_ms += k.time_ms
+                expand_ps += k.time_ps
 
             m_f_next = int(out_degrees[newly].sum()) if newly.size else 0
             alpha_value = unexplored / m_f_next if m_f_next else float("inf")
@@ -124,7 +124,7 @@ def hybrid_bfs(
                 level=level, direction="top-down",
                 frontier_count=int(frontier.size),
                 newly_visited=int(newly.size), edges_checked=edges,
-                expand_ms=expand_ms,
+                expand_ps=expand_ps,
                 gld_transactions=sum(k.access.transactions for k in kernels),
                 kernel_names=tuple(k.name for k in kernels),
                 alpha=alpha_value if np.isfinite(alpha_value) else 0.0,
@@ -155,17 +155,17 @@ def hybrid_bfs(
                 expansion_kernel(np.maximum(outcome.lookups, 1),
                                  Granularity.CTA, spec, name="hy-bu-inspect"),
             ]
-            expand_ms = 0.0
+            expand_ps = 0
             for k in kernels:
                 device.launch(k, label=f"L{level}:{k.name}")
-                expand_ms += k.time_ms
+                expand_ps += k.time_ps
 
             traces.append(LevelTrace(
                 level=level, direction=direction,
                 frontier_count=int(candidates.size),
                 newly_visited=int(outcome.found.size),
                 edges_checked=outcome.edges_checked,
-                expand_ms=expand_ms,
+                expand_ps=expand_ps,
                 gld_transactions=sum(k.access.transactions for k in kernels),
                 kernel_names=tuple(k.name for k in kernels),
             ))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..gpu.clock import PS_PER_MS
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import Granularity, KernelCost, expansion_kernel, sweep_kernel
 from ..gpu.memory import sequential_transactions
@@ -107,17 +108,18 @@ def _local_kernels(
 
 
 def _launch(device: GPUDevice, kernels: list[KernelCost],
-            config: EnterpriseConfig, label: str) -> float:
+            config: EnterpriseConfig, label: str) -> int:
     """Run the queue scan or filter, then the WB kernels concurrently
-    (or every kernel in turn); returns the device's level time."""
+    (or every kernel in turn); returns the device's level ticks, read
+    off its clock, so a straggler's slowdown counts."""
+    begin = device.elapsed_ps
     if config.workload_balancing and len(kernels) > 1:
-        return (device.launch(kernels[0]).time_ms
-                + device.launch_concurrent(kernels[1:],
-                                           label=label).elapsed_ms)
-    ms = 0.0
-    for k in kernels:
-        ms += device.launch(k).time_ms
-    return ms
+        device.launch(kernels[0])
+        device.launch_concurrent(kernels[1:], label=label)
+    else:
+        for k in kernels:
+            device.launch(k)
+    return device.elapsed_ps - begin
 
 
 def multigpu_enterprise_bfs(
@@ -137,6 +139,10 @@ def multigpu_enterprise_bfs(
     compute plus the exchange.
     """
     config = config or EnterpriseConfig()
+    # Every queue is built by the private scan, and only γ switches.
+    config.reject_unmodelled(
+        ("thread_scheduling", "switch_policy", "switch_scan"),
+        "1-D multi-GPU traversal")
     group = group or DeviceGroup(num_gpus, spec)
     if len(group) != num_gpus:
         raise ValueError("device group size must match num_gpus")
@@ -168,7 +174,7 @@ def multigpu_enterprise_bfs(
     level = 0
     bytes_exchanged = 0
     bytes_uncompressed = 0
-    compute_ms_total = 0.0
+    compute_ps_total = 0
     # Scratch for bottom-up per-vertex workloads.
     workload_scratch = np.zeros(n, dtype=np.int64)
 
@@ -177,7 +183,7 @@ def multigpu_enterprise_bfs(
 
     for _ in range(config.max_levels):
         just_visited = np.zeros(n, dtype=bool)
-        per_device_ms: list[float] = []
+        per_device_ps: list[int] = []
         level_edges = 0
         level_hits = 0
 
@@ -203,7 +209,7 @@ def multigpu_enterprise_bfs(
                 kernels += _local_kernels(local, out_degrees, out_degrees,
                                            spec, config, shared_hits=0,
                                            phase="td")
-                per_device_ms.append(_launch(group.devices[k], kernels,
+                per_device_ps.append(_launch(group.devices[k], kernels,
                                              config, f"L{level}:td"))
         else:
             if bu_queues is None:
@@ -235,16 +241,16 @@ def multigpu_enterprise_bfs(
                                            shared_hits=outcome.cache_hits,
                                            phase="bu")
                 workload_scratch[cand] = 0
-                per_device_ms.append(_launch(group.devices[k], kernels,
+                per_device_ps.append(_launch(group.devices[k], kernels,
                                              config, f"L{level}:bu"))
                 bu_queues[k] = cand[st[cand] == UNVISITED]
 
         # Step 2: ballot-compress and allgather the just-visited view.
-        compute_ms = group.barrier_level(per_device_ms)
-        compute_ms_total += compute_ms
+        compute_ps = group.barrier_level(per_device_ps)
+        compute_ps_total += compute_ps
         bits = ballot_compress(just_visited)
         if num_gpus > 1:
-            group.allgather_ms(int(bits.nbytes))
+            group.allgather_ps(int(bits.nbytes))
             bytes_exchanged += int(bits.nbytes) * num_gpus
             bytes_uncompressed += n * num_gpus  # 1-byte status entries
         # Merge: every device ORs in the freshly visited set.
@@ -260,7 +266,7 @@ def multigpu_enterprise_bfs(
             frontier_count=level_frontier,
             newly_visited=int(newly.size),
             edges_checked=level_edges,
-            expand_ms=compute_ms,
+            expand_ps=compute_ps,
             hub_cache_hits=level_hits,
             gamma=gamma_value,
         ))
@@ -291,7 +297,7 @@ def multigpu_enterprise_bfs(
         result=result,
         num_gpus=num_gpus,
         communication_ms=group.communication_ms,
-        computation_ms=compute_ms_total,
+        computation_ms=compute_ps_total / PS_PER_MS,
         bytes_exchanged=bytes_exchanged,
         bytes_uncompressed=bytes_uncompressed,
     )

@@ -248,7 +248,7 @@ def multigpu2d_enterprise_bfs(
     """Direction-optimizing BFS over a rows x cols blocked partition: the
     grid loop with both exchanges on ``grid.interconnect``."""
     # The grid loop's module imports this one's block helpers.
-    from .cluster import _grid_bfs, _ltr_sum
+    from .cluster import _grid_bfs, _total_ms
 
     config = config or EnterpriseConfig()
     grid = grid or Grid2D(rows, cols)
@@ -265,8 +265,8 @@ def multigpu2d_enterprise_bfs(
     return MultiGPU2DResult(
         result=result,
         grid=grid,
-        communication_ms=_ltr_sum(c.row_ms + c.col_ms for c in costs),
-        computation_ms=_ltr_sum(c.compute_ms for c in costs),
+        communication_ms=_total_ms(costs, "row_ms", "col_ms"),
+        computation_ms=_total_ms(costs, "compute_ms"),
         bytes_exchanged=sum(payloads),
         bytes_exchanged_1d=view_bytes * len(costs),
         charged_payloads=payloads,

@@ -106,15 +106,15 @@ def stealing_bfs(
         parents[newly] = their_parents
         kernels = stealing_expansion_cost(graph.out_degrees[frontier],
                                           spec, chunk=chunk)
-        expand_ms = 0.0
+        expand_ps = 0
         for k in kernels:
             device.launch(k, label=f"L{level}:{k.name}")
-            expand_ms += k.time_ms
+            expand_ps += k.time_ps
         traces.append(LevelTrace(
             level=level, direction="top-down",
             frontier_count=int(frontier.size),
             newly_visited=int(newly.size), edges_checked=edges,
-            expand_ms=expand_ms,
+            expand_ps=expand_ps,
             gld_transactions=sum(k.access.transactions for k in kernels),
             kernel_names=tuple(k.name for k in kernels),
         ))

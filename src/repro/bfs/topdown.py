@@ -65,16 +65,16 @@ def topdown_atomic_bfs(
                              name="td-atomic-expand"),
             atomic_enqueue_kernel(attempts, int(uniq.size), spec),
         ]
-        expand_ms = 0.0
+        expand_ps = 0
         for k in kernels:
             device.launch(k, label=f"L{level}:{k.name}")
-            expand_ms += k.time_ms
+            expand_ps += k.time_ps
 
         traces.append(LevelTrace(
             level=level, direction="top-down",
             frontier_count=int(frontier.size),
             newly_visited=int(uniq.size), edges_checked=edges,
-            expand_ms=expand_ms,
+            expand_ps=expand_ps,
             gld_transactions=sum(k.access.transactions for k in kernels),
             kernel_names=tuple(k.name for k in kernels),
         ))

@@ -25,7 +25,7 @@ Subcommands cover the library's day-to-day entry points:
   asserts bit-identity against the single-GPU reference;
   ``--trace-out``/``--profile-out`` export a per-node Perfetto trace
   (cross-node flow arrows per collective) and the
-  ``repro.clusterprofile/v1`` per-tier attribution artifact;
+  ``repro.clusterprofile/v2`` per-tier attribution artifact;
   ``--faults`` degrades the fabric with a named fault profile.
 * ``profile`` — kernel-level profile with ranked bottleneck findings;
   ``--cluster`` profiles a multi-node run instead: per-tier fabric
@@ -1152,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="k40", choices=sorted(DEVICES))
     p.add_argument("--source", type=int)
     p.add_argument("-o", "--out",
-                   help="write the repro.profile/v1 JSON artifact")
+                   help="write the repro.profile/v2 JSON artifact")
     p.add_argument("--html", metavar="PATH",
                    help="write a self-contained HTML flame-style report")
     p.add_argument("--compare", metavar="PROFILE_JSON",
@@ -1174,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile a multi-node cluster BFS instead: "
                         "per-tier fabric attribution (compute / "
                         "exchanges / allreduce / staging), straggler "
-                        "findings, repro.clusterprofile/v1 artifact")
+                        "findings, repro.clusterprofile/v2 artifact")
     p.add_argument("--nodes", type=_positive_int, default=4,
                    help="cluster nodes for --cluster (default 4)")
     p.add_argument("--gpus-per-node", type=_positive_int, default=2,
@@ -1399,7 +1399,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "trace (pid = node, cross-node flow arrows per "
                         "collective)")
     p.add_argument("--profile-out",
-                   help="with bfs: write the repro.clusterprofile/v1 "
+                   help="with bfs: write the repro.clusterprofile/v2 "
                         "per-tier attribution artifact")
     p.add_argument("--faults", default="none",
                    choices=sorted(_FAULT_PROFILES),
@@ -1450,7 +1450,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "node shard (default 32)")
     p.add_argument("--profile-out",
                    help="with --cluster: also write the largest node "
-                        "count's repro.clusterprofile/v1 artifact")
+                        "count's repro.clusterprofile/v2 artifact")
     _add_graph_args(p)
     p.add_argument("--rmat-scale", type=_positive_int,
                    help="with --serve: run on an R-MAT graph of this "

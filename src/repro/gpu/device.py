@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..observ.tracer import TID_STREAM, get_tracer
+from .clock import PS_PER_MS, ticks
 from .counters import CounterSet, aggregate_counters
 from .hyperq import OverlapResult, overlap_kernels
 from .kernels import KernelCost
@@ -27,12 +28,20 @@ class LaunchRecord:
 
     label: str
     kernels: tuple[KernelCost, ...]
-    elapsed_ms: float
+    #: Time the entry added to the device clock, in picosecond ticks.
+    elapsed_ps: int
     concurrent: bool
+
+    @property
+    def elapsed_ms(self) -> float:
+        return self.elapsed_ps / PS_PER_MS
 
 
 class GPUDevice:
     """A single simulated GPU.
+
+    The device clock is an integer count of picosecond ticks
+    (:mod:`repro.gpu.clock`); ``elapsed_ms`` is derived from it.
 
     Parameters
     ----------
@@ -51,26 +60,29 @@ class GPUDevice:
         self.spec = spec
         self.slowdown = slowdown
         self._records: list[LaunchRecord] = []
-        # Running total, maintained with the same left-to-right float
-        # additions a fresh sum over the records would perform, so the
-        # O(1) property is bit-identical to the O(n) reduction it
-        # replaced (fp addition order is preserved exactly).
-        self._elapsed_total = 0.0
+        self._elapsed_ps = 0
 
     # ------------------------------------------------------------------
     # Launch API
     # ------------------------------------------------------------------
+    def _record(self, label: str, kernels: tuple[KernelCost, ...],
+                healthy_ps: float, concurrent: bool) -> int:
+        """Append one timeline entry: ``healthy_ps`` stretched by the
+        straggler factor, then rounded to a tick.  Returns the clock
+        before it."""
+        ps = round(healthy_ps * self.slowdown)
+        begin = self._elapsed_ps
+        self._records.append(LaunchRecord(label, kernels, ps, concurrent))
+        self._elapsed_ps = begin + ps
+        return begin
+
     def launch(self, kernel: KernelCost, *, label: str | None = None) -> KernelCost:
         """Run one kernel to completion (its own stream, no overlap)."""
-        begin_ms = self._elapsed_total
-        elapsed = kernel.time_ms * self.slowdown
-        self._records.append(
-            LaunchRecord(label or kernel.name, (kernel,), elapsed, False)
-        )
-        self._elapsed_total = begin_ms + elapsed
+        begin = self._record(label or kernel.name, (kernel,),
+                             kernel.time_ps, False)
         tracer = get_tracer()
         if tracer.enabled:
-            self._trace_kernel(tracer, kernel, begin_ms, TID_STREAM,
+            self._trace_kernel(tracer, kernel, begin / PS_PER_MS, TID_STREAM,
                                label=label)
         return kernel
 
@@ -78,22 +90,17 @@ class GPUDevice:
         self, kernels: list[KernelCost], *, label: str = "concurrent"
     ) -> OverlapResult:
         """Run kernels together under Hyper-Q (§4.2's four queue kernels)."""
-        begin_ms = self._elapsed_total
         result = overlap_kernels(kernels, self.spec)
-        elapsed = result.elapsed_ms * self.slowdown
-        self._records.append(
-            LaunchRecord(label, tuple(kernels), elapsed, True)
-        )
-        self._elapsed_total = begin_ms + elapsed
+        begin = self._record(label, tuple(kernels), result.elapsed_ps, True)
         tracer = get_tracer()
         if tracer.enabled:
             # One track per Hyper-Q stream: concurrent kernels render
             # side by side inside the level window, as in nvvp.
             stream = TID_STREAM
             for k in kernels:
-                if k.time_ms <= 0:
+                if k.time_ps <= 0:
                     continue
-                self._trace_kernel(tracer, k, begin_ms, stream)
+                self._trace_kernel(tracer, k, begin / PS_PER_MS, stream)
                 stream += 1
         return result
 
@@ -112,17 +119,15 @@ class GPUDevice:
         )
 
     def charge(self, label: str, elapsed_ms: float) -> None:
-        """Charge non-kernel device time (e.g. interconnect transfers)."""
+        """Charge non-kernel device time (e.g. storage reads)."""
         if elapsed_ms < 0:
             raise ValueError("elapsed time cannot be negative")
-        begin_ms = self._elapsed_total
-        elapsed = elapsed_ms * self.slowdown
-        self._records.append(LaunchRecord(label, (), elapsed, False))
-        self._elapsed_total = begin_ms + elapsed
+        begin = self._record(label, (), elapsed_ms * PS_PER_MS, False)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.record_span(label, begin_ms, elapsed, cat="transfer",
-                               tid=TID_STREAM)
+            tracer.record_span(label, begin / PS_PER_MS,
+                               (self._elapsed_ps - begin) / PS_PER_MS,
+                               cat="transfer", tid=TID_STREAM)
 
     def truncate_to(self, elapsed_ms: float) -> float:
         """Cancel everything recorded past ``elapsed_ms``; returns the
@@ -136,32 +141,37 @@ class GPUDevice:
         """
         if elapsed_ms < 0:
             raise ValueError("elapsed time cannot be negative")
-        total = self.elapsed_ms
-        if total <= elapsed_ms:
+        cut = ticks(elapsed_ms)
+        total = self._elapsed_ps
+        if total <= cut:
             return 0.0
         kept: list[LaunchRecord] = []
-        acc = 0.0
+        acc = 0
         for record in self._records:
-            if acc + record.elapsed_ms <= elapsed_ms:
+            if acc + record.elapsed_ps <= cut:
                 kept.append(record)
-                acc += record.elapsed_ms
+                acc += record.elapsed_ps
                 continue
-            partial = elapsed_ms - acc
-            if partial > 0:
+            if cut > acc:
                 kept.append(LaunchRecord(
-                    f"{record.label}:cancelled", (), partial, False))
-                acc = acc + partial
+                    f"{record.label}:cancelled", (), cut - acc, False))
+                acc = cut
             break
         self._records = kept
-        self._elapsed_total = acc
-        return total - elapsed_ms
+        self._elapsed_ps = acc
+        return (total - cut) / PS_PER_MS
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def elapsed_ps(self) -> int:
+        """The device clock, in picosecond ticks."""
+        return self._elapsed_ps
+
+    @property
     def elapsed_ms(self) -> float:
-        return self._elapsed_total
+        return self._elapsed_ps / PS_PER_MS
 
     @property
     def records(self) -> tuple[LaunchRecord, ...]:
@@ -182,7 +192,7 @@ class GPUDevice:
 
     def reset(self) -> None:
         self._records.clear()
-        self._elapsed_total = 0.0
+        self._elapsed_ps = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"GPUDevice({self.spec.name}, launches={len(self._records)}, "

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..observ.registry import get_registry
+from .clock import PS_PER_MS, ticks
 from .kernels import KernelCost
 from .specs import DeviceSpec
 
@@ -40,11 +41,11 @@ _SPEEDUP_BUCKETS = (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
 
 def _observe_overlap(result: "OverlapResult", kernels: int) -> "OverlapResult":
     registry = get_registry()
-    if registry.enabled and result.serial_ms > 0:
+    if registry.enabled and result.serial_ps > 0:
         registry.counter("repro.hyperq.launches").inc()
         registry.counter("repro.hyperq.kernels").inc(kernels)
         registry.counter("repro.hyperq.saved_ms").inc(
-            max(0.0, result.serial_ms - result.elapsed_ms))
+            result.serial_ms - result.elapsed_ms)
         registry.histogram("repro.hyperq.overlap_speedup",
                            buckets=_SPEEDUP_BUCKETS).observe(
             result.overlap_speedup)
@@ -55,16 +56,25 @@ def _observe_overlap(result: "OverlapResult", kernels: int) -> "OverlapResult":
 class OverlapResult:
     """Timeline of a set of kernels launched together."""
 
-    elapsed_ms: float
-    serial_ms: float
+    #: Packed and back-to-back elapsed time, in picosecond ticks.
+    elapsed_ps: int
+    serial_ps: int
     #: Per-kernel (name, time_ms, device_fraction) for timeline rendering.
     segments: tuple[tuple[str, float, float], ...]
 
     @property
+    def elapsed_ms(self) -> float:
+        return self.elapsed_ps / PS_PER_MS
+
+    @property
+    def serial_ms(self) -> float:
+        return self.serial_ps / PS_PER_MS
+
+    @property
     def overlap_speedup(self) -> float:
-        if self.elapsed_ms <= 0:
+        if self.elapsed_ps <= 0:
             return 1.0
-        return self.serial_ms / self.elapsed_ms
+        return self.serial_ps / self.elapsed_ps
 
 
 def _device_fraction(kernel: KernelCost, spec: DeviceSpec) -> float:
@@ -76,16 +86,14 @@ def _device_fraction(kernel: KernelCost, spec: DeviceSpec) -> float:
 def overlap_kernels(kernels: list[KernelCost], spec: DeviceSpec) -> OverlapResult:
     """Elapsed time of kernels launched concurrently under Hyper-Q.
 
-    One pass accumulates every per-axis sum in the same left-to-right
-    order the obvious per-axis reductions would, so the packed times are
-    bit-identical to summing each axis separately.
+    Kernel times are integer ticks; the packed axis bound is rounded once.
     """
-    serial = 0.0
-    longest = 0.0
+    serial = 0
+    longest = 0
     issue = dram = latency = 0.0
     segments = []
     for k in kernels:
-        t = k.time_ms
+        t = k.time_ps
         if t <= 0:
             continue
         serial += t
@@ -94,20 +102,20 @@ def overlap_kernels(kernels: list[KernelCost], spec: DeviceSpec) -> OverlapResul
         issue += k.issue_time_ms
         dram += k.dram_time_ms
         latency += k.latency_time_ms
-        segments.append((k.name, t, _device_fraction(k, spec)))
+        segments.append((k.name, k.time_ms, _device_fraction(k, spec)))
     if not segments:
-        return OverlapResult(0.0, 0.0, ())
+        return OverlapResult(0, 0, ())
     if spec.hyperq_queues <= 1:
         return _observe_overlap(OverlapResult(serial, serial,
                                               tuple(segments)),
                                 len(segments))
     # Concurrency is limited by the hardware queue count as well.
     batches = -(-len(segments) // spec.hyperq_queues)
-    elapsed = max(longest, issue, dram, latency) * batches
+    elapsed = max(longest, ticks(max(issue, dram, latency))) * batches
     return _observe_overlap(OverlapResult(min(elapsed, serial), serial,
                                           tuple(segments)), len(segments))
 
 
 def serialize_kernels(kernels: list[KernelCost]) -> float:
     """Elapsed time of kernels launched back-to-back in one stream."""
-    return sum(k.time_ms for k in kernels)
+    return sum(k.time_ps for k in kernels) / PS_PER_MS

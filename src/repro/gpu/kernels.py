@@ -38,6 +38,7 @@ import numpy as np
 
 from .. import accel
 from ..observ.registry import get_registry
+from .clock import PS_PER_MS, ticks
 from .memory import AccessPattern, EMPTY_ACCESS
 from .specs import DeviceSpec
 
@@ -122,8 +123,8 @@ class KernelCost:
     wasted_lane_steps: int
     instructions: int
     access: AccessPattern
-    #: Elapsed device time.
-    time_ms: float
+    #: Elapsed device time in picosecond ticks (:mod:`repro.gpu.clock`).
+    time_ps: int
     #: Time the DRAM/load-store pipeline is the binding resource.
     memory_time_ms: float
     #: Time attributable to unhidden memory latency (request-throughput
@@ -136,6 +137,10 @@ class KernelCost:
     dram_time_ms: float = 0.0
     latency_time_ms: float = 0.0
     _spec_clock_mhz: float = field(default=745.0, repr=False)
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
 
     @property
     def lane_steps(self) -> int:
@@ -177,7 +182,7 @@ def _observe_cost(cost: KernelCost) -> KernelCost:
     collecting): per-granularity launch counts, transactions and
     lane-step efficiency — the raw series behind Figs. 12 and 16."""
     registry = get_registry()
-    if registry.enabled and cost.time_ms > 0:
+    if registry.enabled and cost.time_ps > 0:
         gran = cost.granularity.value if cost.granularity else "none"
         registry.counter("repro.kernels.launched", granularity=gran).inc()
         registry.counter("repro.kernels.gld_transactions",
@@ -194,7 +199,7 @@ def _observe_cost(cost: KernelCost) -> KernelCost:
 def _empty_cost(name: str, gran: Granularity | None,
                 spec: DeviceSpec) -> KernelCost:
     return KernelCost(name, gran, 0, 0, 0, 0, 0, EMPTY_ACCESS,
-                      0.0, 0.0, 0.0, _spec_clock_mhz=spec.clock_mhz)
+                      0, 0.0, 0.0, _spec_clock_mhz=spec.clock_mhz)
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +238,12 @@ def _elapsed(
     critical_path_steps: int,
     step_instr: int,
     shared_accesses: int = 0,
-) -> tuple[float, float, float, float, float, float]:
+) -> tuple[int, float, float, float, float, float]:
     """Combine the four cost axes.
 
-    Returns ``(time, memory, stall, issue, dram, latency)`` in ms — the
-    last three are the per-axis demands the Hyper-Q model packs on.
+    Returns ``(time, memory, stall, issue, dram, latency)``: the elapsed
+    time rounded to picosecond ticks, the rest in ms — the last three
+    are the per-axis demands the Hyper-Q model packs on.
     """
     clock_hz = spec.clock_mhz * 1e6
     issue_s = instructions / (spec.total_cores * clock_hz)
@@ -261,7 +267,7 @@ def _elapsed(
     body_s = max(issue_s, dram_s, latency_s, critical_s) + dispatch_s
     stall_s = max(0.0, min(body_s, latency_s) - issue_s)
     memory_s = min(body_s, max(dram_s, latency_s))
-    return ((body_s + launch_s) * 1e3, memory_s * 1e3, stall_s * 1e3,
+    return (ticks((body_s + launch_s) * 1e3), memory_s * 1e3, stall_s * 1e3,
             (issue_s + dispatch_s) * 1e3, dram_s * 1e3, latency_s * 1e3)
 
 
@@ -404,13 +410,13 @@ def _expansion_build(
         edge_access = AccessPattern(useful + global_lookups, tx, bytes_moved)
 
     instructions = useful * INSTR_PER_EDGE + wasted
-    time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
+    time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
         spec, instructions, edge_access, lane_steps, threads_launched,
         critical, INSTR_PER_EDGE, shared_accesses=shared_hits,
     )
     return _observe_cost(KernelCost(
         name, granularity, groups, threads_launched, useful, wasted,
-        instructions, edge_access, time_ms, mem_ms, stall_ms,
+        instructions, edge_access, time_ps, mem_ms, stall_ms,
         issue_ms, dram_ms, lat_ms, _spec_clock_mhz=spec.clock_mhz,
     ))
 
@@ -478,13 +484,13 @@ def _sweep_build(
     threads = lane_steps
     instructions = useful * instr_per_element + wasted
     critical = 1
-    time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
+    time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
         spec, instructions, access, lane_steps, threads, critical,
         instr_per_element,
     )
     return _observe_cost(KernelCost(
         name, None, elements, threads, useful, wasted, instructions, access,
-        time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms,
+        time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms,
         _spec_clock_mhz=spec.clock_mhz,
     ))
 
@@ -532,12 +538,12 @@ def _prefix_sum_build(bins: int, spec: DeviceSpec,
     # pass the tree levels pipeline through shared memory, so the
     # critical path is the two pass traversals, not log2(n) dependent
     # global round trips.
-    time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
+    time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
         spec, instructions, access, 2 * bins, bins, 2, 4,
     )
     return _observe_cost(KernelCost(
         name, None, bins, bins, bins, 0, instructions, access,
-        time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms,
+        time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms,
         _spec_clock_mhz=spec.clock_mhz,
     ))
 
@@ -572,12 +578,12 @@ def _atomic_enqueue_build(
     # Serialised retries extend the critical path.
     dup_ratio = attempts / max(unique, 1)
     critical = int(dup_ratio * 4)
-    time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
+    time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms = _elapsed(
         spec, instructions, access, attempts, attempts, critical, 6,
     )
     return _observe_cost(KernelCost(
         name, None, attempts, attempts, unique, conflicts, instructions,
-        access, time_ms, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms,
+        access, time_ps, mem_ms, stall_ms, issue_ms, dram_ms, lat_ms,
         _spec_clock_mhz=spec.clock_mhz,
     ))
 

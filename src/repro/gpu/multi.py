@@ -12,7 +12,8 @@ This module provides the pieces: :func:`ballot_compress` /
 :func:`ballot_decompress` (the __ballot() equivalent, via
 ``np.packbits``), an :class:`InterconnectSpec` PCIe-like cost model, and
 :class:`DeviceGroup`, a set of simulated devices whose per-level times
-combine as ``max(device work) + allgather(communication)``.
+combine as ``max(device work) + allgather(communication)`` in integer
+picosecond ticks.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clock import PS_PER_MS, ticks
 from .device import GPUDevice
 from .specs import DeviceSpec, KEPLER_K40
 
@@ -106,10 +108,9 @@ class DeviceGroup:
         #: The :class:`~repro.faults.plan.FaultPlan` in force, if any.
         self.fault_plan = fault_plan
         self.interconnect = interconnect
-        self._comm_ms = 0.0
-        # A running total, added left to right: sum() over a list rounds
-        # differently from Python 3.12 on.
-        self._elapsed_ms = 0.0
+        # Integer picosecond ticks (repro.gpu.clock).
+        self._comm_ps = 0
+        self._elapsed_ps = 0
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -118,35 +119,37 @@ class DeviceGroup:
     def spec(self) -> DeviceSpec:
         return self.devices[0].spec
 
-    def barrier_level(self, per_device_ms: list[float]) -> float:
-        """Record one bulk-synchronous level; returns its wall time."""
-        if len(per_device_ms) != len(self.devices):
+    def barrier_level(self, per_device_ps: list[int]) -> int:
+        """Record one bulk-synchronous level from each device's ticks;
+        returns its wall time, the slowest device's."""
+        if len(per_device_ps) != len(self.devices):
             raise ValueError("need one time per device")
-        wall = max(per_device_ms) if per_device_ms else 0.0
-        self._elapsed_ms += wall
+        wall = max(per_device_ps) if per_device_ps else 0
+        self._elapsed_ps += wall
         return wall
 
-    def allgather_ms(self, total_bytes: int) -> float:
+    def allgather_ps(self, total_bytes: int) -> int:
         """Bandwidth-optimal ring allreduce/allgather of a ``total_bytes``
         array: every device ships ~2 (N-1)/N of the array over its link,
         all links active concurrently — the standard ring schedule, so
-        the per-level exchange cost is nearly independent of N."""
+        the per-level exchange cost is nearly independent of N.  Charged
+        and returned in ticks."""
         n = len(self.devices)
         if n == 1:
-            return 0.0
+            return 0
         per_link = -(-total_bytes // n)
-        ms = 2 * (n - 1) * self.interconnect.transfer_ms(per_link)
-        self._comm_ms += ms
-        self._elapsed_ms += ms
-        return ms
+        ps = ticks(2 * (n - 1) * self.interconnect.transfer_ms(per_link))
+        self._comm_ps += ps
+        self._elapsed_ps += ps
+        return ps
 
     @property
     def elapsed_ms(self) -> float:
-        return self._elapsed_ms
+        return self._elapsed_ps / PS_PER_MS
 
     @property
     def communication_ms(self) -> float:
-        return self._comm_ms
+        return self._comm_ps / PS_PER_MS
 
     # ------------------------------------------------------------------
     # Replicated-serving helpers (repro.serve): devices as independent
@@ -155,12 +158,6 @@ class DeviceGroup:
     def busy_ms(self) -> list[float]:
         """Per-device accumulated kernel time."""
         return [d.elapsed_ms for d in self.devices]
-
-    def least_loaded(self) -> tuple[int, GPUDevice]:
-        """Device with the least accumulated work (ties: lowest index)."""
-        busy = self.busy_ms()
-        idx = min(range(len(busy)), key=lambda i: (busy[i], i))
-        return idx, self.devices[idx]
 
     def utilization(self) -> list[float]:
         """Per-device busy fraction of the busiest device's span —
@@ -174,5 +171,5 @@ class DeviceGroup:
     def reset(self) -> None:
         for d in self.devices:
             d.reset()
-        self._comm_ms = 0.0
-        self._elapsed_ms = 0.0
+        self._comm_ps = 0
+        self._elapsed_ps = 0

@@ -17,10 +17,10 @@ reproduction the same toolchain as first-class infrastructure:
 * :mod:`~repro.observ.slo` — SLO targets, windowed error-budget
   accounting, and multi-window burn-rate alerts on the simulated clock.
 * :mod:`~repro.observ.profiler` — per-level, per-kernel-class run
-  profiles (``repro.profile/v1`` artifacts), ranked bottleneck findings
+  profiles (``repro.profile/v2`` artifacts), ranked bottleneck findings
   and exact differential GTEPS attribution between two runs.
 * :mod:`~repro.observ.clusterprof` — cluster-scale profiles
-  (``repro.clusterprofile/v1``): exact per-tier wall-time attribution
+  (``repro.clusterprofile/v2``): exact per-tier wall-time attribution
   for cluster BFS, ranked interconnect/staging/straggler findings, and
   the weak-scaling efficiency waterfall.
 * :mod:`~repro.observ.roofline` — roofline placement against

@@ -14,19 +14,19 @@ cluster tiers —
 ``allreduce_inter``   frontier-consensus allreduce, slow-tier phase
 ``staging``           out-of-core adjacency page-in (max over nodes)
 
-— with the same largest-remainder rule as the kernel profiler: shares
-are proportional to the raw charged cost and the last active tier
-absorbs the float remainder, so each level's ``attributed_ms`` sums to
-its ``time_ms`` *exactly*, and :meth:`ClusterProfile.tier_totals` sums
-to the run's ``time_ms`` exactly.  Because a weak-scaling run's wall
-time is exactly partitioned at every node count,
+— in integer picosecond ticks (:mod:`repro.gpu.clock`).  Each tier's
+charge is rounded to a tick where the level loop makes it, and the
+level's ticks are their sum, so each level's tier slices sum to its
+``time_ps`` and :meth:`ClusterProfile.tier_totals` to the run's
+``time_ps`` under plain integer ``==``.  Because a weak-scaling run's
+wall time is exactly partitioned at every node count,
 :func:`decompose_weak_scaling` can express the gap from ideal scaling,
-``1 - T(1)/T(N)``, as a per-tier waterfall whose terms sum to the gap —
-naming *which tier ate the missing efficiency* instead of reporting one
-opaque number.
+``1 - T(1)/T(N)``, as a per-tier waterfall of tick deltas that sum to
+``T(N) - T(1)`` — naming *which tier ate the missing efficiency*
+instead of reporting one opaque number.
 
 Profiles serialize to a versioned, byte-deterministic JSON schema
-(``repro.clusterprofile/v1``); :func:`diagnose_cluster` produces ranked
+(``repro.clusterprofile/v2``); :func:`diagnose_cluster` produces ranked
 :class:`~repro.observ.profiler.Finding`\\ s (interconnect-bound,
 staging-bound, node stragglers, latency-dominated allreduces) and
 :func:`render_cluster_html` a self-contained report with a per-node
@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..gpu.clock import PS_PER_MS, ticks
 from .profiler import Finding, _table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,11 +74,9 @@ __all__ = [
 ]
 
 #: Schema tag; bump on any incompatible layout change.
-CLUSTER_PROFILE_SCHEMA = "repro.clusterprofile/v1"
+CLUSTER_PROFILE_SCHEMA = "repro.clusterprofile/v2"
 
-#: Cluster tiers in canonical report order.  The order matters: the
-#: largest-remainder attribution assigns the float remainder to the
-#: *last active* tier in this order, so reordering changes bytes.
+#: Cluster tiers in canonical report order.
 CLUSTER_TIERS = ("compute", "row_exchange", "col_exchange",
                  "allreduce_intra", "allreduce_inter", "staging")
 
@@ -91,15 +90,16 @@ class TierSlice:
     """One tier's cost within one cluster level."""
 
     tier: str
-    #: Raw charged cost (what the simulator added for this tier).
-    time_ms: float
-    #: The tier's exact share of the level's wall time (largest-remainder
-    #: split: proportional to ``time_ms``, remainder to the last active
-    #: tier, so slices sum to the level total *exactly*).
-    attributed_ms: float
+    #: The ticks the level loop charged this tier; a level's slices sum
+    #: to its ``time_ps``.
+    time_ps: int
     #: Payload bytes this tier moved during the level (0 for tiers whose
     #: payloads are not tracked per level, e.g. the 8-byte allreduce).
     nbytes: int
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,17 @@ class ClusterLevelProfile:
     direction: str
     frontier_count: int
     newly_visited: int
-    #: Exactly what the level added to the run's wall clock.
-    time_ms: float
+    #: Exactly what the level added to the run's wall clock, in ticks.
+    time_ps: int
     tiers: tuple[TierSlice, ...]
-    #: Per-node critical-path kernel time (the level pays the max).
-    node_compute_ms: tuple[float, ...]
-    #: Per-node concurrent page-in time (the level pays the max).
-    node_staging_ms: tuple[float, ...]
+    #: Per-node critical-path kernel ticks (the level pays the max).
+    node_compute_ps: tuple[int, ...]
+    #: Per-node concurrent page-in ticks (the level pays the max).
+    node_staging_ps: tuple[int, ...]
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
 
     def tier(self, name: str) -> TierSlice:
         for s in self.tiers:
@@ -126,25 +130,19 @@ class ClusterLevelProfile:
 
     @property
     def dominant_tier(self) -> TierSlice | None:
-        live = [s for s in self.tiers if s.attributed_ms > 0]
-        return max(live, key=lambda s: s.attributed_ms) if live else None
+        live = [s for s in self.tiers if s.time_ps > 0]
+        return max(live, key=lambda s: s.time_ps) if live else None
 
     @property
     def straggler_wait_ms(self) -> float:
         """Mean per-node idle time waiting for the slowest node's
         kernels: ``max(node_compute) - mean(node_compute)``.  0 on a
         perfectly balanced level (or a single node)."""
-        if not self.node_compute_ms:
+        if not self.node_compute_ps:
             return 0.0
-        peak = max(self.node_compute_ms)
-        mean = sum(self.node_compute_ms) / len(self.node_compute_ms)
-        return peak - mean
-
-    @property
-    def comm_ms(self) -> float:
-        """Raw exchange + collective cost this level (both tiers)."""
-        return sum(s.time_ms for s in self.tiers
-                   if s.tier != "compute" and s.tier != "staging")
+        peak = max(self.node_compute_ps)
+        total = sum(self.node_compute_ps)
+        return (peak - total / len(self.node_compute_ps)) / PS_PER_MS
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,8 @@ class ClusterProfile:
     source: int
     num_nodes: int
     gpus_per_node: int
-    time_ms: float
+    #: The run's wall clock, in ticks.
+    time_ps: int
     edges_traversed: int
     visited: int
     depth: int
@@ -177,8 +176,12 @@ class ClusterProfile:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
+
+    @property
     def teps(self) -> float:
-        if self.time_ms <= 0:
+        if self.time_ps <= 0:
             return 0.0
         return self.edges_traversed / (self.time_ms * 1e-3)
 
@@ -186,23 +189,17 @@ class ClusterProfile:
     def gteps(self) -> float:
         return self.teps / 1e9
 
-    def tier_totals(self) -> dict[str, float]:
-        """Whole-run wall time per tier, summing to ``time_ms``
-        *exactly*: per-level attributed slices are summed per tier and
-        the (float-reassociation-only) drift is absorbed by the largest
-        tier, ties broken by canonical order."""
-        totals = {t: 0.0 for t in CLUSTER_TIERS}
+    def tier_totals(self) -> dict[str, int]:
+        """Whole-run ticks per tier, summing to ``time_ps``."""
+        totals = dict.fromkeys(CLUSTER_TIERS, 0)
         for lvl in self.levels:
             for s in lvl.tiers:
-                totals[s.tier] += s.attributed_ms
-        values = [totals[t] for t in CLUSTER_TIERS]
-        top = max(range(len(values)), key=lambda i: values[i])
-        _absorb_residual(values, self.time_ms, top)
-        return dict(zip(CLUSTER_TIERS, values))
+                totals[s.tier] += s.time_ps
+        return totals
 
     def tier_shares(self) -> dict[str, float]:
-        total = max(self.time_ms, 1e-12)
-        return {t: ms / total for t, ms in self.tier_totals().items()}
+        total = max(self.time_ps, 1)
+        return {t: ps / total for t, ps in self.tier_totals().items()}
 
     @property
     def straggler_share(self) -> float:
@@ -225,112 +222,16 @@ class ClusterProfile:
 # Building profiles
 # ----------------------------------------------------------------------
 
-def _ltr_sum(values: list[float]) -> float:
-    """Left-to-right float sum — the exact order every consumer and test
-    uses to check the partition invariant."""
-    s = 0.0
-    for v in values:
-        s += v
-    return s
-
-
-def _absorb_residual(values: list[float], total: float, index: int) -> None:
-    """Nudge ``values[index]`` until the left-to-right sum of ``values``
-    reproduces ``total`` *bit-exactly*.
-
-    A plain ``last = total - sum(others)`` is not enough: re-summing the
-    shares left to right reassociates the additions and can land 1 ulp
-    off ``total``.  Feeding the residual back can oscillate when it
-    straddles the absorber's ulp, so after a couple of coarse rounds we
-    walk the absorber one ulp at a time — rounding is monotone, so as
-    long as the absorber is within a few binades of ``total`` (callers
-    pick the largest slot) some float normally lands the sum exactly.
-    Two failure modes remain after that, both driven by round-to-even
-    ties.  Walking a *middle* slot cascades through the downstream
-    additions, where the step can round up to exactly one ulp of the
-    final sum and keep the last addition pinned on midpoints — so the
-    walk happens on the **last** non-zero slot, whose addition is the
-    only rounding in play (trailing zero slots add exactly).  That
-    single rounding can still skip ``total`` when the walked slot
-    shares ``total``'s binade (steps land midpoint to midpoint); then
-    the prefix sum is provably in a lower binade, so shifting it
-    sub-ulp — by nudging an earlier slot until the rounded prefix
-    actually moves — breaks the tie and the re-walk lands."""
-    import math
-
-    s = _ltr_sum(values)
-    for _ in range(4):
-        if s == total:
-            return
-        values[index] += total - s
-        s = _ltr_sum(values)
-    if s == total:
-        return
-    active = [i for i, v in enumerate(values) if v != 0.0]
-    if not active:
-        values[index] = total
-        return
-    last = active[-1]
-
-    def prefix() -> float:
-        return _ltr_sum(values[:last])
-
-    def walk(steps: int = 64) -> bool:
-        s = _ltr_sum(values)
-        for _ in range(steps):
-            if s == total:
-                return True
-            values[last] = math.nextafter(
-                values[last], math.inf if s < total else -math.inf)
-            s = _ltr_sum(values)
-        return s == total
-
-    values[last] += total - s
-    if walk():
-        return
-    for j in reversed(active[:-1]):
-        base = prefix()
-        for _ in range(8):
-            s = _ltr_sum(values)
-            if s == total:
-                return
-            values[j] = math.nextafter(
-                values[j], math.inf if s < total else -math.inf)
-            if prefix() != base:
-                break
-        if walk():
-            return
-
-
 def _tier_slices(cost: "ClusterLevelCost") -> tuple[TierSlice, ...]:
-    """Partition one level's wall time across the six tiers with the
-    largest-remainder rule (proportional shares, last active tier gets
-    the remainder, so the slices sum to ``cost.total_ms`` exactly)."""
-    raw = [
-        ("compute", cost.compute_ms, 0),
-        ("row_exchange", cost.row_ms, cost.bytes_row),
-        ("col_exchange", cost.col_ms, cost.bytes_col),
-        ("allreduce_intra", cost.allreduce_intra_ms, 0),
-        ("allreduce_inter", cost.allreduce_inter_ms, 0),
-        ("staging", cost.staging_ms, cost.bytes_staged),
-    ]
-    active = [i for i, (_, t, _) in enumerate(raw) if t > 0]
-    shares = [0.0] * len(raw)
-    if active:
-        serial = sum(raw[i][1] for i in active)
-        remaining = cost.total_ms
-        for j, i in enumerate(active):
-            if j == len(active) - 1:
-                shares[i] = remaining
-            else:
-                share = cost.total_ms * (raw[i][1] / serial)
-                shares[i] = share
-                remaining -= share
-        _absorb_residual(shares, cost.total_ms,
-                         max(active, key=lambda i: shares[i]))
-    return tuple(TierSlice(tier=name, time_ms=t, attributed_ms=shares[i],
-                           nbytes=int(nb))
-                 for i, (name, t, nb) in enumerate(raw))
+    """One level's six tier charges, as ticks."""
+    return (
+        TierSlice("compute", ticks(cost.compute_ms), 0),
+        TierSlice("row_exchange", ticks(cost.row_ms), cost.bytes_row),
+        TierSlice("col_exchange", ticks(cost.col_ms), cost.bytes_col),
+        TierSlice("allreduce_intra", ticks(cost.allreduce_intra_ms), 0),
+        TierSlice("allreduce_inter", ticks(cost.allreduce_inter_ms), 0),
+        TierSlice("staging", ticks(cost.staging_ms), cost.bytes_staged),
+    )
 
 
 def build_cluster_profile(
@@ -343,8 +244,9 @@ def build_cluster_profile(
     :class:`ClusterProfile`.
 
     All the raw material comes from ``res.level_costs`` (recorded at
-    charge time by :func:`~repro.bfs.cluster.cluster_enterprise_bfs`);
-    ``fabric`` only contributes the interconnect tier names.
+    charge time by :func:`~repro.bfs.cluster.cluster_enterprise_bfs`,
+    whose ms values are whole ticks); ``fabric`` only contributes the
+    interconnect tier names.
     """
     import math
 
@@ -354,10 +256,10 @@ def build_cluster_profile(
             direction=c.direction,
             frontier_count=c.frontier_count,
             newly_visited=c.newly_visited,
-            time_ms=c.total_ms,
+            time_ps=ticks(c.total_ms),
             tiers=_tier_slices(c),
-            node_compute_ms=tuple(c.node_compute_ms),
-            node_staging_ms=tuple(c.node_staging_ms),
+            node_compute_ps=tuple(ticks(ms) for ms in c.node_compute_ms),
+            node_staging_ps=tuple(ticks(ms) for ms in c.node_staging_ms),
         )
         for c in res.level_costs)
     adv = res.hierarchy_advantage
@@ -367,7 +269,7 @@ def build_cluster_profile(
         source=int(res.result.source),
         num_nodes=res.num_nodes,
         gpus_per_node=res.gpus_per_node,
-        time_ms=res.time_ms,
+        time_ps=ticks(res.time_ms),
         edges_traversed=int(res.result.edges_traversed),
         visited=int(res.result.visited),
         depth=int(res.result.depth),
@@ -448,13 +350,13 @@ def cluster_from_json(doc: Mapping) -> ClusterProfile:
         ClusterLevelProfile(**{
             **lvl,
             "tiers": tuple(TierSlice(**s) for s in lvl["tiers"]),
-            "node_compute_ms": tuple(lvl["node_compute_ms"]),
-            "node_staging_ms": tuple(lvl["node_staging_ms"]),
+            "node_compute_ps": tuple(lvl["node_compute_ps"]),
+            "node_staging_ps": tuple(lvl["node_staging_ps"]),
         })
         for lvl in doc["levels"])
     fields = {k: doc[k] for k in (
         "algorithm", "graph", "source", "num_nodes", "gpus_per_node",
-        "time_ms", "edges_traversed", "visited", "depth", "bytes_intra",
+        "time_ps", "edges_traversed", "visited", "depth", "bytes_intra",
         "bytes_inter", "bytes_read", "hierarchy_advantage", "intra_link",
         "inter_link", "meta")}
     return ClusterProfile(levels=levels,
@@ -474,7 +376,7 @@ def load_cluster_profile(path: str | Path) -> ClusterProfile:
 
 
 def validate_cluster_profile(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a v1 cluster profile."""
+    """Raise ``ValueError`` unless ``doc`` is a v2 cluster profile."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"cluster profile must be an object, "
                          f"got {type(doc)}")
@@ -482,7 +384,7 @@ def validate_cluster_profile(doc: object) -> None:
         raise ValueError(
             f"unknown cluster profile schema {doc.get('schema')!r} "
             f"(expected {CLUSTER_PROFILE_SCHEMA!r})")
-    for key in ("algorithm", "graph", "time_ms", "num_nodes",
+    for key in ("algorithm", "graph", "time_ps", "num_nodes",
                 "gpus_per_node", "levels", "shard_bytes"):
         if key not in doc:
             raise ValueError(f"cluster profile lacks {key!r}")
@@ -495,6 +397,11 @@ def validate_cluster_profile(doc: object) -> None:
         if names != list(CLUSTER_TIERS):
             raise ValueError(
                 f"levels[{i}] tiers {names} != {list(CLUSTER_TIERS)}")
+        if sum(s["time_ps"] for s in lvl["tiers"]) != lvl["time_ps"]:
+            raise ValueError(f"levels[{i}] tier ticks do not sum to the "
+                             "level's time_ps")
+    if sum(lvl["time_ps"] for lvl in doc["levels"]) != doc["time_ps"]:
+        raise ValueError("level ticks do not sum to the run's time_ps")
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +442,7 @@ def diagnose_cluster(profile: ClusterProfile, *, max_findings: int = 8
             f"{profile.bytes_intra:,} exchange bytes stayed on-node"))
     if shares["staging"] >= 0.10:
         cold = [l.level for l in profile.levels
-                if l.tier("staging").time_ms > 0]
+                if l.tier("staging").time_ps > 0]
         scored.append((
             shares["staging"], "staging-bound",
             f"out-of-core staging {shares['staging']:.0%} of run",
@@ -559,9 +466,9 @@ def diagnose_cluster(profile: ClusterProfile, *, max_findings: int = 8
     ar_share = shares["allreduce_intra"] + shares["allreduce_inter"]
     if ar_share >= 0.02:
         small = sum(1 for l in profile.levels
-                    if (l.tier("allreduce_intra").time_ms
-                        + l.tier("allreduce_inter").time_ms)
-                    > l.tier("compute").time_ms)
+                    if (l.tier("allreduce_intra").time_ps
+                        + l.tier("allreduce_inter").time_ps)
+                    > l.tier("compute").time_ps)
         scored.append((
             ar_share, "allreduce-latency",
             f"frontier-consensus allreduce {ar_share:.0%} of run",
@@ -584,11 +491,11 @@ def diagnose_cluster(profile: ClusterProfile, *, max_findings: int = 8
 @dataclass(frozen=True)
 class ScalingTerm:
     """One tier's contribution to the efficiency gap at one node count:
-    ``(tier_ms(N) - tier_ms(base)) / T(N)``."""
+    its tick delta ``ps - base_ps`` over ``T(N)``."""
 
     tier: str
-    base_ms: float
-    ms: float
+    base_ps: int
+    ps: int
     term: float
 
 
@@ -598,22 +505,13 @@ class ScalingStep:
 
     nodes: int
     gpus: int
-    time_ms: float
+    time_ps: int
     #: ``T(base) / T(N)`` — 1.0 is perfect weak scaling.
     efficiency: float
-    #: ``1 - efficiency``; the stored terms sum to this exactly (the
-    #: float-rounding residual is absorbed by the largest-magnitude
-    #: term and reported in :attr:`residual`).
+    #: ``1 - efficiency``: the terms' tick deltas sum to
+    #: ``T(N) - T(base)`` exactly, so their ``term`` values sum to it.
     gap: float
     terms: tuple[ScalingTerm, ...]
-    #: Pre-absorption float residual (|residual| <= ~1e-15 in practice).
-    residual: float
-
-    def term(self, tier: str) -> ScalingTerm:
-        for t in self.terms:
-            if t.tier == tier:
-                return t
-        raise KeyError(tier)
 
 
 @dataclass(frozen=True)
@@ -624,7 +522,7 @@ class WeakScalingDecomposition:
     base run, a negative one that it shrank (paying back gap)."""
 
     base_nodes: int
-    base_time_ms: float
+    base_time_ps: int
     steps: tuple[ScalingStep, ...]
 
     def worst_tier(self) -> str:
@@ -644,13 +542,10 @@ def decompose_weak_scaling(
 
     ``profiles`` must be ordered by node count, the first being the
     reference (efficiency 1.0 by definition).  Because each profile's
-    tier totals partition its wall time exactly, the identity
+    tier totals partition its wall ticks exactly, the tier deltas sum
+    to ``T(N) - T(1)`` exactly, so
 
-    ``gap(N) = (T(N) - T(1)) / T(N) = sum_tier (tier(N) - tier(1)) / T(N)``
-
-    holds up to float reassociation; the residual is absorbed into the
-    largest-magnitude term so the stored terms sum to the gap exactly,
-    and is also reported raw per step.
+    ``gap(N) = (T(N) - T(1)) / T(N) = sum_tier (tier(N) - tier(1)) / T(N)``.
     """
     if not profiles:
         raise ValueError("need at least one profile to decompose")
@@ -658,33 +553,24 @@ def decompose_weak_scaling(
     base_totals = base.tier_totals()
     steps: list[ScalingStep] = []
     for p in profiles:
-        if p.time_ms <= 0:
+        if p.time_ps <= 0:
             raise ValueError(f"profile at {p.num_nodes} nodes has no "
                              "elapsed time")
         totals = p.tier_totals()
-        efficiency = base.time_ms / p.time_ms
-        gap = (p.time_ms - base.time_ms) / p.time_ms
-        raw_terms = [(totals[t] - base_totals[t]) / p.time_ms
-                     for t in CLUSTER_TIERS]
-        residual = gap - sum(raw_terms)
-        values = list(raw_terms)
-        k = max(range(len(values)), key=lambda i: abs(values[i]))
-        _absorb_residual(values, gap, k)
-        terms = [ScalingTerm(tier=t, base_ms=base_totals[t], ms=totals[t],
-                             term=values[i])
-                 for i, t in enumerate(CLUSTER_TIERS)]
         steps.append(ScalingStep(
             nodes=p.num_nodes,
             gpus=p.num_nodes * p.gpus_per_node,
-            time_ms=p.time_ms,
-            efficiency=efficiency,
-            gap=gap,
-            terms=tuple(terms),
-            residual=residual,
+            time_ps=p.time_ps,
+            efficiency=base.time_ps / p.time_ps,
+            gap=(p.time_ps - base.time_ps) / p.time_ps,
+            terms=tuple(
+                ScalingTerm(tier=t, base_ps=base_totals[t], ps=totals[t],
+                            term=(totals[t] - base_totals[t]) / p.time_ps)
+                for t in CLUSTER_TIERS),
         ))
     return WeakScalingDecomposition(
         base_nodes=base.num_nodes,
-        base_time_ms=base.time_ms,
+        base_time_ps=base.time_ps,
         steps=tuple(steps),
     )
 
@@ -723,20 +609,21 @@ def format_cluster_profile(profile: ClusterProfile, *,
             "frontier": lvl.frontier_count,
             "time_ms": lvl.time_ms,
             "share": f"{lvl.time_ms / total:.1%}",
-            "compute": lvl.tier("compute").attributed_ms,
-            "row": lvl.tier("row_exchange").attributed_ms,
-            "col": lvl.tier("col_exchange").attributed_ms,
-            "allreduce": (lvl.tier("allreduce_intra").attributed_ms
-                          + lvl.tier("allreduce_inter").attributed_ms),
-            "staging": lvl.tier("staging").attributed_ms,
+            "compute": lvl.tier("compute").time_ms,
+            "row": lvl.tier("row_exchange").time_ms,
+            "col": lvl.tier("col_exchange").time_ms,
+            "allreduce": (lvl.tier("allreduce_intra").time_ps
+                          + lvl.tier("allreduce_inter").time_ps) / PS_PER_MS,
+            "staging": lvl.tier("staging").time_ms,
             "top": dom.tier if dom else "-",
         })
     lines.append(_table(rows))
     lines += ["", "-- tiers (whole run) --"]
     totals = profile.tier_totals()
+    shares = profile.tier_shares()
     lines.append(_table([
-        {"tier": t, "wall_ms": totals[t],
-         "share": f"{totals[t] / total:.1%}"}
+        {"tier": t, "wall_ms": totals[t] / PS_PER_MS,
+         "share": f"{shares[t]:.1%}"}
         for t in CLUSTER_TIERS]))
     lines += ["", "-- findings --"]
     findings = diagnose_cluster(profile, max_findings=max_findings)
@@ -749,14 +636,14 @@ def format_weak_scaling(decomp: WeakScalingDecomposition) -> str:
     per tier."""
     lines = [
         f"-- weak scaling waterfall (base {decomp.base_nodes} node(s), "
-        f"T_base {decomp.base_time_ms:.4f} ms) --",
+        f"T_base {decomp.base_time_ps / PS_PER_MS:.4f} ms) --",
     ]
     rows = []
     for step in decomp.steps:
         row: dict[str, object] = {
             "nodes": step.nodes,
             "gpus": step.gpus,
-            "time_ms": step.time_ms,
+            "time_ms": step.time_ps / PS_PER_MS,
             "eff": f"{step.efficiency:.3f}",
             "gap": f"{step.gap:+.1%}",
         }
@@ -821,11 +708,11 @@ def _html_level_bar(lvl: ClusterLevelProfile, total: float) -> str:
     width = 100.0 * lvl.time_ms / total if total > 0 else 0.0
     segs = []
     for s in lvl.tiers:
-        if lvl.time_ms <= 0 or s.attributed_ms <= 0:
+        if lvl.time_ps <= 0 or s.time_ps <= 0:
             continue
-        segs.append(_seg(100 * s.attributed_ms / lvl.time_ms,
+        segs.append(_seg(100 * s.time_ps / lvl.time_ps,
                          _TIER_COLORS.get(s.tier, "#999"),
-                         f"{s.tier} {s.attributed_ms:.5f} ms"))
+                         f"{s.tier} {s.time_ms:.5f} ms"))
     dom = lvl.dominant_tier
     return (
         f'<div class="lvl">'
@@ -848,12 +735,12 @@ def _html_gantt(profile: ClusterProfile) -> list[str]:
     for node in range(profile.num_nodes):
         segs: list[str] = []
         for lvl in profile.levels:
-            stage_peak = max(lvl.node_staging_ms, default=0.0)
-            comp_peak = max(lvl.node_compute_ms, default=0.0)
-            stage = (lvl.node_staging_ms[node]
-                     if node < len(lvl.node_staging_ms) else 0.0)
-            comp = (lvl.node_compute_ms[node]
-                    if node < len(lvl.node_compute_ms) else 0.0)
+            stage_peak = max(lvl.node_staging_ps, default=0) / PS_PER_MS
+            comp_peak = max(lvl.node_compute_ps, default=0) / PS_PER_MS
+            stage = (lvl.node_staging_ps[node] / PS_PER_MS
+                     if node < len(lvl.node_staging_ps) else 0.0)
+            comp = (lvl.node_compute_ps[node] / PS_PER_MS
+                    if node < len(lvl.node_compute_ps) else 0.0)
             comm = lvl.time_ms - stage_peak - comp_peak
             pct = 100.0 / total
             segs.append(_seg(stage * pct, _TIER_COLORS["staging"],
@@ -885,7 +772,8 @@ def _html_waterfall(decomp: WeakScalingDecomposition) -> list[str]:
                  f"{t.tier} {t.term:+.2%}")
             for t in step.terms if abs(t.term) > 0) if span else ""
         parts.append(
-            f"<tr><td>{step.nodes}</td><td>{step.time_ms:.4f}</td>"
+            f"<tr><td>{step.nodes}</td>"
+            f"<td>{step.time_ps / PS_PER_MS:.4f}</td>"
             f"<td>{step.efficiency:.3f}</td>"
             f"<td class='{'pos' if step.gap > 0 else 'neg'}'>"
             f"{step.gap:+.1%}</td>"
@@ -932,13 +820,14 @@ def render_cluster_html(
     parts.append("<h2>Tier totals</h2><table><tr><th>tier</th>"
                  "<th>wall ms</th><th>share</th><th>bytes</th></tr>")
     totals = profile.tier_totals()
+    shares = profile.tier_shares()
     tier_bytes = {"row_exchange": profile.bytes_intra,
                   "col_exchange": profile.bytes_inter,
                   "staging": profile.bytes_read}
     for t in CLUSTER_TIERS:
         parts.append(
-            f"<tr><td>{_esc(t)}</td><td>{totals[t]:.4f}</td>"
-            f"<td>{totals[t] / total:.1%}</td>"
+            f"<tr><td>{_esc(t)}</td><td>{totals[t] / PS_PER_MS:.4f}</td>"
+            f"<td>{shares[t]:.1%}</td>"
             f"<td>{tier_bytes.get(t, 0):,}</td></tr>")
     parts.append("</table>")
 
@@ -955,7 +844,8 @@ def render_cluster_html(
     if decomposition is not None:
         parts.append("<h2>Weak-scaling efficiency waterfall "
                      f"(base {decomposition.base_nodes} node(s), "
-                     f"T_base {decomposition.base_time_ms:.4f} ms)</h2>")
+                     f"T_base {decomposition.base_time_ps / PS_PER_MS:.4f} "
+                     "ms)</h2>")
         parts += _html_waterfall(decomposition)
         last = decomposition.steps[-1] if decomposition.steps else None
         if last is not None and last.gap > 0:

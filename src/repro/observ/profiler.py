@@ -17,16 +17,17 @@ gap:
   stall_data_request 78% — memory-bound"), the nvvp guided-analysis
   analogue.
 * :func:`diff_profiles` attributes a GTEPS delta between two runs to
-  named levels, kernel classes and counters *exactly*: the per-cell time
-  deltas partition the total time delta, so the attributed GTEPS
+  named levels, kernel classes and counters *exactly*: the per-cell tick
+  deltas partition the total tick delta, so the attributed GTEPS
   contributions sum to the observed delta (coverage is reported and is
   1.0 up to float rounding — well past the 95% the CI gate demands).
 
-Profiles serialize to a versioned JSON schema (``repro.profile/v1``)
-that is byte-deterministic for a fixed seed, making profile artifacts
-diffable in CI.  :func:`render_html` produces a self-contained
-flame-style HTML report; :func:`format_profile` / :func:`format_diff`
-the terminal equivalents.
+Times are integer picosecond ticks (:mod:`repro.gpu.clock`), so the
+partitions hold under plain ``==``.  Profiles serialize to a versioned
+JSON schema (``repro.profile/v2``) that is byte-deterministic for a
+fixed seed, making profile artifacts diffable in CI.
+:func:`render_html` produces a self-contained flame-style HTML report;
+:func:`format_profile` / :func:`format_diff` the terminal equivalents.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ..gpu.clock import PS_PER_MS, apportion
 from .roofline import roofline_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -71,7 +73,7 @@ __all__ = [
 ]
 
 #: Schema tag; bump on any incompatible layout change.
-PROFILE_SCHEMA = "repro.profile/v1"
+PROFILE_SCHEMA = "repro.profile/v2"
 
 #: Kernel classes in report order: the four §2.2 granularities plus
 #: ``scan`` for granularity-less sweeps (classification, prefix sums,
@@ -97,13 +99,13 @@ class ClassProfile:
 
     kernel_class: str
     launches: int
-    #: Serial sum of the class' kernel times (what nvprof would report
+    #: Serial sum of the class' kernel ticks (what nvprof would report
     #: per kernel; under Hyper-Q classes overlap, so these exceed wall).
-    time_ms: float
-    #: The class' exact share of the level's expansion wall time (the
-    #: per-record wall split proportionally to serial time, with the
-    #: remainder assigned to the last class so shares sum *exactly*).
-    attributed_ms: float
+    time_ps: int
+    #: The class' share of the level's expansion wall ticks: each launch
+    #: record's ticks split in proportion to serial time by largest
+    #: remainder, so the shares sum to the level's ticks exactly.
+    attributed_ps: int
     gld_transactions: int
     bytes_moved: int
     instructions: int
@@ -114,7 +116,15 @@ class ClassProfile:
     issue_time_ms: float
     dram_time_ms: float
     latency_time_ms: float
-    max_kernel_ms: float
+    max_kernel_ps: int
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
+
+    @property
+    def attributed_ms(self) -> float:
+        return self.attributed_ps / PS_PER_MS
 
     @property
     def simt_efficiency(self) -> float:
@@ -123,7 +133,7 @@ class ClassProfile:
 
     @property
     def stall_share(self) -> float:
-        return self.stall_time_ms / self.time_ms if self.time_ms > 0 else 0.0
+        return self.stall_time_ms / self.time_ms if self.time_ps > 0 else 0.0
 
 
 def _merge_classes(groups: Iterable[ClassProfile]) -> list[ClassProfile]:
@@ -131,16 +141,16 @@ def _merge_classes(groups: Iterable[ClassProfile]) -> list[ClassProfile]:
     acc: dict[str, dict] = {}
     for g in groups:
         d = acc.setdefault(g.kernel_class, {
-            "kernel_class": g.kernel_class, "launches": 0, "time_ms": 0.0,
-            "attributed_ms": 0.0, "gld_transactions": 0, "bytes_moved": 0,
+            "kernel_class": g.kernel_class, "launches": 0, "time_ps": 0,
+            "attributed_ps": 0, "gld_transactions": 0, "bytes_moved": 0,
             "instructions": 0, "useful_lane_steps": 0,
             "wasted_lane_steps": 0, "memory_time_ms": 0.0,
             "stall_time_ms": 0.0, "issue_time_ms": 0.0, "dram_time_ms": 0.0,
-            "latency_time_ms": 0.0, "max_kernel_ms": 0.0,
+            "latency_time_ms": 0.0, "max_kernel_ps": 0,
         })
         d["launches"] += g.launches
-        d["time_ms"] += g.time_ms
-        d["attributed_ms"] += g.attributed_ms
+        d["time_ps"] += g.time_ps
+        d["attributed_ps"] += g.attributed_ps
         d["gld_transactions"] += g.gld_transactions
         d["bytes_moved"] += g.bytes_moved
         d["instructions"] += g.instructions
@@ -151,7 +161,7 @@ def _merge_classes(groups: Iterable[ClassProfile]) -> list[ClassProfile]:
         d["issue_time_ms"] += g.issue_time_ms
         d["dram_time_ms"] += g.dram_time_ms
         d["latency_time_ms"] += g.latency_time_ms
-        d["max_kernel_ms"] = max(d["max_kernel_ms"], g.max_kernel_ms)
+        d["max_kernel_ps"] = max(d["max_kernel_ps"], g.max_kernel_ps)
     order = {name: i for i, name in enumerate(KERNEL_CLASSES)}
     return [ClassProfile(**d) for _, d in
             sorted(acc.items(), key=lambda kv: order.get(kv[0], 99))]
@@ -166,10 +176,10 @@ class LevelProfile:
     frontier_count: int
     newly_visited: int
     edges_checked: int
-    #: Exact wall-time split from the device timeline: queue generation
+    #: Exact wall-tick split from the device timeline: queue generation
     #: (the §4.1 workflows) vs frontier expansion.
-    queue_gen_ms: float
-    expand_ms: float
+    queue_gen_ps: int
+    expand_ps: int
     hub_cache_hits: int
     hub_cache_lookups: int
     classes: tuple[ClassProfile, ...]
@@ -187,8 +197,16 @@ class LevelProfile:
     gamma: float = -1.0
 
     @property
+    def queue_gen_ms(self) -> float:
+        return self.queue_gen_ps / PS_PER_MS
+
+    @property
+    def expand_ms(self) -> float:
+        return self.expand_ps / PS_PER_MS
+
+    @property
     def time_ms(self) -> float:
-        return self.queue_gen_ms + self.expand_ms
+        return (self.queue_gen_ps + self.expand_ps) / PS_PER_MS
 
     @property
     def hub_cache_hit_rate(self) -> float:
@@ -198,15 +216,15 @@ class LevelProfile:
 
     @property
     def dominant_class(self) -> ClassProfile | None:
-        live = [c for c in self.classes if c.attributed_ms > 0]
-        return max(live, key=lambda c: c.attributed_ms) if live else None
+        live = [c for c in self.classes if c.attributed_ps > 0]
+        return max(live, key=lambda c: c.attributed_ps) if live else None
 
     @property
     def class_imbalance(self) -> float:
         """Largest class serial time over the mean across active classes
         — how unevenly the level's work landed on the four queues (1.0 =
         perfectly balanced, the WB goal)."""
-        live = [c.time_ms for c in self.classes if c.time_ms > 0]
+        live = [c.time_ps for c in self.classes if c.time_ps > 0]
         if not live:
             return 1.0
         return max(live) / (sum(live) / len(live))
@@ -221,20 +239,25 @@ class RunProfile:
     graph: str
     source: int
     device: str
-    time_ms: float
+    #: The device clock at the end of the run, in ticks.
+    time_ps: int
     edges_traversed: int
     visited: int
     depth: int
     levels: tuple[LevelProfile, ...]
-    #: Device time outside any ``L<n>:`` label (transfers etc.).
-    other_ms: float
+    #: Device ticks outside any ``L<n>:`` label (transfers etc.).
+    other_ps: int
     #: Run-level nvprof counter aggregate (CounterSet fields).
     counters: Mapping[str, float]
     meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
+
+    @property
     def teps(self) -> float:
-        if self.time_ms <= 0:
+        if self.time_ps <= 0:
             return 0.0
         return self.edges_traversed / (self.time_ms * 1e-3)
 
@@ -245,23 +268,18 @@ class RunProfile:
     def class_totals(self) -> list[ClassProfile]:
         return _merge_classes(c for lvl in self.levels for c in lvl.classes)
 
-    def cells(self) -> dict[tuple, float]:
-        """The exact wall-time partition used by :func:`diff_profiles`:
-        ``(level, phase, kernel_class) -> ms``, summing to ``time_ms``."""
-        out: dict[tuple, float] = {}
+    def cells(self) -> dict[tuple, int]:
+        """The exact wall-tick partition used by :func:`diff_profiles`:
+        ``(level, phase, kernel_class) -> ticks``, summing to
+        ``time_ps``."""
+        out: dict[tuple, int] = {}
         for lvl in self.levels:
-            out[(lvl.level, "queue-gen", None)] = lvl.queue_gen_ms
-            if lvl.classes:
-                rest = lvl.expand_ms
-                for c in lvl.classes[:-1]:
-                    out[(lvl.level, "expand",
-                         c.kernel_class)] = c.attributed_ms
-                    rest -= c.attributed_ms
-                out[(lvl.level, "expand",
-                     lvl.classes[-1].kernel_class)] = rest
-            elif lvl.expand_ms:
-                out[(lvl.level, "expand", None)] = lvl.expand_ms
-        out[(None, "other", None)] = self.other_ms
+            out[(lvl.level, "queue-gen", None)] = lvl.queue_gen_ps
+            for c in lvl.classes:
+                out[(lvl.level, "expand", c.kernel_class)] = c.attributed_ps
+            if not lvl.classes and lvl.expand_ps:
+                out[(lvl.level, "expand", None)] = lvl.expand_ps
+        out[(None, "other", None)] = self.other_ps
         return out
 
     def level_map(self) -> dict[int, LevelProfile]:
@@ -273,33 +291,25 @@ class RunProfile:
 # ----------------------------------------------------------------------
 
 def _class_groups(record, spec: DeviceSpec) -> list[ClassProfile]:
-    """Group one launch record's kernels by class; attribute the record's
-    wall time proportionally to serial time, remainder to the last class
-    so the shares sum to ``record.elapsed_ms`` exactly."""
-    live = [k for k in record.kernels if k.time_ms > 0]
-    if not live:
-        return []
+    """Group one launch record's kernels by class and split the record's
+    ticks in proportion to each class' serial ticks (largest remainder),
+    so the shares sum to ``record.elapsed_ps`` exactly."""
     by_class: dict[str, list] = {}
-    for k in live:
-        by_class.setdefault(_kernel_class(k), []).append(k)
-    serial = sum(k.time_ms for k in live)
+    for k in record.kernels:
+        if k.time_ps > 0:
+            by_class.setdefault(_kernel_class(k), []).append(k)
     order = {name: i for i, name in enumerate(KERNEL_CLASSES)}
     names = sorted(by_class, key=lambda n: order.get(n, 99))
+    serial = [sum(k.time_ps for k in by_class[name]) for name in names]
+    shares = apportion(record.elapsed_ps, serial)
     groups: list[ClassProfile] = []
-    remaining = record.elapsed_ms
-    for i, name in enumerate(names):
+    for name, t, share in zip(names, serial, shares):
         ks = by_class[name]
-        t = sum(k.time_ms for k in ks)
-        if i == len(names) - 1:
-            share = remaining
-        else:
-            share = record.elapsed_ms * (t / serial)
-            remaining -= share
         groups.append(ClassProfile(
             kernel_class=name,
             launches=len(ks),
-            time_ms=t,
-            attributed_ms=share,
+            time_ps=t,
+            attributed_ps=share,
             gld_transactions=sum(k.access.transactions for k in ks),
             bytes_moved=sum(k.access.bytes_moved for k in ks),
             instructions=sum(k.instructions for k in ks),
@@ -310,7 +320,7 @@ def _class_groups(record, spec: DeviceSpec) -> list[ClassProfile]:
             issue_time_ms=sum(k.issue_time_ms for k in ks),
             dram_time_ms=sum(k.dram_time_ms for k in ks),
             latency_time_ms=sum(k.latency_time_ms for k in ks),
-            max_kernel_ms=max(k.time_ms for k in ks),
+            max_kernel_ps=max(k.time_ps for k in ks),
         ))
     return groups
 
@@ -333,37 +343,37 @@ def build_profile(
 
     spec = device.spec
     per_level: dict[int, dict] = {}
-    other_ms = 0.0
+    other_ps = 0
     for record in device.records:
         m = _LABEL_RE.match(record.label)
         if m is None:
-            other_ms += record.elapsed_ms
+            other_ps += record.elapsed_ps
             continue
         slot = per_level.setdefault(int(m.group(1)), {
-            "qgen_ms": 0.0, "expand_ms": 0.0, "records": [],
+            "qgen_ps": 0, "expand_ps": 0, "records": [],
         })
         if m.group(2) == "qgen":
-            slot["qgen_ms"] += record.elapsed_ms
+            slot["qgen_ps"] += record.elapsed_ps
         else:
-            slot["expand_ms"] += record.elapsed_ms
+            slot["expand_ps"] += record.elapsed_ps
             slot["records"].append(record)
 
     traces = {t.level: t for t in result.traces}
     levels: list[LevelProfile] = []
     for level in sorted(set(per_level) | set(traces)):
-        slot = per_level.get(level, {"qgen_ms": 0.0, "expand_ms": 0.0,
+        slot = per_level.get(level, {"qgen_ps": 0, "expand_ps": 0,
                                      "records": []})
         t = traces.get(level)
         groups = _merge_classes(
             g for rec in slot["records"] for g in _class_groups(rec, spec))
         kernels = [k for rec in slot["records"] for k in rec.kernels]
-        counters = aggregate_counters(kernels, spec,
-                                      elapsed_ms=slot["expand_ms"])
+        expand_ms = slot["expand_ps"] / PS_PER_MS
+        counters = aggregate_counters(kernels, spec, elapsed_ms=expand_ms)
         point = roofline_point(
             f"L{level}", spec,
             instructions=sum(g.instructions for g in groups),
             bytes_moved=sum(g.bytes_moved for g in groups),
-            elapsed_ms=slot["expand_ms"],
+            elapsed_ms=expand_ms,
             issue_ms=sum(g.issue_time_ms for g in groups),
             dram_ms=sum(g.dram_time_ms for g in groups),
             latency_ms=sum(g.latency_time_ms for g in groups),
@@ -374,8 +384,8 @@ def build_profile(
             frontier_count=t.frontier_count if t else 0,
             newly_visited=t.newly_visited if t else 0,
             edges_checked=t.edges_checked if t else 0,
-            queue_gen_ms=slot["qgen_ms"],
-            expand_ms=slot["expand_ms"],
+            queue_gen_ps=slot["qgen_ps"],
+            expand_ps=slot["expand_ps"],
             hub_cache_hits=t.hub_cache_hits if t else 0,
             hub_cache_lookups=t.hub_cache_lookups if t else 0,
             classes=tuple(groups),
@@ -397,12 +407,12 @@ def build_profile(
         graph=result.graph_name,
         source=int(result.source),
         device=spec.name,
-        time_ms=result.time_ms,
+        time_ps=device.elapsed_ps,
         edges_traversed=int(result.edges_traversed),
         visited=int(result.visited),
         depth=int(result.depth),
         levels=tuple(levels),
-        other_ms=other_ms,
+        other_ps=other_ps,
         counters={
             "gld_transactions": int(run_counters.gld_transactions),
             "ldst_fu_utilization": run_counters.ldst_fu_utilization,
@@ -471,8 +481,8 @@ def from_json(doc: Mapping) -> RunProfile:
         for lvl in doc["levels"]
     )
     fields = {k: doc[k] for k in (
-        "algorithm", "config", "graph", "source", "device", "time_ms",
-        "edges_traversed", "visited", "depth", "other_ms", "counters",
+        "algorithm", "config", "graph", "source", "device", "time_ps",
+        "edges_traversed", "visited", "depth", "other_ps", "counters",
         "meta")}
     return RunProfile(levels=levels, **fields)
 
@@ -489,13 +499,13 @@ def load_profile(path: str | Path) -> RunProfile:
 
 
 def validate_profile(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a v1 profile document."""
+    """Raise ``ValueError`` unless ``doc`` is a v2 profile document."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"profile must be an object, got {type(doc)}")
     if doc.get("schema") != PROFILE_SCHEMA:
         raise ValueError(f"unknown profile schema {doc.get('schema')!r} "
                          f"(expected {PROFILE_SCHEMA!r})")
-    for key in ("algorithm", "graph", "time_ms", "edges_traversed",
+    for key in ("algorithm", "graph", "time_ps", "edges_traversed",
                 "levels", "counters"):
         if key not in doc:
             raise ValueError(f"profile lacks {key!r}")
@@ -624,10 +634,6 @@ class DeltaAttribution:
     #: Counter movements at this cell's scope, ``name -> (before, after)``.
     counters: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
-    @property
-    def dtime_ms(self) -> float:
-        return self.time_after_ms - self.time_before_ms
-
     def describe(self) -> str:
         if self.phase == "work":
             return "traversed-edge count changed"
@@ -725,11 +731,11 @@ def diff_profiles(before: RunProfile, after: RunProfile,
 
     ``dG = (E_b - E_a)/t_b  -  sum_cells E_a * dt_cell / (t_a * t_b)``
 
-    where the cells partition each run's wall time (per level:
+    where the cells partition each run's wall ticks (per level:
     queue-gen + one cell per kernel class; plus the unlabelled
-    remainder).  The cell time-deltas therefore sum to ``t_b - t_a``
-    and the attributed GTEPS contributions sum to the observed delta —
-    coverage 1.0 up to float rounding.  Antisymmetric whenever both
+    remainder).  The cell tick deltas therefore sum to ``t_b - t_a``
+    exactly and the attributed GTEPS contributions sum to the observed
+    delta — coverage 1.0 up to float rounding.  Antisymmetric whenever both
     runs traverse the same edges: ``diff(a, b)`` cells are exactly the
     negation of ``diff(b, a)``'s.
     """
@@ -748,8 +754,8 @@ def diff_profiles(before: RunProfile, after: RunProfile,
     for key in sorted(set(cells_a) | set(cells_b),
                       key=lambda k: (k[0] is None, k[0] or 0, k[1],
                                      k[2] or "")):
-        ta = cells_a.get(key, 0.0)
-        tb = cells_b.get(key, 0.0)
+        ta = cells_a.get(key, 0) / PS_PER_MS
+        tb = cells_b.get(key, 0) / PS_PER_MS
         if ta == tb:
             continue
         counters: dict[str, tuple[float, float]] = {}

@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..gpu.clock import PS_PER_MS
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..bfs.common import BFSResult
     from ..gpu.counters import CounterSet
@@ -148,8 +150,10 @@ def run_snapshot(
     }
     if result.traces:
         metrics.update({
-            "queue_gen_ms": _num(sum(t.queue_gen_ms for t in result.traces)),
-            "expand_ms": _num(sum(t.expand_ms for t in result.traces)),
+            "queue_gen_ms": _num(sum(t.queue_gen_ps for t in result.traces)
+                                 / PS_PER_MS),
+            "expand_ms": _num(sum(t.expand_ps for t in result.traces)
+                              / PS_PER_MS),
             "edges_checked": _num(sum(t.edges_checked
                                       for t in result.traces)),
             "hub_cache_hits": _num(sum(t.hub_cache_hits

@@ -15,8 +15,8 @@ hook
    partitions, a decompression sweep) to the GPU timeline.
 
 The traversal result and every kernel are identical to the in-memory
-run; each level's ``expand_ms`` gains the level's I/O time, and
-``io_ms`` is their sum, which the tests assert.
+run; each level's expansion time, read off the device clock, gains the
+level's I/O ticks, and ``io_ms`` is their sum, which the tests assert.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from ..bfs.common import BFSResult
 from ..bfs.enterprise import EnterpriseConfig, _traverse
+from ..gpu.clock import PS_PER_MS
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import sweep_kernel
 from ..gpu.memory import sequential_transactions
@@ -105,42 +106,35 @@ def ooc_enterprise_bfs(
             max(p.nbytes for p in parts_bwd.partitions),
         )
     cache = PartitionCache(memory_budget_bytes)
-    level_io_ms: list[float] = []
+    level_io_ps: list[int] = []
 
     def stage(queue: np.ndarray, bottom_up: bool) -> None:
         """Load the partitions the level's queue touches (out-edges
-        top-down, in-edges bottom-up) and record the level's I/O ms,
+        top-down, in-edges bottom-up) and record the level's I/O ticks,
         including the decompression pass of compressed partitions."""
         partitioned = parts_bwd if bottom_up else parts_fwd
-        ms = 0.0
+        begin = device.elapsed_ps
         for p in partitioned.partitions_touched(queue):
             read = cache.load(p)
             if read:
-                t = storage.read_ms(read)
-                device.charge(f"io:p{p.index}", t)
-                ms += t
+                device.charge(f"io:p{p.index}", storage.read_ms(read))
                 if partitioned.compression is not None:
-                    k = sweep_kernel(max(p.num_edges, 1),
-                                     sequential_transactions(
-                                         2 * p.num_edges, 8, spec),
-                                     spec, name=f"decompress:p{p.index}",
-                                     instr_per_element=6)
-                    device.launch(k)
-                    ms += k.time_ms
-        level_io_ms.append(ms)
+                    device.launch(sweep_kernel(
+                        max(p.num_edges, 1),
+                        sequential_transactions(2 * p.num_edges, 8, spec),
+                        spec, name=f"decompress:p{p.index}",
+                        instr_per_element=6))
+        level_io_ps.append(device.elapsed_ps - begin)
 
     result = _traverse(graph, source, device, config or EnterpriseConfig(),
                        stage)
     result.algorithm = f"enterprise-ooc[{num_partitions}p]"
-    # Every traced level staged once, before its kernels.
-    io_ms = 0.0
-    wall_ms = 0.0
-    for trace, level_io in zip(result.traces, level_io_ms):
-        io_ms += level_io
-        wall_ms += trace.queue_gen_ms + max(level_io, trace.expand_ms)
-        trace.expand_ms += level_io
+    # Every traced level staged once, before its kernels, so its
+    # expansion ticks hold its I/O ticks.
     if prefetch:
-        result.time_ms = wall_ms
+        result.time_ms = sum(
+            t.queue_gen_ps + max(io, t.expand_ps - io)
+            for t, io in zip(result.traces, level_io_ps)) / PS_PER_MS
     return OOCResult(
         result=result,
         num_partitions=num_partitions,
@@ -148,5 +142,5 @@ def ooc_enterprise_bfs(
         partition_loads=cache.loads,
         cache_hits=cache.hits,
         bytes_read=cache.bytes_read,
-        io_ms=io_ms,
+        io_ms=sum(level_io_ps) / PS_PER_MS,
     )

@@ -11,7 +11,9 @@ from repro.bfs import (
     partition_bounds,
     validate_result,
 )
+from repro.faults.plan import FaultPlan
 from repro.gpu import DeviceGroup
+from repro.gpu.clock import ticks
 from repro.graph import load, powerlaw_graph
 from repro.metrics import random_sources
 
@@ -83,9 +85,12 @@ class TestCommunication:
 
     def test_computation_plus_comm_is_total(self, small_powerlaw):
         src = int(np.argmax(small_powerlaw.out_degrees))
-        m = multigpu_enterprise_bfs(small_powerlaw, src, 2)
-        assert m.time_ms == pytest.approx(
-            m.computation_ms + m.communication_ms, rel=1e-6)
+        for plan in (None, FaultPlan(stragglers={0: 4.0}),
+                     FaultPlan(stragglers={1: 2.5}, bandwidth_factor=0.5)):
+            m = multigpu_enterprise_bfs(small_powerlaw, src, 2,
+                                        group=DeviceGroup(2, fault_plan=plan))
+            assert ticks(m.time_ms) == \
+                ticks(m.computation_ms) + ticks(m.communication_ms)
 
 
 class TestScaling:

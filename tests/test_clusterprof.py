@@ -2,13 +2,13 @@
 built on it.
 
 The contract under test is *exactness*: every cluster-BFS level's wall
-time is partitioned across the six fabric tiers with zero float
-slack — ``sum(attributed_ms) == time_ms`` bit for bit, summed left to
-right, on arbitrary graphs and fabric shapes including the degenerate
-1x1 / 1xN / Nx1 grids.  The weak-scaling decomposition inherits the
-same bar: the per-tier waterfall terms sum to the measured efficiency
-gap at every node count.  On top of that: byte-deterministic versioned
-JSON, the degraded-fabric diagnosis ranking, and the text/HTML renders.
+ticks are partitioned across the six fabric tiers under integer ``==``
+— on arbitrary graphs, fabric shapes including the degenerate
+1x1 / 1xN / Nx1 grids, and random fault plans.  The weak-scaling
+decomposition inherits the same bar: the per-tier tick deltas sum to
+``T(N) - T(base)`` at every node count.  On top of that:
+byte-deterministic versioned JSON, the degraded-fabric diagnosis
+ranking, and the text/HTML renders.
 """
 
 from __future__ import annotations
@@ -20,7 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bfs import reference_bfs_levels
 from repro.bfs.cluster import cluster_enterprise_bfs
+from repro.faults.plan import FaultPlan
+from repro.gpu import Fabric
+from repro.gpu.clock import ticks
 from repro.graph import rmat_graph
 from repro.observ.clusterprof import (
     CLUSTER_PROFILE_SCHEMA,
@@ -51,26 +55,16 @@ def skewed_graph():
     return rmat_graph(10, 8, seed=3, name="clusterprof-test")
 
 
-def ltr(values):
-    """Plain left-to-right float sum — the order the contract fixes."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def assert_exact_partition(profile):
-    """Every level's tier attribution sums bit-exactly to its wall time,
-    levels sum to the run, and tier totals sum to the run."""
+    """Every level's tier slices sum to its ticks, levels sum to the
+    run, and tier totals sum to the run."""
     for lvl in profile.levels:
         assert [s.tier for s in lvl.tiers] == list(CLUSTER_TIERS)
-        attributed = [s.attributed_ms for s in lvl.tiers]
-        assert ltr(attributed) == lvl.time_ms, (
-            f"level {lvl.level}: {ltr(attributed)!r} != {lvl.time_ms!r}")
-    assert ltr([lvl.time_ms for lvl in profile.levels]) == profile.time_ms
+        assert sum(s.time_ps for s in lvl.tiers) == lvl.time_ps, lvl.level
+    assert sum(lvl.time_ps for lvl in profile.levels) == profile.time_ps
     totals = profile.tier_totals()
     assert list(totals) == list(CLUSTER_TIERS)
-    assert ltr(list(totals.values())) == profile.time_ms
+    assert sum(totals.values()) == profile.time_ps
 
 
 # ----------------------------------------------------------------------
@@ -105,14 +99,39 @@ def test_partition_exact_property(seed, nodes, gpus):
     assert_exact_partition(build_cluster_profile(res))
 
 
+@given(seed=st.integers(0, 10_000), nodes=st.integers(1, 3),
+       gpus=st.integers(1, 3),
+       stragglers=st.dictionaries(st.integers(0, 8),
+                                  st.floats(1.0, 8.0), max_size=3),
+       bandwidth=st.floats(0.05, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_fault_fuzz_ledgers_exact(seed, nodes, gpus, stragglers, bandwidth):
+    """Random fault plans through the cluster: levels stay exact, the
+    byte ledger conserves, and the tier slices partition every level's
+    ticks."""
+    graph = fuzzed(seed)
+    plan = FaultPlan(name="fuzz", stragglers=stragglers,
+                     bandwidth_factor=bandwidth, seed=seed)
+    res = cluster_enterprise_bfs(graph, 0, nodes, gpus, parts_per_node=4,
+                                 fabric=Fabric(nodes, gpus, fault_plan=plan))
+    assert np.array_equal(res.result.levels,
+                          reference_bfs_levels(graph, 0))
+    assert res.bytes_intra + res.bytes_inter == sum(res.charged_payloads)
+    profile = build_cluster_profile(res)
+    assert_exact_partition(profile)
+    assert [lvl.time_ps for lvl in profile.levels] == \
+        [ticks(c.total_ms) for c in res.level_costs]
+
+
 def test_level_costs_partition_run_time(skewed_graph):
     """The raw per-level ledger itself is exact before profiling."""
     res = cluster_enterprise_bfs(skewed_graph, 0, 3, 2)
-    assert ltr([c.total_ms for c in res.level_costs]) == res.time_ms
+    assert sum(ticks(c.total_ms) for c in res.level_costs) == \
+        ticks(res.time_ms)
     for c in res.level_costs:
         parts = [c.compute_ms, c.row_ms, c.col_ms, c.allreduce_intra_ms,
                  c.allreduce_inter_ms, c.staging_ms]
-        assert abs(ltr(parts) - c.total_ms) <= 1e-12 * max(c.total_ms, 1.0)
+        assert sum(ticks(ms) for ms in parts) == ticks(c.total_ms)
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +144,7 @@ def test_straggler_and_imbalance_metrics(skewed_graph):
     assert 0.0 <= prof.straggler_share < 1.0
     assert prof.shard_imbalance >= 1.0
     shares = prof.tier_shares()
-    assert ltr(list(shares.values())) == pytest.approx(1.0)
+    assert sum(shares.values()) == pytest.approx(1.0)
     for lvl in prof.levels:
         assert lvl.straggler_wait_ms >= 0.0
         assert lvl.dominant_tier is None or \
@@ -176,6 +195,8 @@ def test_json_round_trip(skewed_graph, tmp_path):
     (lambda d: d.update(schema="repro.profile/v1"), "schema"),
     (lambda d: d.pop("levels"), "lacks 'levels'"),
     (lambda d: d["levels"][0]["tiers"].pop(0), "tiers"),
+    (lambda d: d["levels"][0]["tiers"][0].update(time_ps=-1), "tier ticks"),
+    (lambda d: d.update(time_ps=d["time_ps"] + 1), "level ticks"),
 ])
 def test_validate_rejects_tampering(skewed_graph, mutate, msg):
     doc = cluster_to_json(profile_cluster_run(skewed_graph, 0, 2, 2))
@@ -232,14 +253,12 @@ def test_waterfall_terms_sum_to_gap():
     base = decomp.steps[0]
     assert base.efficiency == 1.0 and base.gap == 0.0
     for step in decomp.steps:
-        terms = [t.term for t in step.terms]
         assert [t.tier for t in step.terms] == list(CLUSTER_TIERS)
-        # The stored terms account for the whole measured gap ...
-        assert abs(ltr(terms) - step.gap) <= 1e-12
-        # ... and the raw pre-absorption residual is far below the
-        # acceptance bar.
-        assert abs(step.residual) <= 1e-9
-        assert step.efficiency == decomp.base_time_ms / step.time_ms
+        # The tier deltas account for the whole measured gap.
+        assert sum(t.ps - t.base_ps for t in step.terms) == \
+            step.time_ps - decomp.base_time_ps
+        assert sum(t.term for t in step.terms) == pytest.approx(step.gap)
+        assert step.efficiency == decomp.base_time_ps / step.time_ps
     assert decomp.worst_tier() in CLUSTER_TIERS
 
 
@@ -250,7 +269,7 @@ def test_waterfall_requires_profiles():
 
 def test_bench_rows_carry_the_exact_tier_columns():
     """run_weak_scaling exposes the same attribution per row, and the
-    six columns still sum bit-exactly to the row's time_ms."""
+    six columns' ticks sum to the row's time_ms ticks."""
     from repro.bench.cluster import run_weak_scaling
 
     rows, results = run_weak_scaling((1, 2), base_scale=9,
@@ -261,7 +280,8 @@ def test_bench_rows_carry_the_exact_tier_columns():
         cols = [row["compute_ms"], row["row_exchange_ms"],
                 row["col_exchange_ms"], row["allreduce_intra_ms"],
                 row["allreduce_inter_ms"], row["staging_ms"]]
-        assert ltr(cols) == row["time_ms"] == res.time_ms
+        assert row["time_ms"] == res.time_ms
+        assert sum(ticks(ms) for ms in cols) == ticks(res.time_ms)
 
 
 # ----------------------------------------------------------------------

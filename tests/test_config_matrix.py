@@ -4,6 +4,7 @@ feature switch still produces the exact BFS."""
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from repro.bfs import (
     validate_result,
 )
 from repro.bfs.cluster import cluster_enterprise_bfs
+from repro.faults.plan import FaultPlan
+from repro.gpu import DeviceGroup, Fabric, GPUDevice
+from repro.gpu.clock import ticks
 from repro.graph import powerlaw_graph
 from repro.storage import ooc_enterprise_bfs
 
@@ -53,21 +57,49 @@ def test_single_gpu_configs(graph, expected, name):
     assert np.array_equal(r.levels, levels)
 
 
-@pytest.mark.parametrize("name", ["default", "no-wb", "no-hc",
-                                  "tight-bounds"])
+#: Fields each multi-device loop models; a config that sets any other
+#: field away from its default raises instead of running the default
+#: traversal.
+MODELLED_1D = {f.name for f in dataclasses.fields(EnterpriseConfig)} - {
+    "thread_scheduling", "switch_policy", "switch_scan"}
+MODELLED_GRID = {"gamma_threshold", "max_levels"}
+
+
+def _runs_or_raises(run, graph, config, modelled, levels) -> None:
+    """``run(config=config)`` matches the reference levels, or raises
+    ``ValueError`` naming a field it does not model."""
+    default = EnterpriseConfig()
+    unmodelled = [f.name for f in dataclasses.fields(config)
+                  if f.name not in modelled
+                  and getattr(config, f.name) != getattr(default, f.name)]
+    if unmodelled:
+        with pytest.raises(ValueError, match=unmodelled[0]):
+            run(config=config)
+        return
+    result = run(config=config).result
+    assert np.array_equal(result.levels, levels)
+    validate_result(result, graph)
+
+
+@pytest.mark.parametrize("name", list(CONFIG_MATRIX))
 def test_multigpu_1d_configs(graph, expected, name):
     src, levels = expected
-    m = multigpu_enterprise_bfs(graph, src, 3, config=CONFIG_MATRIX[name])
-    assert np.array_equal(m.result.levels, levels)
-    validate_result(m.result, graph)
+    _runs_or_raises(partial(multigpu_enterprise_bfs, graph, src, 3), graph,
+                    CONFIG_MATRIX[name], MODELLED_1D, levels)
 
 
-@pytest.mark.parametrize("name", ["default", "eager-gamma", "lazy-gamma"])
+@pytest.mark.parametrize("name", list(CONFIG_MATRIX))
 def test_multigpu_2d_configs(graph, expected, name):
     src, levels = expected
-    m = multigpu2d_enterprise_bfs(graph, src, 2, 2,
-                                  config=CONFIG_MATRIX[name])
-    assert np.array_equal(m.result.levels, levels)
+    _runs_or_raises(partial(multigpu2d_enterprise_bfs, graph, src, 2, 2),
+                    graph, CONFIG_MATRIX[name], MODELLED_GRID, levels)
+
+
+@pytest.mark.parametrize("name", list(CONFIG_MATRIX))
+def test_cluster_configs(graph, expected, name):
+    src, levels = expected
+    _runs_or_raises(partial(cluster_enterprise_bfs, graph, src, 2, 2),
+                    graph, CONFIG_MATRIX[name], MODELLED_GRID, levels)
 
 
 @pytest.mark.parametrize("name", ["default", "no-hc", "small-cache"])
@@ -108,10 +140,10 @@ def test_ooc_is_in_memory_plus_io(name):
         assert len(ooc.result.traces) == len(mem.traces)
         excess = []
         for o, m in zip(ooc.result.traces, mem.traces):
-            assert dataclasses.replace(o, expand_ms=m.expand_ms) == m
-            assert o.expand_ms - m.expand_ms >= 0
-            excess.append(o.expand_ms - m.expand_ms)
-        assert sum(excess) == pytest.approx(ooc.io_ms, rel=1e-9)
+            assert dataclasses.replace(o, expand_ps=m.expand_ps) == m
+            assert o.expand_ps - m.expand_ps >= 0
+            excess.append(o.expand_ps - m.expand_ps)
+        assert sum(excess) == ticks(ooc.io_ms)
 
 
 def test_max_levels_caps_every_topology(graph, expected):
@@ -156,3 +188,45 @@ def test_ablation_ladder_strictly_featured(graph, expected):
         any(n.startswith("scan") for n in kernel_sets["TS"])
     assert "classify" in kernel_sets["WB"]
     assert "classify" in kernel_sets["HC"]
+
+
+# ----------------------------------------------------------------------
+# Stragglers: every level loop reads its time off the device clock
+# ----------------------------------------------------------------------
+
+#: Healthy simulated times of the straggler cases below.
+HEALTHY_1D_MS = 0.0057183
+HEALTHY_CLUSTER_MS = 0.0338099
+
+
+def test_straggler_level_times_sum_to_run_time(graph, expected):
+    """A 2x straggler's level times still add up to its run time, tick
+    for tick."""
+    src, _ = expected
+    r = enterprise_bfs(graph, src, device=GPUDevice(slowdown=2.0))
+    healthy = enterprise_bfs(graph, src)
+    assert sum(t.queue_gen_ps + t.expand_ps for t in r.traces) == \
+        ticks(r.time_ms) == 2 * ticks(healthy.time_ms)
+
+
+def test_straggler_slows_1d(graph, expected):
+    src, _ = expected
+    assert multigpu_enterprise_bfs(graph, src, 2).time_ms == \
+        pytest.approx(HEALTHY_1D_MS, abs=1e-7)
+    group = DeviceGroup(2, fault_plan=FaultPlan(stragglers={0: 4.0}))
+    m = multigpu_enterprise_bfs(graph, src, 2, group=group)
+    assert m.time_ms > HEALTHY_1D_MS
+    assert ticks(m.time_ms) == \
+        ticks(m.computation_ms) + ticks(m.communication_ms)
+
+
+def test_straggler_slows_cluster(graph, expected):
+    src, _ = expected
+    healthy = cluster_enterprise_bfs(graph, src, 2, 2)
+    assert healthy.time_ms == pytest.approx(HEALTHY_CLUSTER_MS, abs=1e-7)
+    fabric = Fabric(2, 2, fault_plan=FaultPlan(stragglers={0: 4.0}))
+    slow = cluster_enterprise_bfs(graph, src, 2, 2, fabric=fabric)
+    assert slow.time_ms > HEALTHY_CLUSTER_MS
+    node_compute = np.array([c.node_compute_ms for c in slow.level_costs])
+    assert node_compute[:, 0].sum() > node_compute[:, 1].sum()
+    assert all(a >= b for a, b in node_compute)

@@ -12,7 +12,7 @@ expansion and bottom-up block inspection run.  Pinned per case:
 * the per-level ``edges_checked``;
 * the exchange ledger (``charged_payloads``) and, for the cluster, the
   bytes read from simulated storage;
-* the summed kernel time of every device, in row-major grid order.
+* the summed kernel ticks of every device, in row-major grid order.
 
 Regenerating the literals is deliberately manual (run the module with
 ``python -m tests.test_golden_cluster``): a golden update must be a
@@ -22,7 +22,6 @@ reviewed decision, never a side effect.
 from __future__ import annotations
 
 import hashlib
-import math
 import textwrap
 from unittest import mock
 
@@ -57,10 +56,8 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def _device_ms(devices) -> list[str]:
-    # fsum: correctly rounded, so the literal does not depend on the
-    # interpreter's float sum() order.
-    return [math.fsum(k.time_ms for k in d.kernels()).hex() for d in devices]
+def _device_ps(devices) -> list[int]:
+    return [sum(k.time_ps for k in d.kernels()) for d in devices]
 
 
 def _observe(layout: str, graph_name: str, rows: int, cols: int) -> dict:
@@ -97,11 +94,12 @@ def _observe(layout: str, graph_name: str, rows: int, cols: int) -> dict:
         "edges_checked": [t.edges_checked for t in traces],
         "charged_payloads": list(run.charged_payloads),
         **extra,
-        "device_ms": _device_ms(devices),
+        "device_ps": _device_ps(devices),
     }
 
 
-#: Frozen 2026-10.  Every literal below is an *observed* value, not a
+#: Frozen 2026-10 and re-recorded when simulated charges became whole
+#: picosecond ticks.  Every literal below is an *observed* value, not a
 #: derived one.
 GOLDENS = {
     ("cluster", "rmat10", 4, 2): {
@@ -109,93 +107,83 @@ GOLDENS = {
             "ef11281584b3fd317d9a6f77597d2e54865c0647a661b041b19630b9696e4d3a",
         "parents_sha":
             "df9acaf5c76d60eee4b1c2a199ef29dff4329939fcd05258efd21328b4d50328",
-        "times": {"time_ms": "0x1.e803c824ea48dp-5", "computation_ms":
-            "0x1.21f71c7908bd9p-7", "intra_ms": "0x1.51eec840a5caap-12",
-            "inter_ms": "0x1.3b3dc3afed990p-6", "io_ms":
-            "0x1.fe86833c6002cp-6"},
+        "times": {"time_ms": "0x1.e803c7b5b6b0bp-5", "computation_ms":
+            "0x1.21f71c67d0daep-7", "intra_ms": "0x1.51ee92cdd614dp-12",
+            "inter_ms": "0x1.3b3dc3afed98fp-6", "io_ms":
+            "0x1.fe86833c6002ap-6"},
         "edges_checked": [212, 7695, 179, 1],
         "charged_payloads": [33, 32, 34, 30, 64, 64, 33, 32, 34, 30, 64, 64,
             33, 32, 34, 30, 64, 64, 30, 64],
         "bytes_read": 270592,
-        "device_ms": ["0x1.fb21a020f0e58p-8", "0x1.40536dbbd7fa1p-8",
-            "0x1.c220d356f4baap-8", "0x1.32133a8958ef5p-8",
-            "0x1.6c9fa027fa7a2p-8", "0x1.4e93a0ee5704dp-8",
-            "0x1.04b0e9a9b7f83p-7", "0x1.8920068cf88fap-8"],
+        "device_ps": [7738210, 4887785, 6868412, 4670335, 5563713, 5105235,
+            7955660, 5998613],
     },
     ("cluster", "powerlaw-directed", 2, 3): {
         "levels_sha":
             "c96f172248b66d6adf3915a1d81b7b8a704f776569952e5633eee61cf5b8b201",
         "parents_sha":
             "d6fe3fb602cad35b7dd8b4ee9859cb62de0510aae489206667f6bb35dedabd4b",
-        "times": {"time_ms": "0x1.f689cc1355302p-6", "computation_ms":
-            "0x1.819a963251f49p-8", "intra_ms": "0x1.d11a09ae5e1d1p-11",
+        "times": {"time_ms": "0x1.f689cb2b9e24bp-6", "computation_ms":
+            "0x1.819a8e250b162p-8", "intra_ms": "0x1.d11a28391df2ap-11",
             "inter_ms": "0x1.21286eb412c1ap-7", "io_ms":
-            "0x1.ee0c3dbe88c27p-7"},
+            "0x1.ee0c3e0d121d7p-7"},
         "edges_checked": [139, 2422, 360, 26, 4, 3],
         "charged_payloads": [64, 65, 43, 43, 43, 64, 65, 43, 43, 43, 64, 65,
             43, 43, 43, 64, 65, 43, 43, 43, 64, 43],
         "bytes_read": 59936,
-        "device_ms": ["0x1.1ac1fe278de9cp-8", "0x1.2c19630357b43p-8",
-            "0x1.a3eacaacdaa87p-9", "0x1.2a8dca2eb2545p-8",
-            "0x1.735a62ffd2e9ep-8", "0x1.c06b3111d8bdfp-9"],
+        "device_ps": [4314541, 4579149, 3203713, 4555570, 5666397, 3421162],
     },
     ("grid", "rmat10", 2, 2): {
         "levels_sha":
             "ef11281584b3fd317d9a6f77597d2e54865c0647a661b041b19630b9696e4d3a",
         "parents_sha":
             "df9acaf5c76d60eee4b1c2a199ef29dff4329939fcd05258efd21328b4d50328",
-        "times": {"time_ms": "0x1.4bf2234cbec95p-7", "computation_ms":
-            "0x1.30555669935d0p-7", "communication_ms":
-            "0x1.b9ccce32b6c4ep-11"},
+        "times": {"time_ms": "0x1.4bf21be6bb607p-7", "computation_ms":
+            "0x1.305554bd93ec2p-7", "communication_ms":
+            "0x1.b9cc729277441p-11"},
         "edges_checked": [212, 7695, 179, 1],
         "charged_payloads": [64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64,
             64, 64],
-        "device_ms": ["0x1.0bef0a0103122p-7", "0x1.4ecfae6a6e2e1p-8",
-            "0x1.1a2f3d33821cfp-7", "0x1.895c14090fb8ep-8"],
+        "device_ps": [8176688, 5108813, 8611587, 6002192],
     },
     ("grid", "rmat10", 3, 2): {
         "levels_sha":
             "ef11281584b3fd317d9a6f77597d2e54865c0647a661b041b19630b9696e4d3a",
         "parents_sha":
             "df9acaf5c76d60eee4b1c2a199ef29dff4329939fcd05258efd21328b4d50328",
-        "times": {"time_ms": "0x1.51f8aa78cddecp-7", "computation_ms":
-            "0x1.29353cd053d7ap-7", "communication_ms":
+        "times": {"time_ms": "0x1.51f8a8145315ap-7", "computation_ms":
+            "0x1.29353a6bd90e7p-7", "communication_ms":
             "0x1.461b6d43d0397p-10"},
         "edges_checked": [212, 7695, 179, 1],
         "charged_payloads": [43, 43, 43, 64, 64, 43, 43, 43, 64, 64, 43, 43,
             43, 64, 64, 43, 64],
-        "device_ms": ["0x1.fb5dad9d080edp-8", "0x1.408f7b37ef235p-8",
-            "0x1.d09d14058aeeap-8", "0x1.324f480570189p-8",
-            "0x1.130f239a42979p-7", "0x1.895c14090fb8ep-8"],
+        "device_ps": [7741789, 4891364, 7089440, 4673914, 8394137, 6002192],
     },
     ("grid", "powerlaw-directed", 2, 2): {
         "levels_sha":
             "c96f172248b66d6adf3915a1d81b7b8a704f776569952e5633eee61cf5b8b201",
         "parents_sha":
             "ce7acd00f7705f3fe20a49c66bf74a5f4e254aaf6337c8137bb3e6835652df54",
-        "times": {"time_ms": "0x1.c6a2966a3e837p-8", "computation_ms":
-            "0x1.819a963251f49p-8", "communication_ms":
-            "0x1.142000dfb23b1p-10"},
+        "times": {"time_ms": "0x1.c6a2845770b2dp-8", "computation_ms":
+            "0x1.819a92708e103p-8", "communication_ms":
+            "0x1.141fc79b8a8a9p-10"},
         "edges_checked": [139, 2107, 327, 26, 4, 3],
         "charged_payloads": [64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64,
             64, 64, 64, 64, 64, 64],
-        "device_ms": ["0x1.470e3093b069dp-8", "0x1.0e0d63c9b43eep-8",
-            "0x1.819a963251f4ap-8", "0x1.ff9a612e6a683p-9"],
+        "device_ps": [4990469, 4120670, 5883847, 3903221],
     },
     ("grid", "powerlaw-directed", 3, 2): {
         "levels_sha":
             "c96f172248b66d6adf3915a1d81b7b8a704f776569952e5633eee61cf5b8b201",
         "parents_sha":
             "ce7acd00f7705f3fe20a49c66bf74a5f4e254aaf6337c8137bb3e6835652df54",
-        "times": {"time_ms": "0x1.d942f52503fbbp-8", "computation_ms":
-            "0x1.735a62ffd2e9dp-8", "communication_ms":
-            "0x1.97a24894c447dp-10"},
+        "times": {"time_ms": "0x1.d942f43dcc60cp-8", "computation_ms":
+            "0x1.735a62189b4ecp-8", "communication_ms":
+            "0x1.97a24894c447cp-10"},
         "edges_checked": [139, 2107, 327, 26, 4, 3],
         "charged_payloads": [43, 43, 43, 64, 64, 43, 43, 43, 64, 64, 43, 43,
             43, 64, 64, 43, 43, 43, 64, 64, 43, 64],
-        "device_ms": ["0x1.38cdfd61315f1p-8", "0x1.dceb9776d6d37p-9",
-            "0x1.3a599635d6befp-8", "0x1.ff9a612e6a683p-9",
-            "0x1.53c2caf18a14cp-8", "0x1.ff9a612e6a683p-9"],
+        "device_ps": [4773020, 3638612, 4796599, 3903221, 5184340, 3903221],
     },
 }
 

@@ -74,7 +74,7 @@ GOLDENS = [
                    "4089c816e89987",
         parents_sha="ee9c9b6861ea75efcae93304b084a5fbaa5615dfc262b7ad5f"
                     "49e35e82ba4c78",
-        time_ms_hex="0x1.f333182d21c26p-10",
+        time_ms_hex="0x1.f333242ae8c81p-10",
         edges=126, visited=64, depth=1, gld_total=84, traces=2,
     ),
     Golden(
@@ -83,7 +83,7 @@ GOLDENS = [
                    "5451378323a672",
         parents_sha="246a12e7930781d1db01caa3160de6b7a30a382cbbb016efa3"
                     "272dfc49eb08b5",
-        time_ms_hex="0x1.e16560bfa588cp-5",
+        time_ms_hex="0x1.e165669d541f8p-5",
         edges=78, visited=40, depth=39, gld_total=158, traces=40,
     ),
     Golden(
@@ -92,7 +92,7 @@ GOLDENS = [
                    "962a4254db6ca5",
         parents_sha="0e312394db81918296ba543b047c9debaafb2088fdc3caef3c"
                     "b7fe0e9f7b945e",
-        time_ms_hex="0x1.ccefc0a60647dp-8",
+        time_ms_hex="0x1.ccefc3830843dp-8",
         edges=210, visited=15, depth=1, gld_total=50, traces=2,
     ),
 ]
@@ -198,10 +198,11 @@ def run_snapshot(run) -> dict:
 _recorded: dict[str, str] | None = None
 
 
-def check_digest(request, value) -> None:
+def check_digest(request, value, part: str = "") -> None:
     """Assert ``value`` matches the digest recorded for this test case
-    (``request.node.name``, e.g. ``test_golden_multigpu_run``)."""
-    name = request.node.name
+    (``request.node.name``, e.g. ``test_golden_multigpu_run``, plus
+    ``part`` when a case pins more than one value)."""
+    name = request.node.name + part
     got = digest(value)
     if _recorded is not None:
         _recorded[name] = got
@@ -285,296 +286,311 @@ def test_golden_ooc_run(graph_name, config, compression, prefetch,
 
 #: Recorded 2026-10, when the seed's scalar implementations still ran
 #: beside the vectorized hot paths and gave the same digest on every
-#: case.  Every literal below is an *observed* value.
+#: case; re-recorded when every simulated charge became a whole
+#: picosecond tick (each float moved by under 1e-4 relative, every
+#: non-float observable unchanged).  Every literal below is an
+#: *observed* value.
 DIGESTS: dict[str, str] = {
     "test_ablation_matrix_bit_identical[BL]":
-        "ed7e0eacc2e0a5a698b68b2bce12491c847eafe8d3c61f8d0b5bc4b979ddc087",
+        "b504c409a8263cd88820391f39ac9c9e71fbb50689feaa36a014bfd989870dd4",
     "test_ablation_matrix_bit_identical[HC]":
-        "ed0f1de1ced8664f4a8cef02b61c2a5ed6de724df80b246d3c5ca279ab1a83a6",
+        "c95c688bb8e70779a40fb949835c6b816c3c59d2bbac56838135c5382c759edf",
     "test_ablation_matrix_bit_identical[TS]":
-        "71d92039cb6233b76fe0a7f05d49c423ef5fb860701e206c3658062363e969fc",
+        "ee90d7476c7880c5a919a162325946ff75e4f1630dac73758472995b0adfa8b3",
     "test_ablation_matrix_bit_identical[WB]":
-        "e6e7faa550a598e5ccf6b26506674bc12edc17e875e1f9a480b9ab28cedeaf46",
+        "c75d737fc1f9dfb887dac96447309b1c374a775dc7fe480b8a023bef923ffa19",
     "test_chaos_matrix_bit_identical":
         "e205598232c62205a94cbd09d8ca1559f423087f43dc1efee039eff0f3da1fbc",
     "test_cluster_profile_bit_identical[chain]":
-        "cc0ec2ad174ecf837459f0d70869a0377ef74ca542c7e2426f7a3972ab50eae8",
+        "b51e47750feb9345975e4fc86072745517644788fbe55fc076499e0629481631",
+    "test_cluster_profile_bit_identical[chain]:document":
+        "a6c729d3b402e9de69ed706cab143b05428ddb93f92c2b88aaaf4795236baf8d",
     "test_cluster_profile_bit_identical[fuzz-31]":
-        "c0040ff00f691b51681056cced82ca89dbe147780ed75e5dcfb8c5911e7d4916",
+        "8c9d80a1d50216a141b8f98d180ded8e91aa5bee9da6ff27e88ff0a450466016",
+    "test_cluster_profile_bit_identical[fuzz-31]:document":
+        "345c33516313c567061c2951715bb5fd0a88de3f3d187bc88bce04663d8efb93",
     "test_cluster_profile_bit_identical[fuzz-32]":
-        "1bbad7a6c3a1a76ba2d0b531fb70de774a1f764d6133c2fb5bb4e639b8be4c5d",
+        "62f6f4e0810261e87b38036dc9b4da443cd3c8fc2c2fe4c5ad92afe584020af8",
+    "test_cluster_profile_bit_identical[fuzz-32]:document":
+        "86c57b11437f8be628dd295e5e5b0ea261776920f0551ac7924a6cc62200e5a5",
     "test_cluster_profile_bit_identical[islands]":
-        "8e8ec854bf27bb2f3ec46a7c46e4ab8131afc34def74c49d96d71fd838291d26",
+        "cb0284fa0ab3043e56a0b1cdd11a441c8b15ffc02cda5bf353b5fdcf8c58a835",
+    "test_cluster_profile_bit_identical[islands]:document":
+        "db4355321fb7fba3c82a79bd0d92c2d960cddc2fa25b82dff4be0c9bd0158fa7",
     "test_cluster_profile_bit_identical[sink-hub]":
-        "c1129c60fbc0d7fc7ce0659045c6a5effce0a1ba99d14b1f88edec49884b0e7d",
+        "2dd5ee9d3161298c6a856b4fd29262f520577a3d916bf71aa8071c20fe318813",
+    "test_cluster_profile_bit_identical[sink-hub]:document":
+        "d860c584123026df0e3c4bddf59d32df11f9755f2ec0371d11fd18b75e6c3f9a",
     "test_cluster_profile_bit_identical[star]":
-        "9f8d1a9db7bd371d5c8b4d452c14a25de496541f6d96f8af5bd87397e17db4ea",
+        "1df34c3a571d6909a60cea465a7f5a01e1b70c5625c51e3e3ca0fd4b7796fc81",
+    "test_cluster_profile_bit_identical[star]:document":
+        "453fccab68b5b964de7c4b04ca09aba4722ab43425ca1a4ce1f9b750df38cd56",
     "test_counters_and_teps_bit_identical":
-        "f101425c5b6da59d263d04c6ca09ca30e67ae8cd7f96e2ff4d458e0942e4fa0c",
+        "e3ddf416c554fc7214162096ceade7d766b09912ea388b486037b22677ce0ce4",
     "test_golden_comparison_system[B40C]":
-        "f89f5b12adbb583d4cdbb1921f46ca47736c61a4a02226b5439b7fee90cb82a4",
+        "6eb45e8119033f338d3da246db9dc9716d2ab73b1c383e29f36a0b0d99a01eaf",
     "test_golden_comparison_system[GraphBIG]":
-        "391c362eb173dabf41dd5cbcd9c756778bc13fd7b3b5d5c6e3e864cca876d86a",
+        "6b12b40bc13d4397b1ca6fac3bdcf255771c8d39768b69bafad2f7ef3598a600",
     "test_golden_comparison_system[Gunrock]":
-        "265522d9898351ea29ebb899cfb78cd5352868b0c1f81138d8a1d96d15c2fe8e",
+        "1aa42d21347c393817e06cd62d9d237ba1b520189f663ef906f826803fc693a1",
     "test_golden_comparison_system[MapGraph]":
-        "acf9c66be3d74a69a8040069aab2960dca3b1ab94620535abeb016506783abf7",
+        "cb6214837828600a25ae5c79a50f7140bfe7ac5633a5eedac5a0420abf97836f",
     "test_golden_multigpu_run":
-        "ba59c6eb4731dad824c8b021290c57886ce73f8220ae8b34c4459c20aade37d6",
+        "7970b924eb27d859d3417ac6573eb378254fbca0efa1280a5e67ecc56cccd0a4",
     "test_golden_ooc_run[powerlaw-HC-raw-prefetch]":
-        "563a130a22186e678c2819e0c8d9206a59d62b221653c0bb9b8c1018819f2a48",
+        "8a0d4f24b4cbfd811004b29db1fe6ebaf5801d341a2ba225866a147ba6dcb0ae",
     "test_golden_ooc_run[powerlaw-HC-raw-serial]":
-        "0f6cc59e1bc3e426631ae0da4f942c13486bdeaa83d27efe12b101877e52e04f",
+        "ecf7b3117522b2c1ecd224b676e815e9bdac97a84b9061b538a2002dfcb48f2e",
     "test_golden_ooc_run[powerlaw-HC-varint-prefetch]":
-        "5a29aee418170cbef8962d12567cb2909ef958964273f7f93cdf9a6bfc7c95b5",
+        "e267adca741afbb6dacbb644ecc2edb56e282c6b1171e5479490361d21026211",
     "test_golden_ooc_run[powerlaw-HC-varint-serial]":
-        "8863a36083ff9fbf532aad6845a110790da65f7a127d93bb942acded565d4124",
+        "2fa5b44e9733f92e9c11bb0776864527d1e7a401f6e456a5d0c3489f319eae22",
     "test_golden_ooc_run[powerlaw-WB-raw-prefetch]":
-        "9f6759e447f3b7be79bdb49ef8ffe83f699352606d9a7852e02443c519c024ef",
+        "bdb1ec1911a44fb94c270de2caea05ff759abda8152881e5775d29e5a33cf740",
     "test_golden_ooc_run[powerlaw-WB-raw-serial]":
-        "ca9db9bc1b0cc9e78a1802658012056d8839a3e119507746a69987e3a1498e85",
+        "8eae6ecb4da2a11f43e0af2b88c80920ae25988b1f2edc31776116b36c455f88",
     "test_golden_ooc_run[powerlaw-WB-varint-prefetch]":
-        "3aa64bdf700a0058579533e2e8f68e1ee81fa9192cd1f600927e17f431f5f0f3",
+        "ca015603d5a7cf999c166a465522f8bbb32f05648e6a281aac7c5157d5481553",
     "test_golden_ooc_run[powerlaw-WB-varint-serial]":
-        "885c2cd80c92789ca17666e71232a3baa144a6da9e0a5e93312b5a862f5c9f7f",
+        "1b1ac2be05c3f555c7d0af2bf14628137eb34386221afb4758dbe0c2c20ab20c",
     "test_golden_ooc_run[powerlaw-directed-HC-raw-prefetch]":
-        "0738cac972ed43f7dba38c532ee9f8f047f5720ec77a18394a1a02df6281db3e",
+        "a69b0ac54dcf3409f1491a4c17d840ff7175a779a076c06e1a41228231fdcb83",
     "test_golden_ooc_run[powerlaw-directed-HC-raw-serial]":
-        "678b9e1274b16fb9b2d01f926c8545cc8a8439c1dc8bff1679b0e2c06f9cd14a",
+        "d7906a3d3d3d74dbde0043f433d8da75d7c932f0a2c8d1458994586d8f982b37",
     "test_golden_ooc_run[powerlaw-directed-HC-varint-prefetch]":
-        "0aa0231a7d4c2cb2bec67a8fc6deda6484c7a289afa4af57550b0c8b0e266739",
+        "d78b72f672fb042fc2895166aa844b2842b0f5a3e96996a86d3418f66cff48bf",
     "test_golden_ooc_run[powerlaw-directed-HC-varint-serial]":
-        "1f9c450791faf4a30660e77bee600ddd377efd1f41af135da5f32f9a991adffd",
+        "8dcff83325db44353f5a56960417820be6b8004db43842487a9e79c4d8987858",
     "test_golden_ooc_run[powerlaw-directed-WB-raw-prefetch]":
-        "51bed1887e282429b2b31803f91e49da1eda57663acfef3040a2972f8b24c2a9",
+        "45e9508c53d8457003d887e58d16f449537b78efb12e8bae66e4f80400100c1e",
     "test_golden_ooc_run[powerlaw-directed-WB-raw-serial]":
-        "01e3c1461a02addc124aea3cdab41edae195137989121cae47b49b889ac215ca",
+        "fa4de7070c66065412d72dcd268ebe9f49009d5c9012e3fe12b33ff776babd1a",
     "test_golden_ooc_run[powerlaw-directed-WB-varint-prefetch]":
-        "1a65eec392a230e934ebfaf34175971feb9425bdef1e02f2880181bac5db8cc2",
+        "e79ff11a8d4d9bb97a66b05c1356c5d0f2410aeea71b8ecadd7eca60b861d1de",
     "test_golden_ooc_run[powerlaw-directed-WB-varint-serial]":
-        "c537906bcb8c6da01fbbfe9e195a65964b7aae0efcec28f6d1622b25c745b795",
+        "28dca59b10119b0d31e5b30cf23ff5879aa86dbfe55c0fe084aad94eb4410776",
     "test_golden_ooc_run[rmat10-HC-raw-prefetch]":
-        "c8a0993a2c711aab4aee189b822834f453a77fda7faa31e1dd90fbfc5a64771b",
+        "623cb4a603b471abb53aa1d171f35d4483e39ca4ce6ece4bd494e10c9d53e818",
     "test_golden_ooc_run[rmat10-HC-raw-serial]":
-        "9d0f76d5a2fcab127b0a882af01a573c362358b023142dd99b58020933f95063",
+        "6bb56743b7a1f6faeab78af659d8336c0f29019ea1817d5b9be7c938085bc4bc",
     "test_golden_ooc_run[rmat10-HC-varint-prefetch]":
-        "419f0a04daffcb47e3c6266003e9996fd263faa6bb1a1d78a21e3c36935d9a71",
+        "6a2a94726d5bbc37e6d5b4df73ab613b4ad11272fc8ec00e721fb2d5f11147ec",
     "test_golden_ooc_run[rmat10-HC-varint-serial]":
-        "fbf8097ba03fdb5acfe98bac6cbd0ba11d0fa3f84078e510f88c4563988c158d",
+        "7e781886e0bd9815959b066798f27a6f94ddf4856eb62ec4288a5613073c3e93",
     "test_golden_ooc_run[rmat10-WB-raw-prefetch]":
-        "845cb4ed31818a2836140a791acd1a81177123a2b56cdfdd43d8494d1ac17c96",
+        "1a49bd34801a742fe2818c7a2e3f336406b36333583f77e93e0d13c6b603639c",
     "test_golden_ooc_run[rmat10-WB-raw-serial]":
-        "8390ffffb98636eec556599fa966e48dbc5c2252ea5ff7325a343d208bd881c1",
+        "cd42c062043f362c90c9b4ee95bea133363b37076a35e0469c001b8c7da617df",
     "test_golden_ooc_run[rmat10-WB-varint-prefetch]":
-        "cd161441458a8775eb44cd076683e9d6bc2c8566d16c3a099c5125c286ad1cca",
+        "db7059b4fe5076f0c69792fe102418bbfe0f3e7b4d767256f256242a11dcaf05",
     "test_golden_ooc_run[rmat10-WB-varint-serial]":
-        "6c92eeb6660d9adb4965f3f0fd69a99bf655a32125b6840d44313dd64eeef6fd",
+        "38fdb74c49e3e8accbf758c3a9e3198c6f5bc9e1cade627df3a8ad58a58a1e09",
     "test_msbfs_waves_bit_identical[chain]":
-        "3f0f3fbd445ef1e17068e37d213bfe08d0ae20d6dd8c447c398274cf311c6785",
+        "b7b899520fa3ff6617d9acff9c18f7beabad918c5222eb82cfffdfd5a850e537",
     "test_msbfs_waves_bit_identical[fuzz-31]":
-        "362ac76755a54837ef189aa8f4ff931d77ca24ff269717c40b35ceb23477e237",
+        "8cfa9bb95109cd130378fb5917dc146ac421555eebaae1f1e63c4052e13f1adb",
     "test_msbfs_waves_bit_identical[fuzz-32]":
-        "a8e111894bcf585858c0e971ce49c25e0d0205de2ceb4dab70d7b915339bc81a",
+        "1ed184e8f37064ea9d8b302c30cee9a37784f3b678688f9587b8fb6d8a3d21f9",
     "test_msbfs_waves_bit_identical[islands]":
-        "86a0db3a801b5d929b1142ea0f004d5479f6f6f9916cb5e7a3d2bd86252dfa64",
+        "a50e1c1159ef7c1431e7ffe6b760e2d5446cbc8b6dd259450f46164de98d653a",
     "test_msbfs_waves_bit_identical[sink-hub]":
-        "03c36938e0d56db52ccfd06803f3f305e83caa0b52d8819928723bc759741245",
+        "32dd709df20db6bb255ae06e9a8a8e4bd9807c8379e41ecc373869a98a6dc59c",
     "test_msbfs_waves_bit_identical[star]":
-        "11030054575ac4373ae2b4d52ac211fd86672542ff599cd6acee3f9adbda2469",
+        "fe8a13bf0fc1f115fe605b0dbe94df2669eaaa122ae2cc96386fed30dddd4008",
     "test_serve_stack_bit_identical[fuzz-55]":
-        "2e6ca787e1b3606f01ea56ccfe91fc35e4204072226a40a418dec8869b0f0df1",
+        "27a3cf1ea2b9847a9537cbb1a7bad1c90079413a186ee58a737ff9896b355d68",
     "test_serve_stack_bit_identical[islands]":
-        "8fae57ebf9803e3b63a3c8b284bda8cf3b89ed36a2aeed66502aa77a83b10f92",
+        "026f9e5c82a6c65c896ed298e362022975ec79f4a04743bd571c23bc2c4949bf",
     "test_serve_stack_bit_identical[star]":
-        "c605cd4f4c06a8bbf07ba6261eb2da3a72ec4138fe81c827169d883fb502ffd0",
+        "0207fc794fb004dbe01fd60dc1ca92df1c99a0f174e0abba832555ee8e55f103",
     "test_switch_configs_bit_identical[switch_policy=alpha,switch_scan=interleaved]":
-        "dba322a1a288366f70f6e06d83e3e4a40a2907b1c89f0445f61a0ab01d741604",
+        "dcc09ad5ebb958bcf9c6bd941ed690fa02f25e18474a4ae8891b60ec32669f1e",
     "test_switch_configs_bit_identical[switch_policy=alpha]":
-        "96a8c7ce4b18bdcf84a8209266d2590db7a2e85867561ec6bcceb596648eb059",
+        "11d021b1050ae5eef8d453dbcf07d8328bbcc5c140b12bbd56697384351fc98e",
     "test_switch_configs_bit_identical[switch_scan=interleaved]":
-        "7ec42a5a13a5fcf32f14015ca7ccbc5f8bddcbd76af225603889698e361af7d6",
+        "bdb4e542b2d6b815da70b71131cfca1cbf74b6a49dbb84cf5ea6eebec8415511",
     "test_variant_bit_identical_on_corpus[bottomup-chain]":
-        "72edff6c9464984de7d5c5f0e738acec0228895bfe1e49dc0dec11bfab8b59a3",
+        "cd1e6b36d4815f8871b844bba052cbe476ea455c7d67a4670e4b59639dcf05bd",
     "test_variant_bit_identical_on_corpus[bottomup-dup-chain]":
-        "63691bd63271338251337d81840bf7044497df48137a7db0fa5681d877e4ab22",
+        "e6920c27c225cb235268a61399f6e9c6bed93a8629b763ebff95b901d17e08b4",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-0]":
-        "f0bb0499cc9888158cb4b1560cb53e8dccef26e3911ab32d96a442e994e31e1c",
+        "d31f7e8b58ac28a4a832bb941a61b0356a1566771acf968982e33fc4c4a99662",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-10]":
-        "eea480d70d400c7546f66b6461ffc375421fb0df7ed7a85d3ddf9605bbc6afab",
+        "415b601522665bab8d9d672bab78e81077844447487f841dc3e86d3898fd6082",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-11]":
-        "d6fbd08e518d0a087d6c338dbb48238ddc4fc8cba816cdb84ef330a428e28ec3",
+        "8b8210cd5a200eeddb93244fdb48a84cdafa51cea34c7b3bdcaee5b5d5f198ec",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-1]":
-        "17c2447c06f85b9755de7de4b5971c1d5ebeb00dd96660553fe727eed55ed723",
+        "8042782e913671be6a1771a07b5c75a47dece843419e0ee2ff24f521a8c3f487",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-2]":
-        "c6a2e814244d22c672bf8cc34903fb611c15f8868825706973eb2745b9b5d0bf",
+        "c7addbaf639e53bba1a8cdebd9c70d3f055701b73571b92fffd70a46281a0144",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-3]":
-        "4ded86db860536db1830706ff513b74a05e42bade8d3d9157ef878adeac059e2",
+        "1a3e8d3d131ceeda7d80a7eba14466db2649796c415629dbd596f332587e978b",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-4]":
-        "a866832c4d9c5d7b2ee618b4e0f2301e4545390f5b29ee49bcc044872b0d4861",
+        "3a2e6635415a7058d183fc214a4b67f15b1c2bcd2a7053fb6892ecec83aba5ff",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-5]":
-        "cd988b8a5510bf871f732e1413a9fae2b7964586433e3b3b56cf4871e001891b",
+        "08ee8e4c455dbae0fa87cefff039d75d75c432b6040dae1995ffe2597441b731",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-6]":
-        "94fab55d7c646c1388b47f7e29ecc52b15ca5cc79febfe4b59ee212d396b7f82",
+        "698c9c5034815ca5e23eaa8b295c60af491d9be8f3a5939c7f89f1b5b026f2f7",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-7]":
-        "570a73d94d270987cab1b13853bdcbb19fedc98f6f8c7e8b597c9c4a9c609348",
+        "1fba900f21fb5183a096d9808b4b6effcf38e1c42d9fcf2f705f6ee612be4435",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-8]":
-        "641ce1c82cce47a1c5a7f7f4b8dc194810895983bc03eb42c8f8285b2806ea65",
+        "b6c59fab087a3d7ea5e2b19106f0e29fe105d8ada97afeb2f2030d2be15edd40",
     "test_variant_bit_identical_on_corpus[bottomup-fuzz-9]":
-        "589586fe7e16740727ba08bc674396b4f823078ce03fdf54d12944cd81d390db",
+        "e661e24b434438784db0a155827efc915506a7fd97c40301c3414fcb456b3a4d",
     "test_variant_bit_identical_on_corpus[bottomup-islands]":
-        "83efd1c75a53bb9352a821f90f5dbfd5bfedafd942b9a880e161082b278c8f1d",
+        "b204f161f8b6a34fefda83a967c504b54154fd4a81bd846f45cb34fd09f7ea1a",
     "test_variant_bit_identical_on_corpus[bottomup-loops]":
-        "21f6593673d4e0ebf1cfa33d72a7b71e7d136fa9aaae63941d305e6ffa2acd94",
+        "2d14097b859c85f98d99228f31a98e5246ed6ff2af38a3057b44951c237d2c5e",
     "test_variant_bit_identical_on_corpus[bottomup-sink-hub]":
-        "ace70c7164510981343b40b88d27f81dfac2a8de7496d5c2b5377d8dbca8cf01",
+        "0eba975e9b5040bf339b821a0b37fb96e17f91a775bb742f608f313a684c74b5",
     "test_variant_bit_identical_on_corpus[bottomup-star]":
-        "78d0cf8d4216e49c246eeb12f3ac6e614a553981d30f204bb10dab9c1c3868fc",
+        "fe01563409ccce5cb6f880d02f8e84180371694b354f02f80833c09ccb07b4b0",
     "test_variant_bit_identical_on_corpus[enterprise-chain]":
-        "d852705485a11f792b0bfacec5b52c92845d22a1c2a1c6842e36873765647ba7",
+        "bb7847b707b26bc2d6ecef424251c34788d3ff5affc98d492234b39062567ba8",
     "test_variant_bit_identical_on_corpus[enterprise-dup-chain]":
-        "f4e51d37187d8d66e6cfbdb5cd819b6360c65209768e356334280d3ac79d8b66",
+        "ebeb5fe1728f2122d703dc90f2429add85e1730611b3348781f78517c16f4caf",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-0]":
-        "16d00b9b19c2a2d74728a78d818689e7beeadea555c44072bb94e23921a5b8e7",
+        "e506a8f20d3b617873b9241371f2c778f3f9a463371d42a2f633673d31409d10",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-10]":
-        "54d052873cde4c5b1cf4a2d87fb7bd2178b9238d402866606a65b66564a666a0",
+        "de0390095b5cce1b8f2fcf63c970ca992ad36a24af36aedeb67dfbd72e8106d7",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-11]":
-        "1f39b7ed3e45ed892b12bf2d4455f5c99a3d5ad362937e58c867f6b46865985f",
+        "42338bc9d8be6a24fc470065770277969ad50390fdcc167c9131a0dcb30e7e82",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-1]":
-        "3fbabdb4bb74e589b8f236aff7972df5f9b148ccb2ca01b34d61b945841e6afd",
+        "09865220f6df722cd46ae24623afc4d2188e9193cb38b6b039fd330d6209d6f0",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-2]":
-        "4d3d40bfa5d728d7432dbf02f5f0d706206b572aaa4a82b0bc6a845001a454e2",
+        "ceef46967ea8f6cbc9d4d5ac1c9fbaafd01e742de91fd57a2fca92da54b958de",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-3]":
-        "a1ce1d39744d2eaa043283d05e503b6ee4983e6e82db474274c0b00a123ff77b",
+        "93fdc8e35d5cfa9b5ba3d60a07745bfeae991b61463f7e22d3e61dc70a117cb1",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-4]":
-        "71807e94b62554dbfa837a66c7554af491d1c8e1cd81fcef896c5bc2bf192de5",
+        "b9e12dd8f482a9320be50e8ad1d57a42394219583869bf14e7a6c3389ed2df54",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-5]":
-        "cff5243eb9e9669b0ffcef257fb89e9539afde9fd1fbdf02d72ff237b41890a2",
+        "8bb2433e3cc5eb1fbeabb74dc16dc2efc47cddf8107941431ed3379cca40386f",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-6]":
-        "97e135f1db73ddc120f5f628b89afa2dc44b3cd4c28f0326855af252b3b15488",
+        "54fc1c50a8d12bc3a181e03bfa6d3a1b53c2d1a7123971809791dac6dae8a116",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-7]":
-        "dd05f8f4f50a3bd44cc376359fc6b9bd6b33594e86e7b36ecd27d37829f9419d",
+        "2735da87174885b3ef674c5cb5e53e4ed2005f940ebe5a932ad5f18e139f03ed",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-8]":
-        "0044da8e5e1ff3e7ca6cdf0036e9a452e8e4e1f95d370e243489684572b4967f",
+        "8cf024df35e08bfa9511d80185e6c62b6b721801061294640415924a83c239d4",
     "test_variant_bit_identical_on_corpus[enterprise-fuzz-9]":
-        "56176e45ee83255944818c1cf263f57b2317e40aea8295736581e782d32434d6",
+        "0d31027f3bd76016c972863fb513df1081dae61a15e71450877e1f08f5394199",
     "test_variant_bit_identical_on_corpus[enterprise-islands]":
-        "4630050b112b32246c69e799920cbec1f6529d599045b0c1010b2f978364abab",
+        "cd1cc55c00708c0e7a687c8a08157f5efb4b62bba0dac78768d4ad4230ba7554",
     "test_variant_bit_identical_on_corpus[enterprise-loops]":
-        "67f54c69c7b13b97ab0505a22a852e31500116dbe2da1dd07939a63e82ebd026",
+        "76b96f19a8c412ff06d7dc51841539967cd9b4b9cfc2210cadc75302526e07a7",
     "test_variant_bit_identical_on_corpus[enterprise-sink-hub]":
-        "f6d040be3b88d1ad1639be4c0661ef1d610f245374a406151c51a586ef9cd720",
+        "c46437272fdc812eb2c125dba93f6090593ace614ec689b772bf2801b49610d6",
     "test_variant_bit_identical_on_corpus[enterprise-star]":
-        "c976b00b25dccce5e91472d00368c5a3098c94417583d77508742bd86536d3ed",
+        "5b742625a893d5c12f186d366de5e88e04a82b687bc4ad81aa27de921d7b79fc",
     "test_variant_bit_identical_on_corpus[hybrid-chain]":
-        "85c3472978b2bb7b81a79aa518fad04c665b96ef50a7223c306431a00b7a1fb1",
+        "909069f55e06f883878c868173bdbbaf642abe2b135334098f6cdaacd07a3788",
     "test_variant_bit_identical_on_corpus[hybrid-dup-chain]":
-        "661b54dd25c62daef4a2ee7ae7c936838afe6add8fadea5f6a8199f13195b95f",
+        "e6acf0f2025311026b3a5f3d40fd317223d7b4c32b79439775137e31975dfe88",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-0]":
-        "8afd87f9fb134f73cef4b64aaeb81cd0218d4ca17775376e89e9f5ca772276f9",
+        "d0cd94d08423466d144239a4a68ed065a30c33b5ec555b05e9f9e745f2239158",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-10]":
-        "fca08b62af85aff2e6a608a604bbfc7a831073b56380314fe45bdb5e17cb33f4",
+        "864d62ed4f9751f3040bd3bd0887d3c0863aca7fd6d799f19379121b8b1cbd33",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-11]":
-        "f57b078b76d7e712d4009b940118b4c7c08d48b3acfbcfc933d616603604acd6",
+        "37ec0223ea4903118d52783cf207adaac6f358d4e4e7b44e26c25808263ab16b",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-1]":
-        "dabddb430d3494cd8124dfc42fc65271765b4b2bc1dc4b549ee168c2c4f2eb6f",
+        "f0e25fabeb350efec3844138706c0f9d989a6bc220d35e9a9b1942238eff0a43",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-2]":
-        "876a7527762fdde11179070423d0530f82fc7736ea26941ec59cd072ef08cc8b",
+        "ad3ff3132d230e45249301bedb7cd515e510ca000f27dfe789a84d8004c939c4",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-3]":
-        "9f4ae1b65a6cbeeb561a6d5ed09841fc7b33916e1ae29d2fb5ac48f407f5527f",
+        "c68f24ff90925ddbbba5c802a10129ce77624e7724260faa8cc49fa0f8a7d983",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-4]":
-        "9726513c4b0f95d7c33a92db6e1904d254834e1cdc591aa1da9550a48a6ef606",
+        "a736b6653b73e11b9cecd9e4b2b9a3a153d56dcf8b31531acfe1073008d9d4da",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-5]":
-        "719b67ccc640fdf8da9d50f2c1575231752b8b5526b4d369b3c91d3f1fdb1ed7",
+        "830ac88c15240b4a160899beb7277376c1a45ea641ccde8d0118327450d568aa",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-6]":
-        "b1c167b91b976442baed6c537206752878f361c35d440449d470f8f5f60ca827",
+        "7d8370fdc614e5048a97f9274c49f1491fc54dcd2e71240e1f281a4bdd2f30b5",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-7]":
-        "b822b37ea5b0613eaf950e15d05eed72c90f19e3bcf90891ead6185a39cf6c23",
+        "4b16d575a425a421e6923cc8558bfa473e91d59711d8b6226c6a49a46538596c",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-8]":
-        "fd0c58c40ba739b0274f15a6c1c083a20b3a6ae6b6cba26587943206a79cffb1",
+        "2dc34c68c806e534be095b4f6b03df78da0b871a275061d6b1028df9e1be4773",
     "test_variant_bit_identical_on_corpus[hybrid-fuzz-9]":
-        "39b96f01de22e80ae0592b5c8083e13af35e16656a7d76aee541d50c9be25a16",
+        "3cce4e82192a9f0412e3edfd14d013596e83c7c980ae8b17dbbd6a4bb3a177e3",
     "test_variant_bit_identical_on_corpus[hybrid-islands]":
-        "e3a531b5cd7b3b63dcc23accc856f10f57801dec51eb4dfaaf30adc8717a1a8b",
+        "a29ead687c51af374eb874f078e5b875895ebbab0b9ff20bc6f2859daeff871b",
     "test_variant_bit_identical_on_corpus[hybrid-loops]":
-        "ed627e45604c4770a6e555fbf38f32d6cb8d66aac37fee0d533d9fd2fd28b63f",
+        "1031c9df0b6ad4f49b28cdcf2cce602a5db9227861f2a1326dc3890e9d7223c4",
     "test_variant_bit_identical_on_corpus[hybrid-sink-hub]":
-        "dfa4687dac1a783c9bf48a4dd94a2b4dd050bdad551327cf58aac24da5588b32",
+        "0c97e03b3593740e6a6891b41ee205e09ab57bdb5a5278f73b2dc1b41d0016aa",
     "test_variant_bit_identical_on_corpus[hybrid-star]":
-        "65011df51e743b7f836e97e75fdca135ac2050a8991fb22be2e5663e40586d2c",
+        "8909fc4c75a9214faee089642d14e12dcd4d5cc360365f32740980f38602be52",
     "test_variant_bit_identical_on_corpus[statusarray-chain]":
-        "c1dc4f4d49719884fa316306f9b22e79df658de6baaaf4467dc38a2e710c146a",
+        "4e941ef1a11666818d118d660c79d5bb723d04079a79f58c5432180c96b353e5",
     "test_variant_bit_identical_on_corpus[statusarray-dup-chain]":
-        "aa9b793bfab271d936d7bbf01686e583bc388e93424b9f9da2569a6bf464322f",
+        "08e3f673edf13cd0864f01189b8e34ea3621ae5be6b4ea987d466202d85d8f65",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-0]":
-        "ecdff771e591d49d3fe0d71c71284fe19a632961ca3f54e2c06711e145ab77ef",
+        "e6a148fc76e7ddd751832cc01a101b6192baaecd6f9497129054ed67c263ae6d",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-10]":
-        "1d5c3b23453626942edd5018af2991e107b5e533f26557f65549c523c5b7daef",
+        "84e9c539758fa2748c7d5eb17dc37dad93c2f241717c1f5abfc3ec4cd2ac57a8",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-11]":
-        "ac7f572daf7df0410da991a67bdc2d3797a33bb157c17945330a35832077ccb4",
+        "0814b99d82236b7f0a34b1ab145fd7b2ed2d1191ddcbfe9825d5eb6101fc72e1",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-1]":
-        "2de32eb19e9f0dfbc9543404cf26cc3a487b5f585312f2962c79732bbbcccc6b",
+        "b92bb8c4e952f0a2101d1912ba7213b3eebbfa913969242e9461239f1dcee116",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-2]":
-        "1521e05074a60e17b7a60ba6722a6cade121569e8f8a776bfb664695f7b22e51",
+        "1f2fadf58e9df59e69c078a6c69d2f09a6e42b25c69dbc23d1ed6208c2bcbb5a",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-3]":
-        "530a2b81b23025793e439afd6aa42c6308c8bc5fa63dda1496b6df357c7fdf8c",
+        "d0855a19be36b70da13b17162f6d7c871d6ca755a4c37211b42f6ee8ba35c9bd",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-4]":
-        "3f4c3bf8391dd04b7c0ada45803a64d7f9c629cbff3ac75e64446564d5967cfd",
+        "b47079772f0c218257cf66a5dc0c0c42c27d38ad60aca8729ac1ff992c57c52b",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-5]":
-        "6e2e8c2ed9fbddef6e07268c9ebee60b74c832e22b8c179377b952d105d6eee4",
+        "83e01e4ca623afc92de0f33f41759618743db4506d3dec1bcf0892e22aa02174",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-6]":
-        "c184198a47d4b8aa18133b6de3b73307301b21a50e4648b52391b9445e53553c",
+        "da9ed3f282e3c13d3605cebc2812d342c27968a83ef168c9a6650e248a263d1c",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-7]":
-        "96a61acd4702e9f1e521e2866b9771fd87f9a868db79280dd1b517a811b770a9",
+        "b604f3d6901a2195fdae39c44fab8553c62149b57a6790d5a55e4c69bfabf411",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-8]":
-        "782b826e650f62761a80f60f4073f04de9ec48de27f25d14047e67f14e3ec2dd",
+        "3bd9a873032e5391ca69e30f3d9d42b3724a61ef33a5335b7883c4d020fcd823",
     "test_variant_bit_identical_on_corpus[statusarray-fuzz-9]":
-        "89651fba2fdc819b337e9967ac5da07881352d9f027849795ec6b4053c48fd1a",
+        "3279ca5b4de773d82e04318d468f544840bdbd6d3507c5559293cb74f0f41283",
     "test_variant_bit_identical_on_corpus[statusarray-islands]":
-        "d3a83f7782016619edd54b81180fc1c68a325d72866f80dcca4be357e573f766",
+        "97415943a8b82b2443bf410a98099215fe49ccc9118267848e3555e138adacbc",
     "test_variant_bit_identical_on_corpus[statusarray-loops]":
-        "f11bfcebfe3b174aaf4ff5a9c45db44a9b9eea833092d97c0070f31238c79748",
+        "a72f5e06968bca29e37682bdf96725f930b5ac26a8ccdf72c1ccb410e2a4ee82",
     "test_variant_bit_identical_on_corpus[statusarray-sink-hub]":
-        "1c708f38e7a30e4908bfc32d8c1f7cbc61d7882a9e8366843b96561a81c09d75",
+        "96f7964bc44c1ae7ea562802babd5aaaea85a36e3b9a09890a7e1dcee357525d",
     "test_variant_bit_identical_on_corpus[statusarray-star]":
-        "b24cc00f497c88c61574f62548a802546ba43341cd28c7fd527004d7d9571237",
+        "bd44ce7f2528705b8b61ff74825ae99ff8bdb433f55d69021bc2abd055cd065b",
     "test_variant_bit_identical_on_corpus[topdown-chain]":
-        "898ed6746eb1edd22072d1afadd28633cf6ff12ebefa34c30c0bf1e53fad2973",
+        "cf70ad1dac0931909a4d057f8a5809c5243c01dd6715291a2d87cab4acdc2bca",
     "test_variant_bit_identical_on_corpus[topdown-dup-chain]":
-        "4957aed0cb4a9cac2ea76120b3d2003f80b76b1eea4314ca6025a5f27b2570d2",
+        "b66900ed69d60a5b340a40e718d90c1f46c63898c2befa35261a5c039a43cc91",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-0]":
-        "64b6819861c5de57b3335080f5593655b3f52229b3acfa33fd639a48e760a7c9",
+        "b602bb7e9979584624637c086639e49c853a1fabb6c4cb71f52ed3075153f906",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-10]":
-        "72b1090980372650db1ae21817f1fdcbb488a390ea29c468ad75a04a0603601d",
+        "0a22d12591561224112c11fc074aa5638db232a879fef46819e9116e64302b69",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-11]":
-        "8ea3e54c340c464e268cdaec5a383848f999fe66d33311ff64ba0311453a152d",
+        "70730ac7c3364aeaa28b2ac50322d576c1b053cd02e7ff5fda99b97d3f512820",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-1]":
-        "24c80a2844f1d148a6b4a62835cbc062b8796fef57263e489649bbbec5f209a4",
+        "70d7e9be622d1df2893c1d51426b9e487c5d48527dd411e78f661b6aee7ba6ff",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-2]":
-        "7fe9f4bf2727f99835fa729254f6016275ad1fa53ae00576e0e6ea03ed0a26eb",
+        "5ab88f07d906496e2084163b58be6ca4402f1c4ca97aff9ee31c9c8f8a31c229",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-3]":
-        "af6230bc4ff8f6535356070480267c0aca77e72aad7a0e02ff70dd951568e1b0",
+        "682df2267716429f477040ed4002518115b83b82928359036df21e4ec6462035",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-4]":
-        "c5932b4eadc7e066a1e746febf45db6f0495c058d3fbcf5b183e0e865f885cea",
+        "f63a2dd0e11216659a2e42f40978b4130b8ef4d56b9cc9f64b339d0cdd62f16b",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-5]":
-        "7253ecf5c41580519e66e954b064a5a0bc8bdd4325dc3aedc352e6b8ba9bbf3e",
+        "ce1a45ce0c5f9c47b8618b895d35780a328d9c68b2e09a5092e29c5f03156269",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-6]":
-        "34947f6471268052a252caf97de68c0c6e54df1abb459c2dcc59d89b9391a245",
+        "b1d4f67f5267ab269910496c50213a3a42d4fca52ea56f04c1dbeada3f89b7e7",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-7]":
-        "41e767fbef035b94857825d552de4ffe69cfa633fbee1fc4a30478cf31b30b23",
+        "c8ad6dca38b672f7f3a198acca797ee7a56607599df5f766ea5babe15afa42fd",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-8]":
-        "7d70b363d3a45595419385faf6095cb9aa4ab7e159d65ff1bf30b1a73f8c07b6",
+        "8effbe7134d86b1541921cfa43d6055cd7923e0ce0f4b3f645d5705fb1f39ed4",
     "test_variant_bit_identical_on_corpus[topdown-fuzz-9]":
-        "0747d4b44f7724b0f8376a9c17a77d5138225964443d407f5baf66340fd77575",
+        "9cb6dc6039f268fb8ec4d84f1f1811cfa3689261d2291367414195fcbbae9526",
     "test_variant_bit_identical_on_corpus[topdown-islands]":
-        "f88955fde7e54e0db05e7763b102d846463358db922f02a51d6826916a4e585e",
+        "b403fe7f0bfdd98d295df9ff72fceca5587364bd634051f038a1c65b18e21bab",
     "test_variant_bit_identical_on_corpus[topdown-loops]":
-        "8c29070b6a73bc372c699ae11b8621ed2898257f2dd50f1dc28e205bc94d4864",
+        "dc0579ef19b2be774ec911b9c101fbaf9b7df5b3e51a4024e1d419391e2711d4",
     "test_variant_bit_identical_on_corpus[topdown-sink-hub]":
-        "2ed058c7915266338f64ac93df967761d76d002ffc89aa638346ff3afff14337",
+        "3ee30b906a148b344bcaa53bcd69993bc045672b92b2440f9112a5c0e96aef5d",
     "test_variant_bit_identical_on_corpus[topdown-star]":
-        "6b5d375fe1f9cedd24c90ac22958d211cca34e65c778e797a5541b3eb990148c",
+        "54af17b753c9d8a88bcbd05eaee55c5580ea322045faea5712acb4b0d016e79b",
     "test_weak_scaling_rows_bit_identical":
-        "5346c3b88d4c2ad02168d45e63b387a8c3474cb4adf7f9f6776c78033df92241",
+        "8cdfe163483e50969de99d2f35147214e82c2c705a252d9cf63d1cfc352f2ec5",
 }
 
 

@@ -186,7 +186,7 @@ class TestDegenerateAggregations:
 
     def test_zero_time_kernels_keep_observed_wall_time(self):
         from dataclasses import replace
-        ghost = replace(_busy_kernel(), time_ms=0.0)
+        ghost = replace(_busy_kernel(), time_ps=0)
         c = aggregate_counters([ghost, ghost], SPEC, elapsed_ms=2.5)
         self._assert_idle(c, 2.5)
 

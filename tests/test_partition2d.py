@@ -14,6 +14,7 @@ from repro.bfs import (
     multigpu_enterprise_bfs,
     validate_result,
 )
+from repro.gpu.clock import ticks
 from repro.gpu.fabric import ring_ms
 from repro.graph import from_edges, load, powerlaw_graph
 from repro.metrics import random_sources
@@ -93,8 +94,8 @@ class TestExchangeAdvantage:
     def test_ledger_consistent(self, graph):
         src = int(np.argmax(graph.out_degrees))
         m = multigpu2d_enterprise_bfs(graph, src, 2, 2)
-        assert m.time_ms == pytest.approx(
-            m.computation_ms + m.communication_ms, rel=1e-6)
+        assert ticks(m.time_ms) == \
+            ticks(m.computation_ms) + ticks(m.communication_ms)
         assert m.teps > 0
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bfs.enterprise import ABLATION_CONFIGS
+from repro.bfs.enterprise import ABLATION_CONFIGS, enterprise_bfs
+from repro.gpu import GPUDevice
 from repro.graph import powerlaw_graph
 from repro.observ.profiler import (
     KERNEL_CLASSES,
@@ -18,6 +19,7 @@ from repro.observ.profiler import (
     ClassProfile,
     LevelProfile,
     RunProfile,
+    build_profile,
     diagnose,
     diff_profiles,
     format_diff,
@@ -55,19 +57,30 @@ def hc_profile(graph):
 class TestBuild:
     def test_cells_partition_run_time_exactly(self, hc_profile):
         cells = hc_profile.cells()
-        assert sum(cells.values()) == pytest.approx(
-            hc_profile.time_ms, rel=1e-12)
+        assert sum(cells.values()) == hc_profile.time_ps
 
     def test_level_times_partition_run_time(self, hc_profile):
-        total = sum(lvl.time_ms for lvl in hc_profile.levels) \
-            + hc_profile.other_ms
-        assert total == pytest.approx(hc_profile.time_ms, rel=1e-12)
+        total = sum(lvl.queue_gen_ps + lvl.expand_ps
+                    for lvl in hc_profile.levels) + hc_profile.other_ps
+        assert total == hc_profile.time_ps
 
     def test_class_attribution_partitions_expansion(self, hc_profile):
         for lvl in hc_profile.levels:
             if lvl.classes:
-                assert sum(c.attributed_ms for c in lvl.classes) == \
-                    pytest.approx(lvl.expand_ms, rel=1e-9)
+                assert sum(c.attributed_ps for c in lvl.classes) == \
+                    lvl.expand_ps
+
+    @pytest.mark.parametrize("slowdown", [1.5, 2.5, 4.0])
+    def test_straggler_cells_partition_device_clock(self, graph, slowdown):
+        device = GPUDevice(slowdown=slowdown)
+        profile = build_profile(enterprise_bfs(graph, 0, device=device),
+                                device)
+        assert sum(profile.cells().values()) == profile.time_ps == \
+            device.elapsed_ps
+        for lvl in profile.levels:
+            if lvl.classes:
+                assert sum(c.attributed_ps for c in lvl.classes) == \
+                    lvl.expand_ps
 
     def test_levels_sorted_and_classified(self, hc_profile):
         levels = [lvl.level for lvl in hc_profile.levels]
@@ -239,7 +252,7 @@ class TestDiffRealRuns:
 
     def test_zero_time_profile_rejected(self, hc_profile):
         import dataclasses
-        broken = dataclasses.replace(hc_profile, time_ms=0.0)
+        broken = dataclasses.replace(hc_profile, time_ps=0)
         with pytest.raises(ValueError, match="no elapsed time"):
             diff_profiles(broken, hc_profile)
 
@@ -248,49 +261,50 @@ class TestDiffRealRuns:
 # Differential profiling properties on synthetic profiles (hypothesis)
 # ----------------------------------------------------------------------
 
-def _cls(name: str, ms: float) -> ClassProfile:
+def _cls(name: str, ps: int) -> ClassProfile:
     return ClassProfile(
-        kernel_class=name, launches=1, time_ms=ms, attributed_ms=ms,
+        kernel_class=name, launches=1, time_ps=ps, attributed_ps=ps,
         gld_transactions=0, bytes_moved=0, instructions=0,
         useful_lane_steps=0, wasted_lane_steps=0, memory_time_ms=0.0,
         stall_time_ms=0.0, issue_time_ms=0.0, dram_time_ms=0.0,
-        latency_time_ms=0.0, max_kernel_ms=ms)
+        latency_time_ms=0.0, max_kernel_ps=ps)
 
 
-def _lvl(i: int, qgen: float, classes: dict[str, float]) -> LevelProfile:
+def _lvl(i: int, qgen: int, classes: dict[str, int]) -> LevelProfile:
     return LevelProfile(
         level=i, direction="top-down", frontier_count=1, newly_visited=1,
-        edges_checked=1, queue_gen_ms=qgen,
-        expand_ms=sum(classes.values()), hub_cache_hits=0,
+        edges_checked=1, queue_gen_ps=qgen,
+        expand_ps=sum(classes.values()), hub_cache_hits=0,
         hub_cache_lookups=0,
-        classes=tuple(_cls(n, ms) for n, ms in sorted(classes.items())),
+        classes=tuple(_cls(n, ps) for n, ps in sorted(classes.items())),
         ldst_fu_utilization=0.0, stall_data_request=0.0, ipc=0.0,
         power_w=0.0, bound="latency-bound", pct_of_roof=0.0,
         intensity=0.0)
 
 
-def _prof(level_specs, edges: int, other: float = 0.0,
+def _prof(level_specs, edges: int, other: int = 0,
           label: str = "A") -> RunProfile:
     levels = tuple(_lvl(i, qgen, classes)
                    for i, (qgen, classes) in enumerate(level_specs))
-    time_ms = sum(lvl.time_ms for lvl in levels) + other
+    time_ps = sum(lvl.queue_gen_ps + lvl.expand_ps for lvl in levels) + other
     return RunProfile(
         algorithm="synthetic", config=label, graph="synthetic", source=0,
-        device="K40", time_ms=time_ms, edges_traversed=edges, visited=1,
-        depth=len(levels), levels=levels, other_ms=other, counters={},
+        device="K40", time_ps=time_ps, edges_traversed=edges, visited=1,
+        depth=len(levels), levels=levels, other_ps=other, counters={},
         meta={})
 
 
-_ms = st.floats(0.0, 10.0).map(lambda x: round(x, 3))
-_classes = st.dictionaries(st.sampled_from(KERNEL_CLASSES), _ms,
+#: Up to 10 simulated ms, in ticks.
+_ps = st.integers(0, 10 * 10**9)
+_classes = st.dictionaries(st.sampled_from(KERNEL_CLASSES), _ps,
                            min_size=0, max_size=3)
-_level_specs = st.lists(st.tuples(_ms, _classes), min_size=1, max_size=4)
+_level_specs = st.lists(st.tuples(_ps, _classes), min_size=1, max_size=4)
 
 
 class TestDiffProperties:
     @settings(max_examples=150, deadline=None)
     @given(specs_a=_level_specs, specs_b=_level_specs,
-           other_a=_ms, other_b=_ms)
+           other_a=_ps, other_b=_ps)
     def test_attribution_sums_to_total_delta(self, specs_a, specs_b,
                                              other_a, other_b):
         a = _prof(specs_a, edges=10**6, other=other_a, label="A")
@@ -320,7 +334,7 @@ class TestDiffProperties:
             assert rev_cells[key] == pytest.approx(-value, rel=1e-9)
 
     @settings(max_examples=50, deadline=None)
-    @given(specs=_level_specs, other=_ms)
+    @given(specs=_level_specs, other=_ps)
     def test_self_diff_always_empty(self, specs, other):
         p = _prof(specs, edges=10**6, other=other)
         assume(p.time_ms > 0)

@@ -150,13 +150,17 @@ def test_chaos_matrix_bit_identical(request):
 
 @pytest.mark.parametrize("graph", SMALL_CORPUS, ids=lambda g: g.name)
 def test_cluster_profile_bit_identical(graph, request):
-    """The run behind the ``repro.clusterprofile/v1`` document: levels,
+    """The run behind the ``repro.clusterprofile/v2`` document (levels,
     parents, per-level tier costs, node compute/staging ledgers and
-    exchange byte counters.  The document itself is not digested: its
-    tier attribution sums floats with ``sum()``, which Python 3.12
-    rounds differently."""
-    check_digest(request, run_snapshot(
-        cluster_enterprise_bfs(graph, 0, 2, 2, parts_per_node=4)))
+    exchange byte counters), and the document itself: its tier ledgers
+    add integer ticks, so it reads the same on every Python."""
+    from repro.observ.clusterprof import build_cluster_profile, \
+        cluster_to_json
+
+    run = cluster_enterprise_bfs(graph, 0, 2, 2, parts_per_node=4)
+    check_digest(request, run_snapshot(run))
+    check_digest(request, cluster_to_json(build_cluster_profile(run)),
+                 ":document")
 
 
 def test_weak_scaling_rows_bit_identical(request):
