@@ -112,11 +112,6 @@ class DeviceSpec:
     def max_transaction_bytes(self) -> int:
         return max(self.transaction_bytes)
 
-    @property
-    def peak_ipc_per_sm(self) -> float:
-        """Peak instructions per cycle per SMX (one per scheduler issue)."""
-        return float(self.warp_schedulers_per_sm)
-
     def memory_levels(self) -> tuple[MemoryLevel, ...]:
         """The hierarchy in Table 2 order (fastest first)."""
         return (
