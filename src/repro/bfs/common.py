@@ -89,6 +89,13 @@ class BFSResult:
     parents: np.ndarray
     traces: list[LevelTrace] = field(default_factory=list)
     time_ms: float = 0.0
+    #: Queue-generation ticks charged after the last trace: the scan or
+    #: filter that found the next queue empty, or the queue that
+    #: ``max_levels`` left unexpanded (0 when there was none).  In an
+    #: ``enterprise_bfs`` run, in memory or out of core without
+    #: prefetch, the traces' ticks plus these are the ticks of
+    #: ``time_ms``.
+    tail_queue_gen_ps: int = 0
     #: Populated by enterprise_bfs: the HubCachePolicy of the run (None
     #: when the configuration disabled HC) and the per-level indicator
     #: series behind Fig. 10.
@@ -237,21 +244,26 @@ def expand_frontier(
     if cand.size == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 edges_checked, 0)
-    # Dedup by marking: level+1 has never been assigned, so after the
-    # fancy store the marked positions are exactly np.unique(cand), and
-    # a scratch fancy-assignment of the sources keeps the last writer of
-    # each vertex as its parent.
     n = status.size
     if cand.size * 8 < n:
         # Tiny candidate set on a big status array: scanning all n
-        # vertices would dominate, so dedup by sorting instead (the
-        # reversed unique keeps each vertex's last writer).
-        uniq = np.unique(cand)
-        rev_last = (cand.size - 1
-                    - np.unique(cand[::-1], return_index=True)[1])
-        parents = cand_src[rev_last]
+        # vertices would dominate, so dedup by stamping the candidates.
+        # Every candidate is UNVISITED, so after a ramp store each vertex
+        # holds the index of its last writer (its parent); the
+        # candidates that read their own index back are the unique set,
+        # sorted by vertex and then stamped over with level + 1.
+        ramp = np.arange(cand.size, dtype=status.dtype)
+        status[cand] = ramp
+        last = np.flatnonzero(status[cand] == ramp)
+        uniq = cand[last]
+        order = uniq.argsort()
+        uniq = uniq[order]
         status[uniq] = level + 1
-        return uniq, parents, edges_checked, int(cand.size)
+        return uniq, cand_src[last[order]], edges_checked, int(cand.size)
+    # Dedup by marking: level+1 has never been assigned, so after the
+    # fancy store the marked positions are exactly the distinct
+    # candidates, ascending, and a scratch fancy-assignment of the
+    # sources keeps the last writer of each vertex as its parent.
     status[cand] = level + 1
     uniq = np.flatnonzero(status == level + 1).astype(np.int64, copy=False)
     scratch = np.empty(n, dtype=np.int64)

@@ -291,7 +291,8 @@ def _traverse(
     (:func:`repro.storage.ooc.ooc_enterprise_bfs`) charges the partition
     reads of the level's queue to ``device`` there.  Each level's queue
     generation and expansion (staging included) times are deltas of the
-    device clock across their launches.
+    device clock across their launches; a queue generated after the last
+    level is the result's ``tail_queue_gen_ps``.
     """
     spec = device.spec
     n = graph.num_vertices
@@ -459,6 +460,7 @@ def _traverse(
             # (no device activity in between).
             _emit_level(traces[-1],
                         (expand_begin - queue_gen_ps) / PS_PER_MS, kernels)
+        queue_gen_ps = 0  # held by the trace; what is left is the tail
 
         if newly.size == 0:
             break  # the rest is unreachable
@@ -511,6 +513,7 @@ def _traverse(
         parents=parents,
         traces=traces,
         time_ms=device.elapsed_ms,
+        tail_queue_gen_ps=queue_gen_ps,
     )
     result.set_edges_traversed(graph)
     result.hub_cache = hc  # type: ignore[attr-defined]

@@ -124,37 +124,28 @@ class CSRGraph:
         equivalent of a frontier-expansion kernel's per-edge loop.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
         degs = self.out_degrees[vertices]
-        total = int(degs.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        sources = np.repeat(vertices, degs)
-        # Positions of every edge of every vertex, built without loops:
-        # a ramp 0..total-1 minus the per-vertex restart offsets.
-        starts = self.offsets[vertices]
-        ramp = shared_arange(total)
-        resets = np.repeat(np.cumsum(degs) - degs, degs)
-        positions = starts.repeat(degs) + (ramp - resets)
-        return sources, self.targets[positions]
+        slots = self.gather_slots(vertices, self.offsets, degs)
+        return np.repeat(vertices, degs), self.targets[slots]
 
     def gather_slots(self, vertices: np.ndarray,
                      offsets: np.ndarray,
                      degs: np.ndarray) -> np.ndarray:
         """Edge-slot indices of every adjacency entry of ``vertices``
-        under the given (offsets, degrees) CSR indexing — the shared ramp
-        arithmetic of :meth:`gather_neighbors` without materialising the
-        per-edge source array."""
+        under the given (offsets, degrees) CSR indexing.
+
+        Built without loops: a ramp 0..total-1 plus each vertex's list
+        start less its exclusive degree prefix, repeated over its list —
+        one edge-sized repeat, added into in place.  Expansion, MS-BFS
+        waves, the grid's column blocks and the scatter-min inspection
+        all gather through this one formula.
+        """
         total = int(degs.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64)
-        starts = offsets[vertices]
-        ramp = shared_arange(total)
-        resets = np.repeat(np.cumsum(degs) - degs, degs)
-        return starts.repeat(degs) + (ramp - resets)
+        slots = np.repeat(offsets[vertices] - (np.cumsum(degs) - degs), degs)
+        slots += shared_arange(total)
+        return slots
 
     @cached_property
     def incidence_transpose(self) -> IncidenceTranspose:

@@ -136,7 +136,9 @@ def run_snapshot(
 
     ``counters`` (or ``device``, whose aggregate is used) supplies the
     nvprof-style :class:`~repro.gpu.counters.CounterSet`; per-level
-    rollups come from ``result.traces``.
+    rollups come from ``result.traces``, and the run's ``queue_gen_ms``
+    also counts the queue generated after the last level
+    (``result.tail_queue_gen_ps``).
     """
     if counters is None and device is not None:
         counters = device.counters()
@@ -150,8 +152,8 @@ def run_snapshot(
     }
     if result.traces:
         metrics.update({
-            "queue_gen_ms": _num(sum(t.queue_gen_ps for t in result.traces)
-                                 / PS_PER_MS),
+            "queue_gen_ms": _num((sum(t.queue_gen_ps for t in result.traces)
+                                  + result.tail_queue_gen_ps) / PS_PER_MS),
             "expand_ms": _num(sum(t.expand_ps for t in result.traces)
                               / PS_PER_MS),
             "edges_checked": _num(sum(t.edges_checked

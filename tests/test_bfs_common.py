@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.bfs import (
     BFSResult,
@@ -81,6 +85,112 @@ class TestExpandFrontier:
         st[4] = 1
         newly, _, _, _ = expand_frontier(paper_example, np.array([1]), st, 1)
         assert 0 not in newly
+
+
+@st.composite
+def _shared_target_frontiers(draw):
+    """A multigraph, a status array at ``level`` and a frontier whose
+    vertices share targets: each frontier vertex draws its targets from a
+    small pool (repeats are duplicate edges), and stray edges between any
+    two vertices add self-loops and, undirected, reverse edges."""
+    n = draw(st.integers(2, 16))
+    level = draw(st.integers(0, 3))
+    frontier = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                             max_size=n, unique=True))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    edges = draw(st.lists(st.tuples(st.sampled_from(frontier),
+                                    st.sampled_from(pool + frontier)),
+                          min_size=2, max_size=24))
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=8))
+    status = np.full(n, UNVISITED, dtype=np.int32)
+    for v, seen_at in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                              st.integers(0, level)),
+                                    max_size=n)):
+        status[v] = seen_at
+    status[frontier] = level
+    src, dst = zip(*edges)
+    return (src, dst, n, draw(st.booleans()),
+            np.array(frontier, dtype=np.int64), status, level)
+
+
+def _last_writers(graph, frontier, status):
+    """Independent reference: walk every list in (frontier, list) order;
+    each unvisited endpoint is an attempt and the last one to reach a
+    vertex is its parent."""
+    parent_of: dict[int, int] = {}
+    attempts = 0
+    for u in frontier.tolist():
+        for v in graph.neighbors(u).tolist():
+            if status[v] == UNVISITED:
+                attempts += 1
+                parent_of[v] = u
+    found = np.unique(np.array(list(parent_of), dtype=np.int64))
+    return found, [parent_of[v] for v in found.tolist()], attempts
+
+
+@given(case=_shared_target_frontiers())
+@settings(max_examples=200, deadline=None)
+def test_stamp_and_scan_dedup_match_last_writer_reference(case):
+    """Both dedup branches return the reference's vertex set, ascending,
+    with the last writer as parent, and leave no stamp behind.  The
+    status size picks the branch: unpadded and at the boundary
+    ``8 * attempts == n`` the scan runs, one isolated vertex past it the
+    stamp does."""
+    src, dst, n, directed, frontier, status, level = case
+    found, parents, attempts = _last_writers(
+        from_edges(src, dst, n, directed=directed), frontier, status)
+    assume(attempts * 8 >= n)  # so the unpadded run scans
+    outcomes = set()
+    for size in (n, 8 * attempts, 8 * attempts + 1):
+        graph = from_edges(src, dst, size, directed=directed)
+        padded = np.full(size, UNVISITED, dtype=np.int32)
+        padded[:n] = status
+        newly, their_parents, edges, tried = expand_frontier(
+            graph, frontier, padded, level)
+        assert newly.dtype == np.int64 and their_parents.dtype == np.int64
+        assert newly.tolist() == found.tolist()
+        assert their_parents.tolist() == parents
+        assert tried == attempts
+        outcomes.add((edges, tried))
+        # No stamp survives: every found vertex now holds level + 1 and
+        # every other entry is untouched.
+        expected = np.full(size, UNVISITED, dtype=np.int32)
+        expected[:n] = status
+        expected[found] = level + 1
+        assert np.array_equal(padded, expected)
+    assert len(outcomes) == 1
+
+
+def test_stamp_dedup_allocates_no_vertex_sized_scratch():
+    """A 3-vertex frontier on a 2**20-vertex path dedups in a few KB:
+    nothing proportional to n is allocated per call."""
+    n = 1 << 20
+    path = from_edges(np.arange(n - 1), np.arange(1, n), n)
+    frontier = np.array([1_000, 500_000, n - 1], dtype=np.int64)
+
+    def at_level_4():
+        status = np.full(n, UNVISITED, dtype=np.int32)
+        status[frontier] = 4
+        return status
+
+    # Warm-up: the degree cache and the shared ramp are built once.
+    expand_frontier(path, frontier, at_level_4(), 4)
+    status = at_level_4()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        newly, parents, _, _ = expand_frontier(path, frontier, status, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert newly.tolist() == [999, 1_001, 499_999, 500_001, n - 2]
+    assert parents.tolist() == [1_000, 1_000, 500_000, 500_000, n - 1]
+    assert peak < 64 * 1024, peak
 
 
 class TestBottomUpInspect:

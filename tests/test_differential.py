@@ -23,9 +23,14 @@ from repro.bfs import (
     topdown_atomic_bfs,
 )
 from repro.bfs.common import UNVISITED
+from repro.bfs.enterprise import ABLATION_CONFIGS
 from repro.bfs.validate500 import graph500_validate
+from repro.gpu import GPUDevice
+from repro.gpu.clock import PS_PER_MS, ticks
 from repro.graph import CSRGraph, from_edges
 from repro.metrics import random_sources
+from repro.observ import run_snapshot
+from repro.storage import ooc_enterprise_bfs
 
 VARIANTS = {
     "topdown": topdown_atomic_bfs,
@@ -174,6 +179,47 @@ def test_cluster_matches_reference_on_corpus(graph):
         report = graph500_validate(res.result, graph)
         assert report.ok, (
             f"cluster on {graph.name} from {source}: {report.line()}")
+
+
+# ----------------------------------------------------------------------
+# Every device tick belongs to a level or to the trailing queue
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("graph", CORPUS, ids=lambda g: g.name)
+def test_level_ticks_and_tail_add_up_to_run_time(graph):
+    """The traces' queue-generation and expansion ticks plus the queue
+    generated after the last level (a switch scan or bottom-up filter
+    that came out empty) are the run's device ticks, with ``==``, for
+    every ablation config from both end vertices, in memory and out of
+    core."""
+    for source in (0, graph.num_vertices - 1):
+        for name, config in ABLATION_CONFIGS.items():
+            in_memory = enterprise_bfs(graph, source, device=GPUDevice(),
+                                       config=config)
+            out_of_core = ooc_enterprise_bfs(
+                graph, source, num_partitions=4, device=GPUDevice(),
+                config=config).result
+            for result in (in_memory, out_of_core):
+                level_ps = sum(t.queue_gen_ps + t.expand_ps
+                               for t in result.traces)
+                assert level_ps + result.tail_queue_gen_ps == \
+                    ticks(result.time_ms), (result.algorithm, name, source)
+
+
+def test_trailing_queue_generation_reaches_the_snapshot():
+    """HC on the star from its last spoke finds every vertex at the
+    switch level, so the bottom-up filter after it comes out empty: its
+    ticks are the tail, and the run snapshot's queue generation counts
+    them."""
+    result = enterprise_bfs(star(64), 63, device=GPUDevice(),
+                            config=ABLATION_CONFIGS["HC"])
+    level_ps = sum(t.queue_gen_ps + t.expand_ps for t in result.traces)
+    assert result.tail_queue_gen_ps > 0
+    assert level_ps + result.tail_queue_gen_ps == ticks(result.time_ms)
+    metrics = run_snapshot(result)["metrics"]
+    assert metrics["queue_gen_ms"] == (
+        sum(t.queue_gen_ps for t in result.traces)
+        + result.tail_queue_gen_ps) / PS_PER_MS
 
 
 # ----------------------------------------------------------------------
