@@ -55,9 +55,9 @@ from .observ import (
     MetricsRegistry,
     Tracer,
     diff_snapshots,
-    enable_tracing,
     get_tracer,
     run_snapshot,
+    tracing,
     write_chrome_trace,
 )
 
@@ -75,7 +75,6 @@ __all__ = [
     "TrialStats",
     "__version__",
     "diff_snapshots",
-    "enable_tracing",
     "enterprise_bfs",
     "from_edges",
     "get_tracer",
@@ -90,6 +89,7 @@ __all__ = [
     "status_array_bfs",
     "teps",
     "topdown_atomic_bfs",
+    "tracing",
     "validate_result",
     "write_chrome_trace",
 ]

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -98,12 +99,71 @@ ALGORITHMS = {
 
 
 def _load_graph(args) -> "CSRGraph":
+    """The graph the flags name: ``--rmat-scale``'s R-MAT graph, else
+    ``--file``, else the catalog graph (a positional one first)."""
+    if getattr(args, "rmat_scale", None) is not None:
+        return rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
     if args.file:
         path = Path(args.file)
         if path.suffix == ".npz":
             return load_csr(path)
         return read_edge_list(path, directed=args.directed)
-    return load(args.graph, args.profile, args.seed)
+    return load(getattr(args, "graph_arg", None) or args.graph,
+                args.profile, args.seed)
+
+
+def _source(args, g) -> int:
+    """``--source``, else a seeded random vertex of ``g``."""
+    if args.source is not None:
+        return args.source
+    return int(random_sources(g, 1, args.seed)[0])
+
+
+def _serve_workload(args, **extra):
+    """The ``(ServeConfig, TraceConfig)`` the serve-workload flags of
+    :func:`_add_serve_args` describe; ``extra`` sets further
+    ``ServeConfig`` fields.  The engine's range checks run here, once
+    (the cache's only when it is on, the SLO's only with a latency
+    target), and a value out of range is a usage error."""
+    from .serve import ServeConfig, TraceConfig
+
+    fields = dict(batch_sources=args.batch, deadline_ms=args.deadline_ms,
+                  timeout_ms=args.timeout_ms, max_retries=args.max_retries,
+                  num_gpus=args.gpus, hedge_threshold_ms=args.hedge_ms,
+                  slo_latency_ms=args.slo_ms,
+                  slo_availability=args.slo_availability, **extra)
+    shape = dict(num_queries=args.queries, rate_per_ms=args.rate,
+                 seed=args.seed, priority_levels=args.priorities)
+    if hasattr(args, "zipf"):  # report --serve keeps the engine defaults
+        fields.update(max_pending=args.max_pending,
+                      cache=not args.no_cache, num_landmarks=args.landmarks)
+        shape["zipf_a"] = args.zipf
+    try:
+        config = ServeConfig(**fields)
+        trace_config = TraceConfig(**shape)
+        config.batcher_config()
+        config.dispatch_config()
+        config.resilience_config()
+        config.slo_config()
+        if config.cache:
+            config.cache_config()
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
+    return config, trace_config
+
+
+def _write_trace(path, tracer, *, nodes: int = 0, **meta) -> None:
+    """Write ``tracer`` as a validated Chrome/Perfetto trace carrying
+    ``meta`` (a cluster run's also names its ``nodes``, one pid each)
+    and say where."""
+    from .observ import write_chrome_trace
+
+    if nodes:
+        meta["nodes"] = nodes
+    doc = write_chrome_trace(path, tracer, meta=meta, expect_cluster=nodes)
+    tracks = f", {nodes} node tracks" if nodes else ""
+    print(f"wrote {path} ({len(doc['traceEvents'])} events{tracks}) — "
+          f"open in chrome://tracing or https://ui.perfetto.dev")
 
 
 def _catalog_name(name: str) -> str:
@@ -174,6 +234,55 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7)
 
 
+def _add_serve_args(p: argparse.ArgumentParser, *, gpus: int,
+                    tuning: bool = True) -> None:
+    """The graph flags plus the serve workload of ``serve``, ``chaos``,
+    ``monitor`` and ``report --serve`` (see :func:`_serve_workload`).
+    ``tuning=False`` leaves out ``--zipf``, ``--max-pending``,
+    ``--landmarks`` and ``--no-cache``, which ``report`` keeps at the
+    engine's defaults."""
+    _add_graph_args(p)
+    g = p.add_argument_group("serve workload")
+    g.add_argument("--rmat-scale", type=_positive_int,
+                   help="serve an R-MAT graph of this scale instead of "
+                        "the catalog graph")
+    g.add_argument("--edge-factor", type=_positive_int, default=16,
+                   help="edge factor for --rmat-scale (default 16)")
+    g.add_argument("--queries", type=_positive_int, default=1024,
+                   help="synthetic trace length (default 1024)")
+    g.add_argument("--rate", type=_positive_float, default=512.0,
+                   help="mean arrivals per simulated ms (default 512)")
+    g.add_argument("--batch", type=int, default=64,
+                   help="max sources per MS-BFS wave (default 64)")
+    g.add_argument("--deadline-ms", type=float, default=2.0,
+                   help="max simulated wait before a wave flush")
+    g.add_argument("--timeout-ms", type=float,
+                   help="per-wave timeout (simulated ms)")
+    g.add_argument("--max-retries", type=int, default=2,
+                   help="split-retries per timed-out wave (default 2)")
+    g.add_argument("--gpus", type=_positive_int, default=gpus,
+                   help=f"simulated device count (default {gpus})")
+    g.add_argument("--hedge-ms", type=float,
+                   help="hedge waves stuck past this many simulated ms")
+    g.add_argument("--priorities", type=int, default=1,
+                   help="distinct query priority classes in the trace "
+                        "(default 1)")
+    g.add_argument("--slo-ms", type=float,
+                   help="latency SLO target (simulated ms); enables "
+                        "error-budget and burn-rate monitoring")
+    g.add_argument("--slo-availability", type=float, default=0.999,
+                   help="SLO availability target (default 0.999)")
+    if tuning:
+        g.add_argument("--zipf", type=float, default=1.3,
+                       help="source-popularity Zipf exponent (default 1.3)")
+        g.add_argument("--max-pending", type=int, default=4096,
+                       help="pending-query bound (backpressure)")
+        g.add_argument("--landmarks", type=int, default=16,
+                       help="landmark count for the distance cache")
+        g.add_argument("--no-cache", action="store_true",
+                       help="disable the landmark/hub-row cache")
+
+
 def cmd_info(args) -> int:
     print(f"repro {__version__} — Enterprise BFS reproduction (SC '15)")
     print("\nSimulated devices:")
@@ -215,10 +324,7 @@ def cmd_generate(args) -> int:
 
 def cmd_bfs(args) -> int:
     g = _load_graph(args)
-    if args.source is None:
-        source = int(random_sources(g, 1, args.seed)[0])
-    else:
-        source = args.source
+    source = _source(args, g)
     timeline_text = None
     if args.gpus > 1:
         m = multigpu_enterprise_bfs(g, source, args.gpus)
@@ -267,8 +373,7 @@ def cmd_app(args) -> int:
     )
     g = _load_graph(args)
     if args.app == "sssp":
-        source = args.source if args.source is not None else \
-            int(random_sources(g, 1, args.seed)[0])
+        source = _source(args, g)
         r = unweighted_sssp(g, source)
         reach = r.reachable()
         print(f"sssp from {source}: {reach.size:,} reachable, "
@@ -360,47 +465,19 @@ def _emit_snapshot(args, label: str, build) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .observ import (
-        MetricsRegistry,
-        Tracer,
-        run_snapshot,
-        set_registry,
-        set_tracer,
-        to_chrome_trace,
-        validate_trace,
-    )
-    import json
+    from .observ import collecting, run_snapshot, tracing
 
-    if args.graph_arg:
-        args.graph = args.graph_arg
     g = _load_graph(args)
-    if args.source is None:
-        source = int(random_sources(g, 1, args.seed)[0])
-    else:
-        source = args.source
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    prev_tracer = set_tracer(tracer)
-    prev_registry = set_registry(registry)
-    try:
+    source = _source(args, g)
+    with tracing() as tracer, collecting() as registry:
         device = GPUDevice(DEVICES[args.device])
         result = ALGORITHMS[args.algorithm](g, source, device=device)
-    finally:
-        set_tracer(prev_tracer)
-        set_registry(prev_registry)
-
-    out = Path(args.out or f"{g.name}.trace.json")
-    doc = to_chrome_trace(tracer, meta={
-        "algorithm": result.algorithm, "graph": g.name, "source": source,
-        "device": DEVICES[args.device].name,
-    })
-    validate_trace(doc)
-    out.write_text(json.dumps(doc, sort_keys=True) + "\n")
     print(f"{result.algorithm} on {g.name}: source {source}, "
           f"visited {result.visited:,}/{g.num_vertices:,}, "
           f"{result.time_ms:.4f} simulated ms, {format_gteps(result.teps)}")
-    print(f"wrote {out} ({len(doc['traceEvents'])} events) — open in "
-          f"chrome://tracing or https://ui.perfetto.dev")
+    _write_trace(Path(args.out or f"{g.name}.trace.json"), tracer,
+                 algorithm=result.algorithm, graph=g.name, source=source,
+                 device=DEVICES[args.device].name)
     if args.metrics:
         path = registry.write_ndjson(args.metrics)
         print(f"wrote {path} ({len(registry)} metric series, NDJSON)")
@@ -418,8 +495,6 @@ def _cmd_profile_cluster(args) -> int:
         write_cluster_profile,
     )
 
-    if args.graph_arg:
-        args.graph = args.graph_arg
     g = _load_graph(args)
     faults = None if args.faults == "none" else args.faults
     prof = profile_cluster_run(
@@ -451,8 +526,6 @@ def cmd_profile(args) -> int:
 
     if args.cluster:
         return _cmd_profile_cluster(args)
-    if args.graph_arg:
-        args.graph = args.graph_arg
     g = _load_graph(args)
 
     if args.bench_dir:
@@ -497,59 +570,21 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _write_serve_trace(path: str, tracer, graph_name: str) -> None:
-    """Export + validate a serving-run Chrome trace."""
-    from .observ import to_chrome_trace, validate_trace
-    import json
-
-    doc = to_chrome_trace(tracer, meta={"graph": graph_name,
-                                        "mode": "serve"})
-    validate_trace(doc)
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-    print(f"wrote {path} ({len(doc['traceEvents'])} events) — open in "
-          f"chrome://tracing or https://ui.perfetto.dev")
-
-
 def cmd_serve(args) -> int:
-    from .graph import rmat_graph
-    from .observ import Tracer, set_tracer
+    from .observ import Tracer, tracing
     from .serve import (
-        ServeConfig,
         ServeEngine,
-        TraceConfig,
         format_latency_ms,
         replay,
         run_serve_bench,
         synthetic_trace,
     )
 
-    if args.rmat_scale is not None:
-        g = rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
-    else:
-        g = _load_graph(args)
-    config = ServeConfig(
-        batch_sources=args.batch,
-        deadline_ms=args.deadline_ms,
-        max_pending=args.max_pending,
-        timeout_ms=args.timeout_ms,
-        max_retries=args.max_retries,
-        num_gpus=args.gpus,
-        num_nodes=args.nodes,
-        locality=args.locality,
-        cache=not args.no_cache,
-        num_landmarks=args.landmarks,
-        faults=args.faults,
-        fault_seed=args.seed,
-        hedge_threshold_ms=args.hedge_ms,
-        shed_overload=not args.no_shed,
-        slo_latency_ms=args.slo_ms,
-        slo_availability=args.slo_availability,
-    )
-    trace_config = TraceConfig(num_queries=args.queries,
-                               rate_per_ms=args.rate,
-                               zipf_a=args.zipf,
-                               seed=args.seed,
-                               priority_levels=args.priorities)
+    config, trace_config = _serve_workload(
+        args, num_nodes=args.nodes, locality=args.locality,
+        faults=args.faults, fault_seed=args.seed,
+        shed_overload=not args.no_shed)
+    g = _load_graph(args)
     tracer = Tracer() if args.trace_out else None
 
     if args.bench or args.check:
@@ -562,18 +597,11 @@ def cmd_serve(args) -> int:
         if report.batched.slo is not None:
             print(report.batched.slo.summary())
         if tracer is not None:
-            _write_serve_trace(args.trace_out, tracer, g.name)
+            _write_trace(args.trace_out, tracer, graph=g.name, mode="serve")
         return _emit_snapshot(args, "serve bench snapshot",
                               report.snapshot)
 
-    if tracer is not None:
-        previous = set_tracer(tracer)
-        try:
-            engine = ServeEngine(g, config)
-            replay(engine, synthetic_trace(g, trace_config))
-        finally:
-            set_tracer(previous)
-    else:
+    with tracing(tracer) if tracer is not None else nullcontext():
         engine = ServeEngine(g, config)
         replay(engine, synthetic_trace(g, trace_config))
     s = engine.stats()
@@ -605,40 +633,18 @@ def cmd_serve(args) -> int:
     if s.slo is not None:
         print(s.slo.summary())
     if tracer is not None:
-        _write_serve_trace(args.trace_out, tracer, g.name)
+        _write_trace(args.trace_out, tracer, graph=g.name, mode="serve")
     return 0
 
 
 def cmd_chaos(args) -> int:
     from .faults import PROFILES, profile
     from .faults.harness import run_chaos_matrix
-    from .graph import rmat_graph
-    from .serve import ServeConfig, TraceConfig
 
-    if args.rmat_scale is not None:
-        g = rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
-    else:
-        g = _load_graph(args)
+    config, trace_config = _serve_workload(args)
+    g = _load_graph(args)
     plans = [profile(name, seed=args.seed)
              for name in args.profiles or PROFILES]
-    config = ServeConfig(
-        batch_sources=args.batch,
-        deadline_ms=args.deadline_ms,
-        max_pending=args.max_pending,
-        timeout_ms=args.timeout_ms,
-        max_retries=args.max_retries,
-        num_gpus=args.gpus,
-        cache=not args.no_cache,
-        num_landmarks=args.landmarks,
-        hedge_threshold_ms=args.hedge_ms,
-        slo_latency_ms=args.slo_ms,
-        slo_availability=args.slo_availability,
-    )
-    trace_config = TraceConfig(num_queries=args.queries,
-                               rate_per_ms=args.rate,
-                               zipf_a=args.zipf,
-                               seed=args.seed,
-                               priority_levels=args.priorities)
     report = run_chaos_matrix(g, plans, trace_config=trace_config,
                               config=config)
     print(report.summary())
@@ -653,13 +659,7 @@ def cmd_monitor(args) -> int:
     calibrate reference bands, so a clean run reports zero anomalies
     and a faulted one reports a deterministic timeline."""
     from .faults.plan import profile
-    from .graph import rmat_graph
-    from .observ import (
-        MetricsRegistry,
-        Tracer,
-        set_registry,
-        set_tracer,
-    )
+    from .observ import collecting, tracing
     from .observ.bus import write_findings
     from .observ.monitor import (
         LiveMonitor,
@@ -670,36 +670,10 @@ def cmd_monitor(args) -> int:
     from .observ.snapshot import bench_snapshot
     from .observ.timeseries import write_series
     from .observ.whatif import suggest_serve_mutations
-    from .serve import (
-        ServeConfig,
-        ServeEngine,
-        TraceConfig,
-        replay,
-        synthetic_trace,
-    )
+    from .serve import ServeEngine, replay, synthetic_trace
 
-    if args.rmat_scale is not None:
-        g = rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
-    else:
-        g = _load_graph(args)
-    config = ServeConfig(
-        batch_sources=args.batch,
-        deadline_ms=args.deadline_ms,
-        max_pending=args.max_pending,
-        timeout_ms=args.timeout_ms,
-        max_retries=args.max_retries,
-        num_gpus=args.gpus,
-        cache=not args.no_cache,
-        num_landmarks=args.landmarks,
-        hedge_threshold_ms=args.hedge_ms,
-        slo_latency_ms=args.slo_ms,
-        slo_availability=args.slo_availability,
-    )
-    trace_config = TraceConfig(num_queries=args.queries,
-                               rate_per_ms=args.rate,
-                               zipf_a=args.zipf,
-                               seed=args.seed,
-                               priority_levels=args.priorities)
+    config, trace_config = _serve_workload(args)
+    g = _load_graph(args)
     trace = synthetic_trace(g, trace_config)
     monitor_config = MonitorConfig.for_trace(trace, samples=args.samples) \
         if args.cadence_ms is None else \
@@ -707,11 +681,8 @@ def cmd_monitor(args) -> int:
 
     # Both runs under a scoped registry/tracer: the dashboard must be a
     # pure function of the workload, not of earlier commands.
-    registry = MetricsRegistry()
-    tracer = Tracer() if args.trace_out else None
-    prev_registry = set_registry(registry)
-    prev_tracer = set_tracer(tracer) if tracer is not None else None
-    try:
+    with collecting(), \
+            (tracing() if args.trace_out else nullcontext()) as tracer:
         reference = LiveMonitor(monitor_config)
         replay(ServeEngine(g, config, fault_plan=profile("none"),
                            monitor=reference), trace)
@@ -721,10 +692,6 @@ def cmd_monitor(args) -> int:
         engine = ServeEngine(g, config, fault_plan=plan, monitor=live)
         replay(engine, trace)
         stats = engine.stats()
-    finally:
-        set_registry(prev_registry)
-        if prev_tracer is not None:
-            set_tracer(prev_tracer)
 
     title = f"{g.name} ({args.queries} queries, faults '{args.faults}')"
     print(render_dashboard(live, title=title))
@@ -752,7 +719,7 @@ def cmd_monitor(args) -> int:
         print(f"wrote {args.html} "
               f"({Path(args.html).stat().st_size:,} bytes)")
     if args.trace_out:
-        _write_serve_trace(args.trace_out, tracer, g.name)
+        _write_trace(args.trace_out, tracer, graph=g.name, mode="serve")
 
     def snapshot() -> dict:
         rows = []
@@ -821,7 +788,7 @@ def _cmd_report_cluster(args) -> int:
     print(format_cluster_profile(focus))
     if args.trace_out:
         from .bfs import cluster_enterprise_bfs
-        from .observ import Tracer, set_tracer
+        from .observ import tracing
 
         # Re-run the largest configuration with the tracer installed
         # (same graph/source construction as run_weak_scaling).
@@ -829,15 +796,12 @@ def _cmd_report_cluster(args) -> int:
         g = rmat_graph(scale, args.edge_factor, seed=args.seed,
                        name=f"cluster-weak-{counts[-1]}n")
         source = int(np.argmax(g.out_degrees))
-        tracer = Tracer()
-        prev_tracer = set_tracer(tracer)
-        try:
+        with tracing() as tracer:
             cluster_enterprise_bfs(g, source, counts[-1],
                                    args.gpus_per_node,
                                    parts_per_node=args.parts_per_node)
-        finally:
-            set_tracer(prev_tracer)
-        _write_cluster_trace(args.trace_out, tracer, g.name, counts[-1])
+        _write_trace(args.trace_out, tracer, nodes=counts[-1],
+                     graph=g.name, mode="cluster")
     if args.profile_out:
         write_cluster_profile(args.profile_out, focus)
         print(f"wrote {args.profile_out} (cluster profile, "
@@ -860,60 +824,27 @@ def _cmd_report_serve(args) -> int:
     """``report --serve``: run a deterministic serving workload and
     render the phase-breakdown / SLO / device report (text to stdout,
     or text/HTML to ``-o``)."""
-    from .graph import rmat_graph
-    from .observ import MetricsRegistry, Tracer, set_registry, set_tracer
-    from .serve import (
-        ServeConfig,
-        ServeEngine,
-        ServeReport,
-        TraceConfig,
-        replay,
-        synthetic_trace,
-    )
+    from .observ import collecting, tracing
+    from .serve import ServeEngine, ServeReport, replay, synthetic_trace
 
-    if args.rmat_scale is not None:
-        g = rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
-    else:
-        g = _load_graph(args)
-    config = ServeConfig(
-        batch_sources=args.batch,
-        deadline_ms=args.deadline_ms,
-        timeout_ms=args.timeout_ms,
-        max_retries=args.max_retries,
-        num_gpus=args.gpus,
-        faults=args.faults,
-        fault_seed=args.seed,
-        hedge_threshold_ms=args.hedge_ms,
-        slo_latency_ms=args.slo_ms,
-        slo_availability=args.slo_availability,
-    )
-    trace_config = TraceConfig(num_queries=args.queries,
-                               rate_per_ms=args.rate,
-                               seed=args.seed,
-                               priority_levels=args.priorities)
-
-    tracer = Tracer() if args.trace_out else None
-    registry = MetricsRegistry()
-    prev_registry = set_registry(registry)
-    prev_tracer = set_tracer(tracer) if tracer is not None else None
-    try:
+    config, trace_config = _serve_workload(args, faults=args.faults,
+                                           fault_seed=args.seed)
+    g = _load_graph(args)
+    with collecting(), \
+            (tracing() if args.trace_out else nullcontext()) as tracer:
         engine = ServeEngine(g, config)
         replay(engine, synthetic_trace(g, trace_config))
         report = ServeReport.from_engine(
             engine, title=f"serve report — {g.name} "
                           f"({args.queries} queries, "
                           f"faults '{args.faults}')")
-    finally:
-        set_registry(prev_registry)
-        if prev_tracer is not None:
-            set_tracer(prev_tracer)
 
     print(report.to_text())
     if args.output:
         path = report.write(args.output)
         print(f"wrote {path} ({path.stat().st_size:,} bytes)")
-    if tracer is not None:
-        _write_serve_trace(args.trace_out, tracer, g.name)
+    if args.trace_out:
+        _write_trace(args.trace_out, tracer, graph=g.name, mode="serve")
     return 0
 
 
@@ -944,53 +875,23 @@ def cmd_cluster(args) -> int:
     return _cmd_cluster_bfs(args)
 
 
-def _write_cluster_trace(path: str, tracer, graph_name: str,
-                         nodes: int) -> None:
-    """Export + validate a cluster-run Chrome trace (pid = node)."""
-    from .observ import to_chrome_trace, validate_trace
-    import json
-
-    doc = to_chrome_trace(tracer, meta={"graph": graph_name,
-                                        "mode": "cluster",
-                                        "nodes": nodes})
-    validate_trace(doc, expect_cluster=nodes)
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-    print(f"wrote {path} ({len(doc['traceEvents'])} events, "
-          f"{nodes} node tracks) — open in chrome://tracing or "
-          f"https://ui.perfetto.dev")
-
-
 def _cmd_cluster_bfs(args) -> int:
     from .bfs import cluster_enterprise_bfs
     from .gpu.fabric import Fabric
+    from .observ import tracing
 
-    if args.rmat_scale is not None:
-        g = rmat_graph(args.rmat_scale, args.edge_factor, seed=args.seed)
-    else:
-        g = _load_graph(args)
-    if args.source is None:
-        source = int(random_sources(g, 1, args.seed)[0])
-    else:
-        source = args.source
+    g = _load_graph(args)
+    source = _source(args, g)
     plan = None
     if args.faults != "none":
         from .faults.plan import profile as fault_profile
         plan = fault_profile(args.faults, seed=args.seed)
     fabric = Fabric(args.nodes, args.gpus_per_node, fault_plan=plan)
-    tracer = prev_tracer = None
-    if args.trace_out:
-        from .observ import Tracer, set_tracer
-        tracer = Tracer()
-        prev_tracer = set_tracer(tracer)
-    try:
+    with (tracing() if args.trace_out else nullcontext()) as tracer:
         r = cluster_enterprise_bfs(g, source, args.nodes,
                                    gpus_per_node=args.gpus_per_node,
                                    fabric=fabric,
                                    parts_per_node=args.parts_per_node)
-    finally:
-        if tracer is not None:
-            from .observ import set_tracer
-            set_tracer(prev_tracer)
     res = r.result
     print(f"{res.algorithm} on {g.name}: source {source}, "
           f"visited {res.visited:,}/{g.num_vertices:,}, "
@@ -1007,7 +908,8 @@ def _cmd_cluster_bfs(args) -> int:
     adv_text = f"{adv:.2f}x" if np.isfinite(adv) else "inf"
     print(f"  hierarchy advantage {adv_text} vs flat inter-node rings")
     if args.trace_out:
-        _write_cluster_trace(args.trace_out, tracer, g.name, args.nodes)
+        _write_trace(args.trace_out, tracer, nodes=args.nodes,
+                     graph=g.name, mode="cluster")
     if args.profile_out:
         from .observ.clusterprof import (
             build_cluster_profile,
@@ -1197,54 +1099,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batched BFS query serving (MS-BFS waves + "
                             "landmark cache); --snapshot/--diff need "
                             "--bench or --check")
-    _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=_positive_int,
-                   help="serve an R-MAT graph of this scale instead of "
-                        "the catalog graph")
-    p.add_argument("--edge-factor", type=int, default=16,
-                   help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--queries", type=_positive_int, default=1024,
-                   help="synthetic trace length (default 1024)")
-    p.add_argument("--rate", type=_positive_float, default=512.0,
-                   help="mean arrivals per simulated ms (default 512)")
-    p.add_argument("--zipf", type=float, default=1.3,
-                   help="source-popularity Zipf exponent (default 1.3)")
-    p.add_argument("--batch", type=int, default=64,
-                   help="max sources per MS-BFS wave (default 64)")
-    p.add_argument("--deadline-ms", type=float, default=2.0,
-                   help="max simulated wait before a wave flush")
-    p.add_argument("--max-pending", type=int, default=4096,
-                   help="pending-query bound (backpressure)")
-    p.add_argument("--timeout-ms", type=float,
-                   help="per-wave timeout (simulated ms)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="split-retries per timed-out wave (default 2)")
-    p.add_argument("--gpus", type=_positive_int, default=1)
+    _add_serve_args(p, gpus=1)
     p.add_argument("--nodes", type=_positive_int, default=1,
                    help="simulated nodes the --gpus devices are spread "
                         "over (default 1; --gpus must divide evenly)")
     p.add_argument("--locality", action="store_true",
                    help="route each wave to the node owning the "
                         "majority of its sources' partitions")
-    p.add_argument("--landmarks", type=int, default=16,
-                   help="landmark count for the distance cache")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the landmark/hub-row cache")
     p.add_argument("--faults", default="none", choices=_FAULT_PROFILES,
                    help="inject a named fault profile (default none)")
-    p.add_argument("--hedge-ms", type=float,
-                   help="hedge waves stuck past this many simulated ms")
     p.add_argument("--no-shed", action="store_true",
                    help="reject at the batcher bound instead of shedding "
                         "lowest-priority queries under overload")
-    p.add_argument("--priorities", type=int, default=1,
-                   help="distinct query priority classes in the trace "
-                        "(default 1)")
-    p.add_argument("--slo-ms", type=float,
-                   help="latency SLO target (simulated ms); enables "
-                        "error-budget and burn-rate monitoring")
-    p.add_argument("--slo-availability", type=float, default=0.999,
-                   help="SLO availability target (default 0.999)")
     p.add_argument("--trace-out",
                    help="export a Chrome/Perfetto trace of the serving "
                         "run (query flow events across device tracks)")
@@ -1259,84 +1125,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", parents=[snapshot],
                        help="fault-matrix differential harness: verify "
                             "exact answers under every fault profile")
-    _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=_positive_int,
-                   help="run on an R-MAT graph of this scale instead of "
-                        "the catalog graph")
-    p.add_argument("--edge-factor", type=int, default=16,
-                   help="edge factor for --rmat-scale (default 16)")
+    _add_serve_args(p, gpus=3)
     p.add_argument("--profiles", type=_fault_profiles,
                    help="comma-separated fault profiles (default: all)")
-    p.add_argument("--queries", type=_positive_int, default=1024,
-                   help="synthetic trace length (default 1024)")
-    p.add_argument("--rate", type=_positive_float, default=512.0,
-                   help="mean arrivals per simulated ms (default 512)")
-    p.add_argument("--zipf", type=float, default=1.3,
-                   help="source-popularity Zipf exponent (default 1.3)")
-    p.add_argument("--batch", type=int, default=64,
-                   help="max sources per MS-BFS wave (default 64)")
-    p.add_argument("--deadline-ms", type=float, default=2.0,
-                   help="max simulated wait before a wave flush")
-    p.add_argument("--max-pending", type=int, default=4096,
-                   help="pending-query bound (backpressure)")
-    p.add_argument("--timeout-ms", type=float,
-                   help="per-wave timeout (simulated ms)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="split-retries per timed-out wave (default 2)")
-    p.add_argument("--gpus", type=_positive_int, default=3)
-    p.add_argument("--landmarks", type=int, default=16,
-                   help="landmark count for the distance cache")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the landmark/hub-row cache")
-    p.add_argument("--hedge-ms", type=float,
-                   help="hedge waves stuck past this many simulated ms")
-    p.add_argument("--priorities", type=int, default=1,
-                   help="distinct query priority classes in the trace")
-    p.add_argument("--slo-ms", type=float,
-                   help="latency SLO target (simulated ms); per-profile "
-                        "burn-rate alert timelines appear in the summary")
-    p.add_argument("--slo-availability", type=float, default=0.999,
-                   help="SLO availability target (default 0.999)")
 
     p = sub.add_parser("monitor", parents=[snapshot],
                        help="watch a serving run live: calibrated "
                             "anomaly detection, text dashboard, HTML "
                             "timeline, findings export")
-    _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=_positive_int,
-                   help="run on an R-MAT graph of this scale instead of "
-                        "the catalog graph")
-    p.add_argument("--edge-factor", type=int, default=16,
-                   help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--queries", type=_positive_int, default=1024,
-                   help="synthetic trace length (default 1024)")
-    p.add_argument("--rate", type=_positive_float, default=512.0,
-                   help="mean arrivals per simulated ms (default 512)")
-    p.add_argument("--zipf", type=float, default=1.3,
-                   help="source-popularity Zipf exponent (default 1.3)")
-    p.add_argument("--batch", type=int, default=64,
-                   help="max sources per MS-BFS wave (default 64)")
-    p.add_argument("--deadline-ms", type=float, default=2.0,
-                   help="max simulated wait before a wave flush")
-    p.add_argument("--max-pending", type=int, default=4096,
-                   help="pending-query bound (backpressure)")
-    p.add_argument("--timeout-ms", type=float,
-                   help="per-wave timeout (simulated ms)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="split-retries per timed-out wave (default 2)")
-    p.add_argument("--gpus", type=_positive_int, default=3)
-    p.add_argument("--landmarks", type=int, default=16,
-                   help="landmark count for the distance cache")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the landmark/hub-row cache")
-    p.add_argument("--hedge-ms", type=float,
-                   help="hedge waves stuck past this many simulated ms")
-    p.add_argument("--priorities", type=int, default=1,
-                   help="distinct query priority classes in the trace")
-    p.add_argument("--slo-ms", type=float,
-                   help="latency SLO target (simulated ms)")
-    p.add_argument("--slo-availability", type=float, default=0.999,
-                   help="SLO availability target (default 0.999)")
+    _add_serve_args(p, gpus=3)
     p.add_argument("--faults", default="none", choices=_FAULT_PROFILES,
                    help="inject a named fault profile into the watched "
                         "run (the calibration twin is always fault-free)")
@@ -1451,37 +1248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-out",
                    help="with --cluster: also write the largest node "
                         "count's repro.clusterprofile/v2 artifact")
-    _add_graph_args(p)
-    p.add_argument("--rmat-scale", type=_positive_int,
-                   help="with --serve: run on an R-MAT graph of this "
-                        "scale instead of the catalog graph")
-    p.add_argument("--edge-factor", type=_positive_int, default=16,
-                   help="edge factor for --rmat-scale (default 16)")
-    p.add_argument("--queries", type=_positive_int, default=1024,
-                   help="with --serve: synthetic trace length")
-    p.add_argument("--rate", type=_positive_float, default=512.0,
-                   help="with --serve: mean arrivals per simulated ms")
-    p.add_argument("--batch", type=int, default=64,
-                   help="with --serve: max sources per MS-BFS wave")
-    p.add_argument("--deadline-ms", type=float, default=2.0,
-                   help="with --serve: max simulated wait before flush")
-    p.add_argument("--timeout-ms", type=float,
-                   help="with --serve: per-wave timeout (simulated ms)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="with --serve: split-retries per timed-out wave")
-    p.add_argument("--gpus", type=_positive_int, default=3,
-                   help="with --serve: simulated device count")
-    p.add_argument("--hedge-ms", type=float,
-                   help="with --serve: hedge waves stuck past this many "
-                        "simulated ms")
+    _add_serve_args(p, gpus=3, tuning=False)
     p.add_argument("--faults", default="none", choices=_FAULT_PROFILES,
                    help="with --serve: inject a named fault profile")
-    p.add_argument("--priorities", type=int, default=1,
-                   help="with --serve: distinct query priority classes")
-    p.add_argument("--slo-ms", type=float,
-                   help="with --serve: latency SLO target (simulated ms)")
-    p.add_argument("--slo-availability", type=float, default=0.999,
-                   help="with --serve: availability target")
     p.add_argument("--trace-out",
                    help="with --serve/--cluster: also export a validated "
                         "Chrome/Perfetto trace of the run (--cluster: "
@@ -1517,7 +1286,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("serve: --snapshot and --diff need --bench or --check")
     if snapshot and args.command == "cluster" and args.verb != "weak":
         parser.error("cluster: --snapshot and --diff need the weak verb")
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except argparse.ArgumentError as exc:  # a range only a config checks
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .kernels import KernelCost
 from .specs import DeviceSpec
 
-__all__ = ["CounterSet", "aggregate_counters", "power_watts", "energy_joules"]
+__all__ = ["CounterSet", "aggregate_counters", "power_watts"]
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,3 @@ def aggregate_counters(
                         issue_utilization=issue_util)
     return CounterSet(gld, ldst, stall, ipc, power, wall_ms,
                       instructions, useful, wasted)
-
-
-def energy_joules(counters: CounterSet) -> float:
-    """Energy of a run; TEPS/Watt = edges / energy."""
-    return counters.energy_j

@@ -130,8 +130,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     collecting,
-    disable_metrics,
-    enable_metrics,
     get_registry,
     set_registry,
 )
@@ -177,8 +175,6 @@ from .tracer import (
     NullTracer,
     SpanRecord,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     set_tracer,
     tracing,
@@ -216,8 +212,6 @@ __all__ = [
     "TID_RUN",
     "TID_SERVE",
     "TID_STREAM",
-    "disable_tracing",
-    "enable_tracing",
     "get_tracer",
     "set_tracer",
     "tracing",
@@ -274,8 +268,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "collecting",
-    "disable_metrics",
-    "enable_metrics",
     "get_registry",
     "set_registry",
     "MetricDelta",

@@ -122,12 +122,17 @@ def to_chrome_trace(tracer: Tracer,
 
 
 def write_chrome_trace(path: str | Path, tracer: Tracer,
-                       *, meta: Mapping[str, object] | None = None) -> Path:
-    """Export ``tracer`` to ``path``; returns the path written."""
+                       *, meta: Mapping[str, object] | None = None,
+                       expect_cluster: int | bool = False) -> dict:
+    """Export ``tracer`` to ``path``; returns the document written.
+
+    The document is checked with :func:`validate_trace` (passing
+    ``expect_cluster`` through) before anything is written, so a
+    malformed trace raises ``ValueError`` and leaves ``path`` alone."""
     doc = to_chrome_trace(tracer, meta=meta)
-    path = Path(path)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return path
+    validate_trace(doc, expect_cluster=expect_cluster)
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return doc
 
 
 def validate_trace(doc: object, *,

@@ -10,8 +10,8 @@ frontier counts behind Fig. 9 next to the Hyper-Q overlap histogram.
 The process-global default registry is *disabled*: ``counter()`` /
 ``gauge()`` / ``histogram()`` on a disabled registry return shared no-op
 metrics, so instrumentation sites cost one method call when metrics
-collection is off.  Enable collection with :func:`enable_metrics` or the
-:func:`collecting` context manager.
+collection is off.  Enable collection with the :func:`collecting` context
+manager.
 
 Snapshots export as JSON (one document) or NDJSON (one sample per line,
 the append-friendly format used for regression records).
@@ -34,8 +34,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
-    "enable_metrics",
-    "disable_metrics",
     "collecting",
 ]
 
@@ -311,25 +309,13 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
-def enable_metrics() -> MetricsRegistry:
-    """Install (and return) a fresh enabled registry."""
-    registry = MetricsRegistry(enabled=True)
-    set_registry(registry)
-    return registry
-
-
-def disable_metrics() -> MetricsRegistry:
-    """Restore the disabled default; returns the registry that was
-    active."""
-    return set_registry(MetricsRegistry(enabled=False))
-
-
 @contextmanager
 def collecting(registry: MetricsRegistry | None = None) \
         -> Iterator[MetricsRegistry]:
-    """Temporarily install ``registry`` (or a fresh one); restores
-    after."""
-    active = registry or MetricsRegistry(enabled=True)
+    """Temporarily install ``registry`` (or a fresh enabled one);
+    restores after.  As with :func:`~repro.observ.tracer.tracing`, an
+    empty registry is still the one installed."""
+    active = MetricsRegistry(enabled=True) if registry is None else registry
     previous = set_registry(active)
     try:
         yield active

@@ -73,10 +73,6 @@ class RooflinePoint:
     #: One of :data:`BOUND_KINDS`.
     bound: str
 
-    @property
-    def memory_bound(self) -> bool:
-        return self.bound == "memory-bound"
-
     def describe(self) -> str:
         if self.bound == "idle":
             return f"{self.name}: idle"

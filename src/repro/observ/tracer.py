@@ -43,8 +43,6 @@ __all__ = [
     "NullTracer",
     "get_tracer",
     "set_tracer",
-    "enable_tracing",
-    "disable_tracing",
     "tracing",
     "TID_RUN",
     "TID_STREAM",
@@ -361,22 +359,13 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def enable_tracing(*, clock: Callable[[], float] | None = None) -> Tracer:
-    """Install (and return) a fresh recording tracer."""
-    tracer = Tracer(clock=clock)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> Tracer:
-    """Restore the no-op default; returns the tracer that was active."""
-    return set_tracer(NullTracer())
-
-
 @contextmanager
 def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
-    """Temporarily install ``tracer`` (or a fresh one); restores after."""
-    active = tracer or Tracer()
+    """Temporarily install ``tracer`` (or a fresh one); restores after.
+
+    ``None``, not falsiness, asks for a fresh tracer: an empty tracer has
+    length 0 and is still the one installed."""
+    active = Tracer() if tracer is None else tracer
     previous = set_tracer(active)
     try:
         yield active

@@ -115,10 +115,6 @@ class LandmarkCache:
     def hub_degree(self) -> int:
         return self._hub_degree
 
-    @property
-    def cached_rows(self) -> int:
-        return len(self._rows)
-
     def __contains__(self, source: int) -> bool:
         return source in self._rows
 

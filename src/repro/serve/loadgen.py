@@ -18,13 +18,14 @@ runs the same comparison against a CPU reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..observ.snapshot import bench_snapshot
-from ..observ.tracer import Tracer, set_tracer
+from ..observ.tracer import Tracer, tracing
 from .engine import ServeConfig, ServeEngine, ServeStats, \
     format_latency_ms
 from .query import Query, QueryKind, QueryResult
@@ -209,15 +210,7 @@ def run_serve_bench(
         max_pending=config.max_pending, timeout_ms=None,
         max_retries=0, num_gpus=config.num_gpus, cache=False)
 
-    if tracer is not None:
-        previous = set_tracer(tracer)
-        try:
-            batched_engine = ServeEngine(graph, config,
-                                         fault_plan=fault_plan)
-            batched = replay(batched_engine, trace)
-        finally:
-            set_tracer(previous)
-    else:
+    with tracing(tracer) if tracer is not None else nullcontext():
         batched_engine = ServeEngine(graph, config, fault_plan=fault_plan)
         batched = replay(batched_engine, trace)
     baseline_engine = ServeEngine(graph, baseline_config)

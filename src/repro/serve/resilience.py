@@ -114,11 +114,6 @@ class DeviceHealth:
     def consecutive_failures(self, idx: int) -> int:
         return self._consecutive[idx]
 
-    def quarantined_until(self, idx: int) -> float:
-        """End of the device's current quarantine window (0.0 = never
-        quarantined)."""
-        return self._quarantined_until[idx]
-
     def device_rows(self, now_ms: float) -> list[dict[str, object]]:
         """Per-device health summary rows for reports.
 

@@ -130,11 +130,13 @@ def ooc_enterprise_bfs(
                        stage)
     result.algorithm = f"enterprise-ooc[{num_partitions}p]"
     # Every traced level staged once, before its kernels, so its
-    # expansion ticks hold its I/O ticks.
+    # expansion ticks hold its I/O ticks; the queue generated after the
+    # last level stages nothing and is charged as it ran.
     if prefetch:
-        result.time_ms = sum(
+        result.time_ms = (sum(
             t.queue_gen_ps + max(io, t.expand_ps - io)
-            for t, io in zip(result.traces, level_io_ps)) / PS_PER_MS
+            for t, io in zip(result.traces, level_io_ps))
+            + result.tail_queue_gen_ps) / PS_PER_MS
     return OOCResult(
         result=result,
         num_partitions=num_partitions,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +110,20 @@ class TestParser:
          "--gpus-per-node", "0"],
         ["profile", "--cluster", "--graph", "GO", "--profile", "tiny",
          "--parts-per-node", "0"],
+        *(["serve", "--rmat-scale", "6", "--queries", "16", *bad]
+          for bad in (["--batch", "0"], ["--batch", "65"],
+                      ["--max-retries", "-1"], ["--landmarks", "-1"],
+                      ["--priorities", "0"], ["--deadline-ms", "-1"],
+                      ["--zipf", "0.5"], ["--max-pending", "0"],
+                      ["--timeout-ms", "0"], ["--hedge-ms", "-1"],
+                      ["--slo-ms", "-1"],
+                      ["--slo-ms", "5", "--slo-availability", "2"],
+                      ["--edge-factor", "0"])),
+        *([*verb, "--rmat-scale", "6", "--queries", "16", *bad]
+          for verb in (["chaos"], ["monitor"])
+          for bad in (["--batch", "0"], ["--edge-factor", "0"])),
+        ["report", "--serve", "--rmat-scale", "6", "--queries", "16",
+         "--batch", "0"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         existing = tmp_path / "old.snap.json"
@@ -469,3 +488,152 @@ class TestMonitor:
         assert main(self.ARGS + ["--diff", snap]) == 0
         out = capsys.readouterr().out
         assert "0 regression(s)" in out
+
+#: The option strings and parsed defaults of the verbs whose flags are
+#: declared by shared helpers, as recorded before the helpers existed:
+#: sharing a declaration must not add, drop or re-default a flag.
+SURFACE = {
+    ("serve",): (
+        ("--batch", "--bench", "--check", "--deadline-ms", "--diff",
+         "--directed", "--edge-factor", "--faults", "--file", "--gpus",
+         "--graph", "--hedge-ms", "--help", "--landmarks", "--locality",
+         "--max-pending", "--max-retries", "--no-cache", "--no-shed",
+         "--nodes", "--priorities", "--profile", "--queries", "--rate",
+         "--rmat-scale", "--seed", "--slo-availability", "--slo-ms",
+         "--snapshot", "--timeout-ms", "--tolerance", "--trace-out", "--zipf",
+         "-h"),
+        {"batch": 64, "bench": False, "check": False, "command": "serve",
+         "deadline_ms": 2.0, "diff": None, "directed": False, "edge_factor":
+         16, "faults": "none", "file": None, "gpus": 1, "graph": "GO",
+         "hedge_ms": None, "landmarks": 16, "locality": False, "max_pending":
+         4096, "max_retries": 2, "no_cache": False, "no_shed": False, "nodes":
+         1, "priorities": 1, "profile": "small", "queries": 1024, "rate":
+         512.0, "rmat_scale": None, "seed": 7, "slo_availability": 0.999,
+         "slo_ms": None, "snapshot": None, "timeout_ms": None, "tolerance":
+         0.05, "trace_out": None, "zipf": 1.3}),
+    ("chaos",): (
+        ("--batch", "--deadline-ms", "--diff", "--directed", "--edge-factor",
+         "--file", "--gpus", "--graph", "--hedge-ms", "--help", "--landmarks",
+         "--max-pending", "--max-retries", "--no-cache", "--priorities",
+         "--profile", "--profiles", "--queries", "--rate", "--rmat-scale",
+         "--seed", "--slo-availability", "--slo-ms", "--snapshot",
+         "--timeout-ms", "--tolerance", "--zipf", "-h"),
+        {"batch": 64, "command": "chaos", "deadline_ms": 2.0, "diff": None,
+         "directed": False, "edge_factor": 16, "file": None, "gpus": 3,
+         "graph": "GO", "hedge_ms": None, "landmarks": 16, "max_pending": 4096,
+         "max_retries": 2, "no_cache": False, "priorities": 1, "profile":
+         "small", "profiles": None, "queries": 1024, "rate": 512.0,
+         "rmat_scale": None, "seed": 7, "slo_availability": 0.999, "slo_ms":
+         None, "snapshot": None, "timeout_ms": None, "tolerance": 0.05, "zipf":
+         1.3}),
+    ("monitor",): (
+        ("--batch", "--cadence-ms", "--deadline-ms", "--diff", "--directed",
+         "--edge-factor", "--fail-on-anomaly", "--faults", "--file", "--gpus",
+         "--graph", "--hedge-ms", "--help", "--html", "--landmarks",
+         "--max-pending", "--max-retries", "--no-cache", "--out",
+         "--priorities", "--profile", "--queries", "--rate", "--rmat-scale",
+         "--samples", "--seed", "--series-out", "--slo-availability",
+         "--slo-ms", "--snapshot", "--timeout-ms", "--tolerance",
+         "--trace-out", "--whatif", "--zipf", "-h"),
+        {"batch": 64, "cadence_ms": None, "command": "monitor", "deadline_ms":
+         2.0, "diff": None, "directed": False, "edge_factor": 16,
+         "fail_on_anomaly": False, "faults": "none", "file": None, "gpus": 3,
+         "graph": "GO", "hedge_ms": None, "html": None, "landmarks": 16,
+         "max_pending": 4096, "max_retries": 2, "no_cache": False, "out": None,
+         "priorities": 1, "profile": "small", "queries": 1024, "rate": 512.0,
+         "rmat_scale": None, "samples": 256, "seed": 7, "series_out": None,
+         "slo_availability": 0.999, "slo_ms": None, "snapshot": None,
+         "timeout_ms": None, "tolerance": 0.05, "trace_out": None, "whatif":
+         False, "zipf": 1.3}),
+    ("report",): (
+        ("--base-scale", "--batch", "--cluster", "--deadline-ms", "--directed",
+         "--edge-factor", "--faults", "--file", "--gpus", "--gpus-per-node",
+         "--graph", "--hedge-ms", "--help", "--max-retries", "--node-counts",
+         "--output", "--parts-per-node", "--priorities", "--profile",
+         "--profile-out", "--queries", "--rate", "--rmat-scale", "--seed",
+         "--serve", "--slo-availability", "--slo-ms", "--timeout-ms",
+         "--trace-out", "-h", "-o"),
+        {"base_scale": 12, "batch": 64, "cluster": False, "command": "report",
+         "deadline_ms": 2.0, "directed": False, "edge_factor": 16, "faults":
+         "none", "file": None, "gpus": 3, "gpus_per_node": 2, "graph": "GO",
+         "hedge_ms": None, "max_retries": 2, "node_counts": (1, 2, 4, 8),
+         "output": None, "parts_per_node": 32, "priorities": 1, "profile":
+         "small", "profile_out": None, "queries": 1024, "rate": 512.0,
+         "rmat_scale": None, "seed": 7, "serve": False, "slo_availability":
+         0.999, "slo_ms": None, "timeout_ms": None, "trace_out": None}),
+    ("cluster", "bfs"): (
+        ("--base-scale", "--check", "--diff", "--directed", "--edge-factor",
+         "--faults", "--file", "--gpus-per-node", "--graph", "--help",
+         "--node-counts", "--nodes", "--parts-per-node", "--profile",
+         "--profile-out", "--rmat-scale", "--seed", "--snapshot", "--source",
+         "--tolerance", "--trace-out", "-h"),
+        {"base_scale": 15, "check": False, "command": "cluster", "diff": None,
+         "directed": False, "edge_factor": 16, "faults": "none", "file": None,
+         "gpus_per_node": 2, "graph": "GO", "node_counts": (1, 2, 4, 8),
+         "nodes": 2, "parts_per_node": 32, "profile": "small", "profile_out":
+         None, "rmat_scale": None, "seed": 7, "snapshot": None, "source": None,
+         "tolerance": 0.05, "trace_out": None, "verb": "bfs"}),
+    ("profile",): (
+        ("--bench-dir", "--cluster", "--compare", "--config", "--device",
+         "--directed", "--faults", "--file", "--findings", "--gpus-per-node",
+         "--graph", "--help", "--html", "--min-coverage", "--nodes", "--out",
+         "--parts-per-node", "--profile", "--seed", "--source", "--top", "-h",
+         "-o"),
+        {"bench_dir": None, "cluster": False, "command": "profile", "compare":
+         None, "config": "enterprise", "device": "k40", "directed": False,
+         "faults": "none", "file": None, "findings": 8, "gpus_per_node": 2,
+         "graph": "GO", "graph_arg": None, "html": None, "min_coverage": 0.95,
+         "nodes": 4, "out": None, "parts_per_node": 32, "profile": "small",
+         "seed": 7, "source": None, "top": 10}),
+    ("trace",): (
+        ("--algorithm", "--device", "--diff", "--directed", "--file",
+         "--graph", "--help", "--metrics", "--out", "--profile", "--seed",
+         "--snapshot", "--source", "--tolerance", "-h", "-o"),
+        {"algorithm": "enterprise", "command": "trace", "device": "k40",
+         "diff": None, "directed": False, "file": None, "graph": "GO",
+         "graph_arg": None, "metrics": None, "out": None, "profile": "small",
+         "seed": 7, "snapshot": None, "source": None, "tolerance": 0.05}),
+}
+
+
+@pytest.mark.parametrize("argv", list(SURFACE), ids=" ".join)
+def test_parser_surface_is_unchanged(argv):
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = tuple(sorted(option for action in sub.choices[argv[0]]._actions
+                           for option in action.option_strings))
+    assert (options, vars(parser.parse_args(list(argv)))) == SURFACE[argv]
+
+
+def _documented_commands() -> list:
+    """Every ``python -m repro …`` command in README.md and
+    docs/TUTORIAL.md, with its place: code-block lines (continuations
+    joined, prompts and comments dropped) and inline code spans; a
+    command with a ``…`` placeholder is skipped."""
+    root = Path(__file__).resolve().parents[1]
+    commands = []
+    for name in ("README.md", "docs/TUTORIAL.md"):
+        lines = (root / name).read_text().splitlines()
+        for number, line in enumerate(lines, 1):
+            texts = re.findall(r"`(python -m repro [^`]*)`", line)
+            if line.lstrip("$ ").startswith("python -m repro"):
+                text, following = line.lstrip("$ "), iter(lines[number:])
+                while text.endswith("\\"):
+                    text = text[:-1] + next(following)
+                texts = [text]
+            commands += [pytest.param(shlex.split(text, comments=True)[3:],
+                                      id=f"{name}:{number}")
+                         for text in texts if "…" not in text]
+    return commands
+
+
+@pytest.mark.parametrize("argv", _documented_commands())
+def test_documented_command_parses(argv, tmp_path, monkeypatch):
+    """Each documented command is accepted by the parser, run from a
+    directory where the files it reads exist."""
+    monkeypatch.chdir(tmp_path)
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--diff", "--compare", "--file"):
+            (tmp_path / value).touch()
+    build_parser().parse_args(argv)

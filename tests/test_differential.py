@@ -206,6 +206,27 @@ def test_level_ticks_and_tail_add_up_to_run_time(graph):
                     ticks(result.time_ms), (result.algorithm, name, source)
 
 
+@pytest.mark.parametrize("graph", CORPUS, ids=lambda g: g.name)
+def test_prefetch_overlaps_io_and_keeps_the_tail(graph):
+    """With prefetch, each level costs its queue generation plus the
+    larger of its I/O and its kernels (the out-of-core expansion ticks
+    less the in-memory run's), and the queue generated after the last
+    level is still charged, for every ablation config from both end
+    vertices."""
+    for source in (0, graph.num_vertices - 1):
+        for name, config in ABLATION_CONFIGS.items():
+            in_memory = enterprise_bfs(graph, source, device=GPUDevice(),
+                                       config=config)
+            prefetched = ooc_enterprise_bfs(
+                graph, source, num_partitions=4, device=GPUDevice(),
+                config=config, prefetch=True).result
+            expected = prefetched.tail_queue_gen_ps
+            for o, m in zip(prefetched.traces, in_memory.traces):
+                io = o.expand_ps - m.expand_ps
+                expected += o.queue_gen_ps + max(io, o.expand_ps - io)
+            assert ticks(prefetched.time_ms) == expected, (name, source)
+
+
 def test_trailing_queue_generation_reaches_the_snapshot():
     """HC on the star from its last spoke finds every vertex at the
     switch level, so the bottom-up filter after it comes out empty: its

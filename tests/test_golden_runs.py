@@ -288,8 +288,10 @@ def test_golden_ooc_run(graph_name, config, compression, prefetch,
 #: beside the vectorized hot paths and gave the same digest on every
 #: case; re-recorded when every simulated charge became a whole
 #: picosecond tick (each float moved by under 1e-4 relative, every
-#: non-float observable unchanged).  Every literal below is an
-#: *observed* value.
+#: non-float observable unchanged); the four ``rmat10-*-prefetch``
+#: out-of-core cases re-recorded when prefetched runs began charging
+#: the queue generated after the last level (896,242 ticks each).
+#: Every literal below is an *observed* value.
 DIGESTS: dict[str, str] = {
     "test_ablation_matrix_bit_identical[BL]":
         "b504c409a8263cd88820391f39ac9c9e71fbb50689feaa36a014bfd989870dd4",
@@ -370,19 +372,19 @@ DIGESTS: dict[str, str] = {
     "test_golden_ooc_run[powerlaw-directed-WB-varint-serial]":
         "28dca59b10119b0d31e5b30cf23ff5879aa86dbfe55c0fe084aad94eb4410776",
     "test_golden_ooc_run[rmat10-HC-raw-prefetch]":
-        "623cb4a603b471abb53aa1d171f35d4483e39ca4ce6ece4bd494e10c9d53e818",
+        "3fc2102fb8a75911e625589101e049cd3eb1983c5d10ce071fd62a158f04b77a",
     "test_golden_ooc_run[rmat10-HC-raw-serial]":
         "6bb56743b7a1f6faeab78af659d8336c0f29019ea1817d5b9be7c938085bc4bc",
     "test_golden_ooc_run[rmat10-HC-varint-prefetch]":
-        "6a2a94726d5bbc37e6d5b4df73ab613b4ad11272fc8ec00e721fb2d5f11147ec",
+        "9cd2dc573425dd0607f252053d21de43fda560121ecc9bdf6440ff163b942283",
     "test_golden_ooc_run[rmat10-HC-varint-serial]":
         "7e781886e0bd9815959b066798f27a6f94ddf4856eb62ec4288a5613073c3e93",
     "test_golden_ooc_run[rmat10-WB-raw-prefetch]":
-        "1a49bd34801a742fe2818c7a2e3f336406b36333583f77e93e0d13c6b603639c",
+        "99fa6dffe6f9ac6cad6c1cac1642ffe8e942048684f809a780ca2371243fc9c1",
     "test_golden_ooc_run[rmat10-WB-raw-serial]":
         "cd42c062043f362c90c9b4ee95bea133363b37076a35e0469c001b8c7da617df",
     "test_golden_ooc_run[rmat10-WB-varint-prefetch]":
-        "db7059b4fe5076f0c69792fe102418bbfe0f3e7b4d767256f256242a11dcaf05",
+        "6ab128bf7204cb62f995b71fe9d36925a9f192bab98c427ee8db5698a0dfd315",
     "test_golden_ooc_run[rmat10-WB-varint-serial]":
         "38fdb74c49e3e8accbf758c3a9e3198c6f5bc9e1cade627df3a8ad58a58a1e09",
     "test_msbfs_waves_bit_identical[chain]":

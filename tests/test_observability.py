@@ -20,10 +20,6 @@ from repro.observ import (
     chrome_trace_events,
     collecting,
     diff_snapshots,
-    disable_metrics,
-    disable_tracing,
-    enable_metrics,
-    enable_tracing,
     get_registry,
     get_tracer,
     load_snapshot,
@@ -136,21 +132,22 @@ class TestTracer:
             assert isinstance(args, dict)
         assert len(t) == 0
 
-    def test_global_enable_disable(self):
-        assert isinstance(get_tracer(), NullTracer)
-        tracer = enable_tracing()
-        try:
-            assert get_tracer() is tracer
-            assert tracer.enabled
-        finally:
-            disable_tracing()
-        assert isinstance(get_tracer(), NullTracer)
-
     def test_tracing_context_restores(self):
         before = get_tracer()
         with tracing() as t:
             assert get_tracer() is t
             assert t.enabled
+        assert get_tracer() is before
+
+    def test_tracing_installs_the_tracer_it_is_given(self):
+        # An empty tracer is falsy (``__len__`` is 0); it is still the
+        # one installed, yielded and kept, so a caller exports its spans.
+        before = get_tracer()
+        tracer = Tracer()
+        assert len(tracer) == 0
+        with tracing(tracer) as t:
+            assert t is tracer
+            assert get_tracer() is tracer
         assert get_tracer() is before
 
 
@@ -244,20 +241,20 @@ class TestRegistry:
         assert doc["schema"] == "repro.metrics/v1"
         assert len(doc["metrics"]) == 1
 
-    def test_global_enable_disable(self):
-        assert not get_registry().enabled
-        reg = enable_metrics()
-        try:
-            assert get_registry() is reg
-        finally:
-            disable_metrics()
-        assert not get_registry().enabled
-
     def test_collecting_context_restores(self):
         before = get_registry()
         with collecting() as r:
             assert get_registry() is r
             assert r.enabled
+        assert get_registry() is before
+
+    def test_collecting_installs_the_registry_it_is_given(self):
+        before = get_registry()
+        registry = MetricsRegistry()
+        assert len(registry) == 0
+        with collecting(registry) as r:
+            assert r is registry
+            assert get_registry() is registry
         assert get_registry() is before
 
 
@@ -302,9 +299,17 @@ class TestChromeTrace:
         assert validate_trace(doc) == 3
 
     def test_write_roundtrip(self, tmp_path):
-        path = write_chrome_trace(tmp_path / "t.trace.json", self._tracer())
-        doc = json.loads(path.read_text())
+        path = tmp_path / "t.trace.json"
+        doc = write_chrome_trace(path, self._tracer())
+        assert json.loads(path.read_text()) == doc
         assert validate_trace(doc) == 3
+
+    def test_write_validates_before_writing(self, tmp_path):
+        # One process is not a two-node cluster trace: nothing is written.
+        path = tmp_path / "t.trace.json"
+        with pytest.raises(ValueError, match="cluster"):
+            write_chrome_trace(path, self._tracer(), expect_cluster=2)
+        assert not path.exists()
 
     @pytest.mark.parametrize("doc,msg", [
         ([], "JSON object"),
