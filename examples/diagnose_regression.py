@@ -27,8 +27,9 @@ from repro.observ import (
     format_diff,
     format_profile,
     profile_run,
-    write_profile,
+    write_artifact,
 )
+from repro.observ.profiler import to_json
 
 
 def main() -> None:
@@ -45,10 +46,10 @@ def main() -> None:
     regressed = profile_run(
         graph, config=EnterpriseConfig(workload_balancing=False), seed=7)
 
-    good_path = write_profile(outdir / f"{graph.name}.good.profile.json",
-                              good)
-    bad_path = write_profile(outdir / f"{graph.name}.bad.profile.json",
-                             regressed)
+    good_path = write_artifact(outdir / f"{graph.name}.good.profile.json",
+                               to_json(good))
+    bad_path = write_artifact(outdir / f"{graph.name}.bad.profile.json",
+                              to_json(regressed))
     print(f"Baseline  {good.config:12s} {good.gteps:8.4f} GTEPS "
           f"-> {good_path}")
     print(f"Regressed {regressed.config:12s} {regressed.gteps:8.4f} GTEPS "

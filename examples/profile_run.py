@@ -30,8 +30,8 @@ from repro.observ import (
     run_snapshot,
     tracing,
     validate_trace,
+    write_artifact,
     write_chrome_trace,
-    write_snapshot,
 )
 
 
@@ -69,7 +69,7 @@ def main() -> None:
 
     # --- counter snapshot ---------------------------------------------
     snap = run_snapshot(result, device=device, registry=registry)
-    snap_path = write_snapshot(outdir / f"{graph.name}.snap.json", snap)
+    snap_path = write_artifact(outdir / f"{graph.name}.snap.json", snap)
     print(f"\nSnapshot: wrote {snap_path} "
           f"({len(snap['metrics'])} metrics, {len(snap['levels'])} levels)")
     for key in ("time_ms", "teps", "gld_transactions", "power_w",

@@ -95,7 +95,8 @@ def run_profiled_bench(
     chased straight into its profile.
     """
     from ..bfs.enterprise import ABLATION_CONFIGS
-    from ..observ.profiler import diagnose, profile_run, write_profile
+    from ..observ import write_artifact
+    from ..observ.profiler import diagnose, profile_run, to_json
 
     configs = dict(configs) if configs else dict(ABLATION_CONFIGS)
     out = Path(out_dir)
@@ -107,7 +108,8 @@ def run_profiled_bench(
             prof = profile_run(graph, config=config, spec=spec, seed=seed,
                                meta={"bench": True, "config_key": label})
             slug = f"{graph.name}.{label}".replace("/", "-")
-            path = write_profile(out / f"{slug}.profile.json", prof)
+            path = write_artifact(out / f"{slug}.profile.json",
+                                  to_json(prof))
             findings = diagnose(prof, max_findings=1)
             rows.append({
                 "graph": graph.name,

@@ -303,15 +303,19 @@ def cmd_datasets(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "kron":
-        g = kronecker_graph(args.scale, args.edge_factor, seed=args.seed)
-    elif args.kind == "rmat":
-        g = rmat_graph(args.scale, args.edge_factor, seed=args.seed)
-    elif args.kind == "powerlaw":
-        g = powerlaw_graph(1 << args.scale, args.mean_degree,
-                           args.exponent, seed=args.seed)
-    else:
-        g = road_mesh(1 << (args.scale // 2), seed=args.seed)
+    try:
+        if args.kind == "kron":
+            g = kronecker_graph(args.scale, args.edge_factor,
+                                seed=args.seed)
+        elif args.kind == "rmat":
+            g = rmat_graph(args.scale, args.edge_factor, seed=args.seed)
+        elif args.kind == "powerlaw":
+            g = powerlaw_graph(1 << args.scale, args.mean_degree,
+                               args.exponent, seed=args.seed)
+        else:
+            g = road_mesh(1 << (args.scale // 2), seed=args.seed)
+    except ValueError as exc:  # the generators' own range checks
+        raise argparse.ArgumentError(None, str(exc)) from None
     out = Path(args.output)
     if out.suffix == ".npz":
         save_csr(g, out)
@@ -450,15 +454,20 @@ def _emit_snapshot(args, label: str, build) -> int:
     when the gate finds a regression, else 0."""
     if not (args.snapshot or args.diff):
         return 0
-    from .observ import diff_snapshots, load_snapshot, write_snapshot
+    from .observ import (
+        SNAPSHOT_SCHEMA,
+        diff_snapshots,
+        load_artifact,
+        write_artifact,
+    )
     snap = build()
     if args.snapshot:
-        write_snapshot(args.snapshot, snap)
+        write_artifact(args.snapshot, snap)
         print(f"wrote {args.snapshot} ({label}, "
               f"{len(snap['metrics'])} metrics)")
     if not args.diff:
         return 0
-    diff = diff_snapshots(load_snapshot(args.diff), snap,
+    diff = diff_snapshots(load_artifact(args.diff, SNAPSHOT_SCHEMA), snap,
                           rel_tol=args.tolerance)
     print(diff.format())
     return 0 if diff.ok else 1
@@ -487,12 +496,13 @@ def cmd_trace(args) -> int:
 
 def _cmd_profile_cluster(args) -> int:
     """``profile --cluster``: one profiled cluster-BFS run."""
+    from .observ import write_artifact
     from .observ.clusterprof import (
+        cluster_to_json,
         diagnose_cluster,
         format_cluster_profile,
         profile_cluster_run,
         render_cluster_html,
-        write_cluster_profile,
     )
 
     g = _load_graph(args)
@@ -503,7 +513,7 @@ def _cmd_profile_cluster(args) -> int:
         faults=faults)
     print(format_cluster_profile(prof, max_findings=args.findings))
     if args.out:
-        write_cluster_profile(args.out, prof)
+        write_artifact(args.out, cluster_to_json(prof))
         print(f"wrote {args.out} (cluster profile artifact, "
               f"{len(prof.levels)} levels, "
               f"{len(diagnose_cluster(prof))} findings)")
@@ -514,14 +524,16 @@ def _cmd_profile_cluster(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .observ import load_artifact, write_artifact
     from .observ.profiler import (
+        PROFILE_SCHEMA,
         diff_profiles,
         format_diff,
         format_profile,
-        load_profile,
+        from_json,
         profile_run,
         render_html,
-        write_profile,
+        to_json,
     )
 
     if args.cluster:
@@ -550,13 +562,13 @@ def cmd_profile(args) -> int:
 
     diff = None
     if args.compare:
-        before = load_profile(args.compare)
+        before = from_json(load_artifact(args.compare, PROFILE_SCHEMA))
         diff = diff_profiles(before, prof)
         print()
         print(format_diff(diff, top=args.top))
 
     if args.out:
-        write_profile(args.out, prof)
+        write_artifact(args.out, to_json(prof))
         print(f"wrote {args.out} (profile artifact, "
               f"{len(prof.levels)} levels)")
     if args.html:
@@ -659,8 +671,7 @@ def cmd_monitor(args) -> int:
     calibrate reference bands, so a clean run reports zero anomalies
     and a faulted one reports a deterministic timeline."""
     from .faults.plan import profile
-    from .observ import collecting, tracing
-    from .observ.bus import write_findings
+    from .observ import collecting, tracing, write_artifact
     from .observ.monitor import (
         LiveMonitor,
         MonitorConfig,
@@ -668,7 +679,6 @@ def cmd_monitor(args) -> int:
         render_html,
     )
     from .observ.snapshot import bench_snapshot
-    from .observ.timeseries import write_series
     from .observ.whatif import suggest_serve_mutations
     from .serve import ServeEngine, replay, synthetic_trace
 
@@ -707,10 +717,10 @@ def cmd_monitor(args) -> int:
 
     anomalies = live.anomalies()
     if args.out:
-        write_findings(args.out, live.bus)
+        write_artifact(args.out, live.bus.to_json())
         print(f"wrote {args.out} ({len(live.bus)} findings)")
     if args.series_out:
-        write_series(args.series_out, live.board)
+        write_artifact(args.series_out, live.board.to_json())
         print(f"wrote {args.series_out} "
               f"({len(live.board.names())} series, "
               f"{live.board.ticks} ticks)")
@@ -765,13 +775,14 @@ def _cmd_report_cluster(args) -> int:
     ``.html``, text otherwise; ``--trace-out`` re-runs the largest
     configuration traced and exports the validated per-node timeline."""
     from .bench.cluster import run_weak_scaling
+    from .observ import write_artifact
     from .observ.clusterprof import (
         build_cluster_profile,
+        cluster_to_json,
         decompose_weak_scaling,
         format_cluster_profile,
         format_weak_scaling,
         render_cluster_html,
-        write_cluster_profile,
     )
 
     counts = args.node_counts
@@ -803,7 +814,7 @@ def _cmd_report_cluster(args) -> int:
         _write_trace(args.trace_out, tracer, nodes=counts[-1],
                      graph=g.name, mode="cluster")
     if args.profile_out:
-        write_cluster_profile(args.profile_out, focus)
+        write_artifact(args.profile_out, cluster_to_json(focus))
         print(f"wrote {args.profile_out} (cluster profile, "
               f"{len(focus.levels)} levels at {focus.num_nodes} nodes)")
     if args.output:
@@ -911,15 +922,16 @@ def _cmd_cluster_bfs(args) -> int:
         _write_trace(args.trace_out, tracer, nodes=args.nodes,
                      graph=g.name, mode="cluster")
     if args.profile_out:
+        from .observ import write_artifact
         from .observ.clusterprof import (
             build_cluster_profile,
-            write_cluster_profile,
+            cluster_to_json,
         )
         prof = build_cluster_profile(
             r, fabric=fabric,
             meta={"seed": args.seed, "faults": args.faults,
                   "source": source})
-        write_cluster_profile(args.profile_out, prof)
+        write_artifact(args.profile_out, cluster_to_json(prof))
         print(f"wrote {args.profile_out} (cluster profile, "
               f"{len(prof.levels)} levels)")
     if args.check:
@@ -1008,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(ALGORITHMS))
     p.add_argument("--device", default="k40", choices=sorted(DEVICES))
     p.add_argument("--source", type=int)
-    p.add_argument("--gpus", type=int, default=1)
+    p.add_argument("--gpus", type=_positive_int, default=1)
     p.add_argument("--trace", action="store_true",
                    help="print the per-level trace")
     p.add_argument("--timeline", action="store_true",

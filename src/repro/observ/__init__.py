@@ -10,8 +10,10 @@ reproduction the same toolchain as first-class infrastructure:
 * :mod:`~repro.observ.events` — Chrome trace-event JSON export
   (``chrome://tracing`` / Perfetto): ``ph: "X"`` duration spans plus
   counter tracks for frontier size, γ, α and power.
+* :mod:`~repro.observ.artifact` — the one write/load/validate path of
+  the versioned JSON artifacts below; every write validates first.
 * :mod:`~repro.observ.registry` — labelled counters, gauges and
-  fixed-bucket histograms with JSON/NDJSON snapshot export.
+  fixed-bucket histograms with NDJSON export.
 * :mod:`~repro.observ.snapshot` — versioned run/bench snapshots and
   :func:`~repro.observ.snapshot.diff_snapshots`, the regression gate.
 * :mod:`~repro.observ.slo` — SLO targets, windowed error-budget
@@ -32,15 +34,15 @@ reproduction the same toolchain as first-class infrastructure:
 * :mod:`~repro.observ.detect` — deterministic reference-band detection
   calibrated from a fault-free twin run, emitting versioned
   ``repro.anomaly/v1`` records with attribution.
-* :mod:`~repro.observ.bus` — the ordered findings bus: every live
-  anomaly in one byte-deterministic ``repro.findings/v1`` stream.
+* :mod:`~repro.observ.bus` — the findings bus: the detector bank's
+  anomalies as one ordered ``repro.findings/v1`` stream.
 * :mod:`~repro.observ.monitor` — live serve-loop monitor: binds a
   sampling board + detector bank + bus to a
   :class:`~repro.serve.engine.ServeEngine`, renders text dashboards
   and self-contained HTML timelines.
-* :mod:`~repro.observ.whatif` — what-if impact estimator: frozen run
-  artifact + bounded knob mutation → predicted GTEPS/latency delta,
-  validated for sign agreement against actual re-runs.
+* :mod:`~repro.observ.whatif` — what-if impact estimator: a finished
+  serve run + bounded knob mutation → predicted latency/throughput
+  delta.
 
 CLI: ``python -m repro trace <graph> --out run.trace.json`` exports a
 timeline; ``python -m repro monitor <graph>`` watches a serve run live;
@@ -48,14 +50,15 @@ timeline; ``python -m repro monitor <graph>`` watches a serve run live;
 snapshots.
 """
 
+from .artifact import (
+    load_artifact,
+    validate_artifact,
+    write_artifact,
+)
 from .bus import (
     FINDINGS_SCHEMA,
     FindingsBus,
-    load_findings,
-    validate_findings,
-    write_findings,
 )
-
 from .clusterprof import (
     CLUSTER_PROFILE_SCHEMA,
     CLUSTER_TIERS,
@@ -66,17 +69,13 @@ from .clusterprof import (
     TierSlice,
     WeakScalingDecomposition,
     build_cluster_profile,
-    cluster_from_json,
     cluster_to_json,
     decompose_weak_scaling,
     diagnose_cluster,
     format_cluster_profile,
     format_weak_scaling,
-    load_cluster_profile,
     profile_cluster_run,
     render_cluster_html,
-    validate_cluster_profile,
-    write_cluster_profile,
 )
 from .detect import (
     ANOMALY_SCHEMA,
@@ -110,11 +109,8 @@ from .profiler import (
     diff_profiles,
     format_diff,
     format_profile,
-    load_profile,
     profile_run,
     render_html,
-    validate_profile,
-    write_profile,
 )
 from .roofline import (
     BOUND_KINDS,
@@ -139,11 +135,8 @@ from .snapshot import (
     SnapshotDiff,
     bench_snapshot,
     diff_snapshots,
-    load_snapshot,
     metric_direction,
     run_snapshot,
-    validate_snapshot,
-    write_snapshot,
 )
 from .slo import (
     DEFAULT_BURN_RULES,
@@ -158,9 +151,6 @@ from .timeseries import (
     Board,
     Series,
     WindowStats,
-    load_series,
-    validate_series,
-    write_series,
 )
 from .tracer import (
     FLOW_PHASES,
@@ -180,22 +170,18 @@ from .tracer import (
     tracing,
 )
 from .whatif import (
-    CANONICAL_GAMMA_THRESHOLDS,
-    CANONICAL_SERVE_CASES,
     KNOBS,
     Knob,
     Mutation,
     Prediction,
-    estimate_gamma_impact,
     estimate_serve_impact,
-    evaluate_canonical_matrices,
-    evaluate_gamma_matrix,
-    evaluate_serve_matrix,
-    format_matrix,
     suggest_serve_mutations,
 )
 
 __all__ = [
+    "load_artifact",
+    "validate_artifact",
+    "write_artifact",
     "Alert",
     "BurnRule",
     "CounterRecord",
@@ -228,17 +214,13 @@ __all__ = [
     "TierSlice",
     "WeakScalingDecomposition",
     "build_cluster_profile",
-    "cluster_from_json",
     "cluster_to_json",
     "decompose_weak_scaling",
     "diagnose_cluster",
     "format_cluster_profile",
     "format_weak_scaling",
-    "load_cluster_profile",
     "profile_cluster_run",
     "render_cluster_html",
-    "validate_cluster_profile",
-    "write_cluster_profile",
     "BOUND_KINDS",
     "ClassProfile",
     "DeltaAttribution",
@@ -254,14 +236,11 @@ __all__ = [
     "diff_profiles",
     "format_diff",
     "format_profile",
-    "load_profile",
     "peak_instr_per_s",
     "profile_run",
     "render_html",
     "ridge_intensity",
     "roofline_point",
-    "validate_profile",
-    "write_profile",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -275,18 +254,12 @@ __all__ = [
     "SnapshotDiff",
     "bench_snapshot",
     "diff_snapshots",
-    "load_snapshot",
     "metric_direction",
     "run_snapshot",
-    "validate_snapshot",
-    "write_snapshot",
     "SERIES_SCHEMA",
     "WindowStats",
     "Series",
     "Board",
-    "write_series",
-    "load_series",
-    "validate_series",
     "ANOMALY_SCHEMA",
     "Anomaly",
     "ReferenceBandDetector",
@@ -294,9 +267,6 @@ __all__ = [
     "DetectorBank",
     "FINDINGS_SCHEMA",
     "FindingsBus",
-    "write_findings",
-    "load_findings",
-    "validate_findings",
     "INSTANT_SCOPES",
     "InstantRecord",
     "LiveMonitor",
@@ -304,15 +274,8 @@ __all__ = [
     "render_dashboard",
     "KNOBS",
     "Knob",
-    "CANONICAL_GAMMA_THRESHOLDS",
-    "CANONICAL_SERVE_CASES",
     "Mutation",
     "Prediction",
-    "estimate_gamma_impact",
     "estimate_serve_impact",
-    "evaluate_canonical_matrices",
-    "evaluate_gamma_matrix",
-    "evaluate_serve_matrix",
-    "format_matrix",
     "suggest_serve_mutations",
 ]

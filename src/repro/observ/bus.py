@@ -1,33 +1,29 @@
 """The findings bus — one ordered ``repro.findings/v1`` stream.
 
-The live monitor publishes every :class:`~repro.observ.detect.Anomaly`
-it detects to a :class:`FindingsBus`, which keeps them in one
-deterministic total order and exports byte-identical JSON.  Each
-exported event is rendered from its anomaly: ``source`` is
+A :class:`FindingsBus` is a view of the anomaly list a
+:class:`~repro.observ.detect.DetectorBank` owns: it keeps no copy, so
+every anomaly the bank fires is on the bus at once.  The bus puts them
+in one deterministic total order and renders the findings document.
+Each exported event is rendered from its anomaly: ``source`` is
 ``"detect"``, ``seq`` is the event's position in the stream, and
 ``data`` carries the full ``repro.anomaly/v1`` record.
 
-Ordering: events sort by simulated time, ties by publish order.
-Publication order is deterministic (everything upstream runs on the
-simulated clock), so the export is too.
+Ordering: events sort by simulated time, ties by firing order.  Firing
+order is deterministic (everything upstream runs on the simulated
+clock), so the export is too.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
+from .artifact import register_artifact
 from .detect import Anomaly
-from .registry import get_registry
 
 __all__ = [
     "FINDINGS_SCHEMA",
     "FindingsBus",
-    "write_findings",
-    "load_findings",
-    "validate_findings",
 ]
 
 FINDINGS_SCHEMA = "repro.findings/v1"
@@ -52,21 +48,13 @@ def _event_doc(seq: int, anomaly: Anomaly) -> dict:
 
 
 class FindingsBus:
-    """Ordered sink for the anomalies a live monitor detects."""
+    """Ordered view of a detector bank's anomalies."""
 
-    def __init__(self):
-        self._anomalies: list[Anomaly] = []
-
-    def publish_anomaly(self, anomaly: Anomaly) -> None:
-        if not math.isfinite(anomaly.ts_ms):
-            raise ValueError(
-                f"event needs a finite ts_ms, got {anomaly.ts_ms!r}")
-        self._anomalies.append(anomaly)
-        get_registry().counter("repro.findings.published",
-                               source="detect").inc()
+    def __init__(self, anomalies: Sequence[Anomaly]):
+        self._anomalies = anomalies
 
     def events(self) -> list[Anomaly]:
-        """The stream in its total order: time, then publish order."""
+        """The stream in its total order: time, then firing order."""
         return sorted(self._anomalies, key=lambda a: a.ts_ms)
 
     def ranked(self, *, limit: int | None = None) -> list[Anomaly]:
@@ -84,31 +72,9 @@ class FindingsBus:
                            for seq, a in enumerate(self.events())]}
 
 
-# ----------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------
-
-def write_findings(path: str | Path, bus: FindingsBus) -> Path:
-    """Byte-deterministic export: sorted keys, fixed rounding, ordered
-    events — identical runs produce identical bytes."""
-    path = Path(path)
-    path.write_text(json.dumps(bus.to_json(), sort_keys=True) + "\n")
-    return path
-
-
-def load_findings(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    validate_findings(doc)
-    return doc
-
-
-def validate_findings(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a v1 findings stream."""
-    if not isinstance(doc, Mapping):
-        raise ValueError("findings document must be a JSON object")
-    if doc.get("schema") != FINDINGS_SCHEMA:
-        raise ValueError(f"schema must be {FINDINGS_SCHEMA!r}, "
-                         f"got {doc.get('schema')!r}")
+@register_artifact(FINDINGS_SCHEMA)
+def _check_findings(doc: Mapping) -> None:
+    """Raise ``ValueError`` unless ``doc`` has the v1 findings shape."""
     events = doc.get("events")
     if not isinstance(events, list):
         raise ValueError("findings document lacks an events array")

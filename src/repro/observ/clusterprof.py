@@ -36,12 +36,11 @@ Gantt chart and the efficiency waterfall.
 from __future__ import annotations
 
 import html as _html
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..gpu.clock import PS_PER_MS, ticks
+from .artifact import register_artifact
 from .profiler import Finding, _table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,10 +63,6 @@ __all__ = [
     "diagnose_cluster",
     "decompose_weak_scaling",
     "cluster_to_json",
-    "cluster_from_json",
-    "write_cluster_profile",
-    "load_cluster_profile",
-    "validate_cluster_profile",
     "format_cluster_profile",
     "format_weak_scaling",
     "render_cluster_html",
@@ -344,46 +339,10 @@ def cluster_to_json(profile: ClusterProfile) -> dict:
     return doc
 
 
-def cluster_from_json(doc: Mapping) -> ClusterProfile:
-    validate_cluster_profile(doc)
-    levels = tuple(
-        ClusterLevelProfile(**{
-            **lvl,
-            "tiers": tuple(TierSlice(**s) for s in lvl["tiers"]),
-            "node_compute_ps": tuple(lvl["node_compute_ps"]),
-            "node_staging_ps": tuple(lvl["node_staging_ps"]),
-        })
-        for lvl in doc["levels"])
-    fields = {k: doc[k] for k in (
-        "algorithm", "graph", "source", "num_nodes", "gpus_per_node",
-        "time_ps", "edges_traversed", "visited", "depth", "bytes_intra",
-        "bytes_inter", "bytes_read", "hierarchy_advantage", "intra_link",
-        "inter_link", "meta")}
-    return ClusterProfile(levels=levels,
-                          shard_bytes=tuple(doc["shard_bytes"]), **fields)
-
-
-def write_cluster_profile(path: str | Path,
-                          profile: ClusterProfile) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(cluster_to_json(profile), indent=2,
-                               sort_keys=True) + "\n")
-    return path
-
-
-def load_cluster_profile(path: str | Path) -> ClusterProfile:
-    return cluster_from_json(json.loads(Path(path).read_text()))
-
-
-def validate_cluster_profile(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a v2 cluster profile."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"cluster profile must be an object, "
-                         f"got {type(doc)}")
-    if doc.get("schema") != CLUSTER_PROFILE_SCHEMA:
-        raise ValueError(
-            f"unknown cluster profile schema {doc.get('schema')!r} "
-            f"(expected {CLUSTER_PROFILE_SCHEMA!r})")
+@register_artifact(CLUSTER_PROFILE_SCHEMA, indent=2)
+def _check_cluster_profile(doc: Mapping) -> None:
+    """Raise ``ValueError`` unless ``doc`` has the v2 cluster profile
+    shape, including the exact tick partition of every level."""
     for key in ("algorithm", "graph", "time_ps", "num_nodes",
                 "gpus_per_node", "levels", "shard_bytes"):
         if key not in doc:

@@ -155,7 +155,8 @@ def reference_band(samples: Iterable[float]) -> tuple[float, float]:
 
 class DetectorBank:
     """Routes board samples into per-series reference bands and collects
-    the anomaly timeline.
+    the anomaly timeline in :attr:`anomalies`, the one list a
+    :class:`~repro.observ.bus.FindingsBus` views.
 
     Every bank tracks each series' running ``[min, max]`` as samples
     arrive, so a finished fault-free bank can :meth:`calibrate` another
@@ -174,12 +175,8 @@ class DetectorBank:
         self._bands: dict[str, ReferenceBandDetector] = {}
         #: Series name -> running ``[min, max]`` (empty until sampled).
         self._extents: dict[str, list[float]] = {}
-        self._listeners: list[Callable[[Anomaly], None]] = []
         self._attributor = attributor
         self.anomalies: list[Anomaly] = []
-
-    def subscribe(self, listener: Callable[[Anomaly], None]) -> None:
-        self._listeners.append(listener)
 
     def bind(self, board) -> None:
         """Subscribe this bank to a
@@ -216,8 +213,3 @@ class DetectorBank:
         get_registry().counter("repro.detect.anomalies",
                                series=series, kind=anomaly.kind).inc()
         self.anomalies.append(anomaly)
-        for listener in self._listeners:
-            listener(anomaly)
-
-    def timeline(self) -> list[Anomaly]:
-        return list(self.anomalies)

@@ -4,7 +4,7 @@
 :class:`~repro.observ.timeseries.Board` of standard serving probes (QPS,
 p50/p95 latency, queue depth, device utilization, cache hit rate), a
 :class:`~repro.observ.detect.DetectorBank`, and a
-:class:`~repro.observ.bus.FindingsBus` every anomaly is published to.
+:class:`~repro.observ.bus.FindingsBus` viewing the bank's anomalies.
 The engine calls :meth:`observe_result` per completion and
 :meth:`advance` as its simulated clock moves; the monitor delivers
 completions to its trailing window *in completion-time order* before
@@ -107,9 +107,8 @@ class LiveMonitor:
 
     def __init__(self, config: MonitorConfig | None = None):
         self.config = config or MonitorConfig()
-        self.bus = FindingsBus()
         self.bank = DetectorBank(attributor=self._attribute)
-        self.bank.subscribe(self._on_anomaly)
+        self.bus = FindingsBus(self.bank.anomalies)
         self.board: Board | None = None
         self._engine = None
         self._tracer = get_tracer()
@@ -192,13 +191,21 @@ class LiveMonitor:
 
     def advance(self, now_ms: float) -> None:
         """Emit every cadence tick up to ``now_ms``, delivering pending
-        completions in completion-time order first."""
+        completions in completion-time order first; each anomaly a tick
+        fires gets an instant marker on the serve track."""
         if self.board is None:
             return
         while self.board.next_tick_ms <= now_ms:
             tick = self.board.next_tick_ms
             self._deliver(tick)
+            fired = len(self.bank.anomalies)
             self.board.advance(tick)
+            for anomaly in self.bank.anomalies[fired:]:
+                self._tracer.record_instant(
+                    f"anomaly:{anomaly.series}", anomaly.ts_ms, scope="t",
+                    cat="detect", tid=TID_SERVE,
+                    args={"kind": anomaly.kind, "detector": anomaly.detector,
+                          "severity": round(anomaly.severity, 6)})
 
     def _deliver(self, up_to_ms: float) -> None:
         while self._pending and self._pending[0][0] <= up_to_ms:
@@ -220,7 +227,7 @@ class LiveMonitor:
         self.bank.calibrate(reference.bank)
 
     # ------------------------------------------------------------------
-    # Anomaly plumbing
+    # Attribution
     # ------------------------------------------------------------------
     def _attribute(self, anomaly: Anomaly) -> Mapping[str, object]:
         """Attribution hook: device/node, dominant phase, trace-id
@@ -254,20 +261,11 @@ class LiveMonitor:
             out["window_mean"] = round(window.mean, 9)
         return out
 
-    def _on_anomaly(self, anomaly: Anomaly) -> None:
-        self.bus.publish_anomaly(anomaly)
-        if self._tracer.enabled:
-            self._tracer.record_instant(
-                f"anomaly:{anomaly.series}", anomaly.ts_ms, scope="t",
-                cat="detect", tid=TID_SERVE,
-                args={"kind": anomaly.kind, "detector": anomaly.detector,
-                      "severity": round(anomaly.severity, 6)})
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def anomalies(self) -> list[Anomaly]:
-        return self.bank.timeline()
+        return list(self.bank.anomalies)
 
 
 # ----------------------------------------------------------------------

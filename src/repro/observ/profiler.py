@@ -33,14 +33,13 @@ fixed seed, making profile artifacts diffable in CI.
 from __future__ import annotations
 
 import html as _html
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..gpu.clock import PS_PER_MS, apportion
+from .artifact import register_artifact, validate_artifact
 from .roofline import roofline_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,9 +63,6 @@ __all__ = [
     "diff_profiles",
     "to_json",
     "from_json",
-    "write_profile",
-    "load_profile",
-    "validate_profile",
     "format_profile",
     "format_diff",
     "render_html",
@@ -474,7 +470,7 @@ def to_json(profile: RunProfile) -> dict:
 
 
 def from_json(doc: Mapping) -> RunProfile:
-    validate_profile(doc)
+    validate_artifact(doc, PROFILE_SCHEMA)
     levels = tuple(
         LevelProfile(**{**lvl, "classes": tuple(
             ClassProfile(**c) for c in lvl["classes"])})
@@ -487,24 +483,9 @@ def from_json(doc: Mapping) -> RunProfile:
     return RunProfile(levels=levels, **fields)
 
 
-def write_profile(path: str | Path, profile: RunProfile) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(to_json(profile), indent=2, sort_keys=True)
-                    + "\n")
-    return path
-
-
-def load_profile(path: str | Path) -> RunProfile:
-    return from_json(json.loads(Path(path).read_text()))
-
-
-def validate_profile(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a v2 profile document."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"profile must be an object, got {type(doc)}")
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ValueError(f"unknown profile schema {doc.get('schema')!r} "
-                         f"(expected {PROFILE_SCHEMA!r})")
+@register_artifact(PROFILE_SCHEMA, indent=2)
+def _check_profile(doc: Mapping) -> None:
+    """Raise ``ValueError`` unless ``doc`` has the v2 profile shape."""
     for key in ("algorithm", "graph", "time_ps", "edges_traversed",
                 "levels", "counters"):
         if key not in doc:

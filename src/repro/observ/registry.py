@@ -13,8 +13,9 @@ metrics, so instrumentation sites cost one method call when metrics
 collection is off.  Enable collection with the :func:`collecting` context
 manager.
 
-Snapshots export as JSON (one document) or NDJSON (one sample per line,
-the append-friendly format used for regression records).
+Samples export as NDJSON (one sample per line, the append-friendly
+format ``trace --metrics`` writes); a run snapshot embeds them as rows
+(:func:`~repro.observ.snapshot.run_snapshot`).
 """
 
 from __future__ import annotations
@@ -239,16 +240,6 @@ class MetricsRegistry:
         return self._get("histogram", name, labels,
                          lambda: Histogram(buckets))
 
-    def peek(self, name: str, **labels: str) -> object | None:
-        """The live instrument for an identity, or None when the
-        workload never created it.  Unlike the typed accessors this
-        never materialises a metric — the read a sampling probe wants,
-        since creating rows would perturb metric snapshots."""
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-        with self._lock:
-            entry = self._metrics.get(key)
-        return entry[1] if entry is not None else None
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -263,30 +254,16 @@ class MetricsRegistry:
             rows.append(row)
         return rows
 
-    def snapshot(self) -> dict:
-        """One JSON-serialisable document of every metric."""
-        return {"schema": "repro.metrics/v1", "metrics": self.collect()}
-
     def to_ndjson(self) -> str:
         """One compact JSON object per line — append/diff-friendly."""
         return "\n".join(json.dumps(row, sort_keys=True)
                          for row in self.collect())
-
-    def write_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.snapshot(), indent=2,
-                                   sort_keys=True) + "\n")
-        return path
 
     def write_ndjson(self, path: str | Path) -> Path:
         path = Path(path)
         text = self.to_ndjson()
         path.write_text(text + "\n" if text else "")
         return path
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -21,15 +21,14 @@ Two snapshot kinds share the schema:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from ..gpu.clock import PS_PER_MS
+from .artifact import register_artifact, validate_artifact
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..bfs.common import BFSResult
@@ -41,9 +40,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "run_snapshot",
     "bench_snapshot",
-    "write_snapshot",
-    "load_snapshot",
-    "validate_snapshot",
     "MetricDelta",
     "SnapshotDiff",
     "diff_snapshots",
@@ -75,9 +71,9 @@ _LOWER_IS_BETTER = frozenset({
     "compute_ms", "row_exchange_ms", "col_exchange_ms",
     "allreduce_intra_ms", "allreduce_inter_ms", "staging_ms",
     "gap", "straggler_share",
-    # Streaming observability (repro.observ.detect / .bus / .monitor):
-    # anomalies fired, findings published, mean latency on dashboards.
-    "anomalies", "published", "mean_ms",
+    # Streaming observability (repro.observ.detect / .monitor):
+    # anomalies fired, mean latency on dashboards.
+    "anomalies", "mean_ms",
 })
 
 #: Metrics where an *increase* is good (throughput-like).
@@ -250,27 +246,9 @@ def bench_snapshot(name: str, data) -> dict:
     }
 
 
-def write_snapshot(path: str | Path, doc: Mapping[str, object]) -> Path:
-    validate_snapshot(doc)
-    path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    validate_snapshot(doc)
-    return doc
-
-
-def validate_snapshot(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` conforms to the v1 schema."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"snapshot must be an object, got {type(doc)}")
-    schema = doc.get("schema")
-    if schema != SNAPSHOT_SCHEMA:
-        raise ValueError(f"unknown snapshot schema {schema!r} "
-                         f"(expected {SNAPSHOT_SCHEMA!r})")
+@register_artifact(SNAPSHOT_SCHEMA, indent=2)
+def _check_snapshot(doc: Mapping) -> None:
+    """Raise ``ValueError`` unless ``doc`` has the v1 snapshot shape."""
     if doc.get("kind") not in ("run", "bench"):
         raise ValueError(f"unknown snapshot kind {doc.get('kind')!r}")
     metrics = doc.get("metrics")
@@ -357,8 +335,8 @@ def diff_snapshots(old: Mapping, new: Mapping,
     relative to the old value; neutral metrics are reported as changes
     but never fail the gate.
     """
-    validate_snapshot(old)
-    validate_snapshot(new)
+    validate_artifact(old, SNAPSHOT_SCHEMA)
+    validate_artifact(new, SNAPSHOT_SCHEMA)
     if rel_tol < 0:
         raise ValueError("rel_tol must be non-negative")
     om, nm = old["metrics"], new["metrics"]

@@ -19,21 +19,18 @@ that same order — the total order every downstream consumer sees.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping
+
+from .artifact import register_artifact
 
 __all__ = [
     "SERIES_SCHEMA",
     "WindowStats",
     "Series",
     "Board",
-    "write_series",
-    "load_series",
-    "validate_series",
 ]
 
 SERIES_SCHEMA = "repro.timeseries/v1"
@@ -226,30 +223,10 @@ class Board:
         }
 
 
-# ----------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------
-
-def write_series(path: str | Path, board: Board) -> Path:
-    """Byte-deterministic series export (sorted keys, fixed rounding)."""
-    path = Path(path)
-    path.write_text(json.dumps(board.to_json(), sort_keys=True) + "\n")
-    return path
-
-
-def load_series(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    validate_series(doc)
-    return doc
-
-
-def validate_series(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a v1 time-series export."""
-    if not isinstance(doc, Mapping):
-        raise ValueError("series document must be a JSON object")
-    if doc.get("schema") != SERIES_SCHEMA:
-        raise ValueError(f"schema must be {SERIES_SCHEMA!r}, "
-                         f"got {doc.get('schema')!r}")
+@register_artifact(SERIES_SCHEMA)
+def _check_series(doc: Mapping) -> None:
+    """Raise ``ValueError`` unless ``doc`` has the v1 time-series
+    export shape."""
     if not isinstance(doc.get("cadence_ms"), (int, float)) \
             or doc["cadence_ms"] <= 0:
         raise ValueError("cadence_ms must be a positive number")

@@ -1,43 +1,31 @@
-"""What-if impact estimation: bounded knob mutations priced offline.
+"""What-if impact estimation: bounded serve-knob mutations priced offline.
 
-Given a frozen artifact of a finished run — a
-:class:`~repro.observ.profiler.RunProfile` for BFS, or a serve run's
-stats + config — and a *bounded* config mutation, predict the GTEPS or
-latency delta **without re-running**.  The predictions are analytic
-models over the measured cost structure (per-direction per-edge rates
-from the profile's exact wall-time partition, phase totals and cache
-shares from the serve stats); they are judged on *sign agreement*
-against actual re-runs, which :func:`evaluate_gamma_matrix` /
-:func:`evaluate_serve_matrix` measure directly — the table recorded in
-EXPERIMENTS.md and asserted by the test matrix.
+Given a finished serve run's stats + config and a *bounded* config
+mutation, predict the latency or throughput delta **without
+re-running**.  The predictions are analytic models over the measured
+cost structure (phase totals, wave widths and cache shares from the
+serve stats).  They are judged on *sign agreement* against actual
+re-runs: ``benchmarks/test_whatif.py`` re-runs a canonical matrix of
+mutations and gates the table recorded in EXPERIMENTS.md.
 
-Knobs (see :data:`KNOBS`): the §4.3 direction-switch threshold γ, the
-batcher's wave width and flush deadline, the hedge threshold, and the
-cache admission count.  A mutation outside its knob's bounds raises,
-so a caller exploring mutations can never leave them.
+Knobs (see :data:`KNOBS`): the batcher's wave width and flush deadline,
+the hedge threshold, and the cache admission count.  A mutation outside
+its knob's bounds raises, so a caller exploring mutations can never
+leave them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from .profiler import RunProfile
+from typing import Mapping
 
 __all__ = [
     "Knob",
     "KNOBS",
-    "CANONICAL_GAMMA_THRESHOLDS",
-    "CANONICAL_SERVE_CASES",
     "Mutation",
     "Prediction",
-    "estimate_gamma_impact",
     "estimate_serve_impact",
-    "evaluate_canonical_matrices",
-    "evaluate_gamma_matrix",
-    "evaluate_serve_matrix",
-    "format_matrix",
     "suggest_serve_mutations",
 ]
 
@@ -50,8 +38,6 @@ class Knob:
     """One tunable the estimator knows how to price."""
 
     name: str
-    #: Which estimator prices it: ``bfs`` (RunProfile) or ``serve``.
-    target: str
     lo: float
     hi: float
     #: Metric the prediction is expressed in.
@@ -66,20 +52,17 @@ class Knob:
 
 
 KNOBS: Mapping[str, Knob] = {
-    "gamma_threshold": Knob(
-        "gamma_threshold", "bfs", 1.0, 99.0, "gteps",
-        "hub-ratio %% that triggers the top-down -> bottom-up switch"),
     "batch_sources": Knob(
-        "batch_sources", "serve", 1, 64, "qps",
+        "batch_sources", 1, 64, "qps",
         "distinct sources per MS-BFS wave (mask lanes)"),
     "deadline_ms": Knob(
-        "deadline_ms", "serve", 0.0, 64.0, "mean_ms",
+        "deadline_ms", 0.0, 64.0, "mean_ms",
         "max simulated ms the oldest pending query waits"),
     "hedge_threshold_ms": Knob(
-        "hedge_threshold_ms", "serve", 1e-3, 1e4, "p99_ms",
+        "hedge_threshold_ms", 1e-3, 1e4, "p99_ms",
         "hedge a wave stuck past this many simulated ms"),
     "admit_after": Knob(
-        "admit_after", "serve", 1, 1024, "mean_ms",
+        "admit_after", 1, 1024, "mean_ms",
         "requests before a non-hub source's row is cached"),
 }
 
@@ -139,96 +122,6 @@ class Prediction:
 
 
 # ----------------------------------------------------------------------
-# BFS: the γ switch threshold, priced from a frozen RunProfile
-# ----------------------------------------------------------------------
-
-def _direction_rate(profile: RunProfile, want_top_down: bool) -> float:
-    """Observed ms/edge over the profile's levels of one direction."""
-    ms = 0.0
-    edges = 0
-    for lvl in profile.levels:
-        is_td = lvl.direction == "top-down"
-        if is_td == want_top_down and lvl.edges_checked > 0:
-            ms += lvl.time_ms
-            edges += lvl.edges_checked
-    return ms / edges if edges else 0.0
-
-
-def _switch_level(gammas: Sequence[float], threshold: float) -> int | None:
-    """Level the traversal runs bottom-up from, under ``threshold``:
-    the γ policy decides *after* the first level whose γ exceeds it."""
-    for level, gamma in enumerate(gammas):
-        if gamma > threshold:
-            return level + 1
-    return None
-
-
-def estimate_gamma_impact(profile: RunProfile,
-                          new_threshold: float) -> Prediction:
-    """Predict the GTEPS impact of moving the γ switch threshold.
-
-    Uses the profile's recorded per-level γ history to re-derive where
-    the one-time top-down → bottom-up switch would land, then re-prices
-    every level whose direction flips with the per-edge rates measured
-    from the profile's exact wall-time partition (the roofline cells):
-    a level forced top-down pays the top-down rate over its frontier's
-    out-edges; a level pulled bottom-up pays the bottom-up rate over the
-    unvisited half of the graph's edges.
-    """
-    Mutation(knob="gamma_threshold", value=new_threshold)  # bounds check
-    levels = profile.levels
-    gammas = [lvl.gamma for lvl in levels]
-    # Tail phases legitimately record γ = -1 (never evaluated there);
-    # only a profile with *no* γ history at all predates recording.
-    if gammas and all(g < 0 for g in gammas):
-        raise ValueError("profile predates per-level gamma recording; "
-                         "re-profile with this version")
-    old_switch = next((lvl.level for lvl in levels
-                       if lvl.direction != "top-down"), None)
-    new_switch = _switch_level(gammas, new_threshold)
-    td_rate = _direction_rate(profile, want_top_down=True)
-    bu_rate = _direction_rate(profile, want_top_down=False)
-    # A profile that never ran one direction gives no rate for it; fall
-    # back to the other direction's rate (sign still driven by edges).
-    td_rate = td_rate or bu_rate
-    bu_rate = bu_rate or td_rate
-    mean_degree = profile.edges_traversed / max(profile.visited, 1)
-    visited_before = 0
-    new_time = profile.time_ms
-    repriced: list[int] = []
-    for lvl in levels:
-        was_bu = lvl.direction != "top-down"
-        now_bu = new_switch is not None and lvl.level >= new_switch
-        if was_bu != now_bu:
-            if now_bu:
-                # Pulled bottom-up early: scans the still-unvisited
-                # vertices' edges (about half before a parent is found).
-                unvisited = max(profile.visited - visited_before, 0)
-                est_edges = 0.5 * unvisited * mean_degree
-                new_cost = bu_rate * est_edges
-            else:
-                # Forced to stay top-down: expands the whole frontier.
-                est_edges = lvl.frontier_count * mean_degree
-                new_cost = td_rate * est_edges
-            new_time += new_cost - lvl.time_ms
-            repriced.append(lvl.level)
-        visited_before += lvl.newly_visited
-    new_time = max(new_time, 1e-9)
-    predicted = profile.edges_traversed / new_time / 1e6
-    if repriced:
-        rationale = (
-            f"switch moves level {old_switch} -> {new_switch}; levels "
-            f"{repriced} repriced at measured rates "
-            f"(td {td_rate * 1e6:.3g} / bu {bu_rate * 1e6:.3g} ns/edge)")
-    else:
-        rationale = f"switch level stays at {old_switch}; no level flips"
-    return Prediction(
-        knob="gamma_threshold", metric="gteps",
-        baseline_value=float("nan"), mutated_value=new_threshold,
-        before=profile.gteps, predicted=predicted, rationale=rationale)
-
-
-# ----------------------------------------------------------------------
 # Serve: batcher/hedge/cache knobs, priced from ServeStats + ServeConfig
 # ----------------------------------------------------------------------
 
@@ -252,8 +145,6 @@ def estimate_serve_impact(stats, config, mutation: Mutation) -> Prediction:
     :class:`~repro.serve.engine.ServeConfig` (duck-typed — only read).
     """
     knob = mutation.spec
-    if knob.target != "serve":
-        raise ValueError(f"{mutation.knob} is not a serve knob")
     served = max(stats.served, 1)
     before = _serve_metric(stats, knob.metric)
 
@@ -402,206 +293,3 @@ def suggest_serve_mutations(stats, config) -> list[Prediction]:
     def gain(p: Prediction) -> float:
         return sense[p.metric in _HIGHER_IS_BETTER] * p.predicted_delta
     return sorted(out, key=lambda p: (-gain(p), p.knob))
-
-
-# ----------------------------------------------------------------------
-# Verification: prediction vs. actual re-run (the sign-agreement gate)
-# ----------------------------------------------------------------------
-
-def _sign_agreement(predicted: float, actual: float,
-                    before: float) -> bool:
-    """Same sign, where |delta| below 2%% of the baseline is neutral."""
-    tol = 0.02 * max(abs(before), 1e-9)
-
-    def bucket(delta: float) -> int:
-        if delta > tol:
-            return 1
-        if delta < -tol:
-            return -1
-        return 0
-    return bucket(predicted) == bucket(actual)
-
-
-def evaluate_gamma_matrix(graph, thresholds: Sequence[float], *,
-                          source: int | None = None, seed: int = 7
-                          ) -> list[dict]:
-    """Prediction-vs-actual rows for a matrix of γ thresholds.
-
-    Profiles the baseline once, predicts each mutated threshold from
-    that frozen profile, then actually re-runs with the mutated config
-    and compares the GTEPS deltas.
-    """
-    from ..bfs.enterprise import EnterpriseConfig
-    from .profiler import profile_run
-
-    base_config = EnterpriseConfig()
-    base = profile_run(graph, source, config=base_config, seed=seed)
-    rows: list[dict] = []
-    for threshold in thresholds:
-        prediction = estimate_gamma_impact(base, threshold)
-        actual_profile = profile_run(
-            graph, source,
-            config=EnterpriseConfig(gamma_threshold=threshold), seed=seed)
-        actual = actual_profile.gteps
-        rows.append(_matrix_row(prediction, actual,
-                                baseline_value=base_config.gamma_threshold))
-    return rows
-
-
-def evaluate_serve_matrix(graph, mutations: Sequence[Mutation], *,
-                          trace_config=None, config=None) -> list[dict]:
-    """Prediction-vs-actual rows for a matrix of serve-knob mutations.
-
-    One baseline run measures the stats every prediction is priced
-    from; each mutation then re-runs the same trace on a fresh engine
-    with the mutated config.
-    """
-    from dataclasses import replace as _replace
-
-    from ..serve.engine import ServeConfig, ServeEngine
-    from ..serve.loadgen import replay, synthetic_trace
-
-    config = config or ServeConfig()
-    trace = synthetic_trace(graph, trace_config)
-
-    def run(cfg) -> object:
-        engine = ServeEngine(graph, cfg)
-        replay(engine, trace)
-        return engine.stats()
-
-    base_stats = run(config)
-    rows: list[dict] = []
-    for mutation in mutations:
-        prediction = estimate_serve_impact(base_stats, config, mutation)
-        mutated_config = _replace(config,
-                                  **{mutation.knob: _coerce(mutation)})
-        actual = _serve_metric(run(mutated_config), prediction.metric)
-        rows.append(_matrix_row(prediction, actual,
-                                baseline_value=prediction.baseline_value))
-    return rows
-
-
-def _coerce(mutation: Mutation):
-    """Mutated value with the config field's type (int knobs stay int)."""
-    if mutation.knob in ("batch_sources", "admit_after"):
-        return int(mutation.value)
-    return float(mutation.value)
-
-
-#: The canonical prediction-vs-actual evaluation: per knob, a workload
-#: where the knob genuinely binds (a deadline shorter than the arrival
-#: span, a service-limited device, firing hedges, a contended cache) and
-#: mutations deep enough to clear the 2%% neutrality tolerance.  Tests
-#: and the EXPERIMENTS.md table both run exactly these cases.
-CANONICAL_SERVE_CASES: tuple[dict, ...] = (
-    {
-        "label": "deadline",
-        "graph": {"scale": 10, "edge_factor": 8, "seed": 3},
-        "config": {"num_gpus": 2, "batch_sources": 64,
-                   "deadline_ms": 2.0, "cache": False},
-        "trace": {"num_queries": 300, "rate_per_ms": 4.0, "seed": 5},
-        "mutations": (("deadline_ms", 4.0), ("deadline_ms", 0.5)),
-    },
-    {
-        "label": "batch-width",
-        "graph": {"scale": 12, "edge_factor": 16, "seed": 7},
-        "config": {"num_gpus": 1, "batch_sources": 64,
-                   "deadline_ms": 2.0, "cache": False},
-        "trace": {"num_queries": 256, "rate_per_ms": 512.0, "seed": 5},
-        "mutations": (("batch_sources", 2), ("batch_sources", 64)),
-    },
-    {
-        "label": "hedge",
-        "graph": {"scale": 10, "edge_factor": 8, "seed": 3},
-        "config": {"num_gpus": 4, "batch_sources": 32,
-                   "deadline_ms": 2.0, "faults": "straggler",
-                   "hedge_threshold_ms": 0.01, "cache": False},
-        "trace": {"num_queries": 300, "seed": 5},
-        "mutations": (("hedge_threshold_ms", 0.02),
-                      ("hedge_threshold_ms", 0.05)),
-    },
-    {
-        "label": "cache-admission",
-        "graph": {"scale": 11, "edge_factor": 16, "seed": 7},
-        "config": {"num_gpus": 2, "batch_sources": 16,
-                   "deadline_ms": 1.0, "num_landmarks": 1,
-                   "admit_after": 2},
-        "trace": {"num_queries": 800, "zipf_a": 1.9,
-                  "rate_per_ms": 64.0, "seed": 5},
-        "mutations": (("admit_after", 64), ("admit_after", 256)),
-    },
-)
-
-#: γ thresholds the canonical BFS matrix re-runs (scale-12 R-MAT).
-CANONICAL_GAMMA_THRESHOLDS = (2.0, 10.0, 60.0, 95.0)
-
-
-def evaluate_canonical_matrices(*, cases: Sequence[dict] | None = None,
-                                gamma: bool = True) -> list[dict]:
-    """Run the canonical prediction-vs-actual evaluation.
-
-    Returns one row per mutation (see :func:`_matrix_row`) with a
-    ``case`` key naming the workload — the table EXPERIMENTS.md records
-    and the what-if test suite asserts sign agreement over.
-    """
-    from ..graph.generators import rmat_graph
-    from ..serve.engine import ServeConfig
-    from ..serve.loadgen import TraceConfig
-
-    rows: list[dict] = []
-    for case in (CANONICAL_SERVE_CASES if cases is None else cases):
-        graph = rmat_graph(case["graph"]["scale"],
-                           case["graph"]["edge_factor"],
-                           seed=case["graph"]["seed"])
-        mutations = [Mutation(knob, value)
-                     for knob, value in case["mutations"]]
-        for row in evaluate_serve_matrix(
-                graph, mutations,
-                trace_config=TraceConfig(**case["trace"]),
-                config=ServeConfig(**case["config"])):
-            rows.append({"case": case["label"], **row})
-    if gamma:
-        graph = rmat_graph(12, 16, seed=7)
-        for row in evaluate_gamma_matrix(
-                graph, CANONICAL_GAMMA_THRESHOLDS):
-            rows.append({"case": "gamma-threshold", **row})
-    return rows
-
-
-def format_matrix(rows: Sequence[dict]) -> str:
-    """Markdown table of prediction-vs-actual rows."""
-    head = ("| case | knob | mutation | metric | before | predicted | "
-            "actual | sign | rel err |")
-    rule = "|" + "---|" * 9
-    lines = [head, rule]
-    for r in rows:
-        lines.append(
-            f"| {r.get('case', '-')} | {r['knob']} | "
-            f"{r['baseline_value']:g} → {r['mutated_value']:g} | "
-            f"{r['metric']} | {r['before']:.4g} | {r['predicted']:.4g} "
-            f"| {r['actual']:.4g} | "
-            f"{'✓' if r['sign_agree'] else '✗'} | "
-            f"{r['rel_error']:.2f} |")
-    return "\n".join(lines)
-
-
-def _matrix_row(prediction: Prediction, actual: float, *,
-                baseline_value: float) -> dict:
-    actual_delta = actual - prediction.before
-    rel_error = abs(prediction.predicted - actual) \
-        / max(abs(actual), 1e-9)
-    return {
-        "knob": prediction.knob,
-        "metric": prediction.metric,
-        "baseline_value": baseline_value,
-        "mutated_value": prediction.mutated_value,
-        "before": round(prediction.before, 6),
-        "predicted": round(prediction.predicted, 6),
-        "actual": round(actual, 6),
-        "predicted_delta": round(prediction.predicted_delta, 6),
-        "actual_delta": round(actual_delta, 6),
-        "sign_agree": _sign_agreement(prediction.predicted_delta,
-                                      actual_delta, prediction.before),
-        "rel_error": round(rel_error, 4),
-        "direction": prediction.direction,
-    }

@@ -112,6 +112,13 @@ class ServeConfig:
     #: requests that must answer within the latency target).
     slo_availability: float = 0.999
 
+    def __post_init__(self) -> None:
+        if self.num_nodes < 1:
+            raise ValueError("num_nodes must be at least 1")
+        if self.num_gpus % self.num_nodes:
+            raise ValueError(f"{self.num_gpus} devices cannot group evenly "
+                             f"into {self.num_nodes} nodes")
+
     def batcher_config(self) -> BatcherConfig:
         return BatcherConfig(max_wave_sources=self.batch_sources,
                              deadline_ms=self.deadline_ms,
@@ -265,12 +272,6 @@ class ServeEngine:
             warmup_ms = self.cache.build_time_ms
         router: LocalityRouter | None = None
         if self.config.locality:
-            if self.config.num_nodes < 1:
-                raise ValueError("num_nodes must be at least 1")
-            if len(self.group) % self.config.num_nodes:
-                raise ValueError(
-                    f"{len(self.group)} devices cannot group evenly into "
-                    f"{self.config.num_nodes} nodes")
             router = LocalityRouter.for_graph(
                 graph, self.config.num_nodes,
                 len(self.group) // self.config.num_nodes)

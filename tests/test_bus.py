@@ -1,4 +1,5 @@
-"""The findings bus: ordering, v1 event rendering, byte-determinism."""
+"""The findings bus: a view of a detector bank's anomalies — ordering,
+v1 event rendering, byte-determinism."""
 
 from __future__ import annotations
 
@@ -6,15 +7,13 @@ import math
 
 import pytest
 
-from repro.observ.bus import (
-    FINDINGS_SCHEMA,
-    FindingsBus,
-    load_findings,
-    validate_findings,
-    write_findings,
+from repro.observ.artifact import (
+    load_artifact,
+    validate_artifact,
+    write_artifact,
 )
+from repro.observ.bus import FINDINGS_SCHEMA, FindingsBus
 from repro.observ.detect import Anomaly
-from repro.observ.registry import MetricsRegistry, set_registry
 
 
 def anomaly(ts_ms: float, series: str, severity: float = 0.5,
@@ -24,49 +23,38 @@ def anomaly(ts_ms: float, series: str, severity: float = 0.5,
                    severity=severity)
 
 
-def _publish_three(bus: FindingsBus) -> None:
-    bus.publish_anomaly(anomaly(5.0, "late", severity=0.9))
-    bus.publish_anomaly(anomaly(1.0, "early", severity=0.2))
-    bus.publish_anomaly(anomaly(1.0, "tie", severity=0.5))
+def _bus_of_three() -> FindingsBus:
+    return FindingsBus([anomaly(5.0, "late", severity=0.9),
+                        anomaly(1.0, "early", severity=0.2),
+                        anomaly(1.0, "tie", severity=0.5)])
 
 
 class TestPublish:
     def test_events_sorted_by_ts_then_seq(self):
-        bus = FindingsBus()
-        _publish_three(bus)
+        bus = _bus_of_three()
         assert [a.series for a in bus.events()] == ["early", "tie", "late"]
         assert [(e["seq"], e["title"]) for e in bus.to_json()["events"]] \
             == [(0, "early band-high"), (1, "tie band-high"),
                 (2, "late band-high")]
 
     def test_ranked_by_severity(self):
-        bus = FindingsBus()
-        _publish_three(bus)
+        bus = _bus_of_three()
         assert [a.series for a in bus.ranked()] == ["late", "tie", "early"]
         assert [a.series for a in bus.ranked(limit=1)] == ["late"]
 
-    def test_nonfinite_ts_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            FindingsBus().publish_anomaly(anomaly(math.nan, "x"))
-
-    def test_publish_bumps_registry_counter(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            _publish_three(FindingsBus())
-        finally:
-            set_registry(previous)
-        metric = registry.peek("repro.findings.published", source="detect")
-        assert metric is not None and metric.value == 3.0
+    def test_nonfinite_ts_rejected(self, tmp_path):
+        bus = FindingsBus([anomaly(math.nan, "x")])
+        with pytest.raises(ValueError, match="ts_ms"):
+            write_artifact(tmp_path / "f.json", bus.to_json())
+        assert not (tmp_path / "f.json").exists()
 
 
 class TestAdapters:
     def test_anomaly(self):
-        bus = FindingsBus()
-        bus.publish_anomaly(Anomaly(
+        bus = FindingsBus([Anomaly(
             series="serve.p95_ms", detector="reference-band",
             kind="band-high", ts_ms=3.5, value=9.0, baseline=4.0,
-            deviation=5.0, severity=0.8))
+            deviation=5.0, severity=0.8)])
         (event,) = bus.to_json()["events"]
         assert event["seq"] == 0
         assert event["source"] == "detect"
@@ -80,21 +68,16 @@ class TestAdapters:
 
 
 class TestSerialization:
-    def _bus(self) -> FindingsBus:
-        bus = FindingsBus()
-        _publish_three(bus)
-        return bus
-
     def test_write_load_roundtrip(self, tmp_path):
-        path = write_findings(tmp_path / "f.json", self._bus())
-        doc = load_findings(path)
+        path = write_artifact(tmp_path / "f.json", _bus_of_three().to_json())
+        doc = load_artifact(path, FINDINGS_SCHEMA)
         assert doc["schema"] == FINDINGS_SCHEMA
         assert [e["data"]["series"] for e in doc["events"]] == [
             "early", "tie", "late"]
 
     def test_export_is_byte_deterministic(self, tmp_path):
-        a = write_findings(tmp_path / "a.json", self._bus())
-        b = write_findings(tmp_path / "b.json", self._bus())
+        a = write_artifact(tmp_path / "a.json", _bus_of_three().to_json())
+        b = write_artifact(tmp_path / "b.json", _bus_of_three().to_json())
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("mangle", [
@@ -109,7 +92,7 @@ class TestSerialization:
         lambda d: d["events"].reverse(),
     ])
     def test_validate_rejects_malformed(self, mangle):
-        doc = self._bus().to_json()
+        doc = _bus_of_three().to_json()
         mangle(doc)
         with pytest.raises(ValueError):
-            validate_findings(doc)
+            validate_artifact(doc, FINDINGS_SCHEMA)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.faults import PROFILES
-from repro.observ import load_snapshot
+from repro.observ import SNAPSHOT_SCHEMA, load_artifact
 
 ARGV = ["chaos", "--rmat-scale", "9", "--queries", "1500", "--rate", "64",
         "--timeout-ms", "2.0", "--hedge-ms", "1.5", "--max-pending", "128",
@@ -31,7 +31,7 @@ def smoke(tmp_path_factory):
 
 
 def test_every_profile_is_exact(smoke):
-    snap = load_snapshot(smoke / "chaos.snap.json")
+    snap = load_artifact(smoke / "chaos.snap.json", SNAPSHOT_SCHEMA)
     assert snap["kind"] == "bench"
     metrics = snap["metrics"]
     for name in PROFILES:
@@ -39,7 +39,8 @@ def test_every_profile_is_exact(smoke):
 
 
 def test_chaos_loses_a_device_and_fails_over(smoke):
-    metrics = load_snapshot(smoke / "chaos.snap.json")["metrics"]
+    metrics = load_artifact(smoke / "chaos.snap.json",
+                            SNAPSHOT_SCHEMA)["metrics"]
     assert metrics["rows.chaos.devices_lost"] >= 1
     assert metrics["rows.chaos.failovers"] >= 1
     assert metrics["rows.none.wave_failures"] == 0

@@ -124,6 +124,15 @@ class TestParser:
           for bad in (["--batch", "0"], ["--edge-factor", "0"])),
         ["report", "--serve", "--rmat-scale", "6", "--queries", "16",
          "--batch", "0"],
+        ["serve", "--rmat-scale", "6", "--queries", "64", "--gpus", "3",
+         "--nodes", "2"],
+        ["serve", "--rmat-scale", "6", "--queries", "64", "--gpus", "3",
+         "--nodes", "2", "--locality"],
+        ["generate", "rmat", "OUT", "--scale", "4", "--edge-factor", "0"],
+        ["generate", "rmat", "OUT", "--scale", "0"],
+        ["generate", "mesh", "OUT", "--scale", "1"],
+        ["bfs", "--graph", "KR0", "--profile", "tiny", "--gpus", "0"],
+        ["bfs", "--graph", "KR0", "--profile", "tiny", "--gpus", "-3"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         existing = tmp_path / "old.snap.json"
@@ -275,11 +284,11 @@ class TestTraceCommand:
         assert "repro.bfs.levels" in names
 
     def test_snapshot_then_clean_diff(self, tmp_path, capsys):
-        from repro.observ import load_snapshot
+        from repro.observ import SNAPSHOT_SCHEMA, load_artifact
         snap = tmp_path / "run.snap.json"
         _, code = self._trace(tmp_path, "--snapshot", str(snap))
         assert code == 0
-        doc = load_snapshot(snap)
+        doc = load_artifact(snap, SNAPSHOT_SCHEMA)
         assert doc["kind"] == "run"
         # A deterministic re-run diffs clean against its own snapshot.
         _, code = self._trace(tmp_path, "--diff", str(snap))
@@ -333,8 +342,9 @@ class TestProfileCommand:
         html = tmp_path / "run.html"
         assert main(["profile", "--graph", "GO", "--profile", "tiny",
                      "-o", str(art), "--html", str(html)]) == 0
-        from repro.observ import load_profile
-        prof = load_profile(art)
+        from repro.observ import PROFILE_SCHEMA, load_artifact
+        from repro.observ.profiler import from_json
+        prof = from_json(load_artifact(art, PROFILE_SCHEMA))
         assert prof.levels and prof.gteps > 0
         text = html.read_text()
         assert text.startswith("<!DOCTYPE html>")
@@ -382,8 +392,11 @@ class TestClusterCommand:
 
     def test_bfs_verb_trace_and_profile_out(self, tmp_path, capsys):
         import json
-        from repro.observ import validate_trace
-        from repro.observ.clusterprof import load_cluster_profile
+        from repro.observ import (
+            CLUSTER_PROFILE_SCHEMA,
+            load_artifact,
+            validate_trace,
+        )
 
         trace = tmp_path / "c.trace.json"
         prof = tmp_path / "c.prof.json"
@@ -393,7 +406,8 @@ class TestClusterCommand:
         assert main(argv) == 0
         doc = json.loads(trace.read_text())
         assert validate_trace(doc, expect_cluster=4) > 0
-        assert load_cluster_profile(prof).num_nodes == 4
+        assert load_artifact(
+            prof, CLUSTER_PROFILE_SCHEMA)["num_nodes"] == 4
         out = capsys.readouterr().out
         assert "node tracks" in out and "cluster profile" in out
         # Same argv, same bytes: the artifact is deterministic.
@@ -409,7 +423,7 @@ class TestClusterCommand:
         assert "check: OK" in capsys.readouterr().out
 
     def test_profile_cluster_mode(self, tmp_path, capsys):
-        from repro.observ.clusterprof import load_cluster_profile
+        from repro.observ import CLUSTER_PROFILE_SCHEMA, load_artifact
 
         prof = tmp_path / "p.json"
         html = tmp_path / "p.html"
@@ -418,7 +432,8 @@ class TestClusterCommand:
                      "-o", str(prof), "--html", str(html)]) == 0
         out = capsys.readouterr().out
         assert "tiers (whole run)" in out
-        assert load_cluster_profile(prof).num_nodes == 2
+        assert load_artifact(
+            prof, CLUSTER_PROFILE_SCHEMA)["num_nodes"] == 2
         assert html.read_text().startswith("<!DOCTYPE html>")
 
     def test_report_cluster_mode(self, tmp_path, capsys):

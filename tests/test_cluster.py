@@ -237,13 +237,13 @@ def test_weak_verb_snapshot_contract(tmp_path):
     exact, with >= 0.7 efficiency and inter-node traffic at 8 nodes, and
     a clean ``--diff`` re-run."""
     from repro.cli import main
-    from repro.observ import load_snapshot
+    from repro.observ import SNAPSHOT_SCHEMA, load_artifact
 
     path = str(tmp_path / "cluster.snap.json")
     argv = ["cluster", "weak", "--node-counts", "1,2,4,8",
             "--base-scale", "12", "--check"]
     assert main(argv + ["--snapshot", path]) == 0
-    snap = load_snapshot(path)
+    snap = load_artifact(path, SNAPSHOT_SCHEMA)
     assert snap["kind"] == "bench"
     assert snap["meta"]["figure"] == "fig15_cluster"
     m = snap["metrics"]

@@ -26,21 +26,22 @@ from repro.faults.plan import FaultPlan
 from repro.gpu import Fabric
 from repro.gpu.clock import ticks
 from repro.graph import rmat_graph
+from repro.observ.artifact import (
+    load_artifact,
+    validate_artifact,
+    write_artifact,
+)
 from repro.observ.clusterprof import (
     CLUSTER_PROFILE_SCHEMA,
     CLUSTER_TIERS,
     build_cluster_profile,
-    cluster_from_json,
     cluster_to_json,
     decompose_weak_scaling,
     diagnose_cluster,
     format_cluster_profile,
     format_weak_scaling,
-    load_cluster_profile,
     profile_cluster_run,
     render_cluster_html,
-    validate_cluster_profile,
-    write_cluster_profile,
 )
 
 from .test_differential import CORPUS, fuzzed
@@ -175,8 +176,8 @@ def test_profile_is_byte_deterministic(skewed_graph, tmp_path):
     a = profile_cluster_run(skewed_graph, 0, 4, 2, seed=5)
     b = profile_cluster_run(skewed_graph, 0, 4, 2, seed=5)
     assert _dump(a) == _dump(b)
-    pa = write_cluster_profile(tmp_path / "a.json", a)
-    pb = write_cluster_profile(tmp_path / "b.json", b)
+    pa = write_artifact(tmp_path / "a.json", cluster_to_json(a))
+    pb = write_artifact(tmp_path / "b.json", cluster_to_json(b))
     assert pa.read_bytes() == pb.read_bytes()
 
 
@@ -184,11 +185,10 @@ def test_json_round_trip(skewed_graph, tmp_path):
     prof = profile_cluster_run(skewed_graph, 0, 2, 2)
     doc = cluster_to_json(prof)
     assert doc["schema"] == CLUSTER_PROFILE_SCHEMA
-    validate_cluster_profile(doc)
-    again = cluster_from_json(json.loads(json.dumps(doc)))
-    assert _dump(again) == _dump(prof)
-    path = write_cluster_profile(tmp_path / "p.json", prof)
-    assert _dump(load_cluster_profile(path)) == _dump(prof)
+    validate_artifact(doc, CLUSTER_PROFILE_SCHEMA)
+    path = write_artifact(tmp_path / "p.json", doc)
+    assert load_artifact(path, CLUSTER_PROFILE_SCHEMA) \
+        == json.loads(_dump(prof))
 
 
 @pytest.mark.parametrize("mutate,msg", [
@@ -203,7 +203,7 @@ def test_validate_rejects_tampering(skewed_graph, mutate, msg):
     doc = json.loads(json.dumps(doc))
     mutate(doc)
     with pytest.raises(ValueError, match=msg):
-        validate_cluster_profile(doc)
+        validate_artifact(doc, CLUSTER_PROFILE_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +343,10 @@ def test_traced_four_node_run_artifacts(tmp_path):
     chains = {e["id"] for e in doc["traceEvents"]
               if e.get("ph") in ("s", "t", "f")}
     assert chains, "no collective flow chains in the trace"
-    # load_cluster_profile re-validates the exact per-level partition.
-    prof = load_cluster_profile(prof_path)
-    assert prof.num_nodes == 4
-    assert prof.levels, "profile has no levels"
+    # Loading re-validates the exact per-level partition.
+    prof = load_artifact(prof_path, CLUSTER_PROFILE_SCHEMA)
+    assert prof["num_nodes"] == 4
+    assert prof["levels"], "profile has no levels"
 
 
 def test_profile_built_twice_from_a_fresh_fabric_is_identical():
@@ -357,8 +357,8 @@ def test_profile_built_twice_from_a_fresh_fabric_is_identical():
 
 def test_report_verb_sections(tmp_path, capsys):
     """``report --cluster`` to 8 nodes: the waterfall and tier sections
-    on stdout, and an HTML page with the waterfall and the first and
-    last node's Gantt tracks."""
+    on stdout (kept as ``cluster-report.txt``), and an HTML page with
+    the waterfall and the first and last node's Gantt tracks."""
     from repro.cli import main
 
     html_path = tmp_path / "cluster-report.html"
@@ -367,6 +367,7 @@ def test_report_verb_sections(tmp_path, capsys):
                  "--profile-out",
                  str(tmp_path / "focus.clusterprofile.json")]) == 0
     text = capsys.readouterr().out
+    (tmp_path / "cluster-report.txt").write_text(text)
     for section in ("weak scaling waterfall", "tiers (whole run)",
                     "worst tier"):
         assert section in text, section

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observ.bus import FindingsBus
 from repro.observ.detect import (
-    Anomaly,
     DetectorBank,
     ReferenceBandDetector,
     reference_band,
@@ -85,17 +85,17 @@ class TestDetectorBank:
         bank = calibrated("lat", [0.5])
         bank.observe("lat", 0.0, 5.0)
         bank.observe("other", 1.0, 5.0)  # no band calibrated
-        (anomaly,) = bank.timeline()
+        (anomaly,) = bank.anomalies
         assert anomaly.series == "lat"
         assert anomaly.detector == "reference-band"
 
     def test_attributor_merged_and_listener_notified(self):
+        # The findings bus is the bank's one listener: a view of its list.
         bank = calibrated("x", [0.0], attributor=lambda a: {"device": 2})
-        seen: list[Anomaly] = []
-        bank.subscribe(seen.append)
+        bus = FindingsBus(bank.anomalies)
         bank.observe("x", 0.0, 1.0)
-        assert seen == bank.timeline()
-        assert seen[0].attribution["device"] == 2
+        assert bus.events() == bank.anomalies
+        assert bus.events()[0].attribution["device"] == 2
 
     def test_firing_bumps_registry_counter(self):
         registry = MetricsRegistry()
@@ -105,9 +105,10 @@ class TestDetectorBank:
             bank.observe("x", 0.0, 1.0)
         finally:
             set_registry(previous)
-        metric = registry.peek("repro.detect.anomalies", series="x",
-                               kind="band-high")
-        assert metric is not None and metric.value == 1.0
+        (row,) = registry.collect()
+        assert row["name"] == "repro.detect.anomalies"
+        assert row["labels"] == {"kind": "band-high", "series": "x"}
+        assert row["value"] == 1.0
 
     def test_calibrate_attaches_reference_bands(self):
         reference = Board(cadence_ms=1.0)
@@ -119,7 +120,7 @@ class TestDetectorBank:
         bank.calibrate(clean)
         bank.observe("x", 0.0, 5.0)    # inside the band
         bank.observe("x", 1.0, 500.0)  # far outside
-        (anomaly,) = bank.timeline()
+        (anomaly,) = bank.anomalies
         assert anomaly.detector == "reference-band"
 
     def test_calibration_covers_samples_the_ring_evicted(self):
@@ -136,7 +137,7 @@ class TestDetectorBank:
         bank.calibrate(clean)
         for i, value in enumerate(stream):
             bank.observe("x", float(i), value)
-        assert bank.timeline() == []
+        assert bank.anomalies == []
 
     def test_unsampled_series_gets_the_empty_band(self):
         reference = Board(cadence_ms=1.0)
@@ -147,6 +148,6 @@ class TestDetectorBank:
         bank.calibrate(clean)
         bank.observe("x", 0.0, 0.0)
         bank.observe("x", 1.0, 1.0)
-        (anomaly,) = bank.timeline()
+        (anomaly,) = bank.anomalies
         assert anomaly.kind == "band-high"
         assert anomaly.baseline == reference_band([])[1]

@@ -176,7 +176,7 @@ def test_allreduce_charges_fabric_metrics():
     finally:
         set_registry(previous)
     series = {(m["name"], m["labels"].get("tier")): m["value"]
-              for m in registry.snapshot()["metrics"]}
+              for m in registry.collect()}
     assert series[("repro.fabric.allreduces", None)] == 1.0
     assert series[("repro.fabric.ms", "intra")] == cost.intra_ms
     assert series[("repro.fabric.ms", "inter")] == cost.inter_ms

@@ -337,8 +337,12 @@ class TestChaos:
             assert case.row()["exact"] == 1
 
     def test_chaos_snapshot_diffs_clean_and_deterministic(self, tmp_path):
-        from repro.observ import diff_snapshots, load_snapshot, \
-            write_snapshot
+        from repro.observ import (
+            SNAPSHOT_SCHEMA,
+            diff_snapshots,
+            load_artifact,
+            write_artifact,
+        )
 
         g = rmat_graph(8, 8, seed=3)
         kwargs = dict(
@@ -347,9 +351,9 @@ class TestChaos:
             config=ServeConfig(num_gpus=3, timeout_ms=2.0))
         plans = [profile("none"), profile("chaos")]
         snap1 = run_chaos_matrix(g, plans, **kwargs).snapshot()
-        path = write_snapshot(tmp_path / "chaos.json", snap1)
+        path = write_artifact(tmp_path / "chaos.json", snap1)
         snap2 = run_chaos_matrix(g, plans, **kwargs).snapshot()
-        diff = diff_snapshots(load_snapshot(path), snap2)
+        diff = diff_snapshots(load_artifact(path, SNAPSHOT_SCHEMA), snap2)
         assert diff.ok and not diff.deltas
 
     def test_serve_bench_applies_faults_to_batched_only(self, graph):

@@ -18,7 +18,8 @@ from repro.cli import main
 from repro.faults.harness import run_chaos_matrix
 from repro.faults.plan import profile
 from repro.graph import rmat_graph
-from repro.observ.bus import load_findings
+from repro.observ.artifact import load_artifact
+from repro.observ.bus import FINDINGS_SCHEMA
 from repro.observ.events import to_chrome_trace, validate_trace
 from repro.observ.monitor import (
     LiveMonitor,
@@ -26,8 +27,8 @@ from repro.observ.monitor import (
     render_dashboard,
     render_html,
 )
-from repro.observ.snapshot import load_snapshot
-from repro.observ.timeseries import load_series
+from repro.observ.snapshot import SNAPSHOT_SCHEMA
+from repro.observ.timeseries import SERIES_SCHEMA
 from repro.observ.tracer import Tracer, set_tracer
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.loadgen import TraceConfig, replay, synthetic_trace
@@ -252,11 +253,11 @@ class TestMonitorVerb:
         assert a["findings"].read_bytes() == b["findings"].read_bytes()
         assert a["series"].read_bytes() == b["series"].read_bytes()
 
-        events = load_findings(a["findings"])["events"]
+        events = load_artifact(a["findings"], FINDINGS_SCHEMA)["events"]
         assert events, "straggler run published no findings"
         assert {e["source"] for e in events} == {"detect"}
 
-        series = load_series(a["series"])["series"]
+        series = load_artifact(a["series"], SERIES_SCHEMA)["series"]
         assert "serve.device_util" in series
 
         trace = json.loads(a["trace"].read_text())
@@ -268,7 +269,7 @@ class TestMonitorVerb:
         page = a["html"].read_text()
         assert page.startswith("<!DOCTYPE html>") and "<svg" in page
 
-        snap = load_snapshot(a["snap"])
+        snap = load_artifact(a["snap"], SNAPSHOT_SCHEMA)
         assert any(key.endswith(".anomalies") for key in snap["metrics"])
 
     def test_long_run_calibrates_from_every_reference_sample(self,

@@ -22,15 +22,15 @@ from repro.observ import (
     diff_snapshots,
     get_registry,
     get_tracer,
-    load_snapshot,
+    load_artifact,
     metric_direction,
     run_snapshot,
     to_chrome_trace,
     tracing,
-    validate_snapshot,
+    validate_artifact,
     validate_trace,
+    write_artifact,
     write_chrome_trace,
-    write_snapshot,
 )
 from repro.observ.tracer import TID_HARNESS, TID_RUN, TID_STREAM
 
@@ -233,13 +233,6 @@ class TestRegistry:
         parsed = [json.loads(line) for line in lines]
         assert parsed[0]["name"] == "x"
         assert parsed[1]["count"] == 1
-
-    def test_json_snapshot_schema(self, tmp_path):
-        r = MetricsRegistry()
-        r.counter("x").inc()
-        doc = json.loads(r.write_json(tmp_path / "m.json").read_text())
-        assert doc["schema"] == "repro.metrics/v1"
-        assert len(doc["metrics"]) == 1
 
     def test_collecting_context_restores(self):
         before = get_registry()
@@ -450,7 +443,7 @@ def _make_run_snapshot(graph, **kwargs):
 class TestSnapshot:
     def test_run_snapshot_schema(self, small_powerlaw):
         doc = _make_run_snapshot(small_powerlaw)
-        validate_snapshot(doc)
+        validate_artifact(doc, SNAPSHOT_SCHEMA)
         assert doc["schema"] == SNAPSHOT_SCHEMA
         assert doc["kind"] == "run"
         assert doc["meta"]["graph"] == small_powerlaw.name
@@ -465,8 +458,9 @@ class TestSnapshot:
 
     def test_write_load_roundtrip(self, small_powerlaw, tmp_path):
         doc = _make_run_snapshot(small_powerlaw)
-        path = write_snapshot(tmp_path / "run.snap.json", doc)
-        assert load_snapshot(path) == json.loads(json.dumps(doc))
+        path = write_artifact(tmp_path / "run.snap.json", doc)
+        assert load_artifact(path, SNAPSHOT_SCHEMA) \
+            == json.loads(json.dumps(doc))
 
     def test_bench_snapshot_flattens_rows(self):
         doc = bench_snapshot("fig14", {
@@ -475,7 +469,7 @@ class TestSnapshot:
                 {"graph": "KR1", "teps": 2e6},
             ],
         })
-        validate_snapshot(doc)
+        validate_artifact(doc, SNAPSHOT_SCHEMA)
         assert doc["kind"] == "bench"
         assert doc["metrics"]["fig14.KR0.teps"] == 1e6
         assert doc["metrics"]["fig14.KR1.teps"] == 2e6
@@ -504,7 +498,7 @@ class TestSnapshot:
     ])
     def test_validate_rejects(self, doc):
         with pytest.raises(ValueError):
-            validate_snapshot(doc)
+            validate_artifact(doc, SNAPSHOT_SCHEMA)
 
     def test_metric_direction(self):
         assert metric_direction("gld_transactions") == "lower"

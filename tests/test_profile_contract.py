@@ -19,8 +19,12 @@ import pytest
 from repro.bfs.enterprise import ABLATION_CONFIGS
 from repro.cli import main
 from repro.graph import load_csr
-from repro.observ import diff_profiles, load_profile, profile_run
-from repro.observ.profiler import PROFILE_SCHEMA, to_json
+from repro.observ import diff_profiles, load_artifact, profile_run
+from repro.observ.profiler import PROFILE_SCHEMA, from_json, to_json
+
+
+def load_profile(path):
+    return from_json(load_artifact(path, PROFILE_SCHEMA))
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,11 @@ from hypothesis import strategies as st
 from repro.bfs.enterprise import ABLATION_CONFIGS, enterprise_bfs
 from repro.gpu import GPUDevice
 from repro.graph import powerlaw_graph
+from repro.observ.artifact import (
+    load_artifact,
+    validate_artifact,
+    write_artifact,
+)
 from repro.observ.profiler import (
     KERNEL_CLASSES,
     PROFILE_SCHEMA,
@@ -25,12 +30,9 @@ from repro.observ.profiler import (
     format_diff,
     format_profile,
     from_json,
-    load_profile,
     profile_run,
     render_html,
     to_json,
-    validate_profile,
-    write_profile,
 )
 from repro.observ.roofline import BOUND_KINDS
 
@@ -126,8 +128,9 @@ class TestSerialization:
         assert dump(a) == dump(b)
 
     def test_roundtrip(self, hc_profile, tmp_path):
-        path = write_profile(tmp_path / "p.profile.json", hc_profile)
-        loaded = load_profile(path)
+        path = write_artifact(tmp_path / "p.profile.json",
+                              to_json(hc_profile))
+        loaded = from_json(load_artifact(path, PROFILE_SCHEMA))
         assert to_json(loaded) == to_json(hc_profile)
         assert loaded.levels[0].classes == hc_profile.levels[0].classes
 
@@ -145,11 +148,11 @@ class TestSerialization:
         doc = to_json(hc_profile)
         mutate(doc)
         with pytest.raises(ValueError):
-            validate_profile(doc)
+            validate_artifact(doc, PROFILE_SCHEMA)
 
     def test_validate_rejects_non_object(self):
         with pytest.raises(ValueError):
-            validate_profile([1, 2])
+            validate_artifact([1, 2], PROFILE_SCHEMA)
 
     def test_from_json_validates(self, hc_profile):
         doc = to_json(hc_profile)

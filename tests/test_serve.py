@@ -592,15 +592,19 @@ class TestLoadgenBench:
         assert report.batched.cache.lookups > 0
 
     def test_bench_snapshot_roundtrip(self, tmp_path):
-        from repro.observ import diff_snapshots, load_snapshot, \
-            write_snapshot
+        from repro.observ import (
+            SNAPSHOT_SCHEMA,
+            diff_snapshots,
+            load_artifact,
+            write_artifact,
+        )
 
         g = rmat_graph(9, 8, seed=2)
         report = run_serve_bench(
             g, trace_config=TraceConfig(num_queries=128, seed=3))
         snap = report.snapshot()
-        path = write_snapshot(tmp_path / "serve.json", snap)
-        again = load_snapshot(path)
+        path = write_artifact(tmp_path / "serve.json", snap)
+        again = load_artifact(path, SNAPSHOT_SCHEMA)
         diff = diff_snapshots(again, snap)
         assert diff.ok and not diff.deltas
 
@@ -864,3 +868,12 @@ class TestLocalityRouting:
         with pytest.raises(ValueError):
             ServeEngine(graph, ServeConfig(num_gpus=3, num_nodes=2,
                                            locality=True))
+
+    @pytest.mark.parametrize("gpus,nodes,locality", [
+        (3, 2, False), (3, 2, True), (4, 0, False), (4, -2, True)])
+    def test_config_rejects_a_bad_node_grouping(self, gpus, nodes,
+                                                locality):
+        # Checked where the config is built, locality or not, so
+        # ``serve --nodes`` can never be silently ignored.
+        with pytest.raises(ValueError, match="node"):
+            ServeConfig(num_gpus=gpus, num_nodes=nodes, locality=locality)

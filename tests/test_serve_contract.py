@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.observ import load_snapshot
+from repro.observ import SNAPSHOT_SCHEMA, load_artifact
 
 ARGV = ["serve", "--rmat-scale", "12", "--queries", "512", "--bench"]
 
@@ -29,7 +29,7 @@ def smoke(tmp_path_factory):
 
 
 def test_snapshot_is_the_serve_bench(smoke):
-    snap = load_snapshot(smoke / "serve.snap.json")
+    snap = load_artifact(smoke / "serve.snap.json", SNAPSHOT_SCHEMA)
     assert snap["kind"] == "bench"
     assert snap["meta"]["figure"] == "serve_bench"
     metrics = snap["metrics"]

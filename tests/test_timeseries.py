@@ -6,14 +6,16 @@ import math
 
 import pytest
 
+from repro.observ.artifact import (
+    load_artifact,
+    validate_artifact,
+    write_artifact,
+)
 from repro.observ.timeseries import (
     SERIES_SCHEMA,
     Board,
     Series,
     WindowStats,
-    load_series,
-    validate_series,
-    write_series,
 )
 
 
@@ -130,16 +132,16 @@ class TestSerialization:
         return board
 
     def test_write_load_roundtrip(self, tmp_path):
-        path = write_series(tmp_path / "s.json", self._board())
-        doc = load_series(path)
+        path = write_artifact(tmp_path / "s.json", self._board().to_json())
+        doc = load_artifact(path, SERIES_SCHEMA)
         assert doc["schema"] == SERIES_SCHEMA
         assert doc["ticks"] == 10
         assert doc["series"]["qps"]["unit"] == "1/s"
         assert len(doc["series"]["depth"]["values"]) == 10
 
     def test_export_is_byte_deterministic(self, tmp_path):
-        a = write_series(tmp_path / "a.json", self._board())
-        b = write_series(tmp_path / "b.json", self._board())
+        a = write_artifact(tmp_path / "a.json", self._board().to_json())
+        b = write_artifact(tmp_path / "b.json", self._board().to_json())
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("mangle", [
@@ -155,4 +157,4 @@ class TestSerialization:
         doc = self._board().to_json()
         mangle(doc)
         with pytest.raises(ValueError):
-            validate_series(doc)
+            validate_artifact(doc, SERIES_SCHEMA)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.gpu.clock import ticks
-from repro.observ import load_snapshot, validate_trace
+from repro.observ import SNAPSHOT_SCHEMA, load_artifact, validate_trace
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def test_trace_has_run_level_and_kernel_tracks(smoke):
 
 
 def test_snapshot_is_a_run_with_device_counters(smoke):
-    snap = load_snapshot(smoke / "run.snap.json")
+    snap = load_artifact(smoke / "run.snap.json", SNAPSHOT_SCHEMA)
     assert snap["kind"] == "run"
     metrics = snap["metrics"]
     assert metrics["gld_transactions"] > 0

@@ -1,23 +1,18 @@
-"""What-if impact estimation: bounds, pricing models, sign agreement."""
+"""What-if impact estimation: bounds and the serve pricing models.
+``benchmarks/test_whatif.py`` gates sign agreement with actual re-runs."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 
 from repro.graph import rmat_graph
-from repro.observ.profiler import profile_run
 from repro.observ.whatif import (
     KNOBS,
     Mutation,
     Prediction,
-    estimate_gamma_impact,
     estimate_serve_impact,
-    evaluate_gamma_matrix,
-    evaluate_serve_matrix,
-    format_matrix,
     suggest_serve_mutations,
 )
 from repro.serve.engine import ServeConfig, ServeEngine
@@ -40,18 +35,12 @@ def serve_run(graph):
     return engine.stats(), config
 
 
-@pytest.fixture(scope="module")
-def bfs_profile(graph):
-    return profile_run(graph, seed=7)
-
-
 class TestBounds:
     def test_unknown_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown knob"):
             Mutation("warp_size", 32)
 
     @pytest.mark.parametrize("knob,value", [
-        ("gamma_threshold", 0.5), ("gamma_threshold", 99.5),
         ("batch_sources", 0), ("batch_sources", 65),
         ("deadline_ms", -1.0), ("deadline_ms", 65.0),
         ("hedge_threshold_ms", 0.0),
@@ -95,55 +84,16 @@ class TestPredictionDirection:
         assert "deadline_ms" in line and "improves" in line
 
 
-class TestGammaEstimator:
-    def test_same_switch_level_predicts_neutral(self, bfs_profile):
-        # The recorded γ history jumps far past the default threshold,
-        # so nearby thresholds land the switch on the same level.
-        baseline_switch = next(
-            (lvl.level for lvl in bfs_profile.levels
-             if lvl.direction != "top-down"), None)
-        prediction = estimate_gamma_impact(bfs_profile, 10.0)
-        new_switch = prediction.rationale
-        assert prediction.metric == "gteps"
-        if f"stays at {baseline_switch}" in new_switch:
-            assert prediction.direction == "neutral"
-
-    def test_extreme_threshold_moves_the_switch(self, bfs_profile):
-        prediction = estimate_gamma_impact(bfs_profile, 95.0)
-        assert prediction.predicted != pytest.approx(bfs_profile.gteps) \
-            or "stays" in prediction.rationale
-
-    def test_out_of_bounds_rejected(self, bfs_profile):
-        with pytest.raises(ValueError, match="outside bounds"):
-            estimate_gamma_impact(bfs_profile, 99.5)
-
-    def test_profile_without_gamma_history_rejected(self, bfs_profile):
-        stale = replace(
-            bfs_profile,
-            levels=tuple(replace(lvl, gamma=-1.0)
-                         for lvl in bfs_profile.levels))
-        with pytest.raises(ValueError, match="gamma recording"):
-            estimate_gamma_impact(stale, 50.0)
-
-
 class TestServeEstimator:
     def test_every_serve_knob_prices(self, serve_run):
         stats, config = serve_run
         for name, knob in KNOBS.items():
-            if knob.target != "serve":
-                continue
             prediction = estimate_serve_impact(
                 stats, config, Mutation(name, knob.hi))
             assert prediction.metric == knob.metric
             assert prediction.rationale
             assert math.isfinite(prediction.predicted)
             assert prediction.predicted >= 0.0
-
-    def test_bfs_knob_rejected(self, serve_run):
-        stats, config = serve_run
-        with pytest.raises(ValueError, match="not a serve knob"):
-            estimate_serve_impact(stats, config,
-                                  Mutation("gamma_threshold", 50.0))
 
     def test_wider_cap_than_achieved_width_is_neutral(self, serve_run):
         stats, config = serve_run
@@ -179,26 +129,3 @@ class TestServeEstimator:
             return sense * p.predicted_delta
         gains = [gain(p) for p in suggestions]
         assert gains == sorted(gains, reverse=True)
-
-
-class TestSignAgreement:
-    def test_deadline_matrix_sign_agrees(self):
-        graph = rmat_graph(10, 8, seed=3)
-        rows = evaluate_serve_matrix(
-            graph,
-            [Mutation("deadline_ms", 4.0), Mutation("deadline_ms", 0.5)],
-            trace_config=TraceConfig(num_queries=300, rate_per_ms=4.0,
-                                     seed=5),
-            config=ServeConfig(num_gpus=2, batch_sources=64,
-                               deadline_ms=2.0, cache=False))
-        assert all(row["sign_agree"] for row in rows), rows
-
-    def test_gamma_matrix_sign_agrees(self, graph):
-        rows = evaluate_gamma_matrix(graph, [2.0, 95.0])
-        assert all(row["sign_agree"] for row in rows), rows
-
-    def test_format_matrix_is_markdown(self, graph):
-        rows = evaluate_gamma_matrix(graph, [2.0])
-        table = format_matrix(rows)
-        assert table.splitlines()[0].startswith("| case | knob |")
-        assert "gamma_threshold" in table
