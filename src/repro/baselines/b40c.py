@@ -21,13 +21,11 @@ losing on europe.osm.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import prefix_sum_kernel, sweep_kernel
 from ..gpu.memory import AccessPattern, sequential_transactions
 from ..graph.csr import CSRGraph
-from ..bfs.common import BFSResult, LevelTrace, UNVISITED, expand_frontier
+from ..bfs.common import BFSResult, topdown_traversal
 
 __all__ = ["b40c_bfs"]
 
@@ -46,23 +44,8 @@ def b40c_bfs(
     """Scan-based edge-parallel top-down BFS with culling."""
     device = device or GPUDevice()
     spec = device.spec
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
 
-    traces: list[LevelTrace] = []
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    for _ in range(max_levels):
-        if frontier.size == 0:
-            break
-        newly, their_parents, edges, attempts = expand_frontier(
-            graph, frontier, status, level)
-        parents[newly] = their_parents
-
+    def level_kernels(frontier, newly, edges, attempts):
         # Residual duplicates survive culling and are re-expanded next
         # level: charge their adjacency work as extra inspected edges.
         # Warp + historical culling keeps the residual bounded by the
@@ -80,7 +63,7 @@ def b40c_bfs(
         adj_tx = -(-work * 8 // seg)
         tx = adj_tx + work
         access = AccessPattern(2 * work, tx, adj_tx * seg + work * small)
-        kernels = [
+        return [
             prefix_sum_kernel(max(1, -(-frontier.size // 256)), spec,
                               name="b40c-scan"),
             sweep_kernel(max(work, 1), access, spec, name="b40c-gather",
@@ -88,27 +71,7 @@ def b40c_bfs(
             sweep_kernel(max(newly.size + dups, 1),
                          sequential_transactions(newly.size + dups, 8, spec),
                          spec, name="b40c-contract", instr_per_element=6),
-        ]
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
+        ], work
 
-        traces.append(LevelTrace(
-            level=level, direction="top-down",
-            frontier_count=int(frontier.size),
-            newly_visited=int(newly.size), edges_checked=work,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
-        frontier = newly
-        level += 1
-
-    result = BFSResult(
-        algorithm="b40c", graph_name=graph.name, source=source,
-        levels=status, parents=parents, traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result
+    return topdown_traversal(graph, source, device, "b40c", level_kernels,
+                             max_levels=max_levels)

@@ -28,7 +28,7 @@ from ..gpu.kernels import (
 )
 from ..gpu.memory import random_transactions
 from ..graph.csr import CSRGraph
-from ..bfs.common import BFSResult, LevelTrace, UNVISITED, expand_frontier
+from ..bfs.common import BFSResult, topdown_traversal
 
 __all__ = ["gunrock_bfs"]
 
@@ -43,23 +43,8 @@ def gunrock_bfs(
     """Advance/filter frontier BFS with warp-granularity load balancing."""
     device = device or GPUDevice()
     spec = device.spec
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
 
-    traces: list[LevelTrace] = []
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    for _ in range(max_levels):
-        if frontier.size == 0:
-            break
-        newly, their_parents, edges, attempts = expand_frontier(
-            graph, frontier, status, level)
-        parents[newly] = their_parents
-
+    def level_kernels(frontier, newly, edges, attempts):
         # Gunrock's idempotent advance skips atomic dedup, so the output
         # frontier carries duplicated entries that get re-expanded; its
         # warp-level heuristics bound the duplication at roughly the
@@ -75,34 +60,14 @@ def gunrock_bfs(
         # a scan-based compaction that idempotently re-checks every
         # candidate's status (scattered reads).
         filter_access = random_transactions(max(attempts, 1), 8, spec)
-        kernels = [
+        return [
             prefix_sum_kernel(max(1, -(-frontier.size // 256)), spec,
                               name="gr-lb-partition"),
             expansion_kernel(advance_loads, Granularity.WARP,
                              spec, name="gr-advance"),
             sweep_kernel(max(attempts, 1), filter_access, spec,
                          name="gr-filter", instr_per_element=8),
-        ]
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
+        ], edges
 
-        traces.append(LevelTrace(
-            level=level, direction="top-down",
-            frontier_count=int(frontier.size),
-            newly_visited=int(newly.size), edges_checked=edges,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
-        frontier = newly
-        level += 1
-
-    result = BFSResult(
-        algorithm="gunrock", graph_name=graph.name, source=source,
-        levels=status, parents=parents, traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result
+    return topdown_traversal(graph, source, device, "gunrock",
+                             level_kernels, max_levels=max_levels)

@@ -11,8 +11,6 @@ graphs and ~5.6x behind on high-diameter graphs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import (
     Granularity,
@@ -22,7 +20,7 @@ from ..gpu.kernels import (
 )
 from ..gpu.memory import sequential_transactions
 from ..graph.csr import CSRGraph
-from ..bfs.common import BFSResult, LevelTrace, UNVISITED, expand_frontier
+from ..bfs.common import BFSResult, topdown_traversal
 
 __all__ = ["mapgraph_bfs"]
 
@@ -38,23 +36,9 @@ def mapgraph_bfs(
     device = device or GPUDevice()
     spec = device.spec
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
 
-    traces: list[LevelTrace] = []
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    for _ in range(max_levels):
-        if frontier.size == 0:
-            break
-        newly, their_parents, edges, attempts = expand_frontier(
-            graph, frontier, status, level)
-        parents[newly] = their_parents
-
-        kernels = [
+    def level_kernels(frontier, newly, edges, attempts):
+        return [
             expansion_kernel(graph.out_degrees[frontier], Granularity.CTA,
                              spec, name="mg-gather"),
             # Apply: one pass over the whole vertex state, every level.
@@ -62,27 +46,7 @@ def mapgraph_bfs(
                          name="mg-apply", instr_per_element=4),
             atomic_enqueue_kernel(attempts, int(newly.size), spec,
                                   name="mg-scatter"),
-        ]
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
+        ], edges
 
-        traces.append(LevelTrace(
-            level=level, direction="top-down",
-            frontier_count=int(frontier.size),
-            newly_visited=int(newly.size), edges_checked=edges,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
-        frontier = newly
-        level += 1
-
-    result = BFSResult(
-        algorithm="mapgraph", graph_name=graph.name, source=source,
-        levels=status, parents=parents, traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result
+    return topdown_traversal(graph, source, device, "mapgraph",
+                             level_kernels, max_levels=max_levels)

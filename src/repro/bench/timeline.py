@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import io
 
-from ..bfs.common import BFSResult
 from ..gpu.device import GPUDevice
 
-__all__ = ["render_device_timeline", "render_level_summary"]
+__all__ = ["render_device_timeline"]
 
 
 def _bar(value: float, maximum: float, width: int) -> str:
@@ -65,18 +64,3 @@ def render_device_timeline(
     out.write(f"{'total':<{label_w}}  {'':<{width}}  {total:9.4f} ms\n")
     return out.getvalue()
 
-
-def render_level_summary(result: BFSResult, *, width: int = 40) -> str:
-    """One row per BFS level: direction, frontier size, time bar."""
-    if not result.traces:
-        return "(no levels)"
-    longest = max(t.time_ms for t in result.traces)
-    out = io.StringIO()
-    for t in result.traces:
-        label = f"L{t.level} {t.direction[:9]:<9} {t.frontier_count:>8,}"
-        out.write(f"{label} |{_bar(t.time_ms, longest, width):<{width}}| "
-                  f"{t.time_ms:9.4f} ms\n")
-    out.write(f"{'total':<21}  {'':<{width}}  "
-              f"{sum(t.time_ms for t in result.traces):9.4f} ms "
-              f"(+ device overheads = {result.time_ms:.4f})\n")
-    return out.getvalue()

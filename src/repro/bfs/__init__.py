@@ -41,7 +41,7 @@ from .msbfs import MSBFSResult, ms_bfs
 from .multigpu import MultiGPUResult, multigpu_enterprise_bfs, partition_bounds
 from .partition2d import Grid2D, MultiGPU2DResult, multigpu2d_enterprise_bfs
 from .statusarray import baseline_bfs, status_array_bfs
-from .stealing import stealing_bfs, stealing_expansion_cost
+from .stealing import stealing_expansion_cost
 from .topdown import topdown_atomic_bfs
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     "reference_bfs_levels",
     "shard_bounds",
     "status_array_bfs",
-    "stealing_bfs",
     "stealing_expansion_cost",
     "switch_workflow",
     "topdown_atomic_bfs",

@@ -17,7 +17,15 @@ from ..gpu.device import GPUDevice
 from ..gpu.kernels import CTA_THREADS, Granularity, expansion_kernel, sweep_kernel
 from ..gpu.memory import sequential_transactions
 from ..graph.csr import CSRGraph
-from .common import BFSResult, LevelTrace, UNVISITED, bottom_up_inspect
+from .common import (
+    BFSResult,
+    LevelTrace,
+    UNVISITED,
+    bottom_up_inspect,
+    charge_level,
+    finish_traversal,
+    start_traversal,
+)
 
 __all__ = ["bottomup_bfs"]
 
@@ -33,17 +41,12 @@ def bottomup_bfs(
     device = device or GPUDevice()
     spec = device.spec
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
+    status, parents = start_traversal(graph, source)
     inspect_graph = graph.reverse if graph.directed else graph
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
 
     traces: list[LevelTrace] = []
     candidates = np.flatnonzero(status == UNVISITED).astype(np.int64)
-    level = 0
-    for _ in range(max_levels):
+    for level in range(max_levels):
         if candidates.size == 0:
             break
         outcome = bottom_up_inspect(inspect_graph, candidates, status,
@@ -57,33 +60,14 @@ def bottomup_bfs(
             expansion_kernel(np.maximum(outcome.lookups, 1),
                              Granularity.CTA, spec, name="pb-inspect"),
         ]
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
-
-        traces.append(LevelTrace(
-            level=level, direction="bottom-up",
-            frontier_count=int(candidates.size),
-            newly_visited=int(outcome.found.size),
-            edges_checked=outcome.edges_checked,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
+        traces.append(charge_level(
+            device, level, "bottom-up", kernels,
+            frontier_count=candidates.size,
+            newly_visited=outcome.found.size,
+            edges_checked=outcome.edges_checked))
         if outcome.found.size == 0:
             break
         candidates = candidates[status[candidates] == UNVISITED]
-        level += 1
 
-    result = BFSResult(
-        algorithm="bottomup-only",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result
+    return finish_traversal("bottomup-only", graph, source, status, parents,
+                            traces, device)

@@ -1,4 +1,5 @@
-"""Shared BFS machinery: status array, traces, results, validation.
+"""Shared BFS machinery: status array, traces, results, validation and
+the level loop of the top-down-only variants.
 
 Every BFS variant in this package (top-down queue, status-array baseline,
 α/β hybrid, Enterprise and the four external-system baselines) operates on
@@ -17,11 +18,14 @@ transactions — which are the raw material for Figures 4, 8, 10, 12 and 16.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..accel import shared_arange
 from ..gpu.clock import PS_PER_MS
+from ..gpu.device import GPUDevice
+from ..gpu.kernels import KernelCost
 from ..graph.csr import CSRGraph
 from ..graph.stats import FrontierLevel
 
@@ -32,7 +36,11 @@ __all__ = [
     "BottomUpOutcome",
     "reference_bfs_levels",
     "validate_result",
+    "start_traversal",
+    "charge_level",
+    "finish_traversal",
     "expand_frontier",
+    "topdown_traversal",
     "bottom_up_inspect",
 ]
 
@@ -215,6 +223,55 @@ def validate_result(result: BFSResult, graph: CSRGraph,
 # Level primitives shared by the variants
 # ----------------------------------------------------------------------
 
+def start_traversal(graph: CSRGraph,
+                    source: int) -> tuple[np.ndarray, np.ndarray]:
+    """The status and parent arrays of a search from ``source``: every
+    vertex unvisited and parentless except the source, at level 0."""
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range for {n} vertices")
+    status = np.full(n, UNVISITED, dtype=np.int32)
+    parents = np.full(n, UNVISITED, dtype=np.int64)
+    status[source] = 0
+    return status, parents
+
+
+def charge_level(device: GPUDevice, level: int, direction: str,
+                 kernels: list[KernelCost], *, frontier_count: int,
+                 newly_visited: int, edges_checked: int,
+                 **extra) -> LevelTrace:
+    """Launch a level's kernels in turn, each labelled
+    ``L<level>:<name>``, and record the level.  Its expansion time is
+    the device clock's advance across the launches, so a straggler's
+    traces still add up to its clock; ``extra`` sets further
+    :class:`LevelTrace` fields."""
+    begin = device.elapsed_ps
+    for k in kernels:
+        device.launch(k, label=f"L{level}:{k.name}")
+    return LevelTrace(
+        level=level, direction=direction,
+        frontier_count=frontier_count, newly_visited=newly_visited,
+        edges_checked=edges_checked,
+        expand_ps=device.elapsed_ps - begin,
+        gld_transactions=sum(k.access.transactions for k in kernels),
+        kernel_names=tuple(k.name for k in kernels),
+        **extra,
+    )
+
+
+def finish_traversal(algorithm: str, graph: CSRGraph, source: int,
+                     status: np.ndarray, parents: np.ndarray,
+                     traces: list[LevelTrace],
+                     device: GPUDevice) -> BFSResult:
+    """The result of a search that left ``status`` and ``parents``,
+    timed by the device clock."""
+    result = BFSResult(algorithm=algorithm, graph_name=graph.name,
+                       source=source, levels=status, parents=parents,
+                       traces=traces, time_ms=device.elapsed_ms)
+    result.set_edges_traversed(graph)
+    return result
+
+
 def expand_frontier(
     graph: CSRGraph,
     frontier: np.ndarray,
@@ -269,6 +326,39 @@ def expand_frontier(
     scratch = np.empty(n, dtype=np.int64)
     scratch[cand] = cand_src
     return uniq, scratch[uniq], edges_checked, int(cand.size)
+
+
+def topdown_traversal(graph: CSRGraph, source: int, device: GPUDevice,
+                      algorithm: str, level_kernels: Callable, *,
+                      max_levels: int,
+                      expand: Callable = expand_frontier) -> BFSResult:
+    """The level loop of every top-down-only traversal.
+
+    Each level runs ``expand(graph, frontier, status, level)``, which
+    marks and returns the newly visited vertices as
+    :func:`expand_frontier` does, then charges the kernels that
+    ``level_kernels(frontier, newly, edges, attempts)`` returns along
+    with the edges checked to report.  The newly visited vertices,
+    ascending, are the next level's frontier.
+    """
+    status, parents = start_traversal(graph, source)
+    traces: list[LevelTrace] = []
+    frontier = np.array([source], dtype=np.int64)
+    for level in range(max_levels):
+        if frontier.size == 0:
+            break
+        newly, their_parents, edges, attempts = expand(
+            graph, frontier, status, level)
+        parents[newly] = their_parents
+        kernels, edges_checked = level_kernels(frontier, newly, edges,
+                                               attempts)
+        traces.append(charge_level(
+            device, level, "top-down", kernels,
+            frontier_count=frontier.size, newly_visited=newly.size,
+            edges_checked=edges_checked))
+        frontier = newly
+    return finish_traversal(algorithm, graph, source, status, parents,
+                            traces, device)
 
 
 @dataclass

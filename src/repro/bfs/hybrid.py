@@ -33,7 +33,10 @@ from .common import (
     LevelTrace,
     UNVISITED,
     bottom_up_inspect,
+    charge_level,
     expand_frontier,
+    finish_traversal,
+    start_traversal,
 )
 from .direction import AlphaBetaPolicy
 
@@ -53,14 +56,9 @@ def hybrid_bfs(
     device = device or GPUDevice()
     spec = device.spec
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-
+    status, parents = start_traversal(graph, source)
     inspect_graph = graph.reverse if graph.directed else graph
     out_degrees = graph.out_degrees
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
 
     policy = AlphaBetaPolicy(alpha=alpha, beta=beta)
     policy.setup(graph)
@@ -95,9 +93,8 @@ def hybrid_bfs(
     unexplored = graph.num_edges - int(out_degrees[source])
     direction = "top-down"
     frontier = np.array([source], dtype=np.int64)
-    level = 0
 
-    for _ in range(max_levels):
+    for level in range(max_levels):
         if direction == "top-down":
             if frontier.size == 0:
                 break
@@ -112,30 +109,20 @@ def hybrid_bfs(
                                  spec, name="hy-td-expand"),
                 atomic_enqueue_kernel(attempts, int(newly.size), spec),
             ]
-            expand_ps = 0
-            for k in kernels:
-                device.launch(k, label=f"L{level}:{k.name}")
-                expand_ps += k.time_ps
-
             m_f_next = int(out_degrees[newly].sum()) if newly.size else 0
             alpha_value = unexplored / m_f_next if m_f_next else float("inf")
             policy.history.append(alpha_value)
-            traces.append(LevelTrace(
-                level=level, direction="top-down",
-                frontier_count=int(frontier.size),
-                newly_visited=int(newly.size), edges_checked=edges,
-                expand_ps=expand_ps,
-                gld_transactions=sum(k.access.transactions for k in kernels),
-                kernel_names=tuple(k.name for k in kernels),
-                alpha=alpha_value if np.isfinite(alpha_value) else 0.0,
-            ))
+            traces.append(charge_level(
+                device, level, "top-down", kernels,
+                frontier_count=frontier.size, newly_visited=newly.size,
+                edges_checked=edges,
+                alpha=alpha_value if np.isfinite(alpha_value) else 0.0))
             _emit_level(traces[-1], level_begin_ms)
             if newly.size == 0:
                 break
             if np.isfinite(alpha_value) and alpha_value < alpha:
                 direction = "switch"
             frontier = newly
-            level += 1
 
         else:
             candidates = np.flatnonzero(status == UNVISITED).astype(np.int64)
@@ -155,20 +142,11 @@ def hybrid_bfs(
                 expansion_kernel(np.maximum(outcome.lookups, 1),
                                  Granularity.CTA, spec, name="hy-bu-inspect"),
             ]
-            expand_ps = 0
-            for k in kernels:
-                device.launch(k, label=f"L{level}:{k.name}")
-                expand_ps += k.time_ps
-
-            traces.append(LevelTrace(
-                level=level, direction=direction,
-                frontier_count=int(candidates.size),
-                newly_visited=int(outcome.found.size),
-                edges_checked=outcome.edges_checked,
-                expand_ps=expand_ps,
-                gld_transactions=sum(k.access.transactions for k in kernels),
-                kernel_names=tuple(k.name for k in kernels),
-            ))
+            traces.append(charge_level(
+                device, level, direction, kernels,
+                frontier_count=candidates.size,
+                newly_visited=outcome.found.size,
+                edges_checked=outcome.edges_checked))
             _emit_level(traces[-1], level_begin_ms)
             if outcome.found.size == 0:
                 break
@@ -179,18 +157,9 @@ def hybrid_bfs(
                 frontier = outcome.found
             else:
                 direction = "bottom-up"
-            level += 1
 
-    result = BFSResult(
-        algorithm="hybrid-alphabeta",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
+    result = finish_traversal("hybrid-alphabeta", graph, source, status,
+                              parents, traces, device)
     result.alpha_history = policy.history  # type: ignore[attr-defined]
     if tracer.enabled:
         tracer.record_span(

@@ -16,13 +16,11 @@ Two entry points:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import CTA_THREADS, Granularity, expansion_kernel, sweep_kernel
 from ..gpu.memory import sequential_transactions
 from ..graph.csr import CSRGraph
-from .common import BFSResult, LevelTrace, UNVISITED, expand_frontier
+from .common import BFSResult, topdown_traversal
 from .enterprise import ABLATION_CONFIGS, enterprise_bfs
 
 __all__ = ["status_array_bfs", "baseline_bfs"]
@@ -42,62 +40,29 @@ def status_array_bfs(
     "The advantage of this approach is that atomic operations [are] no
     longer needed ... Here, unlike the first approach, whoever finishes
     last becomes [the] parent" (§2.1) — implemented by last-write-wins
-    parent assignment in :func:`repro.bfs.common.expand_frontier`.
+    parent assignment in :func:`repro.bfs.common.expand_frontier`.  The
+    frontier is the vertices at the current level, which that expansion
+    returns in status-array order; the sweep kernel still charges the
+    scan over all ``n`` entries that finds them.
     """
     device = device or GPUDevice()
     spec = device.spec
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
-
-    traces: list[LevelTrace] = []
-    level = 0
     group = CTA_THREADS if granularity is Granularity.CTA else \
         spec.warp_size if granularity is Granularity.WARP else 1
-    for _ in range(max_levels):
-        frontier = np.flatnonzero(status == level).astype(np.int64)
-        if frontier.size == 0:
-            break
-        newly, their_parents, edges, _ = expand_frontier(
-            graph, frontier, status, level)
-        parents[newly] = their_parents
 
-        kernels = [
+    def level_kernels(frontier, newly, edges, attempts):
+        return [
             sweep_kernel(n, sequential_transactions(n, 1, spec), spec,
                          name="sa-sweep", useful_elements=frontier.size,
                          group=group),
             expansion_kernel(graph.out_degrees[frontier], granularity, spec,
                              name="sa-expand"),
-        ]
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
+        ], edges
 
-        traces.append(LevelTrace(
-            level=level, direction="top-down",
-            frontier_count=int(frontier.size),
-            newly_visited=int(newly.size), edges_checked=edges,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
-        level += 1
-
-    result = BFSResult(
-        algorithm=f"status-array[{granularity.value}]",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result
+    return topdown_traversal(graph, source, device,
+                             f"status-array[{granularity.value}]",
+                             level_kernels, max_levels=max_levels)
 
 
 def baseline_bfs(

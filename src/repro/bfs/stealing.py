@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import GPUDevice
 from ..gpu.kernels import (
     Granularity,
     KernelCost,
@@ -29,10 +28,8 @@ from ..gpu.kernels import (
     expansion_kernel,
 )
 from ..gpu.specs import DeviceSpec
-from ..graph.csr import CSRGraph
-from .common import BFSResult, LevelTrace, UNVISITED, expand_frontier
 
-__all__ = ["stealing_expansion_cost", "stealing_bfs", "DEFAULT_CHUNK"]
+__all__ = ["stealing_expansion_cost", "DEFAULT_CHUNK"]
 
 #: Edges per stolen chunk.  Small chunks balance better but multiply the
 #: pool synchronisation; 64 is the conventional sweet spot.
@@ -71,64 +68,3 @@ def stealing_expansion_cost(
                                  name=f"{name}-pool")
     return [balanced, pool]
 
-
-def stealing_bfs(
-    graph: CSRGraph,
-    source: int,
-    *,
-    device: GPUDevice | None = None,
-    chunk: int = DEFAULT_CHUNK,
-    max_levels: int = 100_000,
-) -> BFSResult:
-    """Top-down BFS whose expansion uses the stealing scheduler.
-
-    Direction optimization is orthogonal; keeping this traversal
-    top-down isolates the scheduler comparison (the ablation bench pits
-    it against WB on identical per-level frontier sets).
-    """
-    device = device or GPUDevice()
-    spec = device.spec
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
-
-    traces: list[LevelTrace] = []
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    for _ in range(max_levels):
-        if frontier.size == 0:
-            break
-        newly, their_parents, edges, _ = expand_frontier(
-            graph, frontier, status, level)
-        parents[newly] = their_parents
-        kernels = stealing_expansion_cost(graph.out_degrees[frontier],
-                                          spec, chunk=chunk)
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
-        traces.append(LevelTrace(
-            level=level, direction="top-down",
-            frontier_count=int(frontier.size),
-            newly_visited=int(newly.size), edges_checked=edges,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
-        frontier = newly
-        level += 1
-
-    result = BFSResult(
-        algorithm=f"stealing[chunk={chunk}]",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result

@@ -20,9 +20,22 @@ import numpy as np
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import Granularity, atomic_enqueue_kernel, expansion_kernel
 from ..graph.csr import CSRGraph
-from .common import BFSResult, LevelTrace, UNVISITED
+from .common import BFSResult, UNVISITED, topdown_traversal
 
 __all__ = ["topdown_atomic_bfs"]
+
+
+def _first_writer_expand(graph: CSRGraph, frontier: np.ndarray,
+                         status: np.ndarray, level: int):
+    """:func:`repro.bfs.common.expand_frontier` with atomicCAS
+    semantics: the *first* writer wins the parent slot."""
+    sources, neighbors = graph.gather_neighbors(frontier)
+    unvisited = status[neighbors] == UNVISITED
+    cand = neighbors[unvisited]
+    uniq, first_idx = np.unique(cand, return_index=True)
+    status[uniq] = level + 1
+    return (uniq, sources[unvisited][first_idx], int(neighbors.size),
+            int(cand.size))
 
 
 def topdown_atomic_bfs(
@@ -36,59 +49,14 @@ def topdown_atomic_bfs(
     """Atomic-queue top-down BFS (no direction optimization)."""
     device = device or GPUDevice()
     spec = device.spec
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    status = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, UNVISITED, dtype=np.int64)
-    status[source] = 0
 
-    traces: list[LevelTrace] = []
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    for _ in range(max_levels):
-        if frontier.size == 0:
-            break
-        sources, neighbors = graph.gather_neighbors(frontier)
-        edges = int(neighbors.size)
-        unvisited = status[neighbors] == UNVISITED
-        attempts = int(np.count_nonzero(unvisited))
-        cand = neighbors[unvisited]
-        cand_src = sources[unvisited]
-        # atomicCAS semantics: the *first* writer wins the parent slot.
-        uniq, first_idx = np.unique(cand, return_index=True)
-        parents[uniq] = cand_src[first_idx]
-        status[uniq] = level + 1
-
-        kernels = [
+    def level_kernels(frontier, newly, edges, attempts):
+        return [
             expansion_kernel(graph.out_degrees[frontier], granularity, spec,
                              name="td-atomic-expand"),
-            atomic_enqueue_kernel(attempts, int(uniq.size), spec),
-        ]
-        expand_ps = 0
-        for k in kernels:
-            device.launch(k, label=f"L{level}:{k.name}")
-            expand_ps += k.time_ps
+            atomic_enqueue_kernel(attempts, int(newly.size), spec),
+        ], edges
 
-        traces.append(LevelTrace(
-            level=level, direction="top-down",
-            frontier_count=int(frontier.size),
-            newly_visited=int(uniq.size), edges_checked=edges,
-            expand_ps=expand_ps,
-            gld_transactions=sum(k.access.transactions for k in kernels),
-            kernel_names=tuple(k.name for k in kernels),
-        ))
-        frontier = uniq
-        level += 1
-
-    result = BFSResult(
-        algorithm="topdown-atomic",
-        graph_name=graph.name,
-        source=source,
-        levels=status,
-        parents=parents,
-        traces=traces,
-        time_ms=device.elapsed_ms,
-    )
-    result.set_edges_traversed(graph)
-    return result
+    return topdown_traversal(graph, source, device, "topdown-atomic",
+                             level_kernels, max_levels=max_levels,
+                             expand=_first_writer_expand)

@@ -448,18 +448,32 @@ def cmd_occupancy(args) -> int:
     return 0
 
 
+def _load_baselines(args) -> None:
+    """Replace the ``--diff`` and ``--compare`` paths with the documents
+    they hold, validated before any work; a malformed one is a usage
+    error."""
+    from .observ import PROFILE_SCHEMA, SNAPSHOT_SCHEMA, load_artifact
+
+    for flag, tag in (("diff", SNAPSHOT_SCHEMA),
+                      ("compare", PROFILE_SCHEMA)):
+        path = getattr(args, flag, None)
+        if path:
+            try:
+                setattr(args, flag, load_artifact(path, tag))
+            except ValueError as exc:
+                raise argparse.ArgumentError(
+                    None, f"--{flag} {path}: {exc}") from None
+
+
 def _emit_snapshot(args, label: str, build) -> int:
     """The shared ``--snapshot``/``--diff`` path: write the snapshot
-    ``build()`` returns, then gate it against ``--diff``'s.  Returns 1
-    when the gate finds a regression, else 0."""
+    ``build()`` returns, then gate it against the ``--diff`` snapshot
+    (loaded by :func:`_load_baselines`).  Returns 1 when the gate finds
+    a regression, else 0."""
     if not (args.snapshot or args.diff):
         return 0
-    from .observ import (
-        SNAPSHOT_SCHEMA,
-        diff_snapshots,
-        load_artifact,
-        write_artifact,
-    )
+    from .observ import diff_snapshots, write_artifact
+
     snap = build()
     if args.snapshot:
         write_artifact(args.snapshot, snap)
@@ -467,8 +481,7 @@ def _emit_snapshot(args, label: str, build) -> int:
               f"{len(snap['metrics'])} metrics)")
     if not args.diff:
         return 0
-    diff = diff_snapshots(load_artifact(args.diff, SNAPSHOT_SCHEMA), snap,
-                          rel_tol=args.tolerance)
+    diff = diff_snapshots(args.diff, snap, rel_tol=args.tolerance)
     print(diff.format())
     return 0 if diff.ok else 1
 
@@ -524,9 +537,8 @@ def _cmd_profile_cluster(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .observ import load_artifact, write_artifact
+    from .observ import write_artifact
     from .observ.profiler import (
-        PROFILE_SCHEMA,
         diff_profiles,
         format_diff,
         format_profile,
@@ -562,7 +574,7 @@ def cmd_profile(args) -> int:
 
     diff = None
     if args.compare:
-        before = from_json(load_artifact(args.compare, PROFILE_SCHEMA))
+        before = from_json(args.compare)
         diff = diff_profiles(before, prof)
         print()
         print(format_diff(diff, top=args.top))
@@ -1299,8 +1311,10 @@ def main(argv: list[str] | None = None) -> int:
     if snapshot and args.command == "cluster" and args.verb != "weak":
         parser.error("cluster: --snapshot and --diff need the weak verb")
     try:
+        _load_baselines(args)
         return COMMANDS[args.command](args)
-    except argparse.ArgumentError as exc:  # a range only a config checks
+    except argparse.ArgumentError as exc:
+        # A malformed baseline file, or a range only a config checks.
         parser.error(f"{args.command}: {exc}")
 
 

@@ -14,7 +14,7 @@ tiny deterministic devices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "DeviceSpec",
@@ -122,20 +122,6 @@ class DeviceSpec:
             MemoryLevel("l2", self.l2_bytes, self.l2_latency),
             MemoryLevel("global", self.global_mem_bytes, self.global_latency),
         )
-
-    def with_shared_config(self, shared_bytes: int) -> "DeviceSpec":
-        """Return a spec with the runtime-selected shared-memory split.
-
-        §2.2: "one can allocate 16, 32, or 48 KB of the shared memory at
-        the program runtime".  Enterprise uses the 48 KB configuration for
-        the hub-vertex cache.
-        """
-        if shared_bytes not in self.shared_mem_configs_bytes:
-            raise ValueError(
-                f"{shared_bytes} is not a valid shared-memory configuration "
-                f"for {self.name}; choose from {self.shared_mem_configs_bytes}"
-            )
-        return replace(self, shared_mem_per_sm_bytes=shared_bytes)
 
 
 KIB = 1024

@@ -13,14 +13,12 @@ from .datasets import (
 from .generators import (
     KRONECKER_ABC,
     RMAT_ABC,
-    barabasi_albert_graph,
     kronecker_edges,
     kronecker_graph,
     powerlaw_degrees,
     powerlaw_graph,
     rmat_graph,
     road_mesh,
-    uniform_random_graph,
 )
 from .io import load_csr, read_edge_list, save_csr, write_edge_list
 from .reorder import Relabeling, apply_relabeling, bfs_order, degree_order
@@ -33,11 +31,9 @@ from .properties import (
     summarize,
     triangle_counts,
 )
-from .subgraph import InducedSubgraph, ego_network, induced_subgraph
+from .subgraph import InducedSubgraph, induced_subgraph
 from .stats import (
     FrontierLevel,
-    degree_cdf,
-    edge_mass_cdf,
     fraction_below,
     frontier_statistics,
     hub_mask,
@@ -59,15 +55,11 @@ __all__ = [
     "SIZE_PROFILES",
     "apply_relabeling",
     "average_clustering",
-    "barabasi_albert_graph",
     "bfs_order",
     "catalog",
     "clustering_coefficient",
-    "degree_cdf",
     "degree_assortativity",
     "degree_order",
-    "edge_mass_cdf",
-    "ego_network",
     "fraction_below",
     "from_edges",
     "frontier_statistics",
@@ -89,6 +81,5 @@ __all__ = [
     "table1_rows",
     "top_hub_edge_share",
     "triangle_counts",
-    "uniform_random_graph",
     "write_edge_list",
 ]

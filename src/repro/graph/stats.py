@@ -1,11 +1,10 @@
 """Graph statistics behind the paper's analysis figures.
 
-* Figure 5 — CDF of out-degrees (vertices sorted by out-degree), with the
-  paper's anchor fractions at degree 32 and 256 (the SmallQueue /
-  MiddleQueue boundaries of §4.2).
-* Figure 6 — CDF of *total edges* against vertices sorted by out-degree:
-  how much edge mass the top hub vertices own ("330 hub vertices (0.03% of
-  total vertices) contribute to 10% of the total edges" for YouTube).
+* Figure 5 — the out-degree CDF at the paper's anchor degrees 32 and
+  256 (the SmallQueue / MiddleQueue boundaries of §4.2).
+* Figure 6 — how much edge mass the top hub vertices own ("330 hub
+  vertices (0.03% of total vertices) contribute to 10% of the total
+  edges" for YouTube).
 * Figure 4 — per-level frontier percentages from BFS traces, overall and
   split by traversal direction.
 * Hub-vertex selection: the τ threshold of the Hub Vertex definition in
@@ -21,27 +20,13 @@ import numpy as np
 from .csr import CSRGraph
 
 __all__ = [
-    "degree_cdf",
     "fraction_below",
-    "edge_mass_cdf",
     "top_hub_edge_share",
     "hub_threshold",
     "hub_mask",
     "FrontierLevel",
     "frontier_statistics",
 ]
-
-
-def degree_cdf(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of out-degrees (Fig. 5).
-
-    Returns ``(degrees, fraction)`` where ``fraction[i]`` is the share of
-    vertices with out-degree <= ``degrees[i]``.
-    """
-    degs = np.sort(graph.out_degrees)
-    n = degs.size
-    fraction = np.arange(1, n + 1) / n
-    return degs, fraction
 
 
 def fraction_below(graph: CSRGraph, threshold: int) -> float:
@@ -51,19 +36,6 @@ def fraction_below(graph: CSRGraph, threshold: int) -> float:
         return 0.0
     return float(np.count_nonzero(graph.out_degrees < threshold)
                  / graph.num_vertices)
-
-
-def edge_mass_cdf(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CDF of total edges over vertices sorted by ascending out-degree
-    (Fig. 6).  Returns ``(vertex_fraction, edge_fraction)``."""
-    degs = np.sort(graph.out_degrees)
-    total = degs.sum()
-    if total == 0:
-        n = max(graph.num_vertices, 1)
-        return np.arange(1, n + 1) / n, np.zeros(max(graph.num_vertices, 1))
-    vertex_fraction = np.arange(1, degs.size + 1) / degs.size
-    edge_fraction = np.cumsum(degs) / total
-    return vertex_fraction, edge_fraction
 
 
 def top_hub_edge_share(graph: CSRGraph, hub_count: int) -> float:

@@ -1,8 +1,7 @@
-"""Induced subgraphs and ego networks.
+"""Induced subgraphs.
 
-Utilities the analytics stack leans on: extract the subgraph induced by
-a vertex set (with the old→new ID mapping) and the k-hop ego network of
-a vertex — both common pre-processing steps before running the heavier
+Extract the subgraph induced by a vertex set, with the old→new ID
+mapping — a common pre-processing step before running the heavier
 algorithms on a region of interest.
 """
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .csr import CSRGraph, from_edges
 
-__all__ = ["InducedSubgraph", "induced_subgraph", "ego_network"]
+__all__ = ["InducedSubgraph", "induced_subgraph"]
 
 
 @dataclass(frozen=True)
@@ -57,26 +56,3 @@ def induced_subgraph(graph: CSRGraph, vertices: np.ndarray,
                      name=f"{graph.name}{name_suffix}")
     return InducedSubgraph(graph=sub, old_id=vertices, new_id=new_id)
 
-
-def ego_network(graph: CSRGraph, center: int, hops: int = 1,
-                *, include_center: bool = True) -> InducedSubgraph:
-    """The subgraph induced by everything within ``hops`` of ``center``
-    (following out-edges; symmetrise first for the undirected ego)."""
-    if not 0 <= center < graph.num_vertices:
-        raise ValueError("center out of range")
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    reached = {center}
-    frontier = np.array([center], dtype=np.int64)
-    for _ in range(hops):
-        if frontier.size == 0:
-            break
-        _, nbrs = graph.gather_neighbors(frontier)
-        fresh = np.unique(nbrs)
-        fresh = fresh[~np.isin(fresh, np.fromiter(reached, dtype=np.int64))]
-        reached.update(fresh.tolist())
-        frontier = fresh
-    members = np.array(sorted(reached), dtype=np.int64)
-    if not include_center:
-        members = members[members != center]
-    return induced_subgraph(graph, members, name_suffix=f"+ego{hops}")

@@ -12,8 +12,9 @@ from repro.graph import (
     kronecker_graph,
     powerlaw_graph,
     road_mesh,
-    uniform_random_graph,
 )
+
+from .generators import uniform_random_graph
 
 
 @pytest.fixture

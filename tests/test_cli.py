@@ -133,19 +133,31 @@ class TestParser:
         ["generate", "mesh", "OUT", "--scale", "1"],
         ["bfs", "--graph", "KR0", "--profile", "tiny", "--gpus", "0"],
         ["bfs", "--graph", "KR0", "--profile", "tiny", "--gpus", "-3"],
+        ["trace", "KR0", "--profile", "tiny", "--diff", "EXISTING"],
+        ["profile", "KR0", "--profile", "tiny", "--compare", "BAD_PROFILE"],
+        ["generate", "powerlaw", "OUT", "--scale", "0"],
     ])
-    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys,
+                                        monkeypatch):
         existing = tmp_path / "old.snap.json"
         existing.write_text("{}")
+        bad_profile = tmp_path / "old.profile.json"
+        bad_profile.write_text('{"schema": "repro.profile/v2"}')
         paths = {"MISSING": str(tmp_path / "missing.json"),
                  "OUT": str(tmp_path / "new.snap.json"),
-                 "EXISTING": str(existing)}
+                 "EXISTING": str(existing),
+                 "BAD_PROFILE": str(bad_profile)}
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([paths.get(arg, arg) for arg in argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "error:" in line] \
             == [err.splitlines()[-1]]
+        # Rejected before any work: nothing written (a trace run's
+        # default output lands in the working directory).
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["old.profile.json", "old.snap.json"]
 
 
 class TestCommands:

@@ -22,8 +22,10 @@ from repro.bfs.cluster import cluster_enterprise_bfs
 from repro.faults.plan import FaultPlan
 from repro.gpu import DeviceGroup, Fabric, GPUDevice
 from repro.gpu.clock import ticks
-from repro.graph import powerlaw_graph
+from repro.graph import powerlaw_graph, rmat_graph
 from repro.storage import ooc_enterprise_bfs
+
+from .test_vectorized_differential import VARIANTS
 
 CONFIG_MATRIX = {
     "default": EnterpriseConfig(),
@@ -207,6 +209,17 @@ def test_straggler_level_times_sum_to_run_time(graph, expected):
     healthy = enterprise_bfs(graph, src)
     assert sum(t.queue_gen_ps + t.expand_ps for t in r.traces) == \
         ticks(r.time_ms) == 2 * ticks(healthy.time_ms)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_straggler_ledger_holds_for_every_traversal(name):
+    """On a 1.5x straggler, every single-GPU traversal's traces plus its
+    tail hold every tick of the device clock."""
+    device = GPUDevice(slowdown=1.5)
+    r = VARIANTS[name](rmat_graph(9, edge_factor=8, seed=5), 0,
+                       device=device)
+    assert sum(t.queue_gen_ps + t.expand_ps for t in r.traces) + \
+        r.tail_queue_gen_ps == device.elapsed_ps
 
 
 def test_straggler_slows_1d(graph, expected):

@@ -16,9 +16,10 @@ from repro.graph import (
     powerlaw_graph,
     rmat_graph,
     road_mesh,
-    uniform_random_graph,
 )
 from repro.graph.generators import banded_mesh
+
+from .generators import uniform_random_graph
 
 
 class TestKronecker:

@@ -8,10 +8,8 @@ import pytest
 from repro.apps.landmarks import build_oracle
 from repro.bfs import reference_bfs_levels
 from repro.graph import powerlaw_graph
-from repro.graph.generators import (
-    barabasi_albert_graph,
-    watts_strogatz_graph,
-)
+
+from .generators import barabasi_albert_graph, watts_strogatz_graph
 
 
 class TestBarabasiAlbert:

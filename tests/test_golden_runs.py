@@ -290,7 +290,9 @@ def test_golden_ooc_run(graph_name, config, compression, prefetch,
 #: picosecond tick (each float moved by under 1e-4 relative, every
 #: non-float observable unchanged); the four ``rmat10-*-prefetch``
 #: out-of-core cases re-recorded when prefetched runs began charging
-#: the queue generated after the last level (896,242 ticks each).
+#: the queue generated after the last level (896,242 ticks each); the
+#: four Fig. 14 systems' corpus cases recorded from their hand-written
+#: level loops, before those became recipes over ``topdown_traversal``.
 #: Every literal below is an *observed* value.
 DIGESTS: dict[str, str] = {
     "test_ablation_matrix_bit_identical[BL]":
@@ -411,6 +413,42 @@ DIGESTS: dict[str, str] = {
         "11d021b1050ae5eef8d453dbcf07d8328bbcc5c140b12bbd56697384351fc98e",
     "test_switch_configs_bit_identical[switch_scan=interleaved]":
         "bdb4e542b2d6b815da70b71131cfca1cbf74b6a49dbb84cf5ea6eebec8415511",
+    "test_variant_bit_identical_on_corpus[b40c-chain]":
+        "ead92a012b96df29da19ee975d49cab4a6671e3ae53e8d433c5e4086d170f837",
+    "test_variant_bit_identical_on_corpus[b40c-dup-chain]":
+        "dbd953ebccee38257b73cc37765b0087b4b1d4c557b23173fc8af202ff3565b9",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-0]":
+        "d3a6fb1c69be8342c1925f666ab898802a7aff2b916bf76386fb9382d20e2da3",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-10]":
+        "77a1dbc99b5859fc305682e94f771cd1fd81d4bb93c05634a7458dfb0c09900f",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-11]":
+        "8edfc944c745c2d830275dd399ef1a955c4a757f2ce4269276b6366f8832d134",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-1]":
+        "2432fef4137aac15d0be1753df505fba3979728cda5416afc4c469bf4c25376d",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-2]":
+        "4f04e8067cae1687c9d341856c1ddbc35759dc76cf89b77f8de0ee9657771516",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-3]":
+        "9e8533d05039b070f57bab70dd077b2e926869e36e982d91c032a9c0a5af16f4",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-4]":
+        "16e5c5ed4008a45f95d9d1164dbad4f9c73b653b1e902687e280340d7577f61b",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-5]":
+        "018996693dec1dade629e3431d6f7d87321b64ea4527a249557f98eca9ce75b2",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-6]":
+        "278949145aa1b9be65dcf2ac2f8e45dcc347512c10bfeb36586f5aa0b7396d08",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-7]":
+        "5fc838d88d3dbb78cc210caa6459dcbffdf7659e7e6a827ee3c6892fad0c3284",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-8]":
+        "d3a977f1450845f60b3b590fc1c3763fb882170fc78652352a38d9d9c6a15c81",
+    "test_variant_bit_identical_on_corpus[b40c-fuzz-9]":
+        "c7bc85a2789cf2f727b85860546684c7b477f0c0ff84e472a9611649cc18c2c0",
+    "test_variant_bit_identical_on_corpus[b40c-islands]":
+        "17b19aeb6c89a13fe821058203f7886a65810cf6b437c584ae0c029951c17ce2",
+    "test_variant_bit_identical_on_corpus[b40c-loops]":
+        "ab0f13bea8eebbc7ad122661638646d2c799d6e8498c65787fbb3bc3057c9850",
+    "test_variant_bit_identical_on_corpus[b40c-sink-hub]":
+        "1d460ca07409e4eafa8c59e9ed502c4f631a42fe749d1139dfaacf1047f4a2cd",
+    "test_variant_bit_identical_on_corpus[b40c-star]":
+        "f91051380a1be97ebdeab9485597e8f6776b87f71acb7ecddd3d741c8980853d",
     "test_variant_bit_identical_on_corpus[bottomup-chain]":
         "cd1e6b36d4815f8871b844bba052cbe476ea455c7d67a4670e4b59639dcf05bd",
     "test_variant_bit_identical_on_corpus[bottomup-dup-chain]":
@@ -483,6 +521,78 @@ DIGESTS: dict[str, str] = {
         "c46437272fdc812eb2c125dba93f6090593ace614ec689b772bf2801b49610d6",
     "test_variant_bit_identical_on_corpus[enterprise-star]":
         "5b742625a893d5c12f186d366de5e88e04a82b687bc4ad81aa27de921d7b79fc",
+    "test_variant_bit_identical_on_corpus[graphbig-chain]":
+        "1005e19433819b2ee440c5f3b1a3c09f47ee28f74824c47b96909e30da313341",
+    "test_variant_bit_identical_on_corpus[graphbig-dup-chain]":
+        "8659dd64cdc7c8834b8770f63374b3077e59c545f3a3159bac3d5dacbb7698cc",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-0]":
+        "d6fc2b842a24de02f1be427c7e6c2082dd6ae45dd06ea2814a43b201f5db8d6d",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-10]":
+        "5ec98bff212c48fb00b2127b2a35411f03bfe5ab3ed2d3bf3cc9399d0993d62c",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-11]":
+        "6cdb226ef6162dee986ae462eeba748048b7bb8512a9f721b4efd1ff9d06ac87",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-1]":
+        "b202e114be4d1456fd3714a4fbf21b4a5a66c0cf80ed0f5e3860d50c59d4ae89",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-2]":
+        "a9a0556cfb953a93ecb27d957907d9c9318501c4bcdaa468dd25d5fe5a552ee4",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-3]":
+        "36e148e0238b94f24e29967618aabcc5ab1443fceb4b468a15b3fc842fd9dd58",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-4]":
+        "764d1cdad0f2a26129a354d49c694d962ad6849c333b321bb9d228a9224fe8c9",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-5]":
+        "2fa41fc6fac504fc3d852fd13c7159d05a62ce35336db546a28199ec9cce7fda",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-6]":
+        "cd98b378616604b524febf0afb31cebaf56b2941755a4a345320a1d36a4df464",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-7]":
+        "bec9438eba9418b6df341d95d4b54c991f430359ff52a7a31f2b41c6c96ecf0d",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-8]":
+        "0578fb4ca3593a1f86b0b4e31c08a7e0488ba86642d624e1ee6bf2889afdfb9d",
+    "test_variant_bit_identical_on_corpus[graphbig-fuzz-9]":
+        "185f36c15b9d72ab54420bbc9346be23f268ef553d5726569d6167615e384987",
+    "test_variant_bit_identical_on_corpus[graphbig-islands]":
+        "318e3620e7f5676acdcc2da2144cbda8e2dca21b342efdaba2e93c2756b0e3e6",
+    "test_variant_bit_identical_on_corpus[graphbig-loops]":
+        "3dd99ff47a10e3a27717998f89535e3dcebbb374a805ea1e4ef3fcbf9a86fcd7",
+    "test_variant_bit_identical_on_corpus[graphbig-sink-hub]":
+        "193eb5ac803d6f317c5afb965c81afb1e36eddebce26a9567321e90725e1a15b",
+    "test_variant_bit_identical_on_corpus[graphbig-star]":
+        "5257739c5ff8e0ffcd9ba7f458db3e6cbd102c01dbdcea6a7a1536e5cfa1f1d4",
+    "test_variant_bit_identical_on_corpus[gunrock-chain]":
+        "1db88f9dbe27b4d14199fbb8153874cd324a22c9fea2fc94324e4d87fdd9a95c",
+    "test_variant_bit_identical_on_corpus[gunrock-dup-chain]":
+        "757c6df48848441f845a6729ce48217b96c7e317de8eb54fee2ea0a27994a8ad",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-0]":
+        "00c02bc2cc963e050c4d969dd699355e074b2bfe2af022b8fe104214f5e0cede",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-10]":
+        "53749961c09e6ea43094d820206e9cbd9c4275ebf2351ee7866c8086fb099a2f",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-11]":
+        "c9ce877d07dcc539779ca82c6cafc0924e5131fe8be2da3b0d362f36fa978854",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-1]":
+        "0b9e681b310bbac43da6213023b6fd34d33261f2ba7d3a954742d5863f2f1519",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-2]":
+        "f00e80f4ce07d0bf10327119a62b351119902cbdb224ceb08219a461a91e080e",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-3]":
+        "35dfa53bc28abc0584bb5811167dc56b4e206f0096c7c2e2adc73e0edcc62991",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-4]":
+        "aa1368fc4b456736be27cb18fba30f61e43df19d13cf944899cafd87b31ece3c",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-5]":
+        "051cf3ea4450b2ea20f0f8783bd9c2bbaa2cb80faf36594877dd22f14712c781",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-6]":
+        "7f98c89185b4bc33735d5dd67b404433b1463535f5e6a0937a4d7b8c67c6778c",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-7]":
+        "76f0a19d280d1a2285612f53bda17911fc3dc88cecac38cbae3a516448a828be",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-8]":
+        "9679b28c0a4660798e1c1128c20774798c60242cb392c1ae9b08a1b216f2531a",
+    "test_variant_bit_identical_on_corpus[gunrock-fuzz-9]":
+        "9739a5bafc65c638e0aee990335b37e6f2bb9ade05551111ea1f6c55aa1479bd",
+    "test_variant_bit_identical_on_corpus[gunrock-islands]":
+        "ad73fc16bd48f0e8325e790ee67d4dadb6adbba0b7f0d2fe5518a200eca30456",
+    "test_variant_bit_identical_on_corpus[gunrock-loops]":
+        "06e44264ccc75335b90db1f7bf15e4439b63a30c5c27248e852e371f37ab9132",
+    "test_variant_bit_identical_on_corpus[gunrock-sink-hub]":
+        "74b77631f2f259a93ffe0b35f2c1b827618574a767920cfeae663c58660991aa",
+    "test_variant_bit_identical_on_corpus[gunrock-star]":
+        "60b6e4ffd90bbc51f36d18772e8b4a756d6b382764c9fbd80ba24b73f5d87ae8",
     "test_variant_bit_identical_on_corpus[hybrid-chain]":
         "909069f55e06f883878c868173bdbbaf642abe2b135334098f6cdaacd07a3788",
     "test_variant_bit_identical_on_corpus[hybrid-dup-chain]":
@@ -519,6 +629,42 @@ DIGESTS: dict[str, str] = {
         "0c97e03b3593740e6a6891b41ee205e09ab57bdb5a5278f73b2dc1b41d0016aa",
     "test_variant_bit_identical_on_corpus[hybrid-star]":
         "8909fc4c75a9214faee089642d14e12dcd4d5cc360365f32740980f38602be52",
+    "test_variant_bit_identical_on_corpus[mapgraph-chain]":
+        "08fd03b0c293955c2b5e0ceec6eae1512a31ac720622172857eeb109d70a56e7",
+    "test_variant_bit_identical_on_corpus[mapgraph-dup-chain]":
+        "5950b612cd962be92f23c55f97f7b61d204faf529697424fc578fb35145fc937",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-0]":
+        "f736dd0716e4581194f034edaff84ef383c8e1a43b682f9a869b5d77da676e0a",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-10]":
+        "49d6e690109b52c74ce6952a8285564ba94b33088bd3505b9f9d80b0bf4c0710",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-11]":
+        "e6c5c5e8ef39a054b2140ce6cff456ec97cda3c33e1696f1fea743398143178d",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-1]":
+        "09043c6a62e41070fe91d1282b4742aa52932407d10e66d1506c4cb832f1acf0",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-2]":
+        "515e231e17efcc5244af747b4678b0e70594b4cba3a750d5d5b83b794ce73aa3",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-3]":
+        "3b27118547a765615430d7b300e522192264e2905b773303be566bc8b7f970d8",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-4]":
+        "6e17df865e9b0db20f25c916c4d7733588638d86e9103ebb3c9dfb0c7a6aba02",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-5]":
+        "8d84a64a55bafd9eeaee9e9f89e99f2910d22a672f0d5dd598fb4b119124596a",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-6]":
+        "fcab1e7932725058be985931f6c823b44715ba2327d6ed21a5acc36a4031136a",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-7]":
+        "74c58a93d7d7e6d5633189c2f53e2954b7ccceecf183d3f340201808ebf05c97",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-8]":
+        "f658737efce0a5def912a2ee4376b8ad46c8446055975115ecdead03f6710394",
+    "test_variant_bit_identical_on_corpus[mapgraph-fuzz-9]":
+        "17a54cf51dd71de24834d93d1a185992333bd922e4c5f936c6511ff3b24a7811",
+    "test_variant_bit_identical_on_corpus[mapgraph-islands]":
+        "29434c6636cf6b3ed8d45d3427500dd1e0158adfabddc9ca473a9c6537610968",
+    "test_variant_bit_identical_on_corpus[mapgraph-loops]":
+        "ed28d5718c8cf1212744b3f18a501faa12ca6733b3ed1a889e40417a6bde9fd9",
+    "test_variant_bit_identical_on_corpus[mapgraph-sink-hub]":
+        "178d5f6df47a8e1d91bbd6ab30bddbc5479eb3c5ef9d01475ee1a76bb78cd5b2",
+    "test_variant_bit_identical_on_corpus[mapgraph-star]":
+        "1ab2082316d728f75888b51996eb962c3cee94626e9a7c6d1399a5a608e9f358",
     "test_variant_bit_identical_on_corpus[statusarray-chain]":
         "4e941ef1a11666818d118d660c79d5bb723d04079a79f58c5432180c96b353e5",
     "test_variant_bit_identical_on_corpus[statusarray-dup-chain]":

@@ -73,16 +73,6 @@ class TestOtherDevices:
         assert KEPLER_K40.hyperq_queues > 1
 
 
-class TestSharedConfig:
-    def test_valid_config(self):
-        s = KEPLER_K40.with_shared_config(48 * 1024)
-        assert s.shared_mem_per_sm_bytes == 48 * 1024
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            KEPLER_K40.with_shared_config(13 * 1024)
-
-
 class TestValidation:
     def test_rejects_zero_sm(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     FrontierLevel,
-    degree_cdf,
-    edge_mass_cdf,
     fraction_below,
     from_edges,
     frontier_statistics,
@@ -32,10 +30,10 @@ def star_graph():
 
 class TestDegreeCdf:
     def test_monotone_and_normalised(self, star_graph):
-        degs, frac = degree_cdf(star_graph)
-        assert np.all(np.diff(degs) >= 0)
-        assert frac[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(frac) > 0)
+        """``fraction_below`` is the out-degree CDF, one degree down."""
+        frac = [fraction_below(star_graph, t) for t in range(52)]
+        assert np.all(np.diff(frac) >= 0)
+        assert frac[0] == 0.0 and frac[-1] == pytest.approx(1.0)
 
     def test_fraction_below(self, star_graph):
         # 49 leaves of degree 1, one hub of degree 49.
@@ -49,9 +47,9 @@ class TestDegreeCdf:
 
 class TestEdgeMass:
     def test_cdf_reaches_one(self, star_graph):
-        vf, ef = edge_mass_cdf(star_graph)
-        assert ef[-1] == pytest.approx(1.0)
-        assert vf[-1] == pytest.approx(1.0)
+        """All vertices together own every edge."""
+        assert top_hub_edge_share(star_graph, star_graph.num_vertices) == \
+            pytest.approx(1.0)
 
     def test_star_concentration(self, star_graph):
         """The single hub owns half the directed edges."""
@@ -110,14 +108,14 @@ class TestFrontierStatistics:
 @given(degs=st.lists(st.integers(0, 40), min_size=1, max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_edge_mass_cdf_properties(degs):
-    """Edge-mass CDF is monotone and consistent with top-hub share."""
+    """The top-hub share is the complement of the edge-mass CDF over
+    vertices sorted by ascending out-degree."""
     n = len(degs)
     src = np.repeat(np.arange(n), degs)
     dst = np.zeros(src.size, dtype=np.int64)
     g = from_edges(src, dst, n, directed=True)
-    vf, ef = edge_mass_cdf(g)
-    assert np.all(np.diff(ef) >= -1e-12)
     if g.num_edges:
+        ef = np.cumsum(np.sort(g.out_degrees)) / g.num_edges
         # top-k share equals 1 - CDF at n-k.
         k = max(1, n // 3)
         share = top_hub_edge_share(g, k)

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bfs import (
-    reference_bfs_levels,
-    stealing_bfs,
-    stealing_expansion_cost,
-    validate_result,
-)
+from repro.bfs import stealing_expansion_cost
 from repro.gpu import Granularity, KEPLER_K40, expansion_kernel
 from repro.graph import powerlaw_graph
 
@@ -76,19 +71,3 @@ class TestCostModel:
         wb_ms = overlap_kernels(wb_kernels, SPEC).elapsed_ms
         assert wb_ms < steal_ms
 
-
-class TestStealingBFS:
-    def test_correct(self, any_graph):
-        r = stealing_bfs(any_graph, 0)
-        validate_result(r, any_graph)
-        assert np.array_equal(r.levels, reference_bfs_levels(any_graph, 0))
-
-    def test_kernel_names_in_trace(self, small_powerlaw):
-        r = stealing_bfs(small_powerlaw,
-                         int(np.argmax(small_powerlaw.out_degrees)))
-        names = {n for t in r.traces for n in t.kernel_names}
-        assert any(n.startswith("steal-expand") for n in names)
-
-    def test_source_validation(self, small_powerlaw):
-        with pytest.raises(ValueError):
-            stealing_bfs(small_powerlaw, -1)

@@ -1,4 +1,4 @@
-"""Induced subgraphs / ego networks and the Graph 500 stats block."""
+"""Induced subgraphs and the Graph 500 stats block."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.bfs import enterprise_bfs, reference_bfs_levels
 from repro.graph import from_edges, powerlaw_graph
-from repro.graph.subgraph import ego_network, induced_subgraph
+from repro.graph.subgraph import induced_subgraph
 from repro.metrics import graph500_stats, run_trials
 
 
@@ -42,40 +42,16 @@ class TestInducedSubgraph:
     def test_bfs_inside_subgraph_consistent(self):
         g = powerlaw_graph(200, 5.0, 2.1, 40, seed=3)
         hub = int(np.argmax(g.out_degrees))
-        ego = ego_network(g, hub, hops=2)
-        inner = enterprise_bfs(ego.graph, int(ego.from_parent(
+        full = reference_bfs_levels(g, hub)
+        ball = induced_subgraph(g, np.flatnonzero((full >= 0) & (full <= 2)))
+        inner = enterprise_bfs(ball.graph, int(ball.from_parent(
             np.array([hub]))[0]))
         # Inside the 2-hop ball, subgraph distances can only be >= the
         # full-graph distances (paths may leave the ball).
-        full = reference_bfs_levels(g, hub)
-        for v_new in range(ego.graph.num_vertices):
-            v_old = int(ego.old_id[v_new])
+        for v_new in range(ball.graph.num_vertices):
+            v_old = int(ball.old_id[v_new])
             if inner.levels[v_new] >= 0:
                 assert inner.levels[v_new] >= full[v_old]
-
-
-class TestEgoNetwork:
-    def test_one_hop_contains_neighbors(self):
-        g = from_edges([0, 0, 1], [1, 2, 3], 4, directed=True)
-        ego = ego_network(g, 0, hops=1)
-        assert set(ego.old_id.tolist()) == {0, 1, 2}
-
-    def test_zero_hops(self):
-        g = from_edges([0], [1], 3, directed=True)
-        ego = ego_network(g, 0, hops=0)
-        assert list(ego.old_id) == [0]
-
-    def test_exclude_center(self):
-        g = from_edges([0, 0], [1, 2], 3, directed=True)
-        ego = ego_network(g, 0, hops=1, include_center=False)
-        assert 0 not in ego.old_id
-
-    def test_validation(self):
-        g = from_edges([0], [1], 2, directed=True)
-        with pytest.raises(ValueError):
-            ego_network(g, 5)
-        with pytest.raises(ValueError):
-            ego_network(g, 0, hops=-1)
 
 
 class TestGraph500Stats:

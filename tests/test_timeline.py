@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.timeline import render_device_timeline, render_level_summary
+from repro.bench.timeline import render_device_timeline
 from repro.bfs import enterprise_bfs
 from repro.gpu import GPUDevice, Granularity, expansion_kernel
 from repro.graph import powerlaw_graph
@@ -53,20 +53,6 @@ class TestDeviceTimeline:
         lines = {ln.split()[0]: ln for ln in text.splitlines()
                  if ln.startswith(("short", "long"))}
         assert lines["long"].count("#") > lines["short"].count("#")
-
-
-class TestLevelSummary:
-    def test_one_row_per_level(self, traversed):
-        _, result = traversed
-        text = render_level_summary(result)
-        for t in result.traces:
-            assert f"L{t.level}" in text
-        assert "total" in text
-
-    def test_empty_result(self, traversed):
-        _, result = traversed
-        result.traces.clear()
-        assert render_level_summary(result) == "(no levels)"
 
 
 def test_cli_timeline_flag(capsys):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import COMPARISON_SYSTEMS
 from repro.bfs import enterprise_bfs, hybrid_bfs, ms_bfs
 from repro.bfs.bottomup import bottomup_bfs
 from repro.bfs.cluster import cluster_enterprise_bfs
@@ -40,6 +41,7 @@ VARIANTS = {
     "statusarray": status_array_bfs,
     "hybrid": hybrid_bfs,
     "enterprise": enterprise_bfs,
+    **{k.lower(): v for k, v in COMPARISON_SYSTEMS.items()},
 }
 
 #: Small, structurally-diverse slice of the corpus for the expensive
