@@ -12,11 +12,11 @@ traversal's levels against the single-GPU Enterprise reference and the
 exchange-ledger invariant — the same bit-identity bar the differential
 suite enforces, available to CI via ``cluster weak --check``.
 
-Every row also carries the cluster profiler's per-tier wall-time columns
-(``compute_ms`` … ``staging_ms``, whole ticks that exactly partition
-``time_ms`` — see :mod:`repro.observ.clusterprof`), which is what lets
-``report --cluster`` turn the efficiency number into a per-tier
-waterfall.  Pass
+Every row also carries the run's per-tier wall-time columns
+(``compute_ms`` … ``staging_ms``, sums of the level records' ticks that
+exactly partition ``time_ms`` — see :mod:`repro.observ.clusterprof`),
+which is what lets ``report --cluster`` turn the efficiency number into
+a per-tier waterfall.  Pass
 ``return_results=True`` to also get the raw
 :class:`~repro.bfs.cluster.ClusterBFSResult` per node count for
 profile-building.
@@ -30,7 +30,6 @@ from ..bfs.cluster import ClusterBFSResult, cluster_enterprise_bfs
 from ..bfs.enterprise import enterprise_bfs
 from ..gpu.clock import PS_PER_MS
 from ..graph.generators import rmat_graph
-from ..observ.clusterprof import build_cluster_profile
 
 __all__ = ["run_weak_scaling"]
 
@@ -60,8 +59,7 @@ def run_weak_scaling(
             g, source, nodes, gpus_per_node, parts_per_node=parts_per_node)
         if base_time is None:
             base_time = res.time_ms
-        tiers = {t: ps / PS_PER_MS for t, ps in
-                 build_cluster_profile(res).tier_totals().items()}
+        tiers = {t: ps / PS_PER_MS for t, ps in res.tier_totals().items()}
         row: dict[str, object] = {
             "nodes": nodes,
             "gpus": nodes * gpus_per_node,

@@ -20,8 +20,10 @@ charged its own group's compressed payload, a level pays the slowest
 concurrent ring per phase, rings that discovered nothing ship nothing,
 and ``bytes_intra + bytes_inter == sum(charged_payloads)`` exactly.
 A single-tier comparator (every ring priced at the inter-node link)
-accumulates in ``flat_communication_ms`` so the hierarchy's advantage
-is a measured number, not an assumption.
+accumulates in ``flat_communication_ps`` so the hierarchy's advantage
+is a measured number, not an assumption.  Each level is recorded once,
+in ticks, as a :class:`~repro.observ.clusterprof.ClusterLevelProfile`;
+the run's tier and byte totals are sums over those records.
 
 Adjacency is sharded out-of-core: node i owns only the
 :class:`~repro.storage.partitioned.PartitionedCSR` partitions covering
@@ -63,6 +65,7 @@ from ..gpu.memory import sequential_transactions
 from ..gpu.multi import InterconnectSpec
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
+from ..observ.clusterprof import ClusterLevelProfile, TierSlice, sum_tiers
 from ..observ.registry import get_registry
 from ..observ.tracer import TID_RUN, TID_STREAM, get_tracer
 from ..storage.partitioned import PartitionCache, PartitionedCSR
@@ -77,8 +80,8 @@ from .partition2d import (
     _segment_payloads,
 )
 
-__all__ = ["ClusterBFSResult", "ClusterLevelCost", "balanced_bounds",
-           "cluster_enterprise_bfs", "shard_bounds"]
+__all__ = ["ClusterBFSResult", "balanced_bounds", "cluster_enterprise_bfs",
+           "shard_bounds"]
 
 
 def balanced_bounds(weights: np.ndarray, parts: int) -> np.ndarray:
@@ -116,45 +119,6 @@ def shard_bounds(row_bounds: np.ndarray, parts_per_node: int) -> np.ndarray:
     return np.asarray(bounds, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ClusterLevelCost:
-    """One level's wall time, decomposed by tier at charge time.
-
-    Every time is a whole number of picosecond ticks shown in ms
-    (``ticks / PS_PER_MS``, which :func:`~repro.gpu.clock.ticks`
-    inverts exactly): ``total_ms`` is what the level added to the run's
-    wall clock, and the six tier components' ticks sum to its ticks.
-    Per-node vectors keep the straggler structure the scalars throw
-    away: ``node_compute_ms`` is each node's critical-path kernel time
-    (the level pays the max), ``node_staging_ms`` each node's
-    concurrent page-in time.
-    """
-
-    level: int
-    direction: str
-    frontier_count: int
-    newly_visited: int
-    #: max over all devices (the grid-wide critical path).
-    compute_ms: float
-    #: slowest concurrent intra-node (NVLink) row-exchange ring.
-    row_ms: float
-    #: slowest concurrent inter-node (InfiniBand) column ring.
-    col_ms: float
-    #: frontier-consensus allreduce, split by tier.
-    allreduce_intra_ms: float
-    allreduce_inter_ms: float
-    #: slowest node's out-of-core page-in time.
-    staging_ms: float
-    #: exactly what the level added to the wall clock.
-    total_ms: float
-    node_compute_ms: tuple[float, ...]
-    node_staging_ms: tuple[float, ...]
-    #: per-tier payloads this level (row/col exchange, staged reads).
-    bytes_row: int
-    bytes_col: int
-    bytes_staged: int
-
-
 @dataclass
 class ClusterBFSResult:
     """Outcome of a cluster traversal plus its per-tier ledgers."""
@@ -162,35 +126,72 @@ class ClusterBFSResult:
     result: BFSResult
     num_nodes: int
     gpus_per_node: int
-    computation_ms: float
-    #: Exchange + collective time on the fast intra-node tier.
-    intra_ms: float
-    #: Exchange + collective time on the slow inter-node tier.
-    inter_ms: float
-    #: Simulated storage time paging adjacency shards (max across nodes
-    #: per level — nodes stage concurrently).
-    io_ms: float
-    #: Time inside the hierarchical frontier-count allreduce (already
-    #: included in the tier totals above).
-    collective_ms: float
-    #: Exchange payload bytes that crossed the intra-node tier.
-    bytes_intra: int
-    #: Exchange payload bytes that crossed the inter-node tier.
-    bytes_inter: int
-    #: Adjacency bytes actually read from simulated storage.
-    bytes_read: int
     #: Per-node shard footprint on storage.
     shard_bytes: list[int]
     total_adjacency_bytes: int
     #: What the same exchange schedule would cost on a single-tier
-    #: fabric (every ring priced at the inter-node link).
-    flat_communication_ms: float
+    #: fabric (every ring priced at the inter-node link), in ticks.
+    flat_communication_ps: int
     #: Every per-ring exchange payload actually charged, in charge
     #: order; ``bytes_intra + bytes_inter == sum(charged_payloads)``.
     charged_payloads: list[int] = field(default_factory=list)
-    #: Per-level tier decomposition in level order — the cluster
-    #: profiler's raw material (:mod:`repro.observ.clusterprof`).
-    level_costs: list[ClusterLevelCost] = field(default_factory=list)
+    #: Every level in order, split into the six tiers in ticks and
+    #: bytes: the totals below and the cluster profile read these.
+    levels: list[ClusterLevelProfile] = field(default_factory=list)
+
+    def tier_totals(self) -> dict[str, int]:
+        """Whole-run ticks per tier, summing to ``result.time_ps``."""
+        return sum_tiers(self.levels)
+
+    def _ms(self, *tiers: str) -> float:
+        totals = self.tier_totals()
+        return sum(totals[t] for t in tiers) / PS_PER_MS
+
+    @property
+    def computation_ms(self) -> float:
+        """Grid critical-path kernel time."""
+        return self._ms("compute")
+
+    @property
+    def intra_ms(self) -> float:
+        """Exchange + collective time on the fast intra-node tier."""
+        return self._ms("row_exchange", "allreduce_intra")
+
+    @property
+    def inter_ms(self) -> float:
+        """Exchange + collective time on the slow inter-node tier."""
+        return self._ms("col_exchange", "allreduce_inter")
+
+    @property
+    def io_ms(self) -> float:
+        """Simulated storage time paging adjacency shards (max across
+        nodes per level — nodes stage concurrently)."""
+        return self._ms("staging")
+
+    @property
+    def collective_ms(self) -> float:
+        """Time inside the hierarchical frontier-count allreduce (already
+        included in ``intra_ms`` and ``inter_ms``)."""
+        return self._ms("allreduce_intra", "allreduce_inter")
+
+    @property
+    def bytes_intra(self) -> int:
+        """Exchange payload bytes that crossed the intra-node tier."""
+        return sum_tiers(self.levels, "nbytes")["row_exchange"]
+
+    @property
+    def bytes_inter(self) -> int:
+        """Exchange payload bytes that crossed the inter-node tier."""
+        return sum_tiers(self.levels, "nbytes")["col_exchange"]
+
+    @property
+    def bytes_read(self) -> int:
+        """Adjacency bytes actually read from simulated storage."""
+        return sum_tiers(self.levels, "nbytes")["staging"]
+
+    @property
+    def flat_communication_ms(self) -> float:
+        return self.flat_communication_ps / PS_PER_MS
 
     @property
     def time_ms(self) -> float:
@@ -284,12 +285,6 @@ def _clocks(devices: list[list[GPUDevice]]) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _total_ms(costs: list[ClusterLevelCost], *names: str) -> float:
-    """Run total of the named per-level fields, summed as ticks."""
-    return sum(ticks(getattr(c, name))
-               for c in costs for name in names) / PS_PER_MS
-
-
 def _grid_bfs(
     graph: CSRGraph,
     source: int,
@@ -303,7 +298,7 @@ def _grid_bfs(
     *,
     stage: Callable[[np.ndarray, bool], tuple[list[int], int]] | None = None,
     allreduce: Callable[[int, float], tuple[int, int, int]] | None = None,
-) -> tuple[BFSResult, list[ClusterLevelCost], list[int], int]:
+) -> tuple[BFSResult, list[ClusterLevelProfile], list[int], int]:
     """The direction-optimizing level loop over a device grid: staging,
     block expansion or inspection, the private status scan, the row
     exchange, the column exchange and the allreduce, then the γ switch.
@@ -322,10 +317,11 @@ def _grid_bfs(
 
     Each device's level time is the delta of its clock across the
     level's launches, so a straggler's slowdown reaches the wall clock.
-    Returns the BFS result (``time_ms`` is the wall clock), the
-    per-level costs, every ring payload charged, in charge order, and
-    the exchange ticks had every ring run on ``col_link`` (with the
-    allreduce's comparator).  Only γ switching is modelled: any other
+    Returns the BFS result (``time_ps`` is the wall clock), one
+    :class:`~repro.observ.clusterprof.ClusterLevelProfile` per level,
+    every ring payload charged, in charge order, and the exchange ticks
+    had every ring run on ``col_link`` (with the allreduce's
+    comparator).  Only γ switching is modelled: any other
     config field away from its default raises ``ValueError``.
     """
     config.reject_unmodelled(
@@ -355,7 +351,7 @@ def _grid_bfs(
     tracer = get_tracer()
 
     traces: list[LevelTrace] = []
-    costs: list[ClusterLevelCost] = []
+    records: list[ClusterLevelProfile] = []
     payloads: list[int] = []
     wall_ps = 0
     flat_ps = 0
@@ -423,23 +419,20 @@ def _grid_bfs(
             expand_ps=level_compute,
             gamma=gamma_value,
         ))
-        costs.append(ClusterLevelCost(
+        records.append(ClusterLevelProfile(
             level=level, direction=direction,
             frontier_count=int(queue.size),
             newly_visited=int(newly.size),
-            compute_ms=level_compute / PS_PER_MS,
-            row_ms=row_ps / PS_PER_MS,
-            col_ms=col_ps / PS_PER_MS,
-            allreduce_intra_ms=ar_intra / PS_PER_MS,
-            allreduce_inter_ms=ar_inter / PS_PER_MS,
-            staging_ms=level_io / PS_PER_MS,
-            total_ms=level_total / PS_PER_MS,
-            node_compute_ms=tuple(int(ps) / PS_PER_MS
+            time_ps=level_total,
+            tiers=(TierSlice("compute", level_compute, 0),
+                   TierSlice("row_exchange", row_ps, sum(row_bytes)),
+                   TierSlice("col_exchange", col_ps, sum(col_bytes)),
+                   TierSlice("allreduce_intra", ar_intra, 0),
+                   TierSlice("allreduce_inter", ar_inter, 0),
+                   TierSlice("staging", level_io, staged)),
+            node_compute_ps=tuple(int(ps)
                                   for ps in per_device_ps.max(axis=1)),
-            node_staging_ms=tuple(ps / PS_PER_MS for ps in node_io),
-            bytes_row=sum(row_bytes),
-            bytes_col=sum(col_bytes),
-            bytes_staged=staged,
+            node_staging_ps=tuple(node_io),
         ))
         if newly.size == 0:
             break
@@ -458,11 +451,11 @@ def _grid_bfs(
         levels=status,
         parents=parents,
         traces=traces,
-        time_ms=wall_ps / PS_PER_MS,
+        time_ps=wall_ps,
         gamma_history=gamma.history,
     )
     result.set_edges_traversed(graph)
-    return result, costs, payloads, flat_ps
+    return result, records, payloads, flat_ps
 
 
 def cluster_enterprise_bfs(
@@ -550,7 +543,7 @@ def cluster_enterprise_bfs(
     # Per-run ledger scoping: a reused fabric must not report the
     # previous traversal's traffic on top of this one's.
     fabric.reset_ledgers()
-    result, costs, payloads, flat_ps = _grid_bfs(
+    result, records, payloads, flat_ps = _grid_bfs(
         graph, source, config, f"enterprise-cluster[{rows}n x {cols}g]",
         fabric.device_grid(), row_bounds, partition_bounds(n, cols),
         fabric.intra, fabric.inter, stage=stage,
@@ -560,20 +553,11 @@ def cluster_enterprise_bfs(
         result=result,
         num_nodes=rows,
         gpus_per_node=cols,
-        computation_ms=_total_ms(costs, "compute_ms"),
-        intra_ms=_total_ms(costs, "row_ms", "allreduce_intra_ms"),
-        inter_ms=_total_ms(costs, "col_ms", "allreduce_inter_ms"),
-        io_ms=_total_ms(costs, "staging_ms"),
-        collective_ms=_total_ms(costs, "allreduce_intra_ms",
-                                "allreduce_inter_ms"),
-        bytes_intra=sum(c.bytes_row for c in costs),
-        bytes_inter=sum(c.bytes_col for c in costs),
-        bytes_read=sum(c.bytes_staged for c in costs),
         shard_bytes=shard_sizes,
         total_adjacency_bytes=parts_fwd.total_bytes,
-        flat_communication_ms=flat_ps / PS_PER_MS,
+        flat_communication_ps=flat_ps,
         charged_payloads=payloads,
-        level_costs=costs,
+        levels=records,
     )
     registry = get_registry()
     if registry.enabled:
@@ -582,12 +566,10 @@ def cluster_enterprise_bfs(
                              ("storage", run.bytes_read)):
             registry.counter("repro.cluster.bytes",
                              tier=tier).inc(float(nbytes))
-        registry.counter("repro.cluster.levels").inc(float(len(costs)))
-        registry.counter("repro.cluster.ms",
-                         tier="compute").inc(run.computation_ms)
-        registry.counter("repro.cluster.ms", tier="row-exchange").inc(
-            _total_ms(costs, "row_ms"))
-        registry.counter("repro.cluster.ms", tier="col-exchange").inc(
-            _total_ms(costs, "col_ms"))
-        registry.counter("repro.cluster.ms", tier="staging").inc(run.io_ms)
+        registry.counter("repro.cluster.levels").inc(float(len(records)))
+        totals = run.tier_totals()
+        for tier in ("compute", "row_exchange", "col_exchange", "staging"):
+            registry.counter("repro.cluster.ms",
+                             tier=tier.replace("_", "-")).inc(
+                totals[tier] / PS_PER_MS)
     return run

@@ -96,13 +96,13 @@ class BFSResult:
     levels: np.ndarray
     parents: np.ndarray
     traces: list[LevelTrace] = field(default_factory=list)
-    time_ms: float = 0.0
+    #: The run's simulated time, in picosecond ticks.
+    time_ps: int = 0
     #: Queue-generation ticks charged after the last trace: the scan or
     #: filter that found the next queue empty, or the queue that
     #: ``max_levels`` left unexpanded (0 when there was none).  In an
     #: ``enterprise_bfs`` run, in memory or out of core without
-    #: prefetch, the traces' ticks plus these are the ticks of
-    #: ``time_ms``.
+    #: prefetch, the traces' ticks plus these are ``time_ps``.
     tail_queue_gen_ps: int = 0
     #: Populated by enterprise_bfs: the HubCachePolicy of the run (None
     #: when the configuration disabled HC) and the per-level indicator
@@ -110,6 +110,10 @@ class BFSResult:
     hub_cache: object | None = None
     gamma_history: list[float] = field(default_factory=list)
     alpha_history: list[float] = field(default_factory=list)
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
 
     @property
     def depth(self) -> int:
@@ -136,7 +140,7 @@ class BFSResult:
     @property
     def teps(self) -> float:
         """Traversed edges per second against simulated device time."""
-        if self.time_ms <= 0:
+        if self.time_ps <= 0:
             return 0.0
         return self.edges_traversed / (self.time_ms * 1e-3)
 
@@ -267,7 +271,7 @@ def finish_traversal(algorithm: str, graph: CSRGraph, source: int,
     timed by the device clock."""
     result = BFSResult(algorithm=algorithm, graph_name=graph.name,
                        source=source, levels=status, parents=parents,
-                       traces=traces, time_ms=device.elapsed_ms)
+                       traces=traces, time_ps=device.elapsed_ps)
     result.set_edges_traversed(graph)
     return result
 

@@ -512,7 +512,7 @@ def _traverse(
         levels=status,
         parents=parents,
         traces=traces,
-        time_ms=device.elapsed_ms,
+        time_ps=device.elapsed_ps,
         tail_queue_gen_ps=queue_gen_ps,
     )
     result.set_edges_traversed(graph)

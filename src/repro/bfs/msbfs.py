@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..gpu.clock import PS_PER_MS
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import Granularity, expansion_kernel, sweep_kernel
 from ..gpu.memory import sequential_transactions
@@ -42,9 +43,14 @@ class MSBFSResult:
     #: ``levels[i, v]`` — BFS level of vertex v from ``sources[i]``
     #: (:data:`~repro.bfs.common.UNVISITED` if unreachable).
     levels: np.ndarray
-    time_ms: float
+    #: Simulated time of every batch, in picosecond ticks.
+    time_ps: int
     #: Union-frontier sizes per level (the sharing the batch exploits).
     union_frontiers: list[int]
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_ps / PS_PER_MS
 
     @property
     def num_sources(self) -> int:
@@ -52,7 +58,7 @@ class MSBFSResult:
 
     def teps(self, graph: CSRGraph) -> float:
         """Aggregate TEPS over all sources in the batch."""
-        if self.time_ms <= 0:
+        if self.time_ps <= 0:
             return 0.0
         total = 0
         for i in range(self.num_sources):
@@ -139,6 +145,6 @@ def ms_bfs(
     return MSBFSResult(
         sources=sources,
         levels=all_levels,
-        time_ms=device.elapsed_ms,
+        time_ps=device.elapsed_ps,
         union_frontiers=union_frontiers,
     )

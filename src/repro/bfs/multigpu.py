@@ -53,10 +53,19 @@ class MultiGPUResult:
 
     result: BFSResult
     num_gpus: int
-    communication_ms: float
-    computation_ms: float
+    #: Allgather and slowest-device kernel ticks over all levels.
+    communication_ps: int
+    computation_ps: int
     bytes_exchanged: int
     bytes_uncompressed: int
+
+    @property
+    def communication_ms(self) -> float:
+        return self.communication_ps / PS_PER_MS
+
+    @property
+    def computation_ms(self) -> float:
+        return self.computation_ps / PS_PER_MS
 
     @property
     def time_ms(self) -> float:
@@ -290,14 +299,14 @@ def multigpu_enterprise_bfs(
         levels=private_status[0],
         parents=parents,
         traces=traces,
-        time_ms=group.elapsed_ms,
+        time_ps=group.elapsed_ps,
     )
     result.set_edges_traversed(graph)
     return MultiGPUResult(
         result=result,
         num_gpus=num_gpus,
-        communication_ms=group.communication_ms,
-        computation_ms=compute_ps_total / PS_PER_MS,
+        communication_ps=group.communication_ps,
+        computation_ps=compute_ps_total,
         bytes_exchanged=bytes_exchanged,
         bytes_uncompressed=bytes_uncompressed,
     )

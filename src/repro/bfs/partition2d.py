@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..accel import shared_arange
+from ..gpu.clock import PS_PER_MS
 from ..gpu.device import GPUDevice
 from ..gpu.kernels import Granularity, KernelCost, expansion_kernel
 from ..gpu.multi import (
@@ -61,6 +62,7 @@ from ..gpu.multi import (
 )
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..graph.csr import CSRGraph
+from ..observ.clusterprof import sum_tiers
 from .common import BFSResult, UNVISITED, _INT64_MAX, _scan_first_hits
 from .enterprise import EnterpriseConfig
 from .multigpu import partition_bounds
@@ -92,14 +94,23 @@ class MultiGPU2DResult:
 
     result: BFSResult
     grid: Grid2D
-    communication_ms: float
-    computation_ms: float
+    #: Exchange and critical-path kernel ticks over all levels.
+    communication_ps: int
+    computation_ps: int
     bytes_exchanged: int
     #: Bytes a 1-D partition would have exchanged over the same levels.
     bytes_exchanged_1d: int
     #: Every per-ring payload actually charged, in charge order; the
     #: ledger invariant is ``bytes_exchanged == sum(charged_payloads)``.
     charged_payloads: list[int] = field(default_factory=list)
+
+    @property
+    def communication_ms(self) -> float:
+        return self.communication_ps / PS_PER_MS
+
+    @property
+    def computation_ms(self) -> float:
+        return self.computation_ps / PS_PER_MS
 
     @property
     def time_ms(self) -> float:
@@ -248,7 +259,7 @@ def multigpu2d_enterprise_bfs(
     """Direction-optimizing BFS over a rows x cols blocked partition: the
     grid loop with both exchanges on ``grid.interconnect``."""
     # The grid loop's module imports this one's block helpers.
-    from .cluster import _grid_bfs, _total_ms
+    from .cluster import _grid_bfs
 
     config = config or EnterpriseConfig()
     grid = grid or Grid2D(rows, cols)
@@ -256,18 +267,19 @@ def multigpu2d_enterprise_bfs(
         raise ValueError("grid object does not match rows/cols")
     n = graph.num_vertices
     devices = [[GPUDevice(spec) for _ in range(cols)] for _ in range(rows)]
-    result, costs, payloads, _ = _grid_bfs(
+    result, levels, payloads, _ = _grid_bfs(
         graph, source, config, f"enterprise-2d[{rows}x{cols}]", devices,
         partition_bounds(n, rows), partition_bounds(n, cols),
         grid.interconnect, grid.interconnect)
     # The 1-D comparator ships the full n-bit view from each device.
     view_bytes = (-(-n // 8)) * grid.size if grid.size > 1 else 0
+    totals = sum_tiers(levels)
     return MultiGPU2DResult(
         result=result,
         grid=grid,
-        communication_ms=_total_ms(costs, "row_ms", "col_ms"),
-        computation_ms=_total_ms(costs, "compute_ms"),
+        communication_ps=totals["row_exchange"] + totals["col_exchange"],
+        computation_ps=totals["compute"],
         bytes_exchanged=sum(payloads),
-        bytes_exchanged_1d=view_bytes * len(costs),
+        bytes_exchanged_1d=view_bytes * len(levels),
         charged_payloads=payloads,
     )

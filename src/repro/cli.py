@@ -523,7 +523,7 @@ def _cmd_profile_cluster(args) -> int:
     prof = profile_cluster_run(
         g, args.source, args.nodes, args.gpus_per_node,
         parts_per_node=args.parts_per_node, seed=args.seed,
-        faults=faults)
+        faults=faults, spec=DEVICES[args.device])
     print(format_cluster_profile(prof, max_findings=args.findings))
     if args.out:
         write_artifact(args.out, cluster_to_json(prof))
@@ -1310,6 +1310,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("serve: --snapshot and --diff need --bench or --check")
     if snapshot and args.command == "cluster" and args.verb != "weak":
         parser.error("cluster: --snapshot and --diff need the weak verb")
+    if args.command == "profile" and args.cluster:
+        for flag, given in (("--compare", args.compare),
+                            ("--bench-dir", args.bench_dir),
+                            ("--config", args.config != "enterprise")):
+            if given:
+                parser.error(f"profile: {flag} does not apply to --cluster")
     try:
         _load_baselines(args)
         return COMMANDS[args.command](args)

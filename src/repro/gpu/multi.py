@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import PS_PER_MS, ticks
+from .clock import ticks
 from .device import GPUDevice
 from .specs import DeviceSpec, KEPLER_K40
 
@@ -144,12 +144,12 @@ class DeviceGroup:
         return ps
 
     @property
-    def elapsed_ms(self) -> float:
-        return self._elapsed_ps / PS_PER_MS
+    def elapsed_ps(self) -> int:
+        return self._elapsed_ps
 
     @property
-    def communication_ms(self) -> float:
-        return self._comm_ps / PS_PER_MS
+    def communication_ps(self) -> int:
+        return self._comm_ps
 
     # ------------------------------------------------------------------
     # Replicated-serving helpers (repro.serve): devices as independent

@@ -50,154 +50,40 @@ timeline; ``python -m repro monitor <graph>`` watches a serve run live;
 snapshots.
 """
 
-from .artifact import (
-    load_artifact,
-    validate_artifact,
-    write_artifact,
-)
-from .bus import (
-    FINDINGS_SCHEMA,
-    FindingsBus,
-)
-from .clusterprof import (
-    CLUSTER_PROFILE_SCHEMA,
-    CLUSTER_TIERS,
-    ClusterLevelProfile,
-    ClusterProfile,
-    ScalingStep,
-    ScalingTerm,
-    TierSlice,
-    WeakScalingDecomposition,
-    build_cluster_profile,
-    cluster_to_json,
-    decompose_weak_scaling,
-    diagnose_cluster,
-    format_cluster_profile,
-    format_weak_scaling,
-    profile_cluster_run,
-    render_cluster_html,
-)
-from .detect import (
-    ANOMALY_SCHEMA,
-    Anomaly,
-    DetectorBank,
-    ReferenceBandDetector,
-    reference_band,
-)
+from .artifact import load_artifact, validate_artifact, write_artifact
+from .bus import FINDINGS_SCHEMA
+from .clusterprof import CLUSTER_PROFILE_SCHEMA
 from .events import (
     chrome_trace_events,
     to_chrome_trace,
     validate_trace,
     write_chrome_trace,
 )
-from .monitor import (
-    LiveMonitor,
-    MonitorConfig,
-    render_dashboard,
-)
 from .profiler import (
-    KERNEL_CLASSES,
     PROFILE_SCHEMA,
-    ClassProfile,
-    DeltaAttribution,
-    Finding,
-    LevelProfile,
-    ProfileDiff,
-    RunProfile,
-    build_profile,
     diagnose,
     diff_profiles,
     format_diff,
     format_profile,
     profile_run,
-    render_html,
 )
-from .roofline import (
-    BOUND_KINDS,
-    RooflinePoint,
-    peak_instr_per_s,
-    ridge_intensity,
-    roofline_point,
-)
-from .registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collecting,
-    get_registry,
-    set_registry,
-)
+from .registry import MetricsRegistry, collecting, get_registry, set_registry
 from .snapshot import (
     SNAPSHOT_SCHEMA,
-    MetricDelta,
-    SnapshotDiff,
     bench_snapshot,
     diff_snapshots,
     metric_direction,
     run_snapshot,
 )
-from .slo import (
-    DEFAULT_BURN_RULES,
-    Alert,
-    BurnRule,
-    SLOConfig,
-    SLOMonitor,
-    SLOStatus,
-)
-from .timeseries import (
-    SERIES_SCHEMA,
-    Board,
-    Series,
-    WindowStats,
-)
-from .tracer import (
-    FLOW_PHASES,
-    INSTANT_SCOPES,
-    TID_HARNESS,
-    TID_RUN,
-    TID_SERVE,
-    TID_STREAM,
-    CounterRecord,
-    FlowRecord,
-    InstantRecord,
-    NullTracer,
-    SpanRecord,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
-)
-from .whatif import (
-    KNOBS,
-    Knob,
-    Mutation,
-    Prediction,
-    estimate_serve_impact,
-    suggest_serve_mutations,
-)
+from .timeseries import SERIES_SCHEMA
+from .tracer import NullTracer, Tracer, get_tracer, set_tracer, tracing
 
 __all__ = [
     "load_artifact",
     "validate_artifact",
     "write_artifact",
-    "Alert",
-    "BurnRule",
-    "CounterRecord",
-    "DEFAULT_BURN_RULES",
-    "FLOW_PHASES",
-    "FlowRecord",
     "NullTracer",
-    "SLOConfig",
-    "SLOMonitor",
-    "SLOStatus",
-    "SpanRecord",
     "Tracer",
-    "TID_HARNESS",
-    "TID_RUN",
-    "TID_SERVE",
-    "TID_STREAM",
     "get_tracer",
     "set_tracer",
     "tracing",
@@ -206,76 +92,21 @@ __all__ = [
     "validate_trace",
     "write_chrome_trace",
     "CLUSTER_PROFILE_SCHEMA",
-    "CLUSTER_TIERS",
-    "ClusterLevelProfile",
-    "ClusterProfile",
-    "ScalingStep",
-    "ScalingTerm",
-    "TierSlice",
-    "WeakScalingDecomposition",
-    "build_cluster_profile",
-    "cluster_to_json",
-    "decompose_weak_scaling",
-    "diagnose_cluster",
-    "format_cluster_profile",
-    "format_weak_scaling",
-    "profile_cluster_run",
-    "render_cluster_html",
-    "BOUND_KINDS",
-    "ClassProfile",
-    "DeltaAttribution",
-    "Finding",
-    "KERNEL_CLASSES",
-    "LevelProfile",
     "PROFILE_SCHEMA",
-    "ProfileDiff",
-    "RooflinePoint",
-    "RunProfile",
-    "build_profile",
     "diagnose",
     "diff_profiles",
     "format_diff",
     "format_profile",
-    "peak_instr_per_s",
     "profile_run",
-    "render_html",
-    "ridge_intensity",
-    "roofline_point",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "collecting",
     "get_registry",
     "set_registry",
-    "MetricDelta",
     "SNAPSHOT_SCHEMA",
-    "SnapshotDiff",
     "bench_snapshot",
     "diff_snapshots",
     "metric_direction",
     "run_snapshot",
     "SERIES_SCHEMA",
-    "WindowStats",
-    "Series",
-    "Board",
-    "ANOMALY_SCHEMA",
-    "Anomaly",
-    "ReferenceBandDetector",
-    "reference_band",
-    "DetectorBank",
     "FINDINGS_SCHEMA",
-    "FindingsBus",
-    "INSTANT_SCOPES",
-    "InstantRecord",
-    "LiveMonitor",
-    "MonitorConfig",
-    "render_dashboard",
-    "KNOBS",
-    "Knob",
-    "Mutation",
-    "Prediction",
-    "estimate_serve_impact",
-    "suggest_serve_mutations",
 ]

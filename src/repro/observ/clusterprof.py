@@ -3,8 +3,9 @@ BFS, ranked cluster findings, and a weak-scaling efficiency waterfall.
 
 :mod:`repro.observ.profiler` answers "where did this *device's* time go"
 per kernel class; this module answers the same question one layer up,
-where the costs are fabric tiers instead of kernel granularities.  Every
-:class:`~repro.bfs.cluster.ClusterLevelCost` is partitioned into the six
+where the costs are fabric tiers instead of kernel granularities.  The
+grid loop (:func:`~repro.bfs.cluster.cluster_enterprise_bfs`) records
+each level as a :class:`ClusterLevelProfile`, partitioned into the six
 cluster tiers —
 
 ``compute``           max-over-devices kernel time (the grid critical path)
@@ -39,12 +40,12 @@ import html as _html
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..gpu.clock import PS_PER_MS, ticks
+from ..gpu.clock import PS_PER_MS
 from .artifact import register_artifact
 from .profiler import Finding, _table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..bfs.cluster import ClusterBFSResult, ClusterLevelCost
+    from ..bfs.cluster import ClusterBFSResult
     from ..faults.plan import FaultPlan
     from ..gpu.fabric import Fabric
     from ..graph.csr import CSRGraph
@@ -58,6 +59,7 @@ __all__ = [
     "ScalingTerm",
     "ScalingStep",
     "WeakScalingDecomposition",
+    "sum_tiers",
     "build_cluster_profile",
     "profile_cluster_run",
     "diagnose_cluster",
@@ -99,7 +101,8 @@ class TierSlice:
 
 @dataclass(frozen=True)
 class ClusterLevelProfile:
-    """One cluster-BFS level, partitioned across the fabric tiers."""
+    """One cluster-BFS level, partitioned across the fabric tiers, as
+    the grid loop charged it."""
 
     level: int
     direction: str
@@ -186,11 +189,7 @@ class ClusterProfile:
 
     def tier_totals(self) -> dict[str, int]:
         """Whole-run ticks per tier, summing to ``time_ps``."""
-        totals = dict.fromkeys(CLUSTER_TIERS, 0)
-        for lvl in self.levels:
-            for s in lvl.tiers:
-                totals[s.tier] += s.time_ps
-        return totals
+        return sum_tiers(self.levels)
 
     def tier_shares(self) -> dict[str, float]:
         total = max(self.time_ps, 1)
@@ -217,16 +216,15 @@ class ClusterProfile:
 # Building profiles
 # ----------------------------------------------------------------------
 
-def _tier_slices(cost: "ClusterLevelCost") -> tuple[TierSlice, ...]:
-    """One level's six tier charges, as ticks."""
-    return (
-        TierSlice("compute", ticks(cost.compute_ms), 0),
-        TierSlice("row_exchange", ticks(cost.row_ms), cost.bytes_row),
-        TierSlice("col_exchange", ticks(cost.col_ms), cost.bytes_col),
-        TierSlice("allreduce_intra", ticks(cost.allreduce_intra_ms), 0),
-        TierSlice("allreduce_inter", ticks(cost.allreduce_inter_ms), 0),
-        TierSlice("staging", ticks(cost.staging_ms), cost.bytes_staged),
-    )
+def sum_tiers(levels: Sequence[ClusterLevelProfile],
+              attr: str = "time_ps") -> dict[str, int]:
+    """Whole-run sum of one :class:`TierSlice` field (ticks, or
+    ``"nbytes"``) per tier, in :data:`CLUSTER_TIERS` order."""
+    totals = dict.fromkeys(CLUSTER_TIERS, 0)
+    for lvl in levels:
+        for s in lvl.tiers:
+            totals[s.tier] += getattr(s, attr)
+    return totals
 
 
 def build_cluster_profile(
@@ -238,25 +236,12 @@ def build_cluster_profile(
     """Aggregate one finished cluster traversal into a
     :class:`ClusterProfile`.
 
-    All the raw material comes from ``res.level_costs`` (recorded at
-    charge time by :func:`~repro.bfs.cluster.cluster_enterprise_bfs`,
-    whose ms values are whole ticks); ``fabric`` only contributes the
-    interconnect tier names.
+    The levels are the traversal's own ``res.levels``, recorded at
+    charge time by :func:`~repro.bfs.cluster.cluster_enterprise_bfs`;
+    ``fabric`` only contributes the interconnect tier names.
     """
     import math
 
-    levels = tuple(
-        ClusterLevelProfile(
-            level=c.level,
-            direction=c.direction,
-            frontier_count=c.frontier_count,
-            newly_visited=c.newly_visited,
-            time_ps=ticks(c.total_ms),
-            tiers=_tier_slices(c),
-            node_compute_ps=tuple(ticks(ms) for ms in c.node_compute_ms),
-            node_staging_ps=tuple(ticks(ms) for ms in c.node_staging_ms),
-        )
-        for c in res.level_costs)
     adv = res.hierarchy_advantage
     return ClusterProfile(
         algorithm=res.result.algorithm,
@@ -264,11 +249,11 @@ def build_cluster_profile(
         source=int(res.result.source),
         num_nodes=res.num_nodes,
         gpus_per_node=res.gpus_per_node,
-        time_ps=ticks(res.time_ms),
+        time_ps=res.result.time_ps,
         edges_traversed=int(res.result.edges_traversed),
         visited=int(res.result.visited),
         depth=int(res.result.depth),
-        levels=levels,
+        levels=tuple(res.levels),
         bytes_intra=int(res.bytes_intra),
         bytes_inter=int(res.bytes_inter),
         bytes_read=int(res.bytes_read),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfs import (
@@ -17,6 +17,7 @@ from repro.bfs import (
     reference_bfs_levels,
     validate_result,
 )
+from repro.gpu.clock import PS_PER_MS
 from repro.graph import from_edges
 
 
@@ -92,19 +93,28 @@ def _shared_target_frontiers(draw):
     """A multigraph, a status array at ``level`` and a frontier whose
     vertices share targets: each frontier vertex draws its targets from a
     small pool (repeats are duplicate edges), and stray edges between any
-    two vertices add self-loops and, undirected, reverse edges."""
+    two vertices add self-loops and, undirected, reverse edges.  At least
+    ``n / 8`` edges run from the frontier to vertices kept unvisited, so
+    an expansion on the unpadded status array dedups by scanning."""
     n = draw(st.integers(2, 16))
     level = draw(st.integers(0, 3))
     frontier = draw(st.lists(st.integers(0, n - 1), min_size=1,
-                             max_size=n, unique=True))
+                             max_size=n - 1, unique=True))
+    fresh = draw(st.lists(
+        st.sampled_from([v for v in range(n) if v not in frontier]),
+        min_size=1, max_size=4, unique=True))
     pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
     edges = draw(st.lists(st.tuples(st.sampled_from(frontier),
-                                    st.sampled_from(pool + frontier)),
-                          min_size=2, max_size=24))
+                                    st.sampled_from(fresh)),
+                          min_size=-(-n // 8), max_size=4))
+    edges += draw(st.lists(st.tuples(st.sampled_from(frontier),
+                                     st.sampled_from(pool + frontier)),
+                           min_size=2, max_size=24))
     edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
                                      st.integers(0, n - 1)), max_size=8))
     status = np.full(n, UNVISITED, dtype=np.int32)
-    for v, seen_at in draw(st.lists(st.tuples(st.integers(0, n - 1),
+    seen = [v for v in range(n) if v not in fresh]
+    for v, seen_at in draw(st.lists(st.tuples(st.sampled_from(seen),
                                               st.integers(0, level)),
                                     max_size=n)):
         status[v] = seen_at
@@ -140,7 +150,7 @@ def test_stamp_and_scan_dedup_match_last_writer_reference(case):
     src, dst, n, directed, frontier, status, level = case
     found, parents, attempts = _last_writers(
         from_edges(src, dst, n, directed=directed), frontier, status)
-    assume(attempts * 8 >= n)  # so the unpadded run scans
+    assert attempts * 8 >= n  # so the unpadded run scans
     outcomes = set()
     for size in (n, 8 * attempts, 8 * attempts + 1):
         graph = from_edges(src, dst, size, directed=directed)
@@ -315,7 +325,8 @@ class TestBFSResultMetrics:
     def test_teps_and_depth(self, paper_example):
         levels = reference_bfs_levels(paper_example, 0)
         r = BFSResult("m", "fig1", 0, levels,
-                      np.full(10, UNVISITED, dtype=np.int64), time_ms=2.0)
+                      np.full(10, UNVISITED, dtype=np.int64),
+                      time_ps=2 * PS_PER_MS)
         r.set_edges_traversed(paper_example)
         assert r.depth == 3
         assert r.visited == 10

@@ -13,7 +13,6 @@ from repro.bfs import (
 )
 from repro.faults.plan import FaultPlan
 from repro.gpu import DeviceGroup
-from repro.gpu.clock import ticks
 from repro.graph import load, powerlaw_graph
 from repro.metrics import random_sources
 
@@ -89,8 +88,8 @@ class TestCommunication:
                      FaultPlan(stragglers={1: 2.5}, bandwidth_factor=0.5)):
             m = multigpu_enterprise_bfs(small_powerlaw, src, 2,
                                         group=DeviceGroup(2, fault_plan=plan))
-            assert ticks(m.time_ms) == \
-                ticks(m.computation_ms) + ticks(m.communication_ms)
+            assert m.result.time_ps == \
+                m.computation_ps + m.communication_ps
 
 
 class TestScaling:

@@ -13,6 +13,14 @@ import pytest
 from repro.cli import ALGORITHMS, build_parser, main
 
 
+@pytest.fixture(scope="module")
+def good_profile(tmp_path_factory) -> Path:
+    """A valid ``repro.profile/v2`` artifact, written once."""
+    path = tmp_path_factory.mktemp("baseline") / "good.profile.json"
+    assert main(["profile", "GO", "--profile", "tiny", "-o", str(path)]) == 0
+    return path
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -136,9 +144,13 @@ class TestParser:
         ["trace", "KR0", "--profile", "tiny", "--diff", "EXISTING"],
         ["profile", "KR0", "--profile", "tiny", "--compare", "BAD_PROFILE"],
         ["generate", "powerlaw", "OUT", "--scale", "0"],
+        *(["profile", "--cluster", "--graph", "GO", "--profile", "tiny",
+           *bad]
+          for bad in (["--compare", "GOOD_PROFILE"], ["--bench-dir", "DIR"],
+                      ["--config", "HC"])),
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys,
-                                        monkeypatch):
+                                        monkeypatch, good_profile):
         existing = tmp_path / "old.snap.json"
         existing.write_text("{}")
         bad_profile = tmp_path / "old.profile.json"
@@ -146,7 +158,9 @@ class TestParser:
         paths = {"MISSING": str(tmp_path / "missing.json"),
                  "OUT": str(tmp_path / "new.snap.json"),
                  "EXISTING": str(existing),
-                 "BAD_PROFILE": str(bad_profile)}
+                 "BAD_PROFILE": str(bad_profile),
+                 "GOOD_PROFILE": str(good_profile),
+                 "DIR": str(tmp_path / "profiles")}
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([paths.get(arg, arg) for arg in argv])

@@ -120,19 +120,16 @@ def test_fault_fuzz_ledgers_exact(seed, nodes, gpus, stragglers, bandwidth):
     assert res.bytes_intra + res.bytes_inter == sum(res.charged_payloads)
     profile = build_cluster_profile(res)
     assert_exact_partition(profile)
-    assert [lvl.time_ps for lvl in profile.levels] == \
-        [ticks(c.total_ms) for c in res.level_costs]
+    assert profile.levels == tuple(res.levels)
 
 
 def test_level_costs_partition_run_time(skewed_graph):
-    """The raw per-level ledger itself is exact before profiling."""
+    """The run's own level records are exact before profiling."""
     res = cluster_enterprise_bfs(skewed_graph, 0, 3, 2)
-    assert sum(ticks(c.total_ms) for c in res.level_costs) == \
-        ticks(res.time_ms)
-    for c in res.level_costs:
-        parts = [c.compute_ms, c.row_ms, c.col_ms, c.allreduce_intra_ms,
-                 c.allreduce_inter_ms, c.staging_ms]
-        assert sum(ticks(ms) for ms in parts) == ticks(c.total_ms)
+    assert sum(lvl.time_ps for lvl in res.levels) == res.result.time_ps
+    for lvl in res.levels:
+        assert [s.tier for s in lvl.tiers] == list(CLUSTER_TIERS)
+        assert sum(s.time_ps for s in lvl.tiers) == lvl.time_ps
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +278,7 @@ def test_bench_rows_carry_the_exact_tier_columns():
                 row["col_exchange_ms"], row["allreduce_intra_ms"],
                 row["allreduce_inter_ms"], row["staging_ms"]]
         assert row["time_ms"] == res.time_ms
-        assert sum(ticks(ms) for ms in cols) == ticks(res.time_ms)
+        assert sum(ticks(ms) for ms in cols) == res.result.time_ps
 
 
 # ----------------------------------------------------------------------

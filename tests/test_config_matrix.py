@@ -21,7 +21,6 @@ from repro.bfs import (
 from repro.bfs.cluster import cluster_enterprise_bfs
 from repro.faults.plan import FaultPlan
 from repro.gpu import DeviceGroup, Fabric, GPUDevice
-from repro.gpu.clock import ticks
 from repro.graph import powerlaw_graph, rmat_graph
 from repro.storage import ooc_enterprise_bfs
 
@@ -145,7 +144,7 @@ def test_ooc_is_in_memory_plus_io(name):
             assert dataclasses.replace(o, expand_ps=m.expand_ps) == m
             assert o.expand_ps - m.expand_ps >= 0
             excess.append(o.expand_ps - m.expand_ps)
-        assert sum(excess) == ticks(ooc.io_ms)
+        assert sum(excess) == ooc.io_ps
 
 
 def test_max_levels_caps_every_topology(graph, expected):
@@ -208,7 +207,7 @@ def test_straggler_level_times_sum_to_run_time(graph, expected):
     r = enterprise_bfs(graph, src, device=GPUDevice(slowdown=2.0))
     healthy = enterprise_bfs(graph, src)
     assert sum(t.queue_gen_ps + t.expand_ps for t in r.traces) == \
-        ticks(r.time_ms) == 2 * ticks(healthy.time_ms)
+        r.time_ps == 2 * healthy.time_ps
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -229,8 +228,7 @@ def test_straggler_slows_1d(graph, expected):
     group = DeviceGroup(2, fault_plan=FaultPlan(stragglers={0: 4.0}))
     m = multigpu_enterprise_bfs(graph, src, 2, group=group)
     assert m.time_ms > HEALTHY_1D_MS
-    assert ticks(m.time_ms) == \
-        ticks(m.computation_ms) + ticks(m.communication_ms)
+    assert m.result.time_ps == m.computation_ps + m.communication_ps
 
 
 def test_straggler_slows_cluster(graph, expected):
@@ -240,6 +238,6 @@ def test_straggler_slows_cluster(graph, expected):
     fabric = Fabric(2, 2, fault_plan=FaultPlan(stragglers={0: 4.0}))
     slow = cluster_enterprise_bfs(graph, src, 2, 2, fabric=fabric)
     assert slow.time_ms > HEALTHY_CLUSTER_MS
-    node_compute = np.array([c.node_compute_ms for c in slow.level_costs])
+    node_compute = np.array([lvl.node_compute_ps for lvl in slow.levels])
     assert node_compute[:, 0].sum() > node_compute[:, 1].sum()
     assert all(a >= b for a, b in node_compute)

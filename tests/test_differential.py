@@ -26,7 +26,7 @@ from repro.bfs.common import UNVISITED
 from repro.bfs.enterprise import ABLATION_CONFIGS
 from repro.bfs.validate500 import graph500_validate
 from repro.gpu import GPUDevice
-from repro.gpu.clock import PS_PER_MS, ticks
+from repro.gpu.clock import PS_PER_MS
 from repro.graph import CSRGraph, from_edges
 from repro.metrics import random_sources
 from repro.observ import run_snapshot
@@ -203,7 +203,7 @@ def test_level_ticks_and_tail_add_up_to_run_time(graph):
                 level_ps = sum(t.queue_gen_ps + t.expand_ps
                                for t in result.traces)
                 assert level_ps + result.tail_queue_gen_ps == \
-                    ticks(result.time_ms), (result.algorithm, name, source)
+                    result.time_ps, (result.algorithm, name, source)
 
 
 @pytest.mark.parametrize("graph", CORPUS, ids=lambda g: g.name)
@@ -224,7 +224,7 @@ def test_prefetch_overlaps_io_and_keeps_the_tail(graph):
             for o, m in zip(prefetched.traces, in_memory.traces):
                 io = o.expand_ps - m.expand_ps
                 expected += o.queue_gen_ps + max(io, o.expand_ps - io)
-            assert ticks(prefetched.time_ms) == expected, (name, source)
+            assert prefetched.time_ps == expected, (name, source)
 
 
 def test_trailing_queue_generation_reaches_the_snapshot():
@@ -236,7 +236,7 @@ def test_trailing_queue_generation_reaches_the_snapshot():
                             config=ABLATION_CONFIGS["HC"])
     level_ps = sum(t.queue_gen_ps + t.expand_ps for t in result.traces)
     assert result.tail_queue_gen_ps > 0
-    assert level_ps + result.tail_queue_gen_ps == ticks(result.time_ms)
+    assert level_ps + result.tail_queue_gen_ps == result.time_ps
     metrics = run_snapshot(result)["metrics"]
     assert metrics["queue_gen_ms"] == (
         sum(t.queue_gen_ps for t in result.traces)

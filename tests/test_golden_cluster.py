@@ -12,7 +12,9 @@ expansion and bottom-up block inspection run.  Pinned per case:
 * the per-level ``edges_checked``;
 * the exchange ledger (``charged_payloads``) and, for the cluster, the
   bytes read from simulated storage;
-* the summed kernel ticks of every device, in row-major grid order.
+* the summed kernel ticks of every device, in row-major grid order;
+* per level, the grid loop's six tier ticks and bytes (in
+  ``CLUSTER_TIERS`` order) and its per-node compute and staging ticks.
 
 Regenerating the literals is deliberately manual (run the module with
 ``python -m tests.test_golden_cluster``): a golden update must be a
@@ -28,7 +30,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.bfs import partition2d
+from repro.bfs import cluster, partition2d
 from repro.bfs.cluster import cluster_enterprise_bfs
 from repro.gpu.fabric import Fabric
 from repro.graph.generators import powerlaw_graph, rmat_graph
@@ -63,6 +65,36 @@ def _device_ps(devices) -> list[int]:
 def _observe(layout: str, graph_name: str, rows: int, cols: int) -> dict:
     graph = GRAPHS[graph_name]()
     source = int(np.argmax(graph.out_degrees))
+    levels = []
+    grid_bfs = cluster._grid_bfs
+
+    def recorded_grid_bfs(*args, **kwargs):
+        out = grid_bfs(*args, **kwargs)
+        levels.extend(out[1])
+        return out
+
+    with mock.patch.object(cluster, "_grid_bfs", recorded_grid_bfs):
+        run, devices, times, extra = _run(layout, graph, source, rows, cols)
+    traces = run.result.traces
+    return {
+        "switched": any(t.direction == "switch" for t in traces),
+        "levels_sha": _sha(run.result.levels),
+        "parents_sha": _sha(run.result.parents),
+        "times": {name: getattr(run, name).hex() for name in times},
+        "edges_checked": [t.edges_checked for t in traces],
+        "charged_payloads": list(run.charged_payloads),
+        **extra,
+        "device_ps": _device_ps(devices),
+        "tier_ps": [[s.time_ps for s in lvl.tiers] for lvl in levels],
+        "tier_bytes": [[s.nbytes for s in lvl.tiers] for lvl in levels],
+        "node_compute_ps": [list(lvl.node_compute_ps) for lvl in levels],
+        "node_staging_ps": [list(lvl.node_staging_ps) for lvl in levels],
+    }
+
+
+def _run(layout: str, graph, source: int, rows: int, cols: int):
+    """One traversal: the run, its devices in row-major grid order, the
+    time fields to pin and any extra ledger entries."""
     if layout == "cluster":
         fabric = Fabric(rows, cols)
         run = cluster_enterprise_bfs(graph, source, rows, cols,
@@ -85,22 +117,13 @@ def _observe(layout: str, graph_name: str, rows: int, cols: int) -> dict:
                                                         rows, cols)
         times = ("time_ms", "computation_ms", "communication_ms")
         extra = {}
-    traces = run.result.traces
-    return {
-        "switched": any(t.direction == "switch" for t in traces),
-        "levels_sha": _sha(run.result.levels),
-        "parents_sha": _sha(run.result.parents),
-        "times": {name: getattr(run, name).hex() for name in times},
-        "edges_checked": [t.edges_checked for t in traces],
-        "charged_payloads": list(run.charged_payloads),
-        **extra,
-        "device_ps": _device_ps(devices),
-    }
+    return run, devices, times, extra
 
 
 #: Frozen 2026-10 and re-recorded when simulated charges became whole
-#: picosecond ticks.  Every literal below is an *observed* value, not a
-#: derived one.
+#: picosecond ticks; the per-level tier keys were recorded from the ms
+#: level costs, before the grid loop began keeping tick records.  Every
+#: literal below is an *observed* value, not a derived one.
 GOLDENS = {
     ("cluster", "rmat10", 4, 2): {
         "levels_sha":
@@ -117,6 +140,17 @@ GOLDENS = {
         "bytes_read": 270592,
         "device_ps": [7738210, 4887785, 6868412, 4670335, 5563713, 5105235,
             7955660, 5998613],
+        "tier_ps": [[690112, 40472, 2409600, 40111, 2400600, 3700000],
+            [6343803, 40472, 2409600, 40111, 2400600, 27460000], [1342461,
+            40472, 2409600, 40111, 2400600, 0], [472662, 40417, 2409600, 40111,
+            2400600, 0]],
+        "tier_bytes": [[0, 129, 128, 0, 0, 9240], [0, 129, 128, 0, 0, 261352],
+            [0, 129, 128, 0, 0, 0], [0, 30, 64, 0, 0, 0]],
+        "node_compute_ps": [[690112, 690112, 690112, 690112], [5908904,
+            5256555, 3951857, 6343803], [907561, 907561, 907561, 1342461],
+            [231633, 231633, 231633, 472662]],
+        "node_staging_ps": [[0, 3700000, 0, 0], [27460000, 23591429, 27428572,
+            27260001], [0, 0, 0, 0], [0, 0, 0, 0]],
     },
     ("cluster", "powerlaw-directed", 2, 3): {
         "levels_sha":
@@ -132,6 +166,18 @@ GOLDENS = {
             43, 43, 43, 64, 65, 43, 43, 43, 64, 43],
         "bytes_read": 59936,
         "device_ps": [4314541, 4579149, 3203713, 4555570, 5666397, 3421162],
+        "tier_ps": [[907561, 81222, 804400, 80167, 800400, 1722857], [2650738,
+            81222, 804400, 80167, 800400, 13354286], [907561, 81222, 804400,
+            80167, 800400, 0], [472662, 81222, 804400, 80167, 800400, 0],
+            [472662, 81222, 804400, 80167, 800400, 0], [472662, 0, 0, 80167,
+            800400, 0]],
+        "tier_bytes": [[0, 129, 129, 0, 0, 3704], [0, 129, 129, 0, 0, 56232],
+            [0, 129, 129, 0, 0, 0], [0, 129, 129, 0, 0, 0], [0, 64, 43, 0, 0,
+            0], [0, 0, 0, 0, 0, 0]],
+        "node_compute_ps": [[907561, 907561], [2215839, 2650738], [690112,
+            907561], [472662, 472662], [472662, 472662], [472662, 472662]],
+        "node_staging_ps": [[1722857, 0], [13128571, 13354286], [0, 0], [0, 0],
+            [0, 0], [0, 0]],
     },
     ("grid", "rmat10", 2, 2): {
         "levels_sha":
@@ -145,6 +191,14 @@ GOLDENS = {
         "charged_payloads": [64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64,
             64, 64],
         "device_ps": [8176688, 5108813, 8611587, 6002192],
+        "tier_ps": [[1125011, 105333, 105333, 0, 0, 0], [6347382, 105333,
+            105333, 0, 0, 0], [1342461, 105333, 105333, 0, 0, 0], [472662,
+            105333, 105333, 0, 0, 0]],
+        "tier_bytes": [[0, 128, 128, 0, 0, 0], [0, 128, 128, 0, 0, 0], [0, 128,
+            128, 0, 0, 0], [0, 64, 64, 0, 0, 0]],
+        "node_compute_ps": [[1125011, 1125011], [5912483, 6347382], [907561,
+            1342461], [231633, 472662]],
+        "node_staging_ps": [[0, 0], [0, 0], [0, 0], [0, 0]],
     },
     ("grid", "rmat10", 3, 2): {
         "levels_sha":
@@ -158,6 +212,14 @@ GOLDENS = {
         "charged_payloads": [43, 43, 43, 64, 64, 43, 43, 43, 64, 64, 43, 43,
             43, 64, 64, 43, 64],
         "device_ps": [7741789, 4891364, 7089440, 4673914, 8394137, 6002192],
+        "tier_ps": [[907561, 103667, 207333, 0, 0, 0], [6347382, 103667,
+            207333, 0, 0, 0], [1342461, 103667, 207333, 0, 0, 0], [472662,
+            103667, 207333, 0, 0, 0]],
+        "tier_bytes": [[0, 129, 128, 0, 0, 0], [0, 129, 128, 0, 0, 0], [0, 129,
+            128, 0, 0, 0], [0, 43, 64, 0, 0, 0]],
+        "node_compute_ps": [[690112, 907561, 907561], [5912483, 5260134,
+            6347382], [907561, 907561, 1342461], [231633, 231633, 472662]],
+        "node_staging_ps": [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
     },
     ("grid", "powerlaw-directed", 2, 2): {
         "levels_sha":
@@ -171,6 +233,16 @@ GOLDENS = {
         "charged_payloads": [64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64,
             64, 64, 64, 64, 64, 64],
         "device_ps": [4990469, 4120670, 5883847, 3903221],
+        "tier_ps": [[907561, 105333, 105333, 0, 0, 0], [2868188, 105333,
+            105333, 0, 0, 0], [690112, 105333, 105333, 0, 0, 0], [472662,
+            105333, 105333, 0, 0, 0], [472662, 105333, 105333, 0, 0, 0],
+            [472662, 0, 0, 0, 0, 0]],
+        "tier_bytes": [[0, 128, 128, 0, 0, 0], [0, 128, 128, 0, 0, 0], [0, 128,
+            128, 0, 0, 0], [0, 128, 128, 0, 0, 0], [0, 64, 64, 0, 0, 0], [0, 0,
+            0, 0, 0, 0]],
+        "node_compute_ps": [[907561, 907561], [2215839, 2868188], [690112,
+            690112], [472662, 472662], [472662, 472662], [472662, 472662]],
+        "node_staging_ps": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]],
     },
     ("grid", "powerlaw-directed", 3, 2): {
         "levels_sha":
@@ -184,6 +256,18 @@ GOLDENS = {
         "charged_payloads": [43, 43, 43, 64, 64, 43, 43, 43, 64, 64, 43, 43,
             43, 64, 64, 43, 43, 43, 64, 64, 43, 64],
         "device_ps": [4773020, 3638612, 4796599, 3903221, 5184340, 3903221],
+        "tier_ps": [[690112, 103667, 207333, 0, 0, 0], [2868188, 103667,
+            207333, 0, 0, 0], [690112, 103667, 207333, 0, 0, 0], [472662,
+            103667, 207333, 0, 0, 0], [472662, 103667, 207333, 0, 0, 0],
+            [472662, 0, 0, 0, 0, 0]],
+        "tier_bytes": [[0, 129, 128, 0, 0, 0], [0, 129, 128, 0, 0, 0], [0, 129,
+            128, 0, 0, 0], [0, 129, 128, 0, 0, 0], [0, 43, 64, 0, 0, 0], [0, 0,
+            0, 0, 0, 0]],
+        "node_compute_ps": [[690112, 690112, 690112], [2215839, 1998389,
+            2868188], [690112, 690112, 690112], [472662, 472662, 472662],
+            [472662, 472662, 472662], [231633, 472662, 472662]],
+        "node_staging_ps": [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0,
+            0], [0, 0, 0]],
     },
 }
 

@@ -186,11 +186,17 @@ def snapshot(result) -> dict:
     }
 
 
+def _as_ms(name: str) -> str:
+    """A tick field's ``*_ms`` property: the digests encode the ms
+    value, as they did when the records stored ms."""
+    return name[:-3] + "_ms" if name.endswith("_ps") else name
+
+
 def run_snapshot(run) -> dict:
     """A multi-device run: its BFS result as in :func:`snapshot`, then
-    every other field in declaration order."""
-    return {f.name: (snapshot(run.result) if f.name == "result"
-                     else getattr(run, f.name))
+    every other field in declaration order, a tick field as its ms."""
+    return {_as_ms(f.name): (snapshot(run.result) if f.name == "result"
+                             else getattr(run, _as_ms(f.name)))
             for f in dataclasses.fields(run)}
 
 
@@ -257,8 +263,8 @@ def ooc_snapshot(run, device: GPUDevice) -> dict:
         "parents": result.parents,
         "time_ms": result.time_ms,
         "edges_traversed": result.edges_traversed,
-        "ledger": [getattr(run, f.name) for f in dataclasses.fields(run)
-                   if f.name != "result"],
+        "ledger": [getattr(run, _as_ms(f.name))
+                   for f in dataclasses.fields(run) if f.name != "result"],
         "timeline": [ms for _, ms in device.timeline()],
         "traces": [
             (t.level, t.direction, t.frontier_count, t.newly_visited,
@@ -292,7 +298,11 @@ def test_golden_ooc_run(graph_name, config, compression, prefetch,
 #: out-of-core cases re-recorded when prefetched runs began charging
 #: the queue generated after the last level (896,242 ticks each); the
 #: four Fig. 14 systems' corpus cases recorded from their hand-written
-#: level loops, before those became recipes over ``topdown_traversal``.
+#: level loops, before those became recipes over ``topdown_traversal``;
+#: the six ``test_cluster_profile_bit_identical`` run digests and
+#: ``test_weak_scaling_rows_bit_identical`` re-recorded when
+#: ``ClusterBFSResult`` began storing its levels as tick records and
+#: deriving its totals (the six ``:document`` digests did not move).
 #: Every literal below is an *observed* value.
 DIGESTS: dict[str, str] = {
     "test_ablation_matrix_bit_identical[BL]":
@@ -306,27 +316,27 @@ DIGESTS: dict[str, str] = {
     "test_chaos_matrix_bit_identical":
         "e205598232c62205a94cbd09d8ca1559f423087f43dc1efee039eff0f3da1fbc",
     "test_cluster_profile_bit_identical[chain]":
-        "b51e47750feb9345975e4fc86072745517644788fbe55fc076499e0629481631",
+        "fff1d38306b87091649b78625025aa28e978e83890ed8ec7e6a98e360bcbf30f",
     "test_cluster_profile_bit_identical[chain]:document":
         "a6c729d3b402e9de69ed706cab143b05428ddb93f92c2b88aaaf4795236baf8d",
     "test_cluster_profile_bit_identical[fuzz-31]":
-        "8c9d80a1d50216a141b8f98d180ded8e91aa5bee9da6ff27e88ff0a450466016",
+        "bfd6b7c16d120093d5fab85773fc314e6a03e15514b75122a620de98b49efcca",
     "test_cluster_profile_bit_identical[fuzz-31]:document":
         "345c33516313c567061c2951715bb5fd0a88de3f3d187bc88bce04663d8efb93",
     "test_cluster_profile_bit_identical[fuzz-32]":
-        "62f6f4e0810261e87b38036dc9b4da443cd3c8fc2c2fe4c5ad92afe584020af8",
+        "093ce23aec9c74fdf6ffb9865985692c94ed357341fae9c40ff4cc169ffc8a15",
     "test_cluster_profile_bit_identical[fuzz-32]:document":
         "86c57b11437f8be628dd295e5e5b0ea261776920f0551ac7924a6cc62200e5a5",
     "test_cluster_profile_bit_identical[islands]":
-        "cb0284fa0ab3043e56a0b1cdd11a441c8b15ffc02cda5bf353b5fdcf8c58a835",
+        "b7aacfec26123561a1cbb54664cd8facd1ad753dff67308eaf9cb4fcbe2a4dae",
     "test_cluster_profile_bit_identical[islands]:document":
         "db4355321fb7fba3c82a79bd0d92c2d960cddc2fa25b82dff4be0c9bd0158fa7",
     "test_cluster_profile_bit_identical[sink-hub]":
-        "2dd5ee9d3161298c6a856b4fd29262f520577a3d916bf71aa8071c20fe318813",
+        "e5279a940ccc05d6276553c1074a25895519d6b84477bbefdab29a789fb53871",
     "test_cluster_profile_bit_identical[sink-hub]:document":
         "d860c584123026df0e3c4bddf59d32df11f9755f2ec0371d11fd18b75e6c3f9a",
     "test_cluster_profile_bit_identical[star]":
-        "1df34c3a571d6909a60cea465a7f5a01e1b70c5625c51e3e3ca0fd4b7796fc81",
+        "8e7d841bb855fd5890a5601d4c31194a86b7a03c0716b3f4ef563d3d891d45ec",
     "test_cluster_profile_bit_identical[star]:document":
         "453fccab68b5b964de7c4b04ca09aba4722ab43425ca1a4ce1f9b750df38cd56",
     "test_counters_and_teps_bit_identical":
@@ -738,7 +748,7 @@ DIGESTS: dict[str, str] = {
     "test_variant_bit_identical_on_corpus[topdown-star]":
         "54af17b753c9d8a88bcbd05eaee55c5580ea322045faea5712acb4b0d016e79b",
     "test_weak_scaling_rows_bit_identical":
-        "8cdfe163483e50969de99d2f35147214e82c2c705a252d9cf63d1cfc352f2ec5",
+        "f4938e58aacee411fb4b5953825f1a2d9e2f64b5176b05b961efbc95afe274da",
 }
 
 

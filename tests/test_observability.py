@@ -829,7 +829,7 @@ class TestClusterTraceInvariants:
                   if e.get("ph") in ("s", "t", "f")}
         if nodes > 1:
             # One cross-node chain per allreduce, one allreduce per level.
-            assert len(chains) == len(res.level_costs)
+            assert len(chains) == len(res.levels)
         else:
             assert not chains
 
