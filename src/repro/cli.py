@@ -113,18 +113,22 @@ def _load_graph(args) -> "CSRGraph":
 
 
 def _source(args, g) -> int:
-    """``--source``, else a seeded random vertex of ``g``."""
-    if args.source is not None:
-        return args.source
-    return int(random_sources(g, 1, args.seed)[0])
+    """``--source``, else a seeded random vertex of ``g``; a source that
+    is not a vertex of ``g`` is a usage error."""
+    if args.source is None:
+        return int(random_sources(g, 1, args.seed)[0])
+    if not 0 <= args.source < g.num_vertices:
+        raise argparse.ArgumentError(
+            None, f"--source {args.source} out of range for "
+                  f"{g.num_vertices} vertices")
+    return args.source
 
 
 def _serve_workload(args, **extra):
     """The ``(ServeConfig, TraceConfig)`` the serve-workload flags of
     :func:`_add_serve_args` describe; ``extra`` sets further
-    ``ServeConfig`` fields.  The engine's range checks run here, once
-    (the cache's only when it is on, the SLO's only with a latency
-    target), and a value out of range is a usage error."""
+    ``ServeConfig`` fields.  A value either config refuses is a usage
+    error."""
     from .serve import ServeConfig, TraceConfig
 
     fields = dict(batch_sources=args.batch, deadline_ms=args.deadline_ms,
@@ -139,17 +143,9 @@ def _serve_workload(args, **extra):
                       cache=not args.no_cache, num_landmarks=args.landmarks)
         shape["zipf_a"] = args.zipf
     try:
-        config = ServeConfig(**fields)
-        trace_config = TraceConfig(**shape)
-        config.batcher_config()
-        config.dispatch_config()
-        config.resilience_config()
-        config.slo_config()
-        if config.cache:
-            config.cache_config()
+        return ServeConfig(**fields), TraceConfig(**shape)
     except ValueError as exc:
         raise argparse.ArgumentError(None, str(exc)) from None
-    return config, trace_config
 
 
 def _write_trace(path, tracer, *, nodes: int = 0, **meta) -> None:
@@ -241,6 +237,8 @@ def _add_serve_args(p: argparse.ArgumentParser, *, gpus: int,
     ``tuning=False`` leaves out ``--zipf``, ``--max-pending``,
     ``--landmarks`` and ``--no-cache``, which ``report`` keeps at the
     engine's defaults."""
+    from .serve import ServeConfig, TraceConfig
+
     _add_graph_args(p)
     g = p.add_argument_group("serve workload")
     g.add_argument("--rmat-scale", type=_positive_int,
@@ -248,36 +246,48 @@ def _add_serve_args(p: argparse.ArgumentParser, *, gpus: int,
                         "the catalog graph")
     g.add_argument("--edge-factor", type=_positive_int, default=16,
                    help="edge factor for --rmat-scale (default 16)")
-    g.add_argument("--queries", type=_positive_int, default=1024,
-                   help="synthetic trace length (default 1024)")
-    g.add_argument("--rate", type=_positive_float, default=512.0,
-                   help="mean arrivals per simulated ms (default 512)")
-    g.add_argument("--batch", type=int, default=64,
-                   help="max sources per MS-BFS wave (default 64)")
-    g.add_argument("--deadline-ms", type=float, default=2.0,
+    g.add_argument("--queries", type=_positive_int,
+                   default=TraceConfig.num_queries,
+                   help="synthetic trace length (default %(default)s)")
+    g.add_argument("--rate", type=_positive_float,
+                   default=TraceConfig.rate_per_ms,
+                   help="mean arrivals per simulated ms (default "
+                        "%(default)g)")
+    g.add_argument("--batch", type=int, default=ServeConfig.batch_sources,
+                   help="max sources per MS-BFS wave (default "
+                        "%(default)s)")
+    g.add_argument("--deadline-ms", type=float,
+                   default=ServeConfig.deadline_ms,
                    help="max simulated wait before a wave flush")
     g.add_argument("--timeout-ms", type=float,
                    help="per-wave timeout (simulated ms)")
-    g.add_argument("--max-retries", type=int, default=2,
-                   help="split-retries per timed-out wave (default 2)")
+    g.add_argument("--max-retries", type=int,
+                   default=ServeConfig.max_retries,
+                   help="split-retries per timed-out wave (default "
+                        "%(default)s)")
     g.add_argument("--gpus", type=_positive_int, default=gpus,
                    help=f"simulated device count (default {gpus})")
     g.add_argument("--hedge-ms", type=float,
                    help="hedge waves stuck past this many simulated ms")
-    g.add_argument("--priorities", type=int, default=1,
+    g.add_argument("--priorities", type=int,
+                   default=TraceConfig.priority_levels,
                    help="distinct query priority classes in the trace "
-                        "(default 1)")
+                        "(default %(default)s)")
     g.add_argument("--slo-ms", type=float,
                    help="latency SLO target (simulated ms); enables "
                         "error-budget and burn-rate monitoring")
-    g.add_argument("--slo-availability", type=float, default=0.999,
-                   help="SLO availability target (default 0.999)")
+    g.add_argument("--slo-availability", type=float,
+                   default=ServeConfig.slo_availability,
+                   help="SLO availability target (default %(default)s)")
     if tuning:
-        g.add_argument("--zipf", type=float, default=1.3,
-                       help="source-popularity Zipf exponent (default 1.3)")
-        g.add_argument("--max-pending", type=int, default=4096,
+        g.add_argument("--zipf", type=float, default=TraceConfig.zipf_a,
+                       help="source-popularity Zipf exponent (default "
+                            "%(default)s)")
+        g.add_argument("--max-pending", type=int,
+                       default=ServeConfig.max_pending,
                        help="pending-query bound (backpressure)")
-        g.add_argument("--landmarks", type=int, default=16,
+        g.add_argument("--landmarks", type=int,
+                       default=ServeConfig.num_landmarks,
                        help="landmark count for the distance cache")
         g.add_argument("--no-cache", action="store_true",
                        help="disable the landmark/hub-row cache")
@@ -331,7 +341,8 @@ def cmd_bfs(args) -> int:
     source = _source(args, g)
     timeline_text = None
     if args.gpus > 1:
-        m = multigpu_enterprise_bfs(g, source, args.gpus)
+        m = multigpu_enterprise_bfs(g, source, args.gpus,
+                                    spec=DEVICES[args.device])
         result = m.result
         extra = (f"  comm {m.communication_ms:.4f} ms, "
                  f"ballot compression {m.compression_ratio:.1%}")
@@ -434,14 +445,17 @@ def cmd_summarize(args) -> int:
 
 def cmd_occupancy(args) -> int:
     from .gpu import KernelResources, occupancy
-    r = occupancy(
-        KernelResources(threads_per_block=args.threads,
-                        registers_per_thread=args.registers,
-                        shared_bytes_per_block=args.shared),
-        DEVICES[args.device],
-        shared_config_bytes=args.shared_config * 1024
-        if args.shared_config else None,
-    )
+    try:
+        r = occupancy(
+            KernelResources(threads_per_block=args.threads,
+                            registers_per_thread=args.registers,
+                            shared_bytes_per_block=args.shared),
+            DEVICES[args.device],
+            shared_config_bytes=args.shared_config * 1024
+            if args.shared_config else None,
+        )
+    except ValueError as exc:  # the calculator's own range checks
+        raise argparse.ArgumentError(None, str(exc)) from None
     print(f"{DEVICES[args.device].name}: {r.blocks_per_sm} blocks/SMX, "
           f"{r.warps_per_sm} warps/SMX, occupancy {r.occupancy:.0%} "
           f"(limited by {r.limiter})")
@@ -521,7 +535,7 @@ def _cmd_profile_cluster(args) -> int:
     g = _load_graph(args)
     faults = None if args.faults == "none" else args.faults
     prof = profile_cluster_run(
-        g, args.source, args.nodes, args.gpus_per_node,
+        g, _source(args, g), args.nodes, args.gpus_per_node,
         parts_per_node=args.parts_per_node, seed=args.seed,
         faults=faults, spec=DEVICES[args.device])
     print(format_cluster_profile(prof, max_findings=args.findings))
@@ -568,7 +582,7 @@ def cmd_profile(args) -> int:
 
     config = None if args.config == "enterprise" \
         else ABLATION_CONFIGS[args.config]
-    prof = profile_run(g, args.source, config=config,
+    prof = profile_run(g, _source(args, g), config=config,
                        spec=DEVICES[args.device], seed=args.seed)
     print(format_profile(prof, max_findings=args.findings))
 
@@ -1046,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "closeness", "diameter", "kcore",
                                    "pagerank"))
     p.add_argument("--source", type=int)
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=_positive_int, default=16)
 
     p = sub.add_parser("trace", parents=[snapshot],
                        help="export a Chrome/Perfetto trace of one run")
@@ -1310,6 +1324,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("serve: --snapshot and --diff need --bench or --check")
     if snapshot and args.command == "cluster" and args.verb != "weak":
         parser.error("cluster: --snapshot and --diff need the weak verb")
+    if args.command == "bfs" and args.gpus > 1:
+        for flag, given in (("--algorithm", args.algorithm != "enterprise"),
+                            ("--timeline", args.timeline)):
+            if given:
+                parser.error(f"bfs: {flag} does not apply to --gpus > 1")
     if args.command == "profile" and args.cluster:
         for flag, given in (("--compare", args.compare),
                             ("--bench-dir", args.bench_dir),
@@ -1320,7 +1339,8 @@ def main(argv: list[str] | None = None) -> int:
         _load_baselines(args)
         return COMMANDS[args.command](args)
     except argparse.ArgumentError as exc:
-        # A malformed baseline file, or a range only a config checks.
+        # A malformed baseline file, a source outside the graph, or a
+        # range only the library checks.
         parser.error(f"{args.command}: {exc}")
 
 

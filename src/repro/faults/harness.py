@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 from ..observ.monitor import LiveMonitor, MonitorConfig
 from ..observ.snapshot import bench_snapshot
 from ..serve.engine import ServeConfig, ServeEngine, ServeStats
-from ..serve.loadgen import TraceConfig, replay, synthetic_trace
-from ..serve.query import Query, QueryKind, QueryResult
+from ..serve.loadgen import TraceConfig, baseline_config, replay, \
+    same_answer, synthetic_trace
 from .plan import FaultPlan, PROFILES, profile
 
 __all__ = ["ChaosCase", "ChaosReport", "run_chaos_matrix"]
@@ -116,14 +114,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _same_answer(got: QueryResult, truth: QueryResult) -> bool:
-    if got.query.kind is QueryKind.SPTREE:
-        return (got.levels is not None and truth.levels is not None
-                and np.array_equal(got.levels, truth.levels))
-    return (got.distance == truth.distance
-            and got.reachable == truth.reachable)
-
-
 def run_chaos_matrix(
     graph: CSRGraph,
     plans: list[FaultPlan] | None = None,
@@ -151,12 +141,9 @@ def run_chaos_matrix(
     trace = synthetic_trace(graph, trace_config)
     config = config or ServeConfig()
 
-    clean_config = ServeConfig(
-        batch_sources=1, deadline_ms=0.0, max_pending=config.max_pending,
-        timeout_ms=None, max_retries=0, num_gpus=config.num_gpus,
-        cache=False)
     truth = {r.query.qid: r
-             for r in replay(ServeEngine(graph, clean_config), trace)
+             for r in replay(ServeEngine(graph, baseline_config(config)),
+                             trace)
              if r.ok}
 
     reference: LiveMonitor | None = None
@@ -182,7 +169,7 @@ def run_chaos_matrix(
             if not result.ok or result.query.qid not in truth:
                 continue
             compared += 1
-            if not _same_answer(result, truth[result.query.qid]):
+            if not same_answer(result, truth[result.query.qid]):
                 mismatches += 1
         cases.append(ChaosCase(plan=plan, stats=engine.stats(),
                                compared=compared, mismatches=mismatches,

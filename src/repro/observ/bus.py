@@ -28,9 +28,9 @@ __all__ = [
 
 FINDINGS_SCHEMA = "repro.findings/v1"
 
-#: Sources a v1 event may carry.  The live monitor publishes ``detect``
-#: events only; the validator accepts the whole v1 vocabulary.
-SOURCES = ("detect", "slo", "profiler", "cluster", "user")
+#: Sources a v1 event may carry: the live monitor's detectors are the
+#: only writer.
+SOURCES = ("detect",)
 
 
 def _event_doc(seq: int, anomaly: Anomaly) -> dict:

@@ -6,15 +6,15 @@ answer within 10 ms" — and operators page on how fast the error budget
 is burning, not on raw counts.  This module implements the SRE-practice
 version of that machinery on the repository's simulated clock:
 
-* :class:`SLOConfig` — a latency target plus an availability target.  A
+* the **targets** — a latency target plus an availability target.  A
   request is *bad* when it fails outright (rejected / shed) or completes
   slower than the latency target; the error budget is the fraction of
-  requests (``1 - availability_target``) allowed to be bad.
-* :class:`BurnRule` — one multi-window burn-rate alert: the alert fires
+  requests (``1 - availability``) allowed to be bad.
+* :data:`BURN_RULES` — the multi-window burn-rate alerts: an alert fires
   only while *both* a long window and a short window burn the budget
-  faster than ``threshold`` (the long window gives significance, the
+  faster than its threshold (the long window gives significance, the
   short window makes the alert reset quickly once the incident ends).
-  The default pair mirrors the classic page/ticket split, scaled to
+  The pair mirrors the classic page/ticket split, scaled to
   simulated-millisecond serving runs.
 * :class:`SLOMonitor` — consumes ``(completed_ms, bad)`` events, and
   :meth:`SLOMonitor.evaluate` replays them in completion order to
@@ -33,66 +33,14 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["SLOConfig", "BurnRule", "Alert", "SLOStatus", "SLOMonitor",
-           "DEFAULT_BURN_RULES"]
+__all__ = ["Alert", "SLOStatus", "SLOMonitor", "BURN_RULES"]
 
-
-@dataclass(frozen=True)
-class BurnRule:
-    """One multi-window burn-rate alert rule."""
-
-    name: str
-    #: Long significance window (simulated ms).
-    long_window_ms: float
-    #: Short reset window (simulated ms); conventionally 1/12 the long.
-    short_window_ms: float
-    #: Burn rate (bad fraction / budget fraction) both windows must
-    #: exceed for the alert to be active.
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if self.long_window_ms <= 0 or self.short_window_ms <= 0:
-            raise ValueError("burn-rule windows must be positive")
-        if self.short_window_ms > self.long_window_ms:
-            raise ValueError("short window cannot exceed the long window")
-        if self.threshold <= 0:
-            raise ValueError("burn threshold must be positive")
-
-
-#: Default fast(page)/slow(ticket) rule pair, scaled to the few-to-
-#: hundreds-of-ms makespans of simulated serving runs.
-DEFAULT_BURN_RULES = (
-    BurnRule("page", long_window_ms=12.0, short_window_ms=1.0,
-             threshold=10.0),
-    BurnRule("ticket", long_window_ms=48.0, short_window_ms=4.0,
-             threshold=2.5),
-)
-
-
-@dataclass(frozen=True)
-class SLOConfig:
-    """A latency SLO plus the availability target that funds its error
-    budget."""
-
-    #: A request slower than this (simulated ms) is budget-burning.
-    latency_target_ms: float = 10.0
-    #: Fraction of requests that must be good (0.999 = "three nines");
-    #: the error budget is ``1 - availability_target``.
-    availability_target: float = 0.999
-    burn_rules: tuple[BurnRule, ...] = DEFAULT_BURN_RULES
-
-    def __post_init__(self) -> None:
-        if self.latency_target_ms <= 0:
-            raise ValueError("latency target must be positive")
-        if not 0.0 < self.availability_target < 1.0:
-            raise ValueError("availability target must be in (0, 1)")
-        if not self.burn_rules:
-            raise ValueError("need at least one burn rule")
-
-    @property
-    def budget_fraction(self) -> float:
-        """Fraction of requests allowed to be bad."""
-        return 1.0 - self.availability_target
+#: The fast (page) and slow (ticket) burn-rate rules, scaled to the
+#: few-to-hundreds-of-ms makespans of simulated serving runs: (name,
+#: long significance window ms, short reset window ms, burn-rate
+#: threshold).  The burn rate is a window's bad fraction over the
+#: budget fraction; the short window is 1/12 the long one.
+BURN_RULES = (("page", 12.0, 1.0, 10.0), ("ticket", 48.0, 4.0, 2.5))
 
 
 @dataclass(frozen=True)
@@ -124,10 +72,18 @@ class Alert:
 class SLOStatus:
     """End-of-run SLO verdict: budget accounting plus alert timeline."""
 
-    config: SLOConfig
+    #: A request slower than this (simulated ms) is budget-burning.
+    latency_target_ms: float
+    #: Fraction of requests that must be good (0.999 = "three nines").
+    availability: float
     total: int = 0
     bad: int = 0
     alerts: list[Alert] = field(default_factory=list)
+
+    @property
+    def budget_fraction(self) -> float:
+        """Fraction of requests allowed to be bad."""
+        return 1.0 - self.availability
 
     @property
     def bad_fraction(self) -> float:
@@ -139,7 +95,7 @@ class SLOStatus:
         (1.0 = fully spent; above 1.0 = SLO blown)."""
         if self.total == 0:
             return 0.0
-        return self.bad_fraction / self.config.budget_fraction
+        return self.bad_fraction / self.budget_fraction
 
     @property
     def budget_remaining(self) -> float:
@@ -153,8 +109,8 @@ class SLOStatus:
     def summary(self) -> str:
         verdict = "met" if self.met else "BLOWN"
         lines = [
-            f"SLO {self.config.availability_target:.3%} within "
-            f"{self.config.latency_target_ms:g} ms: {verdict} — "
+            f"SLO {self.availability:.3%} within "
+            f"{self.latency_target_ms:g} ms: {verdict} — "
             f"{self.bad}/{self.total} bad "
             f"({self.bad_fraction:.4%}), budget consumed "
             f"{self.budget_consumed:.1%}",
@@ -170,15 +126,16 @@ class SLOMonitor:
     """Accumulates request outcomes and evaluates burn-rate alerts.
 
     Feed it with :meth:`observe` (an explicit good/bad verdict) or
-    :meth:`observe_latency` (the verdict derived from the config's
-    latency target); call :meth:`evaluate` at end of run.  Events may
+    :meth:`observe_latency` (the verdict derived from the latency
+    target); call :meth:`evaluate` at end of run.  Events may
     arrive out of completion order — evaluation sorts them — so wave
     completions interleaved with cache hits need no care at the call
     sites.
     """
 
-    def __init__(self, config: SLOConfig | None = None):
-        self.config = config or SLOConfig()
+    def __init__(self, latency_target_ms: float, availability: float):
+        self.latency_target_ms = latency_target_ms
+        self.availability = availability
         #: (completed_ms, bad) pairs, unsorted.
         self._events: list[tuple[float, bool]] = []
 
@@ -186,11 +143,12 @@ class SLOMonitor:
         self._events.append((completed_ms, bad))
 
     def observe_latency(self, completed_ms: float, latency_ms: float,
-                        *, ok: bool = True) -> None:
-        """Record one served request: bad when it failed outright or
-        exceeded the latency target."""
-        bad = (not ok) or latency_ms > self.config.latency_target_ms
+                        *, ok: bool = True) -> bool:
+        """Record one served request and return whether it was bad:
+        failed outright or slower than the latency target."""
+        bad = (not ok) or latency_ms > self.latency_target_ms
         self._events.append((completed_ms, bad))
+        return bad
 
     def __len__(self) -> int:
         return len(self._events)
@@ -215,7 +173,7 @@ class SLOMonitor:
         if total == 0:
             return 0.0
         bad = prefix[hi] - prefix[lo]
-        return (bad / total) / self.config.budget_fraction
+        return (bad / total) / (1.0 - self.availability)
 
     def burn_rate(self, window_ms: float, at_ms: float) -> float:
         """Burn rate over the window ``(at_ms - window_ms, at_ms]``:
@@ -230,20 +188,17 @@ class SLOMonitor:
         windows exceed the threshold and clears at the first event where
         either drops back."""
         times, prefix = self._sorted()
-        status = SLOStatus(config=self.config,
-                           total=len(times),
-                           bad=prefix[-1])
-        for rule in self.config.burn_rules:
+        status = SLOStatus(self.latency_target_ms, self.availability,
+                           total=len(times), bad=prefix[-1])
+        for name, long_ms, short_ms, threshold in BURN_RULES:
             active: Alert | None = None
             for ts in times:
-                long_burn = self._burn(times, prefix,
-                                       rule.long_window_ms, ts)
-                short_burn = self._burn(times, prefix,
-                                        rule.short_window_ms, ts)
-                firing = (long_burn >= rule.threshold
-                          and short_burn >= rule.threshold)
+                long_burn = self._burn(times, prefix, long_ms, ts)
+                short_burn = self._burn(times, prefix, short_ms, ts)
+                firing = (long_burn >= threshold
+                          and short_burn >= threshold)
                 if firing and active is None:
-                    active = Alert(rule.name, ts, float("nan"),
+                    active = Alert(name, ts, float("nan"),
                                    long_burn, short_burn)
                 elif not firing and active is not None:
                     status.alerts.append(Alert(

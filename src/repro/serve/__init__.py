@@ -23,10 +23,9 @@ CLI: ``python -m repro serve --bench`` (see ``docs/TUTORIAL.md`` §10).
 """
 
 from .attribution import PHASES, PhaseBreakdown, PhaseRow
-from .batcher import AdaptiveBatcher, BatcherConfig, Wave
-from .cache import CacheConfig, CacheStats, LandmarkCache
+from .batcher import AdaptiveBatcher, Wave
+from .cache import CacheStats, LandmarkCache
 from .dispatcher import (
-    DispatchConfig,
     DispatchStats,
     LocalityRouter,
     WaveDispatcher,
@@ -53,16 +52,13 @@ from .query import (
     sptree_query,
 )
 from .report import ServeReport
-from .resilience import DeviceHealth, ResilienceConfig
+from .resilience import DeviceHealth
 
 __all__ = [
     "AdaptiveBatcher",
-    "BatcherConfig",
     "BenchReport",
-    "CacheConfig",
     "CacheStats",
     "DeviceHealth",
-    "DispatchConfig",
     "DispatchStats",
     "LandmarkCache",
     "LocalityRouter",
@@ -72,7 +68,6 @@ __all__ = [
     "Query",
     "QueryKind",
     "QueryResult",
-    "ResilienceConfig",
     "ServeConfig",
     "ServeEngine",
     "ServeReport",

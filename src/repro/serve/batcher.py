@@ -5,50 +5,33 @@ mask bit is a *query source*, so up to 64 distinct sources ride one
 traversal.  The batcher groups pending queries by source (queries that
 share a source occupy one lane) and flushes a wave when either
 
-* **width** — :attr:`BatcherConfig.max_wave_sources` distinct sources
-  are pending (the mask is full), or
+* **width** — :attr:`ServeConfig.batch_sources` distinct sources are
+  pending (the mask is full), or
 * **deadline** — the oldest pending query has waited
-  :attr:`BatcherConfig.deadline_ms` of simulated time (bounded latency
-  beats a full mask under light load).
+  :attr:`ServeConfig.deadline_ms` of simulated time (bounded latency
+  beats a full mask under light load).  ``0`` means *no batching
+  delay*: a query's deadline is due the instant it arrives, so every
+  query flushes immediately (as its own wave unless others share the
+  exact arrival time).
 
 A bounded pending-queue provides backpressure: :meth:`AdaptiveBatcher.add`
-refuses work beyond :attr:`BatcherConfig.max_pending` queries instead of
+refuses work beyond :attr:`ServeConfig.max_pending` queries instead of
 growing without bound — the caller surfaces the rejection to the client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..bfs.msbfs import BATCH
 from .query import Query
 
-__all__ = ["BatcherConfig", "Wave", "AdaptiveBatcher"]
+if TYPE_CHECKING:
+    from .engine import ServeConfig
 
-
-@dataclass(frozen=True)
-class BatcherConfig:
-    """Flush and backpressure policy."""
-
-    #: Distinct sources per wave; capped by the 64 mask lanes of MS-BFS.
-    max_wave_sources: int = BATCH
-    #: Max simulated ms the oldest query may wait before a forced flush.
-    #: ``0`` is valid and means *no batching delay*: a query's deadline
-    #: is due the instant it arrives, so every query flushes immediately
-    #: (as its own wave unless others share the exact arrival time).
-    deadline_ms: float = 2.0
-    #: Pending-query bound; ``add`` returns False beyond it.
-    max_pending: int = 4096
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_wave_sources <= BATCH:
-            raise ValueError(f"wave width must be 1..{BATCH}")
-        if self.deadline_ms < 0:
-            raise ValueError("deadline cannot be negative")
-        if self.max_pending < 1:
-            raise ValueError("need room for at least one pending query")
+__all__ = ["Wave", "AdaptiveBatcher"]
 
 
 @dataclass
@@ -83,8 +66,8 @@ class Wave:
 class AdaptiveBatcher:
     """Source-coalescing accumulator with width/deadline flushing."""
 
-    def __init__(self, config: BatcherConfig | None = None):
-        self.config = config or BatcherConfig()
+    def __init__(self, config: ServeConfig):
+        self.config = config
         #: source -> queries, insertion-ordered by first arrival.
         self._by_source: dict[int, list[Query]] = {}
         #: source -> time its first pending query was queued.
@@ -150,7 +133,7 @@ class AdaptiveBatcher:
 
     def wave_ready(self) -> bool:
         """A full-width wave is waiting."""
-        return len(self._by_source) >= self.config.max_wave_sources
+        return len(self._by_source) >= self.config.batch_sources
 
     def next_deadline(self) -> float | None:
         """Simulated time at which the oldest pending query must flush."""
@@ -166,10 +149,10 @@ class AdaptiveBatcher:
     # Wave extraction
     # ------------------------------------------------------------------
     def pop_wave(self, now_ms: float) -> Wave | None:
-        """Remove up to ``max_wave_sources`` oldest sources as one wave."""
+        """Remove up to ``batch_sources`` oldest sources as one wave."""
         if not self._by_source:
             return None
-        width = min(len(self._by_source), self.config.max_wave_sources)
+        width = min(len(self._by_source), self.config.batch_sources)
         picked = list(self._by_source)[:width]
         oldest_ms = min(self._first_ms[s] for s in picked)
         queries: list[Query] = []

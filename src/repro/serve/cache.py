@@ -4,11 +4,11 @@ Two tiers, both exact (the cache never approximates):
 
 * **Row tier** — full level arrays of recently served sources, admitted
   with a *hub-aware* policy: a source's row enters the cache only if the
-  source is a hub (out-degree at or above the admission threshold — the
-  §4.3 hub-vertex observation lifted to the serving layer: hubs are the
-  vertices most likely to be asked about again) or it has been requested
-  :attr:`CacheConfig.admit_after` times.  LRU-evicted at
-  :attr:`CacheConfig.capacity` rows.
+  source is a hub (out-degree at or above the 99th percentile, the hub
+  knee — the §4.3 hub-vertex observation lifted to the serving layer:
+  hubs are the vertices most likely to be asked about again) or it has
+  been requested :attr:`ServeConfig.admit_after` times.  LRU-evicted at
+  :attr:`ServeConfig.cache_capacity` rows.
 * **Landmark tier** — a :class:`~repro.apps.landmarks.LandmarkOracle`
   built once at engine start (its MS-BFS build cost is the engine's
   warm-up).  A distance query is served here only when the triangle
@@ -23,41 +23,22 @@ Anything the two tiers cannot answer exactly falls through to a wave.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..apps.landmarks import LandmarkOracle, UNREACHABLE_DISTANCE, \
     build_oracle
-from ..bfs.common import UNVISITED
 from ..graph.csr import CSRGraph
 from ..observ.registry import get_registry
 from .query import Query, QueryKind, QueryResult, UNREACHABLE, \
     answer_from_levels
 
-__all__ = ["CacheConfig", "CacheStats", "LandmarkCache"]
+if TYPE_CHECKING:
+    from .engine import ServeConfig
 
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Sizing and admission policy for :class:`LandmarkCache`."""
-
-    num_landmarks: int = 16
-    #: Max cached level rows.
-    capacity: int = 64
-    #: Out-degree at or above which a source is admitted immediately
-    #: (None: the 99th percentile of out-degrees, the hub knee).
-    hub_degree: int | None = None
-    #: Non-hub sources are admitted after this many requests.
-    admit_after: int = 2
-
-    def __post_init__(self) -> None:
-        if self.num_landmarks < 1:
-            raise ValueError("need at least one landmark")
-        if self.capacity < 0:
-            raise ValueError("capacity cannot be negative")
-        if self.admit_after < 1:
-            raise ValueError("admit_after must be at least 1")
+__all__ = ["CacheStats", "LandmarkCache"]
 
 
 @dataclass
@@ -87,19 +68,16 @@ class CacheStats:
 class LandmarkCache:
     """Exact two-tier answer cache (see module docstring)."""
 
-    def __init__(self, graph: CSRGraph, config: CacheConfig | None = None,
-                 *, device=None):
+    def __init__(self, graph: CSRGraph, config: ServeConfig, *,
+                 device=None):
         self.graph = graph
-        self.config = config or CacheConfig()
+        self.config = config
         self.stats = CacheStats()
-        k = min(self.config.num_landmarks, graph.num_vertices)
+        k = min(config.num_landmarks, graph.num_vertices)
         self.oracle: LandmarkOracle = build_oracle(graph, k, device=device)
-        if self.config.hub_degree is not None:
-            self._hub_degree = int(self.config.hub_degree)
-        else:
-            degs = graph.out_degrees
-            self._hub_degree = max(int(np.quantile(degs, 0.99)), 1) \
-                if degs.size else 1
+        degs = graph.out_degrees
+        self._hub_degree = max(int(np.quantile(degs, 0.99)), 1) \
+            if degs.size else 1
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._request_counts: dict[int, int] = {}
 
@@ -186,7 +164,7 @@ class LandmarkCache:
     # ------------------------------------------------------------------
     def admit(self, source: int, levels: np.ndarray) -> bool:
         """Offer a freshly computed level row; hub-aware admission."""
-        if self.config.capacity == 0:
+        if self.config.cache_capacity == 0:
             return False
         if source in self._rows:
             self._rows[source] = levels
@@ -198,7 +176,7 @@ class LandmarkCache:
         if not (is_hub or popular):
             self.stats.admission_refusals += 1
             return False
-        while len(self._rows) >= self.config.capacity:
+        while len(self._rows) >= self.config.cache_capacity:
             self._rows.popitem(last=False)
             self.stats.evictions += 1
         self._rows[source] = levels

@@ -11,36 +11,38 @@ concurrent waves.
 Reliability policy, per wave:
 
 * **timeout / cancel** — a sweep whose simulated time exceeds
-  ``timeout_ms`` is *cancelled at the deadline*: the device's timeline is
-  truncated to the cancel point (``GPUDevice.truncate_to``), so the
-  dispatcher's clock, the device's busy time, and the Chrome trace all
-  agree that only ``timeout_ms`` of work ran.  A multi-source wave then
-  **splits** into two half-width waves re-dispatched at the cancel point
-  (smaller union frontier → retries converge); a single-source wave
-  **migrates** whole to a different device when one is available.  Both
-  paths consume one unit of the ``max_retries`` budget.
+  :attr:`ServeConfig.timeout_ms` is *cancelled at the deadline*: the
+  device's timeline is truncated to the cancel point
+  (``GPUDevice.truncate_to``), so the dispatcher's clock, the device's
+  busy time, and the Chrome trace all agree that only ``timeout_ms`` of
+  work ran.  A multi-source wave then **splits** into two half-width
+  waves re-dispatched at the cancel point (smaller union frontier →
+  retries converge); a single-source wave **migrates** whole to a
+  different device when one is available.  Both paths consume one unit
+  of the :attr:`ServeConfig.max_retries` budget.
 * **deadline miss** — when the budget is exhausted (or a single-source
   straggler has nowhere else to run) the late sweep is *accepted* and
   counted as a deadline miss; queries are never failed.
 * **transient wave failure** (fault injection) — the sweep's cost is
   paid, its result discarded, and the wave re-dispatched on another
   device ("failover"); the failed device enters exponential-backoff
-  quarantine via :class:`~repro.serve.resilience.DeviceHealth`.
+  quarantine via :class:`~repro.serve.resilience.DeviceHealth`, at
+  most :data:`~repro.serve.resilience.MAX_FAILOVERS` times in a row.
 * **permanent device loss** (fault injection) — a device past its
   death time leaves the placement pool forever; a sweep cut down
   mid-run pays only the time up to the death and fails over.  The last
   surviving device is immortal: serving never loses its final worker.
-* **hedged dispatch** — with a ``hedge_threshold_ms`` policy, a sweep
-  that runs past the threshold gets a duplicate dispatched on a second
-  device starting at the threshold; the earlier completion defines the
-  wave's completion time (results are identical — MS-BFS is
+* **hedged dispatch** — with :attr:`ServeConfig.hedge_threshold_ms`
+  set, a sweep that runs past the threshold gets a duplicate dispatched
+  on a second device starting at the threshold; the earlier completion
+  defines the wave's completion time (results are identical — MS-BFS is
   deterministic — so hedging buys latency, never correctness).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -49,10 +51,13 @@ from ..graph.csr import CSRGraph
 from ..gpu.multi import DeviceGroup
 from ..observ.registry import get_registry
 from ..observ.tracer import get_tracer
-from .resilience import DeviceHealth, ResilienceConfig
+from .resilience import MAX_FAILOVERS, DeviceHealth
 
-__all__ = ["DispatchConfig", "DispatchStats", "LocalityRouter",
-           "WaveOutcome", "WaveDispatcher"]
+if TYPE_CHECKING:
+    from .engine import ServeConfig
+
+__all__ = ["DispatchStats", "LocalityRouter", "WaveOutcome",
+           "WaveDispatcher"]
 
 
 @dataclass(frozen=True)
@@ -105,22 +110,6 @@ class LocalityRouter:
         node = int(np.bincount(nodes).argmax())
         base = node * self.devices_per_node
         return set(range(base, base + self.devices_per_node))
-
-
-@dataclass(frozen=True)
-class DispatchConfig:
-    """Timeout/retry policy for wave execution."""
-
-    #: Per-wave simulated-time budget; None disables the timeout path.
-    timeout_ms: float | None = None
-    #: Split/migrate retry budget per wave lineage.
-    max_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
 
 
 @dataclass
@@ -176,13 +165,11 @@ class WaveDispatcher:
     failover, and hedging."""
 
     def __init__(self, graph: CSRGraph, group: DeviceGroup,
-                 config: DispatchConfig | None = None, *,
-                 resilience: ResilienceConfig | None = None,
-                 injector=None, locality: LocalityRouter | None = None):
+                 config: ServeConfig, *, injector=None,
+                 locality: LocalityRouter | None = None):
         self.graph = graph
         self.group = group
-        self.config = config or DispatchConfig()
-        self.resilience = resilience or ResilienceConfig()
+        self.config = config
         #: A :class:`~repro.faults.injector.FaultInjector`, or None.
         self.injector = injector
         #: Optional :class:`LocalityRouter`; None keeps pure
@@ -193,7 +180,7 @@ class WaveDispatcher:
                 != len(group):
             raise ValueError("locality router shape does not cover the "
                              "device group")
-        self.health = DeviceHealth(len(group), self.resilience)
+        self.health = DeviceHealth(len(group))
         self.stats = DispatchStats(
             busy_ms_per_device=[0.0] * len(group))
         #: Simulated wall-clock time each device becomes idle.
@@ -326,7 +313,7 @@ class WaveDispatcher:
         # sick device quarantined with exponential backoff.  Capped so a
         # pathological failure streak cannot starve a wave forever.
         if (self.injector is not None
-                and failovers < self.resilience.max_failovers
+                and failovers < MAX_FAILOVERS
                 and self.injector.wave_fails()):
             self.stats.wave_failures += 1
             get_registry().counter("repro.serve.wave_failures").inc()
@@ -390,7 +377,7 @@ class WaveDispatcher:
         # duplicate on a second device; the earlier completion wins.
         completed = end_ms
         winning_exec_ms = wave_ms
-        hedge_after = self.resilience.hedge_threshold_ms
+        hedge_after = self.config.hedge_threshold_ms
         if hedge_after is not None and wave_ms > hedge_after:
             pool = [i for i in self.health.placement_pool(start_ms)
                     if i != idx]

@@ -51,14 +51,12 @@ from ..graph.csr import CSRGraph
 from ..gpu.multi import DeviceGroup
 from ..gpu.specs import DeviceSpec, KEPLER_K40
 from ..observ.registry import get_registry
-from ..observ.slo import SLOConfig, SLOMonitor, SLOStatus
+from ..observ.slo import SLOMonitor, SLOStatus
 from ..observ.tracer import TID_SERVE, get_tracer
-from .batcher import AdaptiveBatcher, BatcherConfig, Wave
-from .cache import CacheConfig, CacheStats, LandmarkCache
-from .dispatcher import (DispatchConfig, DispatchStats, LocalityRouter,
-                         WaveDispatcher)
+from .batcher import AdaptiveBatcher, Wave
+from .cache import CacheStats, LandmarkCache
+from .dispatcher import DispatchStats, LocalityRouter, WaveDispatcher
 from .query import Query, QueryResult, answer_from_levels
-from .resilience import ResilienceConfig
 
 __all__ = ["ServeConfig", "ServeStats", "ServeEngine",
            "format_latency_ms"]
@@ -75,12 +73,21 @@ LATENCY_BUCKETS = tuple(10.0 ** e for e in range(-4, 5))
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Engine-wide policy knobs (one flat config for the CLI)."""
+    """The serve engine's one config: the batcher, the cache, the
+    dispatcher and the SLO monitor read it, and every range check runs
+    when it is built (the cache's only with the cache on, the SLO's
+    only with a latency target)."""
 
+    #: Distinct sources per wave; capped by the 64 mask lanes of MS-BFS.
     batch_sources: int = BATCH
+    #: Max simulated ms the oldest query may wait before a forced flush;
+    #: ``0`` means no batching delay.
     deadline_ms: float = 2.0
+    #: Pending-query bound; beyond it the batcher refuses (backpressure).
     max_pending: int = 4096
+    #: Per-wave simulated-time budget; None disables the timeout path.
     timeout_ms: float | None = None
+    #: Split/migrate retry budget per wave lineage.
     max_retries: int = 2
     num_gpus: int = 1
     #: Nodes the device pool is grouped into (device i lives on node
@@ -91,9 +98,11 @@ class ServeConfig:
     locality: bool = False
     cache: bool = True
     num_landmarks: int = 16
+    #: Max cached level rows.
     cache_capacity: int = 64
+    #: Non-hub sources are admitted to the row cache after this many
+    #: requests.
     admit_after: int = 2
-    hub_degree: int | None = None
     #: Named fault profile (see :data:`repro.faults.PROFILES`).
     faults: str = "none"
     fault_seed: int = 7
@@ -102,10 +111,6 @@ class ServeConfig:
     #: Under overload, shed the lowest-priority pending query instead of
     #: rejecting the incoming one.
     shed_overload: bool = True
-    backoff_base_ms: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 64.0
-    max_failovers: int = 4
     #: Latency SLO target (simulated ms); None disables SLO monitoring.
     slo_latency_ms: float | None = None
     #: Availability target funding the error budget (fraction of
@@ -118,38 +123,34 @@ class ServeConfig:
         if self.num_gpus % self.num_nodes:
             raise ValueError(f"{self.num_gpus} devices cannot group evenly "
                              f"into {self.num_nodes} nodes")
-
-    def batcher_config(self) -> BatcherConfig:
-        return BatcherConfig(max_wave_sources=self.batch_sources,
-                             deadline_ms=self.deadline_ms,
-                             max_pending=self.max_pending)
-
-    def dispatch_config(self) -> DispatchConfig:
-        return DispatchConfig(timeout_ms=self.timeout_ms,
-                              max_retries=self.max_retries)
-
-    def cache_config(self) -> CacheConfig:
-        return CacheConfig(num_landmarks=self.num_landmarks,
-                           capacity=self.cache_capacity,
-                           admit_after=self.admit_after,
-                           hub_degree=self.hub_degree)
-
-    def resilience_config(self) -> ResilienceConfig:
-        return ResilienceConfig(backoff_base_ms=self.backoff_base_ms,
-                                backoff_factor=self.backoff_factor,
-                                backoff_max_ms=self.backoff_max_ms,
-                                hedge_threshold_ms=self.hedge_threshold_ms,
-                                max_failovers=self.max_failovers,
-                                shed_overload=self.shed_overload)
+        if not 1 <= self.batch_sources <= BATCH:
+            raise ValueError(f"wave width must be 1..{BATCH}")
+        if self.deadline_ms < 0:
+            raise ValueError("deadline cannot be negative")
+        if self.max_pending < 1:
+            raise ValueError("need room for at least one pending query")
+        if self.timeout_ms is not None and self.timeout_ms <= 0:
+            raise ValueError("timeout must be positive (or None)")
+        if self.max_retries < 0:
+            raise ValueError("max_retries cannot be negative")
+        if self.hedge_threshold_ms is not None \
+                and self.hedge_threshold_ms <= 0:
+            raise ValueError("hedge threshold must be positive (or None)")
+        if self.slo_latency_ms is not None:
+            if self.slo_latency_ms <= 0:
+                raise ValueError("latency target must be positive")
+            if not 0.0 < self.slo_availability < 1.0:
+                raise ValueError("availability target must be in (0, 1)")
+        if self.cache:
+            if self.num_landmarks < 1:
+                raise ValueError("need at least one landmark")
+            if self.cache_capacity < 0:
+                raise ValueError("capacity cannot be negative")
+            if self.admit_after < 1:
+                raise ValueError("admit_after must be at least 1")
 
     def fault_plan(self) -> FaultPlan:
         return profile(self.faults, seed=self.fault_seed)
-
-    def slo_config(self) -> SLOConfig | None:
-        if self.slo_latency_ms is None:
-            return None
-        return SLOConfig(latency_target_ms=self.slo_latency_ms,
-                         availability_target=self.slo_availability)
 
 
 @dataclass
@@ -261,13 +262,13 @@ class ServeEngine:
         self.group = group
         injector = None if plan.is_null \
             else FaultInjector(plan, len(self.group))
-        self.batcher = AdaptiveBatcher(self.config.batcher_config())
+        self.batcher = AdaptiveBatcher(self.config)
         self.cache: LandmarkCache | None = None
         warmup_ms = 0.0
         if self.config.cache:
             # Warm-up: the landmark MS-BFS runs on device 0 before any
             # traffic, so its cost is startup, not query latency.
-            self.cache = LandmarkCache(graph, self.config.cache_config(),
+            self.cache = LandmarkCache(graph, self.config,
                                        device=self.group.devices[0])
             warmup_ms = self.cache.build_time_ms
         router: LocalityRouter | None = None
@@ -275,10 +276,8 @@ class ServeEngine:
             router = LocalityRouter.for_graph(
                 graph, self.config.num_nodes,
                 len(self.group) // self.config.num_nodes)
-        self.dispatcher = WaveDispatcher(
-            graph, self.group, self.config.dispatch_config(),
-            resilience=self.config.resilience_config(),
-            injector=injector, locality=router)
+        self.dispatcher = WaveDispatcher(graph, self.group, self.config,
+                                         injector=injector, locality=router)
         self.now_ms = warmup_ms
         self._warmup_ms = warmup_ms
         self._results: list[QueryResult] = []
@@ -291,9 +290,10 @@ class ServeEngine:
         self._next_trace_id = 0
         #: trace_id -> simulated time the query entered the batcher.
         self._admit_ms: dict[int, float] = {}
-        slo_cfg = self.config.slo_config()
-        self.slo: SLOMonitor | None = \
-            SLOMonitor(slo_cfg) if slo_cfg is not None else None
+        self.slo: SLOMonitor | None = None
+        if self.config.slo_latency_ms is not None:
+            self.slo = SLOMonitor(self.config.slo_latency_ms,
+                                  self.config.slo_availability)
         #: Optional :class:`~repro.observ.monitor.LiveMonitor` sampling
         #: this engine on the simulated clock (duck-typed to avoid a
         #: serve → observ.monitor import cycle).
@@ -466,13 +466,10 @@ class ServeEngine:
                                          LATENCY_BUCKETS,
                                          phase=name).observe(ms)
         if self.slo is not None:
-            self.slo.observe_latency(result.completed_ms,
-                                     result.latency_ms, ok=result.ok)
-            verdict = "bad" if (not result.ok or result.latency_ms >
-                                self.slo.config.latency_target_ms) \
-                else "good"
+            bad = self.slo.observe_latency(result.completed_ms,
+                                           result.latency_ms, ok=result.ok)
             self._registry.counter("repro.serve.slo_requests",
-                                   verdict=verdict).inc()
+                                   verdict="bad" if bad else "good").inc()
         self._trace_completion(result)
 
     # ------------------------------------------------------------------

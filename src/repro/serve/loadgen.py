@@ -31,7 +31,7 @@ from .engine import ServeConfig, ServeEngine, ServeStats, \
 from .query import Query, QueryKind, QueryResult
 
 __all__ = ["TraceConfig", "synthetic_trace", "BenchReport",
-           "run_serve_bench", "replay"]
+           "run_serve_bench", "replay", "baseline_config", "same_answer"]
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,25 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _answers_equal(a: QueryResult, b: QueryResult) -> bool:
-    if a.query.qid != b.query.qid:
-        return False
-    if a.query.kind is QueryKind.SPTREE:
-        return (a.levels is not None and b.levels is not None
-                and np.array_equal(a.levels, b.levels))
-    return a.distance == b.distance and a.reachable == b.reachable
+def baseline_config(config: ServeConfig) -> ServeConfig:
+    """One traversal per query on ``config``'s pending bound and
+    devices: wave width 1, no batching delay, no cache, timeout or
+    retries.  The clean reference that the bench and the chaos harness
+    check answers against."""
+    return ServeConfig(batch_sources=1, deadline_ms=0.0,
+                       max_pending=config.max_pending, max_retries=0,
+                       num_gpus=config.num_gpus, cache=False)
+
+
+def same_answer(got: QueryResult, truth: QueryResult) -> bool:
+    """Whether two results answer the same query alike: SPTREE by full
+    level array (parents may legally differ between valid BFS trees),
+    the others by distance and reachability."""
+    if got.query.kind is QueryKind.SPTREE:
+        return (got.levels is not None and truth.levels is not None
+                and np.array_equal(got.levels, truth.levels))
+    return (got.distance == truth.distance
+            and got.reachable == truth.reachable)
 
 
 def run_serve_bench(
@@ -205,15 +217,11 @@ def run_serve_bench(
     if trace is None:
         trace = synthetic_trace(graph, trace_config)
     config = config or ServeConfig()
-    baseline_config = ServeConfig(
-        batch_sources=1, deadline_ms=0.0,
-        max_pending=config.max_pending, timeout_ms=None,
-        max_retries=0, num_gpus=config.num_gpus, cache=False)
 
     with tracing(tracer) if tracer is not None else nullcontext():
         batched_engine = ServeEngine(graph, config, fault_plan=fault_plan)
         batched = replay(batched_engine, trace)
-    baseline_engine = ServeEngine(graph, baseline_config)
+    baseline_engine = ServeEngine(graph, baseline_config(config))
     baseline = replay(baseline_engine, trace)
 
     if check:
@@ -222,7 +230,7 @@ def run_serve_bench(
             if not r.ok:
                 continue
             other = by_qid[r.query.qid]
-            if not _answers_equal(r, other):
+            if not same_answer(r, other):
                 raise AssertionError(
                     f"answer mismatch for query {r.query}: "
                     f"batched ({r.distance}, {r.reachable}) vs "

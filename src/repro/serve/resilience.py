@@ -1,14 +1,13 @@
-"""Resilience policy for the serving path: health, backoff, hedging.
+"""Resilience policy for the serving path: device health and backoff.
 
 The dispatcher's reliability story (timeout + split-retry) assumed every
 device eventually answers; with the fault layer (:mod:`repro.faults`)
 that stops being true, so placement needs a memory:
 
-* :class:`ResilienceConfig` — the policy knobs: exponential-backoff
-  quarantine for sick devices, the hedging threshold past which a wave
-  gets a backup dispatch on a second device, a cap on consecutive
-  failovers per wave, and whether the engine sheds lowest-priority
-  queries under overload instead of rejecting outright.
+* the **backoff constants** — a failure quarantines its device for
+  :data:`BACKOFF_BASE_MS`, multiplied by :data:`BACKOFF_FACTOR` per
+  consecutive failure up to :data:`BACKOFF_MAX_MS`, and a wave fails
+  over at most :data:`MAX_FAILOVERS` times in a row.
 * :class:`DeviceHealth` — per-device failure tracking.  Each failure
   doubles the quarantine window (capped); a success resets the streak;
   a permanently lost device leaves the placement pool for good.  The
@@ -18,61 +17,27 @@ that stops being true, so placement needs a memory:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+__all__ = ["DeviceHealth", "BACKOFF_BASE_MS", "BACKOFF_FACTOR",
+           "BACKOFF_MAX_MS", "MAX_FAILOVERS"]
 
-__all__ = ["ResilienceConfig", "DeviceHealth"]
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Failure-handling policy knobs (engine- and dispatcher-level)."""
-
-    #: First quarantine window after a failure (simulated ms).
-    backoff_base_ms: float = 1.0
-    #: Multiplier per consecutive failure (exponential backoff).
-    backoff_factor: float = 2.0
-    #: Quarantine window ceiling.
-    backoff_max_ms: float = 64.0
-    #: Duplicate a wave on a second device once its sweep runs past this
-    #: many simulated ms; the earlier completion wins.  None disables.
-    hedge_threshold_ms: float | None = None
-    #: Max consecutive failure re-dispatches per wave before the next
-    #: attempt is accepted unconditionally (guards against a pathological
-    #: failure streak starving a wave forever).
-    max_failovers: int = 4
-    #: Shed the lowest-priority pending query under overload instead of
-    #: rejecting the incoming one at the batcher bound.
-    shed_overload: bool = True
-
-    def __post_init__(self) -> None:
-        if self.backoff_base_ms <= 0:
-            raise ValueError("backoff base must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-        if self.backoff_max_ms < self.backoff_base_ms:
-            raise ValueError("backoff ceiling below its base")
-        if self.hedge_threshold_ms is not None \
-                and self.hedge_threshold_ms <= 0:
-            raise ValueError("hedge threshold must be positive (or None)")
-        if self.max_failovers < 0:
-            raise ValueError("max_failovers cannot be negative")
-
-    def backoff_ms(self, consecutive_failures: int) -> float:
-        """Quarantine window after the Nth consecutive failure."""
-        if consecutive_failures < 1:
-            return 0.0
-        window = self.backoff_base_ms * (
-            self.backoff_factor ** (consecutive_failures - 1))
-        return min(window, self.backoff_max_ms)
+#: First quarantine window after a failure (simulated ms).
+BACKOFF_BASE_MS = 1.0
+#: Multiplier per consecutive failure (exponential backoff).
+BACKOFF_FACTOR = 2.0
+#: Quarantine window ceiling (simulated ms).
+BACKOFF_MAX_MS = 64.0
+#: Max consecutive failure re-dispatches per wave before the next
+#: attempt is accepted unconditionally (guards against a pathological
+#: failure streak starving a wave forever).
+MAX_FAILOVERS = 4
 
 
 class DeviceHealth:
     """Per-device failure streaks, quarantine windows, and losses."""
 
-    def __init__(self, count: int, config: ResilienceConfig | None = None):
+    def __init__(self, count: int):
         if count < 1:
             raise ValueError("need at least one device")
-        self.config = config or ResilienceConfig()
         self._consecutive = [0] * count
         self._quarantined_until = [0.0] * count
         self._lost = [False] * count
@@ -88,7 +53,8 @@ class DeviceHealth:
     def report_failure(self, idx: int, now_ms: float) -> float:
         """Record a failure; returns the quarantine window opened."""
         self._consecutive[idx] += 1
-        window = self.config.backoff_ms(self._consecutive[idx])
+        window = min(BACKOFF_BASE_MS * BACKOFF_FACTOR
+                     ** (self._consecutive[idx] - 1), BACKOFF_MAX_MS)
         self._quarantined_until[idx] = max(
             self._quarantined_until[idx], now_ms + window)
         self.quarantines += 1

@@ -116,6 +116,16 @@ def test_invalid_documents_are_refused(docs, tag, spoil, tmp_path):
         load_artifact(path, tag)
 
 
+@pytest.mark.parametrize("source", ["slo", "profiler", "cluster", "user"])
+def test_findings_refuse_a_source_nothing_writes(docs, source, tmp_path):
+    doc = _copy(docs[FINDINGS_SCHEMA])
+    doc["events"][0]["source"] = source
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="unknown source"):
+        write_artifact(path, doc)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("tag", TAGS)
 def test_a_layout_never_loads_as_another(docs, tag, tmp_path):
     for other in TAGS:

@@ -148,6 +148,21 @@ class TestParser:
            *bad]
           for bad in (["--compare", "GOOD_PROFILE"], ["--bench-dir", "DIR"],
                       ["--config", "HC"])),
+        ["bfs", "--profile", "tiny", "--source", "-5"],
+        ["trace", "KR0", "--profile", "tiny", "--source", "99999999"],
+        ["profile", "--profile", "tiny", "--source", "99999999"],
+        ["profile", "--cluster", "--profile", "tiny", "--source", "99999999"],
+        ["app", "sssp", "--profile", "tiny", "--source", "99999999"],
+        ["cluster", "bfs", "--profile", "tiny", "--source", "99999999"],
+        ["bfs", "--profile", "tiny", "--gpus", "2", "--algorithm", "topdown"],
+        ["bfs", "--profile", "tiny", "--gpus", "2", "--device", "c2070",
+         "--timeline"],
+        ["app", "closeness", "--profile", "tiny", "--samples", "-1"],
+        ["app", "closeness", "--profile", "tiny", "--samples", "0"],
+        ["app", "bc", "--profile", "tiny", "--samples", "0"],
+        ["occupancy", "--threads", "0"],
+        ["occupancy", "--registers", "300"],
+        ["occupancy", "--shared", "-1"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys,
                                         monkeypatch, good_profile):
@@ -208,6 +223,15 @@ class TestCommands:
                      "--gpus", "2", "--validate"]) == 0
         out = capsys.readouterr().out
         assert "ballot compression" in out
+
+    def test_bfs_multigpu_runs_on_the_named_device(self, capsys):
+        times = []
+        for device in ("k40", "c2070"):
+            assert main(["bfs", "--graph", "GO", "--profile", "tiny",
+                         "--gpus", "2", "--device", device]) == 0
+            times.append(re.search(r"([0-9.]+) simulated ms",
+                                   capsys.readouterr().out).group(1))
+        assert times[0] != times[1]
 
     def test_generate_roundtrip(self, tmp_path, capsys):
         out_file = tmp_path / "g.npz"

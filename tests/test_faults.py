@@ -14,8 +14,6 @@ from repro.gpu.memory import sequential_transactions
 from repro.graph import powerlaw_graph, rmat_graph
 from repro.serve import (
     DeviceHealth,
-    DispatchConfig,
-    ResilienceConfig,
     ServeConfig,
     ServeEngine,
     TraceConfig,
@@ -24,6 +22,7 @@ from repro.serve import (
     run_serve_bench,
     synthetic_trace,
 )
+from repro.serve.resilience import BACKOFF_MAX_MS, MAX_FAILOVERS
 
 
 @pytest.fixture
@@ -155,17 +154,14 @@ class TestDeviceFaults:
 
 class TestDeviceHealth:
     def test_exponential_backoff_quarantine(self):
-        cfg = ResilienceConfig(backoff_base_ms=1.0, backoff_factor=2.0,
-                               backoff_max_ms=8.0)
-        h = DeviceHealth(2, cfg)
+        h = DeviceHealth(2)
         assert h.report_failure(0, now_ms=0.0) == 1.0
         assert h.quarantined(0, 0.5)
         assert not h.quarantined(0, 1.5)
-        assert h.report_failure(0, 2.0) == 2.0
-        assert h.report_failure(0, 2.0) == 4.0
-        assert h.report_failure(0, 2.0) == 8.0
-        assert h.report_failure(0, 2.0) == 8.0  # capped
-        assert h.quarantines == 5
+        for window in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
+            assert h.report_failure(0, 2.0) == window
+        assert h.report_failure(0, 2.0) == BACKOFF_MAX_MS  # capped
+        assert h.quarantines == 8
         h.report_success(0)
         assert h.report_failure(0, 100.0) == 1.0  # streak reset
 
@@ -186,13 +182,8 @@ class TestDeviceHealth:
         assert h.placement_pool(0.0) == [0, 1]
 
     def test_config_validation(self):
-        for bad in (dict(backoff_base_ms=0.0),
-                    dict(backoff_factor=0.5),
-                    dict(backoff_max_ms=0.5),
-                    dict(hedge_threshold_ms=0.0),
-                    dict(max_failovers=-1)):
-            with pytest.raises(ValueError):
-                ResilienceConfig(**bad)
+        with pytest.raises(ValueError):
+            ServeConfig(hedge_threshold_ms=0.0)
         with pytest.raises(ValueError):
             DeviceHealth(0)
 
@@ -205,7 +196,7 @@ class TestDispatcherFaults:
     def test_transient_failures_fail_over_and_stay_exact(self, graph):
         plan = FaultPlan(wave_failure_p=0.5, seed=5)
         group = DeviceGroup(2, fault_plan=plan)
-        d = WaveDispatcher(graph, group, DispatchConfig(),
+        d = WaveDispatcher(graph, group, ServeConfig(),
                            injector=FaultInjector(plan, 2))
         for wave_id in range(6):
             sources = np.array([2 * wave_id + 1, 2 * wave_id + 2])
@@ -221,17 +212,16 @@ class TestDispatcherFaults:
         # p -> 1 would starve a wave forever without the failover cap.
         plan = FaultPlan(wave_failure_p=0.999, seed=1)
         group = DeviceGroup(2, fault_plan=plan)
-        d = WaveDispatcher(graph, group, DispatchConfig(),
-                           resilience=ResilienceConfig(max_failovers=3),
+        d = WaveDispatcher(graph, group, ServeConfig(),
                            injector=FaultInjector(plan, 2))
         outcome = d.run_wave(np.array([3]), now_ms=0.0)
         assert 3 in outcome.rows
-        assert d.stats.failovers <= 3
+        assert d.stats.failovers <= MAX_FAILOVERS
 
     def test_device_loss_before_start_reroutes(self, graph):
         plan = FaultPlan(device_loss={0: 0.0}, seed=2)
         group = DeviceGroup(2, fault_plan=plan)
-        d = WaveDispatcher(graph, group, DispatchConfig(),
+        d = WaveDispatcher(graph, group, ServeConfig(),
                            injector=FaultInjector(plan, 2))
         outcome = d.run_wave(np.array([1, 2]), now_ms=1.0)
         assert d.stats.devices_lost == 1
@@ -242,13 +232,13 @@ class TestDispatcherFaults:
     def test_device_loss_mid_sweep_pays_partial_and_fails_over(self, graph):
         # Death lands strictly inside the first sweep's window.
         probe_group = DeviceGroup(1)
-        probe = WaveDispatcher(graph, probe_group)
+        probe = WaveDispatcher(graph, probe_group, ServeConfig())
         probe.run_wave(np.array([1, 2]), now_ms=0.0)
         full_ms = probe_group.busy_ms()[0]
 
         plan = FaultPlan(device_loss={0: full_ms / 2}, seed=2)
         group = DeviceGroup(2, fault_plan=plan)
-        d = WaveDispatcher(graph, group, DispatchConfig(),
+        d = WaveDispatcher(graph, group, ServeConfig(),
                            injector=FaultInjector(plan, 2))
         outcome = d.run_wave(np.array([1, 2]), now_ms=0.0)
         assert d.stats.devices_lost == 1
@@ -263,7 +253,7 @@ class TestDispatcherFaults:
     def test_last_device_is_immortal(self, graph):
         plan = FaultPlan(device_loss={0: 0.0}, seed=2)
         group = DeviceGroup(1, fault_plan=plan)
-        d = WaveDispatcher(graph, group, DispatchConfig(),
+        d = WaveDispatcher(graph, group, ServeConfig(),
                            injector=FaultInjector(plan, 1))
         outcome = d.run_wave(np.array([4]), now_ms=10.0)
         assert d.stats.devices_lost == 0
@@ -271,9 +261,8 @@ class TestDispatcherFaults:
 
     def test_hedging_duplicates_slow_waves(self, graph):
         group = DeviceGroup(2)
-        d = WaveDispatcher(
-            graph, group, DispatchConfig(),
-            resilience=ResilienceConfig(hedge_threshold_ms=1e-9))
+        d = WaveDispatcher(graph, group,
+                           ServeConfig(hedge_threshold_ms=1e-9))
         outcome = d.run_wave(np.array([1, 2]), now_ms=0.0)
         assert d.stats.hedges == 1
         assert sorted(set(outcome.device_indices)) == [0, 1]
@@ -287,10 +276,10 @@ class TestDispatcherFaults:
     def test_straggler_slows_schedule_but_not_answers(self, graph):
         plan = FaultPlan(stragglers={0: 4.0})
         group = DeviceGroup(1, fault_plan=plan)
-        d = WaveDispatcher(graph, group)
+        d = WaveDispatcher(graph, group, ServeConfig())
         outcome = d.run_wave(np.array([7]), now_ms=0.0)
         clean_group = DeviceGroup(1)
-        clean = WaveDispatcher(graph, clean_group)
+        clean = WaveDispatcher(graph, clean_group, ServeConfig())
         clean_outcome = clean.run_wave(np.array([7]), now_ms=0.0)
         assert d.makespan_ms == pytest.approx(4 * clean.makespan_ms)
         assert np.array_equal(outcome.rows[7], clean_outcome.rows[7])

@@ -148,11 +148,11 @@ class TestDeviceGroup:
         # DispatchStats.busy_ms_per_device must describe the same run
         # identically (the serving dashboard draws from both).
         from repro.graph import powerlaw_graph
-        from repro.serve import WaveDispatcher
+        from repro.serve import ServeConfig, WaveDispatcher
 
         graph = powerlaw_graph(300, 5.0, 2.1, 32, seed=8)
         group = DeviceGroup(3)
-        d = WaveDispatcher(graph, group)
+        d = WaveDispatcher(graph, group, ServeConfig())
         d.run_wave(np.array([1, 2, 3]), now_ms=0.0)
         d.run_wave(np.array([4, 5]), now_ms=0.0)
         d.run_wave(np.array([6]), now_ms=0.0)

@@ -19,10 +19,7 @@ from repro.gpu.multi import DeviceGroup
 from repro.observ import MetricsRegistry, Tracer, collecting, tracing
 from repro.serve import (
     AdaptiveBatcher,
-    BatcherConfig,
-    CacheConfig,
     LandmarkCache,
-    DispatchConfig,
     Query,
     QueryKind,
     ServeConfig,
@@ -49,7 +46,7 @@ def graph():
 
 class TestBatcher:
     def test_coalesces_shared_sources_into_one_lane(self):
-        b = AdaptiveBatcher(BatcherConfig(max_wave_sources=4))
+        b = AdaptiveBatcher(ServeConfig(batch_sources=4))
         for qid in range(5):
             b.add(distance_query(7, qid, qid=qid), now_ms=0.0)
         assert b.pending_queries == 5
@@ -61,7 +58,7 @@ class TestBatcher:
         assert wave.coalesced == 4
 
     def test_width_flush_trigger(self):
-        b = AdaptiveBatcher(BatcherConfig(max_wave_sources=3))
+        b = AdaptiveBatcher(ServeConfig(batch_sources=3))
         for s in range(3):
             b.add(distance_query(s, 0), now_ms=0.0)
         assert b.wave_ready()
@@ -70,8 +67,8 @@ class TestBatcher:
         assert b.pending_queries == 0
 
     def test_deadline_tracks_oldest_source(self):
-        b = AdaptiveBatcher(BatcherConfig(deadline_ms=2.0,
-                                          max_wave_sources=64))
+        b = AdaptiveBatcher(ServeConfig(deadline_ms=2.0,
+                                        batch_sources=64))
         b.add(distance_query(1, 0), now_ms=5.0)
         b.add(distance_query(2, 0), now_ms=6.0)
         assert b.next_deadline() == pytest.approx(7.0)
@@ -79,15 +76,15 @@ class TestBatcher:
         assert b.due(7.0)
 
     def test_backpressure(self):
-        b = AdaptiveBatcher(BatcherConfig(max_pending=2))
+        b = AdaptiveBatcher(ServeConfig(max_pending=2))
         assert b.add(distance_query(0, 1), 0.0)
         assert b.add(distance_query(1, 2), 0.0)
         assert not b.add(distance_query(2, 3), 0.0)  # refused
         assert b.pending_queries == 2
 
     def test_oversized_backlog_pops_in_waves(self):
-        b = AdaptiveBatcher(BatcherConfig(max_wave_sources=2,
-                                          max_pending=100))
+        b = AdaptiveBatcher(ServeConfig(batch_sources=2,
+                                        max_pending=100))
         for s in range(5):
             b.add(distance_query(s, 0), 0.0)
         widths = []
@@ -96,13 +93,13 @@ class TestBatcher:
         assert widths == [2, 2, 1]
 
     def test_zero_deadline_is_due_immediately(self):
-        b = AdaptiveBatcher(BatcherConfig(deadline_ms=0.0))
+        b = AdaptiveBatcher(ServeConfig(deadline_ms=0.0))
         b.add(distance_query(3, 0), now_ms=5.0)
         assert b.due(5.0)
         assert b.next_deadline() == 5.0
 
     def test_width_one_pops_single_source_waves(self):
-        b = AdaptiveBatcher(BatcherConfig(max_wave_sources=1))
+        b = AdaptiveBatcher(ServeConfig(batch_sources=1))
         b.add(distance_query(1, 0), now_ms=0.0)
         assert b.wave_ready()
         b.add(distance_query(2, 0), now_ms=0.0)
@@ -113,7 +110,7 @@ class TestBatcher:
         assert int(second.sources[0]) == 2
 
     def test_shed_lowest_picks_lowest_priority_latest_queued(self):
-        b = AdaptiveBatcher(BatcherConfig())
+        b = AdaptiveBatcher(ServeConfig())
         b.add(distance_query(1, 0, qid=0, priority=2), now_ms=0.0)
         b.add(distance_query(2, 0, qid=1, priority=0), now_ms=0.0)
         b.add(distance_query(3, 0, qid=2, priority=0), now_ms=0.0)
@@ -126,13 +123,13 @@ class TestBatcher:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BatcherConfig(max_wave_sources=0)
+            ServeConfig(batch_sources=0)
         with pytest.raises(ValueError):
-            BatcherConfig(max_wave_sources=65)
+            ServeConfig(batch_sources=65)
         with pytest.raises(ValueError):
-            BatcherConfig(deadline_ms=-1)
+            ServeConfig(deadline_ms=-1)
         with pytest.raises(ValueError):
-            BatcherConfig(max_pending=0)
+            ServeConfig(max_pending=0)
 
 
 # ----------------------------------------------------------------------
@@ -141,17 +138,17 @@ class TestBatcher:
 
 class TestLandmarkCache:
     def test_row_tier_serves_exact_answers(self, graph):
-        cache = LandmarkCache(graph, CacheConfig(num_landmarks=4,
-                                                 hub_degree=1))
-        levels = reference_bfs_levels(graph, 3)
-        assert cache.admit(3, levels)
-        hit = cache.lookup(distance_query(3, 20), now_ms=1.0)
+        cache = LandmarkCache(graph, ServeConfig(num_landmarks=4))
+        hub = int(graph.out_degrees.argmax())  # admitted on first offer
+        levels = reference_bfs_levels(graph, hub)
+        assert cache.admit(hub, levels)
+        hit = cache.lookup(distance_query(hub, 20), now_ms=1.0)
         assert hit is not None and hit.served_by == "cache:row"
         d = int(levels[20])
         assert hit.distance == (d if d != UNVISITED else -1)
 
     def test_landmark_tier_only_when_pinned(self, graph):
-        cache = LandmarkCache(graph, CacheConfig(num_landmarks=8))
+        cache = LandmarkCache(graph, ServeConfig(num_landmarks=8))
         # A landmark asked about itself is always pinned (d == 0 path
         # through itself): query landmark -> landmark.
         landmarks = cache.oracle.landmarks
@@ -172,33 +169,44 @@ class TestLandmarkCache:
                 assert got.distance == want
 
     def test_hub_admission_policy(self, graph):
-        cache = LandmarkCache(
-            graph, CacheConfig(num_landmarks=2, hub_degree=10 ** 9,
-                               admit_after=2))
-        levels = reference_bfs_levels(graph, 5)
-        # Not a hub (threshold unreachable) and never requested: refused.
-        assert not cache.admit(5, levels)
+        cache = LandmarkCache(graph, ServeConfig(num_landmarks=2,
+                                                 admit_after=2))
+        low = int(graph.out_degrees.argmin())
+        assert graph.out_degrees[low] < cache.hub_degree
+        levels = reference_bfs_levels(graph, low)
+        # Not a hub and never requested: refused.
+        assert not cache.admit(low, levels)
         assert cache.stats.admission_refusals == 1
         # Two requests make it popular enough.
-        cache.lookup(sptree_query(5), 0.0)
-        cache.lookup(sptree_query(5), 0.0)
-        assert cache.admit(5, levels)
-        assert 5 in cache
+        cache.lookup(sptree_query(low), 0.0)
+        cache.lookup(sptree_query(low), 0.0)
+        assert cache.admit(low, levels)
+        assert low in cache
 
     def test_lru_eviction(self, graph):
-        cache = LandmarkCache(graph, CacheConfig(num_landmarks=2,
-                                                 capacity=2,
-                                                 hub_degree=1))
+        # admit_after=1: one request makes any source admissible.
+        cache = LandmarkCache(graph, ServeConfig(num_landmarks=2,
+                                                 cache_capacity=2,
+                                                 admit_after=1))
         for s in (1, 2):
+            cache.lookup(sptree_query(s), 0.0)
             cache.admit(s, reference_bfs_levels(graph, s))
         cache.lookup(sptree_query(1), 0.0)     # touch 1: now MRU
+        cache.lookup(sptree_query(3), 0.0)
         cache.admit(3, reference_bfs_levels(graph, 3))
         assert 1 in cache and 3 in cache and 2 not in cache
         assert cache.stats.evictions == 1
 
+    def test_config_validation(self):
+        for bad in (dict(num_landmarks=0), dict(cache_capacity=-1),
+                    dict(admit_after=0)):
+            with pytest.raises(ValueError):
+                ServeConfig(**bad)
+            ServeConfig(cache=False, **bad)  # checked with the cache on
+
     def test_reachability_verdicts_are_sound(self):
         g = powerlaw_graph(200, 4.0, 2.3, 32, seed=5, name="comp")
-        cache = LandmarkCache(g, CacheConfig(num_landmarks=6))
+        cache = LandmarkCache(g, ServeConfig(num_landmarks=6))
         rng = np.random.default_rng(1)
         for _ in range(150):
             u, v = (int(x) for x in rng.integers(0, 200, size=2))
@@ -215,7 +223,7 @@ class TestLandmarkCache:
 class TestDispatcher:
     def test_waves_balance_across_devices(self, graph):
         group = DeviceGroup(2)
-        d = WaveDispatcher(graph, group)
+        d = WaveDispatcher(graph, group, ServeConfig())
         d.run_wave(np.array([1, 2, 3]), now_ms=0.0)
         d.run_wave(np.array([4, 5]), now_ms=0.0)
         assert sorted(
@@ -225,8 +233,8 @@ class TestDispatcher:
     def test_timeout_splits_and_recovers(self, graph):
         group = DeviceGroup(2)
         d = WaveDispatcher(graph, group,
-                           DispatchConfig(timeout_ms=1e-9,
-                                          max_retries=1))
+                           ServeConfig(timeout_ms=1e-9,
+                                       max_retries=1))
         sources = np.array([1, 2, 3, 4])
         outcome = d.run_wave(sources, now_ms=0.0)
         # Every source still answered, despite the straggler split.
@@ -242,16 +250,16 @@ class TestDispatcher:
 
     def test_no_timeout_path(self, graph):
         group = DeviceGroup(1)
-        d = WaveDispatcher(graph, group, DispatchConfig(timeout_ms=None))
+        d = WaveDispatcher(graph, group, ServeConfig(timeout_ms=None))
         outcome = d.run_wave(np.array([7]), now_ms=2.0)
         assert d.stats.timeouts == 0
         assert outcome.completed_ms[7] > 2.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DispatchConfig(timeout_ms=0.0)
+            ServeConfig(timeout_ms=0.0)
         with pytest.raises(ValueError):
-            DispatchConfig(max_retries=-1)
+            ServeConfig(max_retries=-1)
 
     def test_cancelled_sweep_charges_only_timeout(self, graph):
         # Regression (cancel semantics): a timed-out sweep that will be
@@ -261,8 +269,8 @@ class TestDispatcher:
         timeout = 1e-6
         group = DeviceGroup(1)
         d = WaveDispatcher(graph, group,
-                           DispatchConfig(timeout_ms=timeout,
-                                          max_retries=1))
+                           ServeConfig(timeout_ms=timeout,
+                                       max_retries=1))
         with tracing() as tracer:
             outcome = d.run_wave(np.array([1, 2]), now_ms=0.0)
         assert sorted(outcome.rows) == [1, 2]
@@ -290,7 +298,7 @@ class TestDispatcher:
         # is usable — the wave migrates whole to another device.
         group = DeviceGroup(2)
         d = WaveDispatcher(graph, group,
-                           DispatchConfig(timeout_ms=1e-6, max_retries=1))
+                           ServeConfig(timeout_ms=1e-6, max_retries=1))
         outcome = d.run_wave(np.array([5]), now_ms=0.0)
         assert d.stats.retries == 1
         assert d.stats.timeouts == 2       # both attempts exceed 1e-6
@@ -304,7 +312,7 @@ class TestDispatcher:
         # one timeout, one deadline miss, retry budget untouched.
         group = DeviceGroup(1)
         d = WaveDispatcher(graph, group,
-                           DispatchConfig(timeout_ms=1e-6, max_retries=3))
+                           ServeConfig(timeout_ms=1e-6, max_retries=3))
         outcome = d.run_wave(np.array([5]), now_ms=0.0)
         assert d.stats.timeouts == 1
         assert d.stats.retries == 0
@@ -318,7 +326,7 @@ class TestDispatcher:
         # which truncate the device timeline.
         group = DeviceGroup(2)
         d = WaveDispatcher(graph, group,
-                           DispatchConfig(timeout_ms=1e-6, max_retries=2))
+                           ServeConfig(timeout_ms=1e-6, max_retries=2))
         d.run_wave(np.array([1, 2, 3, 4]), now_ms=0.0)
         d.run_wave(np.array([5, 6]), now_ms=0.1)
         for busy, device_ms in zip(d.stats.busy_ms_per_device,
@@ -334,8 +342,7 @@ class TestDispatcher:
 
 class TestEngine:
     def test_cache_hits_complete_immediately(self, graph):
-        engine = ServeEngine(graph, ServeConfig(hub_degree=1,
-                                                deadline_ms=0.1))
+        engine = ServeEngine(graph, ServeConfig(deadline_ms=0.1))
         q1 = sptree_query(int(graph.out_degrees.argmax()),
                           arrival_ms=0.0, qid=0)
         assert engine.submit(q1) is None
@@ -583,7 +590,7 @@ class TestLoadgenBench:
             trace_config=TraceConfig(num_queries=400, seed=13,
                                      zipf_a=1.1),
             config=ServeConfig(num_gpus=2, num_landmarks=8,
-                               hub_degree=1),
+                               admit_after=1),
             check=True,  # raises on any wrong cached answer
         )
         assert report.answers_checked
@@ -647,8 +654,7 @@ class TestAttribution:
         assert len(set(ids)) == len(ids)
 
     def test_cache_hit_phases_mark_cache_path(self, graph):
-        engine = ServeEngine(graph, ServeConfig(hub_degree=1,
-                                                deadline_ms=0.1))
+        engine = ServeEngine(graph, ServeConfig(deadline_ms=0.1))
         q1 = sptree_query(int(graph.out_degrees.argmax()),
                           arrival_ms=0.0, qid=0)
         engine.submit(q1)
@@ -822,7 +828,7 @@ class TestLocalityRouting:
         assert r.devices_for(np.array([0])) == {0, 1}
 
     def test_wave_lands_on_the_owning_node(self, graph):
-        d = WaveDispatcher(graph, DeviceGroup(4),
+        d = WaveDispatcher(graph, DeviceGroup(4), ServeConfig(),
                            locality=self._router(graph))
         split = int(self._router(graph).bounds[1])
         out = d.run_wave(np.array([split, graph.num_vertices - 1]),
@@ -832,7 +838,7 @@ class TestLocalityRouting:
         assert d.stats.locality_misses == 0
 
     def test_falls_back_when_owning_node_unusable(self, graph):
-        d = WaveDispatcher(graph, DeviceGroup(4),
+        d = WaveDispatcher(graph, DeviceGroup(4), ServeConfig(),
                            locality=self._router(graph))
         d.health.mark_lost(2)
         d.health.mark_lost(3)
@@ -842,7 +848,7 @@ class TestLocalityRouting:
         assert d.stats.locality_hits == 0
 
     def test_routing_changes_placement_not_answers(self, graph):
-        d = WaveDispatcher(graph, DeviceGroup(4),
+        d = WaveDispatcher(graph, DeviceGroup(4), ServeConfig(),
                            locality=self._router(graph))
         source = graph.num_vertices - 1
         out = d.run_wave(np.array([source]), now_ms=0.0)
@@ -851,7 +857,7 @@ class TestLocalityRouting:
 
     def test_router_shape_must_cover_the_group(self, graph):
         with pytest.raises(ValueError):
-            WaveDispatcher(graph, DeviceGroup(3),
+            WaveDispatcher(graph, DeviceGroup(3), ServeConfig(),
                            locality=self._router(graph))
 
     def test_engine_integration_and_stats(self, graph):

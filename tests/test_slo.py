@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import profile
-from repro.observ.slo import (
-    Alert,
-    BurnRule,
-    DEFAULT_BURN_RULES,
-    SLOConfig,
-    SLOMonitor,
-)
+from repro.observ.slo import BURN_RULES, Alert, SLOMonitor, SLOStatus
 from repro.serve import ServeConfig, ServeEngine, TraceConfig, replay, \
     synthetic_trace
 
@@ -32,40 +26,27 @@ from repro.serve import ServeConfig, ServeEngine, TraceConfig, replay, \
 # ----------------------------------------------------------------------
 
 class TestValidation:
-    def test_burn_rule_rejects_inverted_windows(self):
-        with pytest.raises(ValueError):
-            BurnRule("r", long_window_ms=1.0, short_window_ms=2.0,
-                     threshold=1.0)
-
-    def test_burn_rule_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            BurnRule("r", long_window_ms=0.0, short_window_ms=0.0,
-                     threshold=1.0)
-        with pytest.raises(ValueError):
-            BurnRule("r", long_window_ms=2.0, short_window_ms=1.0,
-                     threshold=0.0)
-
     def test_config_rejects_bad_targets(self):
         with pytest.raises(ValueError):
-            SLOConfig(latency_target_ms=0.0)
+            ServeConfig(slo_latency_ms=0.0)
         with pytest.raises(ValueError):
-            SLOConfig(availability_target=1.0)
+            ServeConfig(slo_latency_ms=10.0, slo_availability=1.0)
         with pytest.raises(ValueError):
-            SLOConfig(availability_target=0.0)
-        with pytest.raises(ValueError):
-            SLOConfig(burn_rules=())
+            ServeConfig(slo_latency_ms=10.0, slo_availability=0.0)
+        # Without a latency target nothing is monitored or checked.
+        ServeConfig(slo_availability=1.5)
 
     def test_budget_fraction(self):
-        assert SLOConfig(availability_target=0.999).budget_fraction == \
+        assert SLOStatus(10.0, 0.999).budget_fraction == \
             pytest.approx(0.001)
 
     def test_default_rules_are_page_and_ticket(self):
-        assert [r.name for r in DEFAULT_BURN_RULES] == ["page", "ticket"]
+        assert [rule[0] for rule in BURN_RULES] == ["page", "ticket"]
 
 
 class TestMonitorBasics:
     def test_empty_monitor_is_clean(self):
-        status = SLOMonitor().evaluate()
+        status = SLOMonitor(10.0, 0.999).evaluate()
         assert status.total == 0
         assert status.bad == 0
         assert status.alerts == []
@@ -74,16 +55,15 @@ class TestMonitorBasics:
         assert status.budget_remaining == 1.0
 
     def test_zero_traffic_window_burns_nothing(self):
-        monitor = SLOMonitor()
+        monitor = SLOMonitor(10.0, 0.999)
         monitor.observe(5.0, bad=True)
         assert monitor.burn_rate(1.0, 100.0) == 0.0
 
     def test_observe_latency_classification(self):
-        config = SLOConfig(latency_target_ms=2.0)
-        monitor = SLOMonitor(config)
-        monitor.observe_latency(1.0, 1.0)            # fast: good
-        monitor.observe_latency(2.0, 5.0)            # slow: bad
-        monitor.observe_latency(3.0, 1.0, ok=False)  # failed: bad
+        monitor = SLOMonitor(2.0, 0.999)
+        assert not monitor.observe_latency(1.0, 1.0)          # fast: good
+        assert monitor.observe_latency(2.0, 5.0)              # slow: bad
+        assert monitor.observe_latency(3.0, 1.0, ok=False)    # failed: bad
         status = monitor.evaluate()
         assert (status.total, status.bad) == (3, 2)
 
@@ -95,33 +75,30 @@ class TestMonitorBasics:
         assert "cleared" in cleared.line()
 
     def test_hand_built_alert_timeline(self):
-        # budget 0.5, threshold 2.0 => alert iff both windows are 100%
-        # bad.  Good traffic, a bad burst, then a good event to clear.
-        config = SLOConfig(
-            latency_target_ms=1.0, availability_target=0.5,
-            burn_rules=(BurnRule("r", long_window_ms=4.0,
-                                 short_window_ms=1.0, threshold=2.0),))
-        monitor = SLOMonitor(config)
-        for t in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-            monitor.observe(t, bad=False)
-        for t in (10.0, 10.5, 11.0, 11.5):
+        # budget 0.1, page threshold 10 => the page alert fires iff both
+        # of its windows (12 ms, 1 ms) are 100% bad.  Good traffic more
+        # than 12 ms before a bad burst, then a good event to clear; the
+        # 16 good events keep the ticket's 48 ms window under 25% bad.
+        monitor = SLOMonitor(1.0, 0.9)
+        for i in range(16):
+            monitor.observe(0.5 * i, bad=False)
+        for t in (20.0, 20.5, 21.0, 21.5):
             monitor.observe(t, bad=True)
-        monitor.observe(12.2, bad=False)
+        monitor.observe(22.2, bad=False)
         alerts = monitor.evaluate().alerts
         assert len(alerts) == 1
-        assert alerts[0].rule == "r"
-        assert alerts[0].fired_ms == pytest.approx(10.0)
-        assert alerts[0].cleared_ms == pytest.approx(12.2)
+        assert alerts[0].rule == "page"
+        assert alerts[0].fired_ms == pytest.approx(20.0)
+        assert alerts[0].cleared_ms == pytest.approx(22.2)
 
     def test_dangling_alert_stays_active(self):
-        config = SLOConfig(
-            availability_target=0.5,
-            burn_rules=(BurnRule("r", long_window_ms=4.0,
-                                 short_window_ms=1.0, threshold=2.0),))
-        monitor = SLOMonitor(config)
+        # budget 0.25: all-bad traffic burns 4x, past the ticket's 2.5
+        # and short of the page's 10.
+        monitor = SLOMonitor(10.0, 0.75)
         monitor.observe(1.0, bad=True)
         alerts = monitor.evaluate().alerts
         assert len(alerts) == 1 and alerts[0].active
+        assert alerts[0].rule == "ticket"
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +121,8 @@ class TestProperties:
         n = len(times)
         base = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
         extra = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
-        first = SLOMonitor()
-        second = SLOMonitor()
+        first = SLOMonitor(10.0, 0.999)
+        second = SLOMonitor(10.0, 0.999)
         for i, t in enumerate(times):
             first.observe(t, bad=i in base)
             second.observe(t, bad=i in base or i in extra)
@@ -163,10 +140,10 @@ class TestProperties:
         """A constant error rate burns identically through any window:
         all-bad traffic burns 1/budget regardless of window size,
         all-good burns zero."""
-        monitor = SLOMonitor(SLOConfig(availability_target=0.999))
+        monitor = SLOMonitor(10.0, 0.999)
         for t in times:
             monitor.observe(t, bad=all_bad)
-        expected = (1.0 / monitor.config.budget_fraction) if all_bad \
+        expected = (1.0 / (1.0 - monitor.availability)) if all_bad \
             else 0.0
         for t in times:
             assert monitor.burn_rate(window, t) == pytest.approx(expected)
@@ -177,13 +154,13 @@ class TestProperties:
                                                            data):
         n = len(times)
         bad = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
-        monitor = SLOMonitor()
+        monitor = SLOMonitor(10.0, 0.999)
         for i, t in enumerate(times):
             monitor.observe(t, bad=i in bad)
         status = monitor.evaluate()
         span = max(times) + 1.0
         got = monitor.burn_rate(span, max(times))
-        want = status.bad_fraction / monitor.config.budget_fraction
+        want = status.bad_fraction / status.budget_fraction
         assert got == pytest.approx(want)
 
 
